@@ -112,7 +112,6 @@ class EngineEndpoint:
     base_url: str | None = None
     schedule_tolerance_ms: int = 5
     request_timeout_ms: int = 60_000
-    kv_grace_ms: int = 2_000
 
     def __post_init__(self) -> None:
         if self.kind is EngineKind.SIMULATOR and self.handle is None:

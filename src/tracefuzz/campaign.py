@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .adapter import EndpointUnavailable, execute, reset_server
-from .confirmation import ConfirmationConfig, Dismissal, Finding, confirm_suspicion, majority_confirm
+from .confirmation import ConfirmationConfig, Dismissal, Finding, confirm_suspicion, majority_threshold
 from .mutation import (
     DEFAULT_MUTATION_WEIGHTS,
     DEFAULT_PALETTE,
@@ -679,9 +679,17 @@ def minimize(trace: TimedTrace, reproduce_predicate, k: int = 3, log_sink: list 
         )
         return repair(draft)
 
+    needed = majority_threshold(k)
+
     def holds(candidate: TimedTrace) -> bool:
-        votes = [bool(reproduce_predicate(candidate)) for _ in range(k)]
-        return majority_confirm(votes, k)
+        # Stop voting once the majority is reached or out of reach: the votes
+        # left uncast cannot change majority_confirm's verdict over all k.
+        hits = 0
+        for cast in range(1, k + 1):
+            hits += bool(reproduce_predicate(candidate))
+            if hits >= needed or hits + k - cast < needed:
+                break
+        return hits >= needed
 
     current = build(trace.events)
     if not holds(current):

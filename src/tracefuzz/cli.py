@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from .adapter import EndpointUnavailable, EngineEndpoint, EngineKind, execute, reset_server
+from .adapter import EndpointUnavailable, EngineEndpoint, EngineKind, UnsupportedOperation, execute, reset_server
 from .campaign import (
     DEFAULT_PROFILES,
     CampaignConfig,
@@ -158,11 +158,7 @@ def _campaign_config(args) -> CampaignConfig:
 def cmd_run(args) -> int:
     config = _campaign_config(args)
     endpoint = _make_endpoint(args)
-    try:
-        result = run_campaign(config, endpoint, out_dir=args.out)
-    except EndpointUnavailable as exc:
-        print(f"endpoint failure: {exc}", file=sys.stderr)
-        return EXIT_ENDPOINT
+    result = run_campaign(config, endpoint, out_dir=args.out)
     print(f"iterations executed: {result.iterations_run}")
     print(f"suspicions raised:   {len(result.suspicions_raised)}")
     print(f"confirmed findings:  {len(result.findings)}")
@@ -183,11 +179,7 @@ def cmd_replay(args) -> int:
         raise UsageError("--k must be >= 1")
     trace = _load_trace(args.trace)
     endpoint = _make_endpoint(args)
-    try:
-        reports = replay(trace, endpoint, k=args.k, top_n=args.top_n, corpus_seed=args.corpus_seed)
-    except EndpointUnavailable as exc:
-        print(f"endpoint failure: {exc}", file=sys.stderr)
-        return EXIT_ENDPOINT
+    reports = replay(trace, endpoint, k=args.k, top_n=args.top_n, corpus_seed=args.corpus_seed)
     reference = reports[0]
     identical = 0
     for i, report in enumerate(reports, start=1):
@@ -217,12 +209,8 @@ def cmd_confirm(args) -> int:
     endpoint = _make_endpoint(args)
     config = ConfirmationConfig(top_n=args.top_n, epsilon=args.epsilon, k=args.k)
     thresholds = OracleThresholds()
-    try:
-        reset_server(endpoint)
-        report = execute(trace, endpoint, corpus_seed=args.corpus_seed)
-    except EndpointUnavailable as exc:
-        print(f"endpoint failure: {exc}", file=sys.stderr)
-        return EXIT_ENDPOINT
+    reset_server(endpoint)
+    report = execute(trace, endpoint, corpus_seed=args.corpus_seed)
     suspicions = full_sweep(trace, report, BaselineStats(), thresholds, args.corpus_seed)
     if not suspicions:
         print("no suspicions raised")
@@ -250,6 +238,8 @@ def cmd_minimize(args) -> int:
     thresholds = OracleThresholds()
 
     def predicate(candidate) -> bool:
+        # A transient failure is a lost vote; a missing reset control
+        # (UnsupportedOperation) ends the command as an endpoint failure.
         try:
             reset_server(endpoint)
             report = execute(candidate, endpoint, corpus_seed=args.corpus_seed)
@@ -439,6 +429,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (EndpointUnavailable, UnsupportedOperation) as exc:
+        print(f"endpoint failure: {exc}", file=sys.stderr)
+        return EXIT_ENDPOINT
 
 
 if __name__ == "__main__":

@@ -3,6 +3,26 @@
 Everything that must reproduce across processes and machines routes through
 these helpers.  The builtin ``hash()`` is process-salted and must never be
 used for anything that ends up in a trace, a token stream, or a fingerprint.
+
+Encoding contract of ``stable_u64``: each part becomes a one-byte type tag,
+the body's length as a little-endian u32, then the body:
+
+========  ===  ==============================================
+type      tag  body
+========  ===  ==============================================
+bool      b    ``\x01`` or ``\x00``
+int       i    17 bytes, little-endian two's complement
+str       s    UTF-8
+bytes     y    the bytes themselves
+float     f    IEEE-754 double, little-endian
+None      n    empty
+========  ===  ==============================================
+
+Type checks use ``isinstance`` in the order above, so a str-Enum encodes as
+its string value and an IntEnum as its integer.  The digest is one
+blake2b-64 over the concatenated encodings, read as a little-endian integer.
+These values are frozen: prompts, block hashes and token streams derive from
+them.
 """
 
 from __future__ import annotations
@@ -11,7 +31,30 @@ import hashlib
 import json
 import struct
 
-_U64 = (1 << 64) - 1
+# Small non-negative ints (tokens, positions, lengths) are most parts; their
+# encodings are precomputed.  The fast path checks the exact type, so bool and
+# IntEnum never reach the table.
+_INT_HEAD = b"i" + struct.pack("<I", 17)
+_INT_TABLE_SIZE = 4096
+_INT_TABLE = [_INT_HEAD + i.to_bytes(17, "little", signed=True) for i in range(_INT_TABLE_SIZE)]
+
+
+def _encode(part: object) -> bytes:
+    if isinstance(part, bool):  # bool is an int subclass; check first
+        tag, body = b"b", b"\x01" if part else b"\x00"
+    elif isinstance(part, int):
+        tag, body = b"i", part.to_bytes(17, "little", signed=True)
+    elif isinstance(part, str):
+        tag, body = b"s", part.encode("utf-8")
+    elif isinstance(part, bytes):
+        tag, body = b"y", part
+    elif isinstance(part, float):
+        tag, body = b"f", struct.pack("<d", part)
+    elif part is None:
+        tag, body = b"n", b""
+    else:
+        raise TypeError(f"unhashable part type: {type(part)!r}")
+    return tag + struct.pack("<I", len(body)) + body
 
 
 def stable_u64(*parts: object) -> int:
@@ -20,32 +63,11 @@ def stable_u64(*parts: object) -> int:
     Parts are length- and type-prefixed before hashing so that e.g.
     ("ab", "c") and ("a", "bc") cannot collide.
     """
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        if isinstance(part, bool):  # bool is an int subclass; check first
-            body = b"\x01" if part else b"\x00"
-            tag = b"b"
-        elif isinstance(part, int):
-            body = part.to_bytes(17, "little", signed=True)
-            tag = b"i"
-        elif isinstance(part, str):
-            body = part.encode("utf-8")
-            tag = b"s"
-        elif isinstance(part, bytes):
-            body = part
-            tag = b"y"
-        elif isinstance(part, float):
-            body = struct.pack("<d", part)
-            tag = b"f"
-        elif part is None:
-            body = b""
-            tag = b"n"
-        else:
-            raise TypeError(f"unhashable part type: {type(part)!r}")
-        h.update(tag)
-        h.update(struct.pack("<I", len(body)))
-        h.update(body)
-    return int.from_bytes(h.digest(), "little") & _U64
+    data = b"".join([
+        _INT_TABLE[p] if type(p) is int and 0 <= p < _INT_TABLE_SIZE else _encode(p)
+        for p in parts
+    ])
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
 def stable_unit(*parts: object) -> float:

@@ -104,14 +104,6 @@ class BaselineStats:
     def p50(self) -> float:
         return self.quantile(0.50)
 
-    @property
-    def p95(self) -> float:
-        return self.quantile(0.95)
-
-    @property
-    def p99(self) -> float:
-        return self.quantile(0.99)
-
 
 def _merge(suspicions: list[Suspicion]) -> list[Suspicion]:
     """Collapse same-fingerprint suspicions within one report, merging evidence."""

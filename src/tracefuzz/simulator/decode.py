@@ -7,17 +7,11 @@ relational checks attribute divergence to serving state rather than decoding.
 
 from __future__ import annotations
 
-from ..hashing import chain_digest, stable_u64, stable_unit
+from ..hashing import stable_u64, stable_unit
 
 
 def init_digest(sim_seed: int, request_seed: int, adapter: str, completion_index: int) -> int:
     return stable_u64("stream", sim_seed, request_seed, adapter, completion_index)
-
-
-def absorb(digest: int, tokens) -> int:
-    for t in tokens:
-        digest = chain_digest(digest, t)
-    return digest
 
 
 def pseudo_decode(

@@ -15,7 +15,7 @@ from ..adapter import KvEvent
 from ..hashing import chain_digest, stable_u64
 from .blocks import BlockManager
 from .config import FaultFamily, SimConfig
-from .decode import absorb, init_digest, pseudo_decode
+from .decode import init_digest, pseudo_decode
 
 WAITING = "waiting"
 PREFILL = "prefill"

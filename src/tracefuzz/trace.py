@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
 
 from .hashing import stable_u64
 
@@ -239,6 +240,13 @@ def repair(trace: TimedTrace) -> TimedTrace:
 # --------------------------------------------------------------------------
 # Prompt synthesis
 
+# Distinct (shape, identity, corpus_seed, vocab_size) keys kept; a campaign
+# sees a few dozen, while a long run's mutations keep minting new identities.
+# Typed keys, because stable_u64 tells 1 from True.
+PROMPT_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=PROMPT_CACHE_SIZE, typed=True)
 def synthesize_prompt(shape: PromptShape, identity: str, corpus_seed: int, vocab_size: int = 1024) -> tuple[int, ...]:
     """Deterministic prompt token ids for a shape and identity.
 
@@ -246,6 +254,8 @@ def synthesize_prompt(shape: PromptShape, identity: str, corpus_seed: int, vocab
     position, so any two shapes with equal prefix_len share that prefix
     exactly; the suffix additionally depends on the identity and the full
     shape, so distinct identities or shapes diverge after the prefix.
+
+    Memoized: equal arguments return the same tuple object.
     """
     if vocab_size < 2:
         raise ValueError("vocab_size must be >= 2")

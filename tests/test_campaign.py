@@ -1,6 +1,7 @@
 """Pressure scoring, corpus selection, the campaign loop, minimization, and
 on-disk artifact layout."""
 
+import itertools
 import json
 import random
 
@@ -22,6 +23,7 @@ from tracefuzz.campaign import (
     score_pressure,
     select_seed,
 )
+from tracefuzz.confirmation import majority_confirm, majority_threshold
 from tracefuzz.mutation import generate_seed
 from tracefuzz.oracles import SuspicionKind
 from tracefuzz.simulator.config import SimConfig
@@ -321,6 +323,38 @@ def test_minimize_rejects_a_flaky_predicate():
 
     with pytest.raises(ValueError):
         minimize(_bulky_trace(), flaky, k=3)
+
+
+class _NextCandidate(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_minimize_votes_stop_once_the_majority_is_settled(k):
+    needed = majority_threshold(k)
+    for votes in itertools.product([False, True], repeat=k):
+        # Fewest leading votes after which the full-k verdict cannot change.
+        settled_after = next(
+            n for n in range(1, k + 1)
+            if sum(votes[:n]) >= needed or sum(votes[:n]) + k - n < needed
+        )
+        cast = []
+
+        def scripted(candidate):
+            if cast and candidate is not cast[0]:
+                raise _NextCandidate  # the input's vote is over
+            cast.append(candidate)
+            return votes[len(cast) - 1]
+
+        try:
+            minimize(_bulky_trace(), scripted, k=k)
+            pytest.fail("an accepted input is followed by a vote on a reduced candidate")
+        except _NextCandidate:
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == majority_confirm(votes, k), votes
+        assert len(cast) == settled_after, votes
 
 
 def test_minimize_keeps_an_already_minimal_trace():

@@ -10,6 +10,8 @@ import sys
 
 import pytest
 
+from tracefuzz import campaign, cli
+from tracefuzz.adapter import UnsupportedOperation
 from tracefuzz.cli import EXIT_ENDPOINT, EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main
 from tracefuzz.trace import PromptShape, RequestSpec, SamplingConfig, TimedTrace, TraceEvent, deserialize, serialize
 
@@ -176,6 +178,39 @@ def test_minimize_unreproducible_exits_three(tmp_path, capsys):
     code = main(["minimize", "--trace", str(path), "--predicate", "crash", "--sim", "--k", "1"])
     assert code == EXIT_ENDPOINT
     assert "unreproducible" in capsys.readouterr().err
+
+
+# -- endpoints without a reset control ---------------------------------------------
+
+
+@pytest.fixture
+def no_reset_control(monkeypatch):
+    def refuse(endpoint):
+        raise UnsupportedOperation("endpoint exposes no reset control")
+
+    monkeypatch.setattr(campaign, "reset_server", refuse)
+    monkeypatch.setattr(cli, "reset_server", refuse)
+
+
+def test_run_without_reset_control_is_an_endpoint_failure(no_reset_control, tmp_path, capsys):
+    code = main(["run", "--sim", "--budget", "2", "--profiles", "steady", "--out", str(tmp_path / "out")])
+    assert code == EXIT_ENDPOINT
+    assert "endpoint failure: endpoint exposes no reset control" in capsys.readouterr().err
+
+
+def test_confirm_without_reset_control_is_an_endpoint_failure(no_reset_control, tmp_path, capsys):
+    path = write_trace(tmp_path, TimedTrace("t~ok", (send("a", 0),)))
+    assert main(["confirm", "--trace", str(path), "--sim"]) == EXIT_ENDPOINT
+    assert "endpoint failure:" in capsys.readouterr().err
+
+
+def test_minimize_without_reset_control_is_not_an_unreproducible_input(no_reset_control, tmp_path, capsys):
+    path = write_trace(tmp_path, drift_trace())
+    code = main(["minimize", "--trace", str(path), "--predicate", "crash", "--sim", "--fault", "F3", "--k", "1"])
+    err = capsys.readouterr().err
+    assert code == EXIT_ENDPOINT
+    assert "endpoint failure:" in err
+    assert "unreproducible" not in err
 
 
 # -- report ----------------------------------------------------------------------
