@@ -13,6 +13,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .trace import EventKind, RequestSpec, TimedTrace, parse_prompt, prompt_for, render_prompt
 
@@ -71,6 +72,71 @@ class KvEvent:
         )
 
 
+@dataclass(frozen=True)
+class KvLedger:
+    """What telemetry, novelty and the KV oracles read off one event stream.
+
+    Built by a single pass in stream order.  Releases are free and evict,
+    adoptions prefix_hit and reuse.  An alloc over a block that is still live
+    leaves both allocators holding it; a release drops every holder; an
+    adoption by a request other than the block's latest allocator makes the
+    block shared cache property, which no allocator holds any more.
+    """
+
+    peak_held: int  # high-water mark of allocs minus releases
+    kinds: frozenset
+    bigrams: frozenset  # (kind, next kind) pairs in stream order
+    alloc_ts: tuple
+    last_ts_ms: int  # latest timestamp in the stream, 0 when empty
+    held_blocks: dict  # allocator -> frozenset of block ids
+    cross_adapter: tuple  # (alloc event, adopting event) pairs whose adapters differ
+
+    @staticmethod
+    def of(events) -> "KvLedger":
+        held = peak = last_ts = 0
+        kinds: list[str] = []
+        alloc_ts: list[int] = []
+        latest_alloc: dict[int, KvEvent] = {}  # block -> most recent alloc, until released
+        holders: dict[int, set[str]] = {}
+        cross_adapter = []
+        for event in events:
+            kind, block, ts = event.kind, event.block_id, event.ts_ms
+            kinds.append(kind)
+            if ts > last_ts:
+                last_ts = ts
+            if kind == "alloc":
+                held += 1
+                if held > peak:
+                    peak = held
+                alloc_ts.append(ts)
+                latest_alloc[block] = event
+                holders.setdefault(block, set()).add(event.owner_request_id)
+            elif kind in ("free", "evict"):
+                held -= 1
+                latest_alloc.pop(block, None)
+                holders.pop(block, None)
+            elif kind in ("prefix_hit", "reuse"):
+                alloc = latest_alloc.get(block)
+                if alloc is not None:
+                    if alloc.owner_request_id != event.owner_request_id:
+                        holders.pop(block, None)
+                    if alloc.adapter != event.adapter:
+                        cross_adapter.append((alloc, event))
+        by_owner: dict[str, set[int]] = {}
+        for block, owners in holders.items():
+            for owner in owners:
+                by_owner.setdefault(owner, set()).add(block)
+        return KvLedger(
+            peak_held=peak,
+            kinds=frozenset(kinds),
+            bigrams=frozenset(zip(kinds, kinds[1:])),
+            alloc_ts=tuple(alloc_ts),
+            last_ts_ms=last_ts,
+            held_blocks={owner: frozenset(blocks) for owner, blocks in by_owner.items()},
+            cross_adapter=tuple(cross_adapter),
+        )
+
+
 @dataclass
 class RequestOutcome:
     request_id: str
@@ -97,6 +163,11 @@ class ExecutionReport:
     engine_info: dict = field(default_factory=dict)
     schedule_degraded: bool = False
     kv_stream_supported: bool = True
+
+    @cached_property
+    def kv_ledger(self) -> KvLedger:
+        """Built on first use, so reports nothing inspects never walk their stream."""
+        return KvLedger.of(self.kv_events)
 
 
 @dataclass

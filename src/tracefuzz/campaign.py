@@ -166,19 +166,10 @@ def novelty(report, seen: set[str]) -> set[str]:
             ttft_decades.add(math.floor(math.log10(max(outcome.ttft_ms, 1))))
     for decade in ttft_decades:
         markers.add(f"ttft-decade:{decade}")
-    held = peak = 0
-    for event in report.kv_events:
-        if event.kind == "alloc":
-            held += 1
-        elif event.kind in ("free", "evict"):
-            held -= 1
-        peak = max(peak, held)
-    markers.add(f"kv-peak:2^{peak.bit_length()}")
-    kinds = [e.kind for e in report.kv_events]
-    for kind in kinds:
-        markers.add(f"kv-kind:{kind}")
-    for a, b in zip(kinds, kinds[1:]):
-        markers.add(f"kv-2gram:{a}>{b}")
+    ledger = report.kv_ledger
+    markers.add(f"kv-peak:2^{ledger.peak_held.bit_length()}")
+    markers.update(f"kv-kind:{kind}" for kind in ledger.kinds)
+    markers.update(f"kv-2gram:{a}>{b}" for a, b in ledger.bigrams)
     if report.server_crashed:
         signature = "unknown"
         if isinstance(report.crash_evidence, dict):
@@ -235,16 +226,6 @@ class DismissalRecord:
     dismissal: Dismissal
     first_iteration: int
     duplicates: int = 0
-
-
-def dedup(finding: Finding, prior: dict[str, FindingRecord], iteration: int = 0) -> str:
-    """Fingerprint-equality dedup; duplicates bump a counter on the original."""
-    record = prior.get(finding.fingerprint)
-    if record is not None:
-        record.duplicates += 1
-        return f"duplicate-of({finding.fingerprint})"
-    prior[finding.fingerprint] = FindingRecord(finding, first_iteration=iteration)
-    return "new"
 
 
 # --------------------------------------------------------------------------
@@ -499,11 +480,10 @@ def run_campaign(config: CampaignConfig, endpoint, out_dir: Path | str | None = 
 
         found_new = False
         for susp in suspicions:
-            if susp.fingerprint in findings:
-                findings[susp.fingerprint].duplicates += 1
-                continue
-            if susp.fingerprint in dismissals:
-                dismissals[susp.fingerprint].duplicates += 1
+            # A known fingerprint is counted against its first verdict, never re-confirmed.
+            known = findings.get(susp.fingerprint) or dismissals.get(susp.fingerprint)
+            if known is not None:
+                known.duplicates += 1
                 continue
             outcome = confirm_suspicion(
                 susp,
@@ -515,7 +495,7 @@ def run_campaign(config: CampaignConfig, endpoint, out_dir: Path | str | None = 
                 thresholds=config.thresholds,
             )
             if isinstance(outcome, Finding):
-                dedup(outcome, findings, iteration)
+                findings[susp.fingerprint] = FindingRecord(outcome, first_iteration=iteration)
                 found_new = True
             else:
                 dismissals[susp.fingerprint] = DismissalRecord(outcome, first_iteration=iteration)
@@ -585,32 +565,25 @@ def _suspicion_dict(susp: Suspicion) -> dict:
     }
 
 
-def _finding_dict(record: FindingRecord) -> dict:
-    f = record.finding
+def _verdict_dict(judged: Finding | Dismissal, record, detail: dict) -> dict:
     return {
-        "fingerprint": f.fingerprint,
-        "kind": f.kind.value,
-        "trace_id": f.trace_id,
-        "verdict": f.verdict.value,
-        "suspicion": _suspicion_dict(f.suspicion),
-        "evidence": f.evidence,
+        "fingerprint": judged.fingerprint,
+        "kind": judged.kind.value,
+        "trace_id": judged.trace_id,
+        "verdict": judged.verdict.value,
+        **detail,
+        "evidence": judged.evidence,
         "first_iteration": record.first_iteration,
         "duplicates": record.duplicates,
     }
+
+
+def _finding_dict(record: FindingRecord) -> dict:
+    return _verdict_dict(record.finding, record, {"suspicion": _suspicion_dict(record.finding.suspicion)})
 
 
 def _dismissal_dict(record: DismissalRecord) -> dict:
-    d = record.dismissal
-    return {
-        "fingerprint": d.fingerprint,
-        "kind": d.kind.value,
-        "trace_id": d.trace_id,
-        "verdict": d.verdict.value,
-        "reason": d.reason,
-        "evidence": d.evidence,
-        "first_iteration": record.first_iteration,
-        "duplicates": record.duplicates,
-    }
+    return _verdict_dict(record.dismissal, record, {"reason": record.dismissal.reason})
 
 
 def persist_campaign(result: CampaignResult, out_dir: Path) -> None:

@@ -108,6 +108,8 @@ def _campaign_config(args) -> CampaignConfig:
             doc = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot load campaign config: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise UsageError("bad campaign config: the top level must be a JSON object")
     kwargs: dict = {}
     for key in (
         "rng_seed",
@@ -124,10 +126,6 @@ def _campaign_config(args) -> CampaignConfig:
     ):
         if key in doc:
             kwargs[key] = doc[key]
-    if "thresholds" in doc:
-        kwargs["thresholds"] = OracleThresholds(**doc["thresholds"])
-    if "confirmation" in doc:
-        kwargs["confirmation"] = ConfirmationConfig(**doc["confirmation"])
     profile_names = doc.get("profiles")
     if args.profiles:
         profile_names = [s.strip() for s in args.profiles.split(",") if s.strip()]
@@ -146,6 +144,10 @@ def _campaign_config(args) -> CampaignConfig:
         kwargs["corpus_seed"] = args.corpus_seed
     kwargs["endpoint_descriptor"] = {"endpoint": args.endpoint, "sim": bool(args.sim or args.sim_config), "faults": list(args.fault)}
     try:
+        if "thresholds" in doc:
+            kwargs["thresholds"] = OracleThresholds(**doc["thresholds"])
+        if "confirmation" in doc:
+            kwargs["confirmation"] = ConfirmationConfig(**doc["confirmation"])
         return CampaignConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad campaign config: {exc}") from exc

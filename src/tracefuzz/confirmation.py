@@ -23,6 +23,7 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import ClassVar
 
 from .adapter import EndpointUnavailable, EngineKind, execute, reset_server
 from .oracles import (
@@ -179,25 +180,46 @@ class ConfirmationConfig:
     regression_factor: float = 10.0
     recovery_factor: float = 2.0
 
+    def __post_init__(self) -> None:
+        if self.relational_aggregate not in ("any", "majority"):
+            raise ValueError(f"relational_aggregate must be 'any' or 'majority', got {self.relational_aggregate!r}")
+
 
 @dataclass
-class Finding:
-    fingerprint: str
-    kind: SuspicionKind
-    trace_id: str
-    verdict: Verdict
+class _Judged:
     suspicion: Suspicion
-    evidence: dict = field(default_factory=dict)
+
+    @property
+    def fingerprint(self) -> str:
+        return self.suspicion.fingerprint
+
+    @property
+    def kind(self) -> SuspicionKind:
+        return self.suspicion.kind
+
+    @property
+    def trace_id(self) -> str:
+        return self.suspicion.trace_id
 
 
 @dataclass
-class Dismissal:
-    fingerprint: str
-    kind: SuspicionKind
-    trace_id: str
+class Finding(_Judged):
+    evidence: dict = field(default_factory=dict)
+    verdict: ClassVar[Verdict] = Verdict.TRUE_POSITIVE
+
+
+@dataclass
+class Dismissal(_Judged):
     verdict: Verdict
     reason: str
     evidence: dict = field(default_factory=dict)
+
+
+def _judge(suspicion, confirmed: bool, evidence: dict, reason: str = "not-reproducible", verdict=Verdict.PASS):
+    """The one verdict constructor: a Finding when confirmed, else a Dismissal."""
+    if confirmed:
+        return Finding(suspicion, evidence)
+    return Dismissal(suspicion, verdict, reason, evidence)
 
 
 _STATE_KINDS = frozenset(
@@ -236,20 +258,19 @@ def confirm_suspicion(
         return _confirm_replayable(suspicion, trace, endpoint, config, corpus_seed, thresholds)
     except (EndpointUnavailable, OSError) as exc:
         LOG.warning("confirmation of %s abandoned: %s", suspicion.fingerprint, exc)
-        return Dismissal(
-            fingerprint=suspicion.fingerprint,
-            kind=suspicion.kind,
-            trace_id=suspicion.trace_id,
-            verdict=Verdict.PASS,
-            reason="unconfirmable-endpoint-failure",
-            evidence={"error": str(exc)},
-        )
+        return _judge(suspicion, False, {"error": str(exc)}, "unconfirmable-endpoint-failure")
+
+
+def _tally(flags, config) -> tuple[dict, bool]:
+    """The majority evidence triple over k reproduction flags, and its verdict."""
+    evidence = {"majority_hits": sum(flags), "majority_needed": majority_threshold(config.k), "k": config.k}
+    return evidence, majority_confirm(flags, config.k)
 
 
 def _replay_majority(trace, endpoint, config, corpus_seed, recheck):
     reports = replay(trace, endpoint, config.k, config.top_n, corpus_seed, config.retry_budget)
-    flags = [bool(recheck(r)) for r in reports]
-    return sum(flags), majority_confirm(flags, config.k), reports
+    tally, confirmed = _tally([bool(recheck(r)) for r in reports], config)
+    return tally, confirmed, reports
 
 
 def _fingerprint_recheck(suspicion, oracle):
@@ -341,40 +362,11 @@ def _confirm_state(suspicion, trace, endpoint, config, original_report, corpus_s
 
     if aggregate is Verdict.FALSE_POSITIVE:
         # Explainable tie-break divergence; replaying would only re-observe it.
-        return Dismissal(
-            fingerprint=suspicion.fingerprint,
-            kind=suspicion.kind,
-            trace_id=suspicion.trace_id,
-            verdict=Verdict.FALSE_POSITIVE,
-            reason="within-tie-margin",
-            evidence={"relational": relational},
-        )
+        return _judge(suspicion, False, {"relational": relational}, "within-tie-margin", Verdict.FALSE_POSITIVE)
 
     recheck = _fingerprint_recheck(suspicion, lambda r: structural_forensics(r, corpus_seed=corpus_seed))
-    hits, confirmed, _ = _replay_majority(trace, endpoint, config, corpus_seed, recheck)
-    evidence = {
-        "relational": relational,
-        "majority_hits": hits,
-        "majority_needed": majority_threshold(config.k),
-        "k": config.k,
-    }
-    if aggregate is Verdict.TRUE_POSITIVE or confirmed:
-        return Finding(
-            fingerprint=suspicion.fingerprint,
-            kind=suspicion.kind,
-            trace_id=suspicion.trace_id,
-            verdict=Verdict.TRUE_POSITIVE,
-            suspicion=suspicion,
-            evidence=evidence,
-        )
-    return Dismissal(
-        fingerprint=suspicion.fingerprint,
-        kind=suspicion.kind,
-        trace_id=suspicion.trace_id,
-        verdict=Verdict.PASS,
-        reason="not-reproducible",
-        evidence=evidence,
-    )
+    tally, confirmed, _ = _replay_majority(trace, endpoint, config, corpus_seed, recheck)
+    return _judge(suspicion, aggregate is Verdict.TRUE_POSITIVE or confirmed, {"relational": relational, **tally})
 
 
 def _confirm_replayable(suspicion, trace, endpoint, config, corpus_seed, thresholds):
@@ -395,27 +387,10 @@ def _confirm_replayable(suspicion, trace, endpoint, config, corpus_seed, thresho
 
         recheck = _fingerprint_recheck(suspicion, oracle)
 
-    hits, confirmed, reports = _replay_majority(trace, endpoint, config, corpus_seed, recheck)
-    evidence = {"majority_hits": hits, "majority_needed": majority_threshold(config.k), "k": config.k}
+    evidence, confirmed, reports = _replay_majority(trace, endpoint, config, corpus_seed, recheck)
     if suspicion.kind is SuspicionKind.CRASH and reports:
         evidence["crash_evidence"] = reports[-1].crash_evidence
-    if confirmed:
-        return Finding(
-            fingerprint=suspicion.fingerprint,
-            kind=suspicion.kind,
-            trace_id=suspicion.trace_id,
-            verdict=Verdict.TRUE_POSITIVE,
-            suspicion=suspicion,
-            evidence=evidence,
-        )
-    return Dismissal(
-        fingerprint=suspicion.fingerprint,
-        kind=suspicion.kind,
-        trace_id=suspicion.trace_id,
-        verdict=Verdict.PASS,
-        reason="not-reproducible",
-        evidence=evidence,
-    )
+    return _judge(suspicion, confirmed, evidence)
 
 
 # -- timing arm ---------------------------------------------------------------
@@ -515,29 +490,12 @@ def _confirm_timing(suspicion, trace, endpoint, config, corpus_seed):
         except (EndpointUnavailable, OSError):
             pass
 
+    tally, confirmed = _tally(flags, config)
     evidence = {
         "baseline_p50_ms": baseline_p50,
         "amplification": amplification,
         "recovered": recovered,
         "recovery_p50_ms": recovery_p50,
-        "majority_hits": sum(flags),
-        "majority_needed": majority_threshold(config.k),
-        "k": config.k,
+        **tally,
     }
-    if majority_confirm(flags, config.k):
-        return Finding(
-            fingerprint=suspicion.fingerprint,
-            kind=suspicion.kind,
-            trace_id=suspicion.trace_id,
-            verdict=Verdict.TRUE_POSITIVE,
-            suspicion=suspicion,
-            evidence=evidence,
-        )
-    return Dismissal(
-        fingerprint=suspicion.fingerprint,
-        kind=suspicion.kind,
-        trace_id=suspicion.trace_id,
-        verdict=Verdict.FALSE_POSITIVE,
-        reason="latency-explained-by-admission-queueing",
-        evidence=evidence,
-    )
+    return _judge(suspicion, confirmed, evidence, "latency-explained-by-admission-queueing", Verdict.FALSE_POSITIVE)

@@ -193,26 +193,12 @@ def _kv_leak_check(report, thresholds: OracleThresholds) -> list[Suspicion]:
     cancelled = {rid for rid, o in report.outcomes.items() if o.status in ("cancelled", "disconnected")}
     if not cancelled or not report.kv_stream_supported:
         return []
-    owned: dict[str, set[int]] = {rid: set() for rid in cancelled}
-    alloc_owner: dict[int, str] = {}
-    for event in report.kv_events:
-        if event.kind == "alloc":
-            alloc_owner[event.block_id] = event.owner_request_id
-            if event.owner_request_id in owned:
-                owned[event.owner_request_id].add(event.block_id)
-        elif event.kind in ("free", "evict"):
-            alloc_owner.pop(event.block_id, None)
-            for blocks in owned.values():
-                blocks.discard(event.block_id)
-        elif event.kind in ("prefix_hit", "reuse"):
-            # Another request adopted the block: it is shared cache property
-            # now, and outliving its allocator is by design, not a leak.
-            if alloc_owner.get(event.block_id) not in (None, event.owner_request_id):
-                for blocks in owned.values():
-                    blocks.discard(event.block_id)
+    # A block another request adopted is shared cache property: outliving
+    # its allocator is by design, not a leak.
+    held = report.kv_ledger.held_blocks
     out = []
     for rid in sorted(cancelled):
-        leaked = owned[rid]
+        leaked = held.get(rid)
         if not leaked:
             continue
         outcome = report.outcomes[rid]
@@ -341,24 +327,16 @@ def structural_forensics(report, corpus_seed: int = 0, prior_snapshots: dict | N
     block_size = report.engine_info.get("block_size_tokens", 16)
     vocab = report.engine_info.get("vocab_size", 1024)
 
-    # Correlate every reuse/prefix_hit with the block's most recent allocation.
-    origin: dict[int, tuple[str, str]] = {}
-    for event in report.kv_events:
-        if event.kind == "alloc":
-            origin[event.block_id] = (event.owner_request_id, event.adapter)
-        elif event.kind in ("free", "evict"):
-            origin.pop(event.block_id, None)
-        elif event.kind in ("prefix_hit", "reuse"):
-            alloc = origin.get(event.block_id)
-            if alloc is not None and alloc[1] != event.adapter:
-                suspicions.append(
-                    Suspicion.create(
-                        SuspicionKind.CROSS_ADAPTER_REUSE,
-                        report.trace_id,
-                        {"from_adapter": alloc[1], "to_adapter": event.adapter, "via": event.kind},
-                        {"request_ids": sorted({alloc[0], event.owner_request_id}), "block_id": event.block_id},
-                    )
-                )
+    # Every reuse/prefix_hit whose adapter differs from the block's latest allocation.
+    for alloc, adopt in report.kv_ledger.cross_adapter:
+        suspicions.append(
+            Suspicion.create(
+                SuspicionKind.CROSS_ADAPTER_REUSE,
+                report.trace_id,
+                {"from_adapter": alloc.adapter, "to_adapter": adopt.adapter, "via": adopt.kind},
+                {"request_ids": sorted({alloc.owner_request_id, adopt.owner_request_id}), "block_id": adopt.block_id},
+            )
+        )
 
     # One content hash must never cover two different prompt spans.
     prompts: dict[str, tuple] = {}

@@ -95,6 +95,19 @@ class SimConfig:
         specs = tuple(FaultSpec(family=f, **knobs) for f in families)
         return replace(self, faults=specs)
 
+    def engine_info(self) -> dict:
+        """The static identity both transports report (in-process and HTTP /control/info)."""
+        return {
+            "engine": "tracefuzz-sim",
+            "vocab_size": self.vocab_size,
+            "block_size_tokens": self.block_size_tokens,
+            "total_kv_blocks": self.total_kv_blocks,
+            "tick_ms": self.tick_ms,
+            "adapters": list(self.adapters),
+            "max_loras_per_batch": self.max_loras_per_batch,
+            "chunked_prefill_limit": self.chunked_prefill_limit,
+        }
+
     def to_dict(self) -> dict:
         return {
             "vocab_size": self.vocab_size,

@@ -34,16 +34,7 @@ class InProcessSimulator:
         return self.core.clock_ms
 
     def engine_info(self) -> dict:
-        return {
-            "engine": "tracefuzz-sim",
-            "vocab_size": self.config.vocab_size,
-            "block_size_tokens": self.config.block_size_tokens,
-            "total_kv_blocks": self.config.total_kv_blocks,
-            "tick_ms": self.config.tick_ms,
-            "adapters": list(self.config.adapters),
-            "max_loras_per_batch": self.config.max_loras_per_batch,
-            "chunked_prefill_limit": self.config.chunked_prefill_limit,
-        }
+        return self.config.engine_info()
 
     # -- control -----------------------------------------------------------
     def reset(self) -> None:

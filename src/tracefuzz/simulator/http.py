@@ -52,9 +52,7 @@ class SimHttpServer:
                         ok = not server.core.crashed
                     self._json(200 if ok else 503, {"status": "ok" if ok else "crashed"})
                 elif self.path == "/control/info":
-                    with server.lock:
-                        info = server.info()
-                    self._json(200, info)
+                    self._json(200, server.config.engine_info())
                 elif self.path == "/kv_events":
                     with server.lock:
                         lines = [e.to_json_line() for e in server.core.kv_events]
@@ -185,18 +183,6 @@ class SimHttpServer:
     def base_url(self) -> str:
         host, port = self.httpd.server_address[:2]
         return f"http://{host}:{port}"
-
-    def info(self) -> dict:
-        return {
-            "engine": "tracefuzz-sim",
-            "vocab_size": self.config.vocab_size,
-            "block_size_tokens": self.config.block_size_tokens,
-            "total_kv_blocks": self.config.total_kv_blocks,
-            "tick_ms": self.config.tick_ms,
-            "adapters": list(self.config.adapters),
-            "max_loras_per_batch": self.config.max_loras_per_batch,
-            "chunked_prefill_limit": self.config.chunked_prefill_limit,
-        }
 
     def reset(self) -> None:
         with self.lock:

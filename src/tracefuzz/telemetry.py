@@ -62,25 +62,12 @@ def compute_telemetry(trace, report, window_ms: int = 1000) -> TelemetrySummary:
         depth += delta
         peak_inflight = max(peak_inflight, depth)
 
-    held = peak_held = 0
-    for event in report.kv_events:
-        if event.kind == "alloc":
-            held += 1
-        elif event.kind in ("free", "evict"):
-            held -= 1
-        peak_held = max(peak_held, held)
-
-    span = max(
-        [report.wall_clock_span_ms]
-        + [end for _, end in intervals]
-        + [e.ts_ms for e in report.kv_events],
-        default=0,
-    )
+    ledger = report.kv_ledger
+    span = max([report.wall_clock_span_ms, ledger.last_ts_ms] + [end for _, end in intervals])
     n_windows = span // window_ms + 1
     alloc_windows = [0] * n_windows
-    for event in report.kv_events:
-        if event.kind == "alloc":
-            alloc_windows[event.ts_ms // window_ms] += 1
+    for ts in ledger.alloc_ts:
+        alloc_windows[ts // window_ms] += 1
     inflight_windows = [0] * n_windows
     for w in range(n_windows):
         w0, w1 = w * window_ms, (w + 1) * window_ms
@@ -89,7 +76,7 @@ def compute_telemetry(trace, report, window_ms: int = 1000) -> TelemetrySummary:
     return TelemetrySummary(
         peak_inflight=peak_inflight,
         distinct_adapters=len(adapters),
-        peak_kv_held=peak_held,
+        peak_kv_held=ledger.peak_held,
         distinct_prompt_lens=len(prompt_lens),
         ttft_p50_ms=statistics.median(ttfts) if ttfts else None,
         window_ms=window_ms,

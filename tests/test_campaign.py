@@ -7,16 +7,15 @@ import random
 
 import pytest
 
+from tracefuzz import campaign
 from tracefuzz.adapter import EngineEndpoint, EngineKind
 from tracefuzz.campaign import (
     PROFILE_STEADY,
     CampaignConfig,
     CorpusEntry,
-    FindingRecord,
     PressureScore,
     _evict_to_cap,
     bootstrap_corpus,
-    dedup,
     minimize,
     novelty,
     run_campaign,
@@ -26,7 +25,7 @@ from tracefuzz.campaign import (
 from tracefuzz.confirmation import majority_confirm, majority_threshold
 from tracefuzz.mutation import generate_seed
 from tracefuzz.oracles import SuspicionKind
-from tracefuzz.simulator.config import SimConfig
+from tracefuzz.simulator.config import FaultFamily, SimConfig
 from tracefuzz.simulator.endpoint import serve
 from tracefuzz.telemetry import TelemetrySummary
 from tracefuzz.trace import EventKind, PromptShape, RequestSpec, SamplingConfig, TimedTrace, TraceEvent
@@ -179,22 +178,31 @@ def test_eviction_spares_suspicious_entries():
     assert len(immune_only) == 4  # never drops suspicion history
 
 
-# -- dedup ---------------------------------------------------------------------
+# -- duplicates ------------------------------------------------------------------
 
 
-class _FakeFinding:
-    def __init__(self, fp):
-        self.fingerprint = fp
+def test_campaign_counts_reraised_findings_against_the_original(monkeypatch):
+    confirmed: list[str] = []
+    confirm = campaign.confirm_suspicion
 
+    def counting_confirm(suspicion, *args, **kwargs):
+        confirmed.append(suspicion.fingerprint)
+        return confirm(suspicion, *args, **kwargs)
 
-def test_dedup_counts_duplicates_against_the_original():
-    prior: dict[str, FindingRecord] = {}
-    first = _FakeFinding("fp-1")
-    assert dedup(first, prior, iteration=3) == "new"
-    assert dedup(_FakeFinding("fp-1"), prior, iteration=9) == "duplicate-of(fp-1)"
-    assert prior["fp-1"].duplicates == 1
-    assert prior["fp-1"].first_iteration == 3
-    assert dedup(_FakeFinding("fp-2"), prior) == "new"
+    monkeypatch.setattr(campaign, "confirm_suspicion", counting_confirm)
+    endpoint = EngineEndpoint(
+        kind=EngineKind.SIMULATOR, handle=serve(SimConfig(seed=1).with_faults(FaultFamily.ENGINE_STALL))
+    )
+    result = run_campaign(steady_config(rng_seed=11, iterations=20, bootstrap_per_profile=2), endpoint)
+    assert result.findings
+    for fp, record in result.findings.items():
+        raised_at = [
+            result.executed_trace_ids.index(s.trace_id) for s in result.suspicions_raised if s.fingerprint == fp
+        ]
+        assert record.duplicates >= 1
+        assert record.duplicates == len(raised_at) - 1
+        assert record.first_iteration == min(raised_at)
+        assert confirmed.count(fp) == 1  # a re-raised fingerprint is never confirmed again
 
 
 # -- config validation -------------------------------------------------------------

@@ -84,6 +84,22 @@ def test_bad_campaign_config_file(tmp_path, capsys):
     assert "bad campaign config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"confirmation": {"kk": 3}},
+        {"thresholds": {"stall_window": 5}},
+        {"confirmation": {"relational_aggregate": "majoritty"}},
+        ["not", "an", "object"],
+    ],
+)
+def test_bad_config_sections_are_usage_errors(tmp_path, capsys, doc):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--sim", "--config", str(config), "--budget", "1"]) == EXIT_USAGE
+    assert "bad campaign config" in capsys.readouterr().err
+
+
 def test_replay_k_must_be_positive(tmp_path, capsys):
     path = write_trace(tmp_path, TimedTrace("t~x", (send("r", 0),)))
     assert main(["replay", "--trace", str(path), "--sim", "--k", "0"]) == EXIT_USAGE

@@ -187,6 +187,12 @@ def test_majority_confirm_rejects_wrong_count():
         majority_threshold(0)
 
 
+def test_relational_aggregate_accepts_only_known_rules():
+    assert ConfirmationConfig(relational_aggregate="majority").relational_aggregate == "majority"
+    with pytest.raises(ValueError, match="relational_aggregate"):
+        ConfirmationConfig(relational_aggregate="majoritty")
+
+
 # -- replay pinning ----------------------------------------------------------
 
 

@@ -2,11 +2,13 @@
 three injectable fault families."""
 
 import pytest
+import requests
 
 from drift_schedules import run_schedule
 from tracefuzz.simulator.config import FaultFamily, FaultSpec, SimConfig
 from tracefuzz.simulator.endpoint import serve
 from tracefuzz.simulator.engine import ALL_CONDITIONS
+from tracefuzz.simulator.http import serve_http
 
 
 def prompt(n, tag=0):
@@ -276,6 +278,11 @@ def test_engine_info_reports_static_config():
     assert info["total_kv_blocks"] == 512
     assert info["vocab_size"] == 2048
     assert info["engine"] == "tracefuzz-sim"
+    server = serve_http(cfg)
+    try:
+        assert requests.get(server.base_url + "/control/info", timeout=5).json() == info
+    finally:
+        server.stop()
 
 
 def test_submit_rejects_unknown_adapter_and_duplicates():
