@@ -191,40 +191,21 @@ class EngineEndpoint:
             raise ValueError("openai endpoint requires a base_url")
 
 
-@dataclass(frozen=True)
-class ApiCall:
-    """Transport-neutral description of the call an event maps to."""
-
-    op: str  # completion | abort | pause
-    request_id: str | None = None
-    payload: dict | None = None
-    graceful: bool = True
-    duration_ms: int | None = None
-
-
-def map_event(event, engine_kind: EngineKind, corpus_seed: int = 0, vocab_size: int = 1024) -> ApiCall:
-    """Total mapping from trace events to endpoint calls."""
-    if event.kind is EventKind.SEND:
-        spec = event.spec
-        tokens = prompt_for(spec, corpus_seed, vocab_size)
-        payload = {
-            "model": spec.adapter,
-            "prompt": list(tokens) if engine_kind is EngineKind.SIMULATOR else render_prompt(tokens),
-            "max_tokens": spec.sampling.max_tokens,
-            "temperature": spec.sampling.temperature,
-            "n": spec.sampling.n_completions,
-            "stream": spec.stream,
-        }
-        if spec.sampling.seed is not None:
-            payload["seed"] = spec.sampling.seed
-        if spec.sampling.logprobs is not None:
-            payload["logprobs"] = spec.sampling.logprobs
-        return ApiCall(op="completion", request_id=spec.request_id, payload=payload)
-    if event.kind is EventKind.CANCEL:
-        return ApiCall(op="abort", request_id=event.target, graceful=True)
-    if event.kind is EventKind.DISCONNECT:
-        return ApiCall(op="abort", request_id=event.target, graceful=False)
-    return ApiCall(op="pause", duration_ms=event.duration_ms)
+def completion_body(spec: RequestSpec, corpus_seed: int, vocab_size: int) -> dict:
+    """The /v1/completions request body for one Send; always streamed, so tokens can be timed."""
+    body = {
+        "model": spec.adapter,
+        "prompt": render_prompt(prompt_for(spec, corpus_seed, vocab_size)),
+        "max_tokens": spec.sampling.max_tokens,
+        "temperature": spec.sampling.temperature,
+        "n": spec.sampling.n_completions,
+        "stream": True,
+    }
+    if spec.sampling.seed is not None:
+        body["seed"] = spec.sampling.seed
+    if spec.sampling.logprobs is not None:
+        body["logprobs"] = spec.sampling.logprobs
+    return body
 
 
 def execute(
@@ -388,10 +369,7 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
     lock = threading.Lock()
     dispatch_errors: list[int] = []
 
-    def run_request(call: ApiCall, intended_ms: int) -> None:
-        rid = call.request_id
-        body = dict(call.payload)
-        body["stream"] = True
+    def run_request(rid: str, body: dict, intended_ms: int) -> None:
         started = time.monotonic()
         tokens: list[int] = []
         stamps: list[int] = []
@@ -447,15 +425,16 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
         lateness = int((time.monotonic() - target) * 1000)
         if lateness > endpoint.schedule_tolerance_ms:
             dispatch_errors.append(lateness)
-        call = map_event(event, EngineKind.OPENAI, corpus_seed, vocab)
-        if call.op == "completion":
-            t = threading.Thread(target=run_request, args=(call, event.offset_ms), daemon=True)
-            threads[call.request_id] = t
+        if event.kind is EventKind.SEND:
+            rid = event.spec.request_id
+            body = completion_body(event.spec, corpus_seed, vocab)
+            t = threading.Thread(target=run_request, args=(rid, body, event.offset_ms), daemon=True)
+            threads[rid] = t
             t.start()
-        elif call.op == "abort":
-            aborted[call.request_id] = "cancel" if call.graceful else "disconnect"
+        elif event.kind in (EventKind.CANCEL, EventKind.DISCONNECT):
+            aborted[event.target] = "cancel" if event.kind is EventKind.CANCEL else "disconnect"
             with lock:
-                resp = live.get(call.request_id)
+                resp = live.get(event.target)
             if resp is not None:
                 resp.close()
 

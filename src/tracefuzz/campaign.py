@@ -108,7 +108,6 @@ class PressureScore:
 
 
 def score_pressure(
-    trace: TimedTrace | None = None,
     telemetry: TelemetrySummary | None = None,
     *,
     n_send: int | None = None,
@@ -135,17 +134,23 @@ def score_pressure(
 @dataclass
 class CorpusEntry:
     trace: TimedTrace
-    lineage: dict = field(default_factory=dict)
-    telemetry: TelemetrySummary | None = None
+    telemetry: TelemetrySummary | None = None  # set once the trace has run
     pressure: PressureScore | None = None
     markers: frozenset[str] = frozenset()
     suspicion_count: int = 0
     added_iteration: int = 0
-    executed: bool = False
 
     @property
     def entry_id(self) -> str:
         return self.trace.trace_id
+
+    @property
+    def lineage(self) -> dict:
+        return dict(self.trace.metadata.get("lineage", {}))
+
+    @property
+    def executed(self) -> bool:
+        return self.telemetry is not None
 
 
 def novelty(report, seen: set[str]) -> set[str]:
@@ -337,16 +342,19 @@ class CampaignConfig:
 
 @dataclass
 class CampaignResult:
+    """Everything a campaign accumulates; run_campaign fills it in place."""
+
     config: CampaignConfig
-    iterations_run: int
-    executed_trace_ids: list[str]
-    findings: dict[str, FindingRecord]
-    dismissals: dict[str, DismissalRecord]
-    suspicions_raised: list[Suspicion]
     corpus: list[CorpusEntry]
-    pressure_series: list[tuple[int, PressureScore, float]]
-    regression_checks_skipped: int
-    baseline: BaselineStats
+    iterations_run: int = 0
+    executed_trace_ids: list[str] = field(default_factory=list)
+    findings: dict[str, FindingRecord] = field(default_factory=dict)
+    dismissals: dict[str, DismissalRecord] = field(default_factory=dict)
+    suspicions_raised: list[Suspicion] = field(default_factory=list)
+    # (iteration, score, best s_total so far), one row per executed trace
+    pressure_series: list[tuple[int, PressureScore, float]] = field(default_factory=list)
+    regression_checks_skipped: int = 0
+    baseline: BaselineStats = field(default_factory=BaselineStats)
     aborted: bool = False
     trace_store: dict[str, TimedTrace] = field(default_factory=dict)
 
@@ -377,7 +385,7 @@ def bootstrap_corpus(config: CampaignConfig) -> list[CorpusEntry]:
     for profile in config.profiles:
         for _ in range(config.bootstrap_per_profile):
             trace = generate_seed(profile, rng.randrange(1 << 32))
-            entries.append(CorpusEntry(trace=trace, lineage=dict(trace.metadata.get("lineage", {}))))
+            entries.append(CorpusEntry(trace=trace))
     return entries
 
 
@@ -392,61 +400,78 @@ def _evict_to_cap(corpus: list[CorpusEntry], cap: int, weights: dict, iteration:
         corpus.remove(worst)
 
 
+def _next_trace(
+    corpus: list[CorpusEntry], config: CampaignConfig, rng: random.Random, iteration: int
+) -> tuple[int | None, TimedTrace]:
+    """The first seed not yet run, with its corpus index, or else a fresh mutant (index None).
+
+    The rng draws in a fixed order: the iteration seed, then the parent, then
+    the partner only when the corpus has more than one entry.
+    """
+    iter_seed = rng.randrange(1 << 62)
+    pending = next((i for i, entry in enumerate(corpus) if not entry.executed), None)
+    if pending is not None:
+        return pending, corpus[pending].trace
+
+    def pick() -> CorpusEntry:
+        return select_seed(corpus, rng, config.selection_weights,
+                           pressure_in_selection=config.pressure_in_selection, iteration=iteration)
+
+    parent = pick()
+    partner = pick() if len(corpus) > 1 else None
+    return None, mutate(
+        parent.trace,
+        iter_seed,
+        partner=partner.trace if partner is not None else None,
+        telemetry=parent.telemetry,
+        partner_telemetry=partner.telemetry if partner is not None else None,
+        palette=config.palette,
+        weights=config.mutation_weights,
+        intensity=config.mutation_intensity,
+    )
+
+
+def _record_verdicts(result: CampaignResult, suspicions, trace, report, endpoint, iteration: int) -> bool:
+    """Confirm each unseen fingerprint; return whether any became a new finding."""
+    config = result.config
+    found_new = False
+    for susp in suspicions:
+        # A known fingerprint is counted against its first verdict, never re-confirmed.
+        known = result.findings.get(susp.fingerprint) or result.dismissals.get(susp.fingerprint)
+        if known is not None:
+            known.duplicates += 1
+            continue
+        outcome = confirm_suspicion(
+            susp,
+            trace,
+            endpoint,
+            config.confirmation,
+            original_report=report,
+            corpus_seed=config.corpus_seed,
+            thresholds=config.thresholds,
+        )
+        if isinstance(outcome, Finding):
+            result.findings[susp.fingerprint] = FindingRecord(outcome, first_iteration=iteration)
+            found_new = True
+        else:
+            result.dismissals[susp.fingerprint] = DismissalRecord(outcome, first_iteration=iteration)
+    return found_new
+
+
 def run_campaign(config: CampaignConfig, endpoint, out_dir: Path | str | None = None) -> CampaignResult:
-    corpus = bootstrap_corpus(config)
+    result = CampaignResult(config=config, corpus=bootstrap_corpus(config))
     master = random.Random(config.rng_seed)
-    baseline = BaselineStats()
     prior_snapshots: dict[str, list] = {}
     seen_markers: set[str] = set()
-    findings: dict[str, FindingRecord] = {}
-    dismissals: dict[str, DismissalRecord] = {}
-    suspicions_raised: list[Suspicion] = []
-    executed_ids: list[str] = []
-    trace_store: dict[str, TimedTrace] = {}
-    pressure_series: list[tuple[int, float, float]] = []
     best_pressure = 0.0
-    regression_skips = 0
     failures_in_a_row = 0
-    aborted = False
-    iterations_run = 0
     started = time.monotonic()
 
     for iteration in range(config.iterations):
         if config.time_budget_s is not None and time.monotonic() - started > config.time_budget_s:
             break
-        iterations_run = iteration + 1
-        iter_seed = master.randrange(1 << 62)
-
-        pending = next((e for e in corpus if not e.executed), None)
-        if pending is not None:
-            trace = pending.trace
-        else:
-            parent = select_seed(
-                corpus,
-                master,
-                config.selection_weights,
-                pressure_in_selection=config.pressure_in_selection,
-                iteration=iteration,
-            )
-            partner = None
-            if len(corpus) > 1:
-                partner = select_seed(
-                    corpus,
-                    master,
-                    config.selection_weights,
-                    pressure_in_selection=config.pressure_in_selection,
-                    iteration=iteration,
-                )
-            trace = mutate(
-                parent.trace,
-                iter_seed,
-                partner=partner.trace if partner is not None else None,
-                telemetry=parent.telemetry,
-                partner_telemetry=partner.telemetry if partner is not None else None,
-                palette=config.palette,
-                weights=config.mutation_weights,
-                intensity=config.mutation_intensity,
-            )
+        result.iterations_run = iteration + 1
+        pending, trace = _next_trace(result.corpus, config, master, iteration)
 
         try:
             reset_server(endpoint)
@@ -456,95 +481,50 @@ def run_campaign(config: CampaignConfig, endpoint, out_dir: Path | str | None = 
             failures_in_a_row += 1
             log.warning("endpoint failure on iteration %d: %s", iteration, exc)
             if failures_in_a_row >= 3:
-                aborted = True
+                result.aborted = True
                 break
             continue
 
-        executed_ids.append(trace.trace_id)
-        trace_store[trace.trace_id] = trace
+        result.executed_trace_ids.append(trace.trace_id)
+        result.trace_store[trace.trace_id] = trace
         telemetry = compute_telemetry(trace, report)
-        pressure = score_pressure(trace, telemetry)
+        pressure = score_pressure(telemetry)
         best_pressure = max(best_pressure, pressure.s_total)
-        pressure_series.append((iteration, pressure, best_pressure))
+        result.pressure_series.append((iteration, pressure, best_pressure))
 
-        if baseline.count < config.thresholds.min_baseline_samples:
-            regression_skips += 1  # TTFT oracle was gated off, not green
+        if result.baseline.count < config.thresholds.min_baseline_samples:
+            result.regression_checks_skipped += 1  # TTFT oracle was gated off, not green
 
-        suspicions = full_sweep(
-            trace, report, baseline, config.thresholds, config.corpus_seed, prior_snapshots
-        )
-        suspicions_raised.extend(suspicions)
+        suspicions = full_sweep(trace, report, result.baseline, config.thresholds, config.corpus_seed, prior_snapshots)
+        result.suspicions_raised.extend(suspicions)
 
         fresh = novelty(report, seen_markers)
         seen_markers |= fresh
 
-        found_new = False
-        for susp in suspicions:
-            # A known fingerprint is counted against its first verdict, never re-confirmed.
-            known = findings.get(susp.fingerprint) or dismissals.get(susp.fingerprint)
-            if known is not None:
-                known.duplicates += 1
-                continue
-            outcome = confirm_suspicion(
-                susp,
-                trace,
-                endpoint,
-                config.confirmation,
-                original_report=report,
-                corpus_seed=config.corpus_seed,
-                thresholds=config.thresholds,
-            )
-            if isinstance(outcome, Finding):
-                findings[susp.fingerprint] = FindingRecord(outcome, first_iteration=iteration)
-                found_new = True
-            else:
-                dismissals[susp.fingerprint] = DismissalRecord(outcome, first_iteration=iteration)
+        found_new = _record_verdicts(result, suspicions, trace, report, endpoint, iteration)
 
-        clean = not suspicions and not report.server_crashed and not report.schedule_degraded
-        if clean:
-            baseline.add_report(report)
+        if not suspicions and not report.server_crashed and not report.schedule_degraded:
+            result.baseline.add_report(report)
             for key, hashes in extract_group_snapshots(report).items():
                 prior_snapshots.setdefault(key, hashes)
 
+        entry = CorpusEntry(
+            trace=trace,
+            telemetry=telemetry,
+            pressure=pressure,
+            markers=frozenset(fresh),
+            suspicion_count=len(suspicions),
+            added_iteration=iteration,
+        )
         if pending is not None:
-            pending.executed = True
-            pending.telemetry = telemetry
-            pending.pressure = pressure
-            pending.markers = frozenset(fresh)
-            pending.suspicion_count = len(suspicions)
-            pending.added_iteration = iteration
+            result.corpus[pending] = entry  # the seed has run: its entry now carries what the run showed
         elif fresh or suspicions:
-            corpus.append(
-                CorpusEntry(
-                    trace=trace,
-                    lineage=dict(trace.metadata.get("lineage", {})),
-                    telemetry=telemetry,
-                    pressure=pressure,
-                    markers=frozenset(fresh),
-                    suspicion_count=len(suspicions),
-                    added_iteration=iteration,
-                    executed=True,
-                )
-            )
-            _evict_to_cap(corpus, config.corpus_cap, config.selection_weights, iteration)
+            result.corpus.append(entry)
+            _evict_to_cap(result.corpus, config.corpus_cap, config.selection_weights, iteration)
 
         if config.stop_on_finding and found_new:
             break
 
-    result = CampaignResult(
-        config=config,
-        iterations_run=iterations_run,
-        executed_trace_ids=executed_ids,
-        findings=findings,
-        dismissals=dismissals,
-        suspicions_raised=suspicions_raised,
-        corpus=corpus,
-        pressure_series=pressure_series,
-        regression_checks_skipped=regression_skips,
-        baseline=baseline,
-        aborted=aborted,
-        trace_store=trace_store,
-    )
     if out_dir is not None:
         persist_campaign(result, Path(out_dir))
     return result

@@ -66,7 +66,12 @@ def _sim_config(args) -> SimConfig:
             doc = json.loads(Path(args.sim_config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot load simulator config: {exc}") from exc
-        config = SimConfig.from_dict(doc)
+        if not isinstance(doc, dict):
+            raise UsageError("bad simulator config: the top level must be a JSON object")
+        try:
+            config = SimConfig.from_dict(doc)
+        except (TypeError, ValueError, KeyError) as exc:
+            raise UsageError(f"bad simulator config: {exc}") from exc
     else:
         config = SimConfig()
     extra = []

@@ -37,19 +37,6 @@ class FaultSpec:
     burst_window_ms: int = 8
     crash_delay_ticks: int = 5
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family.value,
-            "occupancy_threshold": self.occupancy_threshold,
-            "stall_ms": self.stall_ms,
-            "n_completions_threshold": self.n_completions_threshold,
-            "shape_mix_min": self.shape_mix_min,
-            "adapter_mix_min": self.adapter_mix_min,
-            "burst_min": self.burst_min,
-            "burst_window_ms": self.burst_window_ms,
-            "crash_delay_ticks": self.crash_delay_ticks,
-        }
-
     @staticmethod
     def from_dict(doc: dict) -> "FaultSpec":
         doc = dict(doc)
@@ -106,23 +93,6 @@ class SimConfig:
             "adapters": list(self.adapters),
             "max_loras_per_batch": self.max_loras_per_batch,
             "chunked_prefill_limit": self.chunked_prefill_limit,
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "block_size_tokens": self.block_size_tokens,
-            "total_kv_blocks": self.total_kv_blocks,
-            "max_batch_tokens": self.max_batch_tokens,
-            "chunked_prefill_limit": self.chunked_prefill_limit,
-            "max_loras_per_batch": self.max_loras_per_batch,
-            "tick_ms": self.tick_ms,
-            "seed": self.seed,
-            "adapters": list(self.adapters),
-            "adapter_load_ticks": self.adapter_load_ticks,
-            "logprob_spread": self.logprob_spread,
-            "near_tie_gap": self.near_tie_gap,
-            "faults": [f.to_dict() for f in self.faults],
         }
 
     @staticmethod

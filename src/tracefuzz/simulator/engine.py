@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from ..adapter import KvEvent
 from ..hashing import chain_digest, stable_u64
 from .blocks import BlockManager
-from .config import FaultFamily, SimConfig
+from .config import FaultFamily, FaultSpec, SimConfig
 from .decode import init_digest, pseudo_decode
 
 WAITING = "waiting"
@@ -28,6 +28,9 @@ COND_SHAPE_MIX = 2
 COND_ADAPTER_MIX = 4
 COND_LOAD_BURST = 8
 ALL_CONDITIONS = COND_OCCUPANCY | COND_SHAPE_MIX | COND_ADAPTER_MIX | COND_LOAD_BURST
+
+# Engines with F3 unarmed still record the condition mask, at the default knobs.
+_UNARMED_F3 = FaultSpec(FaultFamily.ADAPTER_DRIFT)
 
 
 @dataclass
@@ -197,32 +200,27 @@ class SimCore:
         inflight = self.in_flight()
         mask = 0
         burst_adapter = None
-        f3 = self._f3
-        occupancy_threshold = f3.occupancy_threshold if f3 else 0.6
-        shape_mix_min = f3.shape_mix_min if f3 else 3
-        adapter_mix_min = f3.adapter_mix_min if f3 else 3
-        burst_min = f3.burst_min if f3 else 4
-        burst_window = f3.burst_window_ms if f3 else 8
-        if self.blocks.occupancy > occupancy_threshold:
+        knobs = self._f3 or _UNARMED_F3
+        if self.blocks.occupancy > knobs.occupancy_threshold:
             mask |= COND_OCCUPANCY
         lens = {len(r.prompt) for r in inflight}
-        if len(lens) >= shape_mix_min and lens and max(lens) > self.config.chunked_prefill_limit:
+        if len(lens) >= knobs.shape_mix_min and lens and max(lens) > self.config.chunked_prefill_limit:
             mask |= COND_SHAPE_MIX
-        if len({r.adapter for r in inflight}) >= adapter_mix_min:
+        if len({r.adapter for r in inflight}) >= knobs.adapter_mix_min:
             mask |= COND_ADAPTER_MIX
         for adapter in sorted(self.loading):
             log = self._submit_log.get(adapter)
             if not log:
                 continue
-            recent = [t for t in log if t >= self.clock_ms - burst_window]
-            if len(recent) >= burst_min:
+            recent = [t for t in log if t >= self.clock_ms - knobs.burst_window_ms]
+            if len(recent) >= knobs.burst_min:
                 mask |= COND_LOAD_BURST
                 burst_adapter = adapter
                 break
         self.f3_observed_masks.add(mask)
-        if f3 is not None and mask == ALL_CONDITIONS and self._drift_fire_tick is None:
+        if self._f3 is not None and mask == ALL_CONDITIONS and self._drift_fire_tick is None:
             self._drift_adapter = burst_adapter
-            self._drift_fire_tick = self.tick + f3.crash_delay_ticks
+            self._drift_fire_tick = self.tick + self._f3.crash_delay_ticks
 
     def _crash(self, signature: str, message: str) -> None:
         self.crashed = True

@@ -7,6 +7,7 @@ from tracefuzz.adapter import (
     EndpointUnavailable,
     EngineEndpoint,
     EngineKind,
+    completion_body,
     execute,
     reset_server,
 )
@@ -187,3 +188,26 @@ def test_unavailable_endpoint_raises():
     assert ep.handle.crashed
     with pytest.raises(EndpointUnavailable):
         execute(TimedTrace("t~down", (send("x", 0),)), ep)
+
+
+# -- HTTP request bodies --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sampling, expected",
+    [
+        (SamplingConfig(max_tokens=6, temperature=0.7, n_completions=2), {"temperature": 0.7, "n": 2}),
+        (SamplingConfig(max_tokens=6, temperature=0.0, seed=9, logprobs=3),
+         {"temperature": 0.0, "n": 1, "seed": 9, "logprobs": 3}),
+    ],
+)
+def test_completion_body_is_pinned(sampling, expected):
+    spec = RequestSpec(request_id="r1", shape=PromptShape(2, 4), sampling=sampling,
+                       prompt_family_id="fam", adapter="lora_a", stream=False)
+    assert completion_body(spec, corpus_seed=7, vocab_size=512) == {
+        "model": "lora_a",
+        "prompt": "bigu bofa bumy biku",
+        "max_tokens": 6,
+        "stream": True,  # always streamed, whatever the spec says: the client times each token
+        **expected,
+    }

@@ -100,6 +100,24 @@ def test_bad_config_sections_are_usage_errors(tmp_path, capsys, doc):
     assert "bad campaign config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run", "--budget", "1"], ["sim", "--port", "0", "--duration-s", "0.1"]])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"vocab": 3},
+        [1, 2],
+        {"faults": [{"family": "nope"}]},
+        {"faults": [{}]},
+        {"tick_ms": 0},
+    ],
+)
+def test_bad_sim_config_files_are_usage_errors(tmp_path, capsys, doc, command):
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps(doc))
+    assert main([*command, "--sim-config", str(config)]) == EXIT_USAGE
+    assert "bad simulator config" in capsys.readouterr().err
+
+
 def test_replay_k_must_be_positive(tmp_path, capsys):
     path = write_trace(tmp_path, TimedTrace("t~x", (send("r", 0),)))
     assert main(["replay", "--trace", str(path), "--sim", "--k", "0"]) == EXIT_USAGE
