@@ -305,12 +305,14 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
 
     # Drain: run until every dispatched request is terminal or times out.
     timeout = endpoint.request_timeout_ms
-    while not handle.crashed and handle.in_flight_ids():
-        for rid in handle.in_flight_ids():
-            if handle.clock_ms - dispatched.get(rid, 0) >= timeout:
-                handle.expire(rid)
-        if handle.in_flight_ids():
-            handle.step_once()
+    while not handle.crashed:
+        in_flight = handle.in_flight_ids()
+        overdue = [rid for rid in in_flight if handle.clock_ms - dispatched.get(rid, 0) >= timeout]
+        for rid in overdue:
+            handle.expire(rid)
+        if len(overdue) == len(in_flight):
+            break
+        handle.step_once()
 
     for rid, sent_at in dispatched.items():
         rec = handle.finished_record(rid)
@@ -402,9 +404,7 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
             # Closed from our side (abort) or the engine died under us.
             status = "cancelled" if aborted.get(rid) == "cancel" else "disconnected" if aborted.get(rid) else "server_error"
             error = None if rid in aborted else str(exc)
-        with lock:
-            live.pop(rid, None)
-        outcomes[rid] = RequestOutcome(
+        outcome = RequestOutcome(
             request_id=rid,
             status=status,
             dispatched_ms=intended_ms,
@@ -414,6 +414,9 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
             token_stamps=tuple(stamps),
             error=error,
         )
+        with lock:
+            live.pop(rid, None)
+            outcomes[rid] = outcome
 
     aborted: dict[str, str] = {}
     epoch = time.monotonic()
@@ -441,16 +444,20 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
     for t in threads.values():
         t.join(timeout=endpoint.request_timeout_ms / 1000 + 5)
     span = int((time.monotonic() - epoch) * 1000)
+    # A thread that outlived its join may still finish; it writes into the
+    # shared dict, never into the report's copy.
+    with lock:
+        reported = dict(outcomes)
     for event in trace.send_events():
         rid = event.spec.request_id
-        if rid not in outcomes:
-            outcomes[rid] = RequestOutcome(request_id=rid, status="timeout", dispatched_ms=event.offset_ms, error="no response")
+        if rid not in reported:
+            reported[rid] = RequestOutcome(request_id=rid, status="timeout", dispatched_ms=event.offset_ms, error="no response")
 
     stream = collect_kv_stream(endpoint)
     crashed = not check_health(endpoint)
     return ExecutionReport(
         trace_id=trace.trace_id,
-        outcomes=outcomes,
+        outcomes=reported,
         kv_events=stream.events,
         server_crashed=crashed,
         crash_evidence={"signature": "connection-lost"} if crashed else None,

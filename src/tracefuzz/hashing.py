@@ -31,9 +31,11 @@ import hashlib
 import json
 import struct
 
-# Small non-negative ints (tokens, positions, lengths) are most parts; their
-# encodings are precomputed.  The fast path checks the exact type, so bool and
-# IntEnum never reach the table.
+# Exact ints and strs are most parts (tokens, positions, 64-bit digests, tags
+# and adapter names), so stable_u64 encodes them inline rather than through
+# _encode: small non-negative ints come from a precomputed table.  The checks
+# are on the exact type, so bool, str-Enum and IntEnum parts always take
+# _encode.
 _INT_HEAD = b"i" + struct.pack("<I", 17)
 _INT_TABLE_SIZE = 4096
 _INT_TABLE = [_INT_HEAD + i.to_bytes(17, "little", signed=True) for i in range(_INT_TABLE_SIZE)]
@@ -64,7 +66,10 @@ def stable_u64(*parts: object) -> int:
     ("ab", "c") and ("a", "bc") cannot collide.
     """
     data = b"".join([
-        _INT_TABLE[p] if type(p) is int and 0 <= p < _INT_TABLE_SIZE else _encode(p)
+        (_INT_TABLE[p] if 0 <= p < _INT_TABLE_SIZE else _INT_HEAD + p.to_bytes(17, "little", signed=True))
+        if type(p) is int
+        else b"s" + len(e := p.encode()).to_bytes(4, "little") + e if type(p) is str
+        else _encode(p)
         for p in parts
     ])
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")

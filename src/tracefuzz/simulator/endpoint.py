@@ -47,8 +47,7 @@ class InProcessSimulator:
 
     # -- time --------------------------------------------------------------
     def advance_to(self, clock_ms: int) -> None:
-        while self.core.clock_ms < clock_ms and not self.core.crashed:
-            self.core.step()
+        self.core.advance_to(clock_ms)
 
     def step_once(self) -> None:
         self.core.step()

@@ -1,13 +1,14 @@
 """Continuous-batching scheduler core with injectable serving faults.
 
 Virtual time only: one step() call advances the clock by tick_ms (plus any
-injected engine-loop descheduling).  All state transitions are pure functions
-of the submission sequence and the config, so identical schedules replay
-bit-identically.
+injected engine-loop descheduling), and advance_to() skips idle stretches in
+one move.  All state transitions are pure functions of the submission
+sequence and the config, so identical schedules replay bit-identically.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -157,6 +158,26 @@ class SimCore:
 
     # ------------------------------------------------------------------
     # Tick loop
+
+    def advance_to(self, clock_ms) -> None:
+        """Run ticks until the clock reaches ``clock_ms`` or the engine crashes.
+
+        While nothing is waiting, running or loading and no drift crash is
+        pending, a tick can stall, load, admit or emit nothing and leaves the
+        engine idle, so every later tick repeats its drift mask and invariant
+        check.  Such an idle stretch steps its first tick and jumps the rest.
+        A non-int clock or tick keeps stepping: repeated float additions are
+        not one multiplication.
+        """
+        tick_ms = self.config.tick_ms
+        while self.clock_ms < clock_ms and not self.crashed:
+            idle = not (self.waiting or self.running or self.loading) and self._drift_fire_tick is None
+            self.step()
+            exact = type(self.clock_ms) is int and type(tick_ms) is int
+            if idle and exact and not self.crashed and self.clock_ms < clock_ms:
+                ticks = -((self.clock_ms - math.ceil(clock_ms)) // tick_ms)
+                self.clock_ms += ticks * tick_ms
+                self.tick += ticks
 
     def step(self) -> None:
         if self.crashed:

@@ -1,7 +1,10 @@
 """Endpoint adapter over the in-process simulator: event dispatch, outcome
 mapping, and report assembly."""
 
+import threading
+
 import pytest
+import requests
 
 from tracefuzz.adapter import (
     EndpointUnavailable,
@@ -188,6 +191,60 @@ def test_unavailable_endpoint_raises():
     assert ep.handle.crashed
     with pytest.raises(EndpointUnavailable):
         execute(TimedTrace("t~down", (send("x", 0),)), ep)
+
+
+# -- HTTP transport ------------------------------------------------------------
+
+
+class _Reply:
+    def __init__(self, status_code, doc=None, lines=()):
+        self.status_code, self._doc, self._lines = status_code, doc, lines
+
+    def json(self):
+        return self._doc
+
+    def iter_lines(self):
+        yield from self._lines
+
+    def close(self):
+        pass
+
+
+def test_wall_report_is_not_rewritten_by_a_request_that_outlives_its_join(monkeypatch):
+    release, stragglers = threading.Event(), []
+
+    def slow_stream():
+        release.wait(10)
+        yield b'data: {"choices": [{"text": ""}]}'
+        yield b"data: [DONE]"
+
+    def post(url, **kwargs):
+        stragglers.append(threading.current_thread())
+        return _Reply(200, lines=slow_stream())
+
+    def get(url, **kwargs):
+        if url.endswith("/kv_events"):
+            return _Reply(404)
+        return _Reply(200, doc={"vocab_size": 1024})
+
+    real_join = threading.Thread.join
+
+    def short_join(thread, timeout=None):
+        real_join(thread, 0.2)  # gives up on the open stream, as a join past its deadline does
+
+    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setattr(requests, "get", get)
+    monkeypatch.setattr(threading.Thread, "join", short_join)
+    ep = EngineEndpoint(kind=EngineKind.OPENAI, base_url="http://stub")
+    report = execute(TimedTrace("t~straggler", (send("slow", 0),)), ep)
+    assert stragglers[0].is_alive() and not release.is_set()  # the stream was open when the report was built
+    assert report.outcomes["slow"].status == "timeout"
+
+    release.set()
+    real_join(stragglers[0], 10)
+    assert not stragglers[0].is_alive()
+    assert report.outcomes["slow"].status == "timeout"
+    assert report.outcomes["slow"].error == "no response"
 
 
 # -- HTTP request bodies --------------------------------------------------------

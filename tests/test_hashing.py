@@ -57,6 +57,14 @@ FROZEN_U64 = [
     (("blk", 18446744073709551557, "lora-a", 4095, 4096, 0), 15177233724962656482),
     (("prompt", 7, *range(0, 4200, 97)), 11902256716759181500),
     ((EventKind.SEND, "Send", Level.LOW, 3, None, 2.25, b"x"), 8980974726645170103),
+    ((2**63,), 14877373310715713551),
+    ((-(2**64),), 10631687016883225945),
+    ((2**135 - 1,), 2620758863731673681),  # largest int a 17-byte body holds
+    ((-(2**135),), 8429918049350626402),  # smallest
+    ((-4097,), 10866750708287682892),
+    (("ctx", 2**64 - 59, 4095), 825814962382504729),
+    (("blk", 2**64 - 1, "lora_a", 0, -5), 18093395112394711428),
+    (("", "é", ""), 16174708364638929175),
 ]
 
 
@@ -111,6 +119,12 @@ def test_stable_u64_agrees_with_the_reference_encoder():
     for _ in range(3000):
         parts = tuple(_random_part(rng) for _ in range(rng.randrange(8)))
         assert stable_u64(*parts) == _reference_u64(*parts), parts
+
+
+@pytest.mark.parametrize("too_big", [2**135, -(2**135) - 1, 2**200])
+def test_ints_past_17_bytes_still_overflow(too_big):
+    with pytest.raises(OverflowError):
+        stable_u64("blk", too_big)
 
 
 def test_stable_u64_rejects_unknown_part_types():
