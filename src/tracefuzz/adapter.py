@@ -179,7 +179,7 @@ class KvStreamResult:
 @dataclass
 class EngineEndpoint:
     kind: EngineKind
-    handle: object | None = None  # in-process simulator control surface
+    handle: object | None = None  # in-process simulator core
     base_url: str | None = None
     schedule_tolerance_ms: int = 5
     request_timeout_ms: int = 60_000
@@ -234,7 +234,7 @@ def reset_server(endpoint: EngineEndpoint) -> None:
 
 def collect_kv_stream(endpoint: EngineEndpoint) -> KvStreamResult:
     if endpoint.kind is EngineKind.SIMULATOR:
-        return KvStreamResult(events=tuple(endpoint.handle.kv_events()), supported=True)
+        return KvStreamResult(events=tuple(endpoint.handle.kv_events), supported=True)
     import requests
 
     resp = requests.get(endpoint.base_url.rstrip("/") + "/kv_events", timeout=10)
@@ -247,7 +247,7 @@ def collect_kv_stream(endpoint: EngineEndpoint) -> KvStreamResult:
 
 def check_health(endpoint: EngineEndpoint) -> bool:
     if endpoint.kind is EngineKind.SIMULATOR:
-        return endpoint.handle.healthy
+        return not endpoint.handle.crashed
     import requests
 
     try:
@@ -260,30 +260,30 @@ def check_health(endpoint: EngineEndpoint) -> bool:
 # Virtual-time execution against the in-process simulator.
 
 def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionReport:
-    handle = endpoint.handle
-    if not handle.healthy:
+    core = endpoint.handle
+    if core.crashed:
         raise EndpointUnavailable("simulator endpoint is down")
-    handle.set_canonical_decode(canonical_decode)
-    info = handle.engine_info()
+    core.canonical_decode = canonical_decode
+    info = core.config.engine_info()
     vocab = info["vocab_size"]
 
     outcomes: dict[str, RequestOutcome] = {}
     dispatched: dict[str, int] = {}
     undispatched: list[RequestSpec] = []
     for event in trace.events:
-        if handle.crashed:
+        if core.crashed:
             if event.kind is EventKind.SEND:
                 undispatched.append((event.spec, event.offset_ms))
             continue
-        handle.advance_to(event.offset_ms)
-        if handle.crashed:
+        core.advance_to(event.offset_ms)
+        if core.crashed:
             if event.kind is EventKind.SEND:
                 undispatched.append((event.spec, event.offset_ms))
             continue
         if event.kind is EventKind.SEND:
             spec = event.spec
             tokens = prompt_for(spec, corpus_seed, vocab)
-            err = handle.submit(
+            err = core.submit(
                 rid=spec.request_id,
                 prompt=tokens,
                 adapter=spec.adapter,
@@ -300,36 +300,36 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
             else:
                 dispatched[spec.request_id] = event.offset_ms
         elif event.kind in (EventKind.CANCEL, EventKind.DISCONNECT):
-            handle.cancel(event.target, disconnect=event.kind is EventKind.DISCONNECT)
+            core.cancel(event.target, disconnect=event.kind is EventKind.DISCONNECT)
         # Wait events are pure schedule spacing; nothing to dispatch.
 
     # Drain: run until every dispatched request is terminal or times out.
     timeout = endpoint.request_timeout_ms
-    while not handle.crashed:
-        in_flight = handle.in_flight_ids()
-        overdue = [rid for rid in in_flight if handle.clock_ms - dispatched.get(rid, 0) >= timeout]
+    while not core.crashed:
+        in_flight = core.in_flight()
+        overdue = [req.rid for req in in_flight if core.clock_ms - dispatched.get(req.rid, 0) >= timeout]
         for rid in overdue:
-            handle.expire(rid)
+            core.expire(rid)
         if len(overdue) == len(in_flight):
             break
-        handle.step_once()
+        core.step()
 
     for rid, sent_at in dispatched.items():
-        rec = handle.finished_record(rid)
-        if rec is None:  # still in flight at crash time
+        req = core.requests[rid]
+        if req.status is None:  # still in flight at crash time
             outcomes[rid] = RequestOutcome(
                 request_id=rid, status="server_error", dispatched_ms=sent_at, error="engine crashed mid-request"
             )
             continue
         outcomes[rid] = RequestOutcome(
             request_id=rid,
-            status=rec["status"],
+            status=req.status,
             dispatched_ms=sent_at,
-            ttft_ms=None if rec["first_token_ms"] is None else rec["first_token_ms"] - sent_at,
-            total_ms=None if rec["finished_ms"] is None else rec["finished_ms"] - sent_at,
-            output_tokens=tuple(tuple(s) for s in rec["outputs"]),
-            logprob_records=rec["records"],
-            token_stamps=tuple(rec["token_stamps"]),
+            ttft_ms=None if req.first_token_ms is None else req.first_token_ms - sent_at,
+            total_ms=None if req.finished_ms is None else req.finished_ms - sent_at,
+            output_tokens=tuple(tuple(s) for s in req.outputs),
+            logprob_records=tuple(tuple(s) for s in req.records) if req.logprobs else None,
+            token_stamps=tuple(req.token_stamps),
         )
     for spec, offset in undispatched:
         outcomes[spec.request_id] = RequestOutcome(
@@ -339,12 +339,12 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
     return ExecutionReport(
         trace_id=trace.trace_id,
         outcomes=outcomes,
-        kv_events=tuple(handle.kv_events()),
-        server_crashed=handle.crashed,
-        crash_evidence=handle.crash_evidence,
-        wall_clock_span_ms=handle.clock_ms,
+        kv_events=tuple(core.kv_events),
+        server_crashed=core.crashed,
+        crash_evidence=core.crash_evidence,
+        wall_clock_span_ms=core.clock_ms,
         request_index=dict(trace.request_specs()),
-        block_snapshots=handle.block_snapshots(),
+        block_snapshots={rid: [list(entry) for entry in snap] for rid, snap in core.snapshots.items()},
         engine_info=info,
         schedule_degraded=False,
     )
@@ -441,8 +441,10 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
             if resp is not None:
                 resp.close()
 
+    # One deadline for all joins: hung streams share it rather than each waiting a full timeout.
+    deadline = time.monotonic() + endpoint.request_timeout_ms / 1000 + 5
     for t in threads.values():
-        t.join(timeout=endpoint.request_timeout_ms / 1000 + 5)
+        t.join(timeout=max(0.0, deadline - time.monotonic()))
     span = int((time.monotonic() - epoch) * 1000)
     # A thread that outlived its join may still finish; it writes into the
     # shared dict, never into the report's copy.

@@ -2,13 +2,12 @@
 
 from .config import FaultFamily, FaultSpec, SimConfig
 from .engine import SimCore
-from .endpoint import InProcessSimulator, serve
+from .endpoint import serve
 
 __all__ = [
     "FaultFamily",
     "FaultSpec",
     "SimConfig",
     "SimCore",
-    "InProcessSimulator",
     "serve",
 ]

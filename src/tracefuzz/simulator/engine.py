@@ -75,11 +75,21 @@ class SimRequest:
 
 
 class SimCore:
+    """The engine, and the in-process endpoint handle the execution adapter drives."""
+
     def __init__(self, config: SimConfig):
         self.config = config
+        self.canonical_decode = False
+        self._f1 = config.fault(FaultFamily.STALE_KV_REUSE)
+        self._f2 = config.fault(FaultFamily.ENGINE_STALL)
+        self._f3 = config.fault(FaultFamily.ADAPTER_DRIFT)
+        self.reset()
+
+    def reset(self) -> None:
+        """Restore a fresh engine in place, crashed or not; the decode mode is kept."""
         self.clock_ms = 0
         self.tick = 0
-        self.blocks = BlockManager(config.total_kv_blocks)
+        self.blocks = BlockManager(self.config.total_kv_blocks)
         self.waiting: list[SimRequest] = []
         self.running: list[SimRequest] = []
         self.requests: dict[str, SimRequest] = {}
@@ -90,12 +100,8 @@ class SimCore:
         self.snapshots: dict[str, list] = {}
         self.crashed = False
         self.crash_evidence: dict | None = None
-        self.canonical_decode = False
         self.admission_counter = 0
         self.f3_observed_masks: set[int] = set()
-        self._f1 = config.fault(FaultFamily.STALE_KV_REUSE)
-        self._f2 = config.fault(FaultFamily.ENGINE_STALL)
-        self._f3 = config.fault(FaultFamily.ADAPTER_DRIFT)
         self._drift_adapter: str | None = None
         self._drift_fire_tick: int | None = None
         self._submit_log: dict[str, deque] = {}

@@ -20,6 +20,10 @@ from ..trace import parse_prompt, token_word
 from .config import SimConfig
 from .engine import SimCore
 
+# Longest stretch of virtual time one locked clock-driver pass advances: idle
+# stretches jump in one step, and a busy catch-up lets handlers in between.
+CATCH_UP_MS = 100
+
 
 class SimHttpServer:
     def __init__(self, config: SimConfig, host: str = "127.0.0.1", port: int = 0):
@@ -27,7 +31,6 @@ class SimHttpServer:
         self.lock = threading.RLock()
         self.core = SimCore(config)
         self.generation = 0  # bumped on reset so stale streams terminate
-        self.canonical = False
         self._rid_counter = 0
         self._stop = threading.Event()
         server = self
@@ -77,16 +80,19 @@ class SimHttpServer:
                     server.reset()
                     self._json(200, {"status": "reset"})
                 elif self.path == "/control/decode_mode":
+                    canonical = bool(doc.get("canonical", False))
                     with server.lock:
-                        server.canonical = bool(doc.get("canonical", False))
-                        server.core.canonical_decode = server.canonical
-                    self._json(200, {"canonical": server.canonical})
+                        server.core.canonical_decode = canonical
+                    self._json(200, {"canonical": canonical})
                 elif self.path == "/v1/completions":
                     self._completions(doc)
                 else:
                     self._json(404, {"error": "no such path"})
 
             def _completions(self, doc: dict) -> None:
+                if not doc.get("stream", True):
+                    self._json(400, {"error": "only streamed completions are served"})
+                    return
                 prompt = doc.get("prompt", "")
                 tokens = parse_prompt(prompt) if isinstance(prompt, str) else tuple(int(t) for t in prompt)
                 with server.lock:
@@ -109,10 +115,7 @@ class SimHttpServer:
                 if err is not None:
                     self._json(400, {"error": err})
                     return
-                if doc.get("stream", True):
-                    self._stream(rid, generation)
-                else:
-                    self._blocking(rid, generation)
+                self._stream(rid, generation)
 
             def _poll(self, rid: str, generation: int):
                 """One locked snapshot: (alive, outputs, done)."""
@@ -160,18 +163,6 @@ class SimHttpServer:
                 finally:
                     self.close_connection = True
 
-            def _blocking(self, rid: str, generation: int) -> None:
-                while not server._stop.is_set():
-                    alive, outs, done = self._poll(rid, generation)
-                    if not alive:
-                        self.close_connection = True
-                        return
-                    if done:
-                        texts = [" ".join(token_word(t) for t in stream) for stream in outs]
-                        self._json(200, {"choices": [{"index": i, "text": s} for i, s in enumerate(texts)]})
-                        return
-                    time.sleep(server.config.tick_ms / 1000.0)
-
         self.httpd = ThreadingHTTPServer((host, port), Handler)
         self.httpd.daemon_threads = True
         self._serve_thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
@@ -186,8 +177,7 @@ class SimHttpServer:
 
     def reset(self) -> None:
         with self.lock:
-            self.core = SimCore(self.config)
-            self.core.canonical_decode = self.canonical
+            self.core.reset()
             self.generation += 1
             self._epoch = time.monotonic()
 
@@ -211,10 +201,7 @@ class SimHttpServer:
         while not self._stop.is_set():
             with self.lock:
                 target = int((time.monotonic() - self._epoch) * 1000)
-                steps = 0
-                while not self.core.crashed and self.core.clock_ms < target and steps < 10_000:
-                    self.core.step()
-                    steps += 1
+                self.core.advance_to(min(target, self.core.clock_ms + CATCH_UP_MS))
             time.sleep(self.config.tick_ms / 1000.0)
 
 

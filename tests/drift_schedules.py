@@ -100,7 +100,7 @@ def run_schedule(
     config = SimConfig(seed=sim_seed).with_faults(FaultFamily.ADAPTER_DRIFT)
     sim = serve(config)
     play_schedule(sim, mask, tag=tag, horizon_ms=horizon_ms)
-    return sim.crashed, set(sim.observed_drift_masks()), sim
+    return sim.crashed, set(sim.f3_observed_masks), sim
 
 
 def play_schedule(sim, mask: int, tag: int = 0, horizon_ms: float = 80.0) -> None:

@@ -2,19 +2,27 @@
 mapping, and report assembly."""
 
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 import requests
 
+import tracefuzz.adapter as adapter_module
+from drift_schedules import play_schedule
 from tracefuzz.adapter import (
     EndpointUnavailable,
     EngineEndpoint,
     EngineKind,
+    KvStreamResult,
+    check_health,
+    collect_kv_stream,
     completion_body,
     execute,
     reset_server,
 )
 from tracefuzz.simulator.config import FaultFamily, SimConfig
+from tracefuzz.simulator.engine import ALL_CONDITIONS
 from tracefuzz.simulator.endpoint import serve
 from tracefuzz.trace import (
     PromptShape,
@@ -193,6 +201,17 @@ def test_unavailable_endpoint_raises():
         execute(TimedTrace("t~down", (send("x", 0),)), ep)
 
 
+def test_simulator_health_and_kv_stream_read_the_core():
+    ep = endpoint_for(SimConfig().with_faults(FaultFamily.ADAPTER_DRIFT))
+    report = execute(TimedTrace("t~probe", (send("a", 0, plen=64),)), ep)
+    assert check_health(ep)
+    assert collect_kv_stream(ep) == KvStreamResult(events=report.kv_events, supported=True)
+    reset_server(ep)
+    assert collect_kv_stream(ep) == KvStreamResult(events=(), supported=True)
+    play_schedule(ep.handle, ALL_CONDITIONS)
+    assert not check_health(ep)
+
+
 # -- HTTP transport ------------------------------------------------------------
 
 
@@ -245,6 +264,40 @@ def test_wall_report_is_not_rewritten_by_a_request_that_outlives_its_join(monkey
     assert not stragglers[0].is_alive()
     assert report.outcomes["slow"].status == "timeout"
     assert report.outcomes["slow"].error == "no response"
+
+
+def test_hung_streams_share_one_join_deadline(monkeypatch):
+    release, waits, waited = threading.Event(), [], [0.0]
+
+    def hung_stream():
+        release.wait(10)
+        yield b"data: [DONE]"
+
+    def get(url, **kwargs):
+        if url.endswith("/kv_events"):
+            return _Reply(404)
+        return _Reply(200, doc={"vocab_size": 1024})
+
+    real_join = threading.Thread.join
+
+    def timed_out_join(thread, timeout=None):
+        waits.append(timeout)
+        waited[0] += timeout  # the adapter's clock moves on as if the join had waited it out
+        real_join(thread, 0.01)
+
+    monkeypatch.setattr(requests, "post", lambda url, **kwargs: _Reply(200, lines=hung_stream()))
+    monkeypatch.setattr(requests, "get", get)
+    monkeypatch.setattr(threading.Thread, "join", timed_out_join)
+    monkeypatch.setattr(adapter_module, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + waited[0],
+                                                                sleep=time.sleep))
+    ep = EngineEndpoint(kind=EngineKind.OPENAI, base_url="http://stub")
+    try:
+        report = execute(TimedTrace("t~hung", tuple(send(f"h{i}", 0) for i in range(6))), ep)
+    finally:
+        release.set()
+    assert len(waits) == 6
+    assert sum(waits) <= ep.request_timeout_ms / 1000 + 5
+    assert {o.status for o in report.outcomes.values()} == {"timeout"}
 
 
 # -- HTTP request bodies --------------------------------------------------------

@@ -1,7 +1,7 @@
 """The idle-time jump in ``SimCore.advance_to`` against the tick-by-tick loop.
 
-``SteppedSimulator`` keeps the loop ``InProcessSimulator.advance_to`` ran
-before the jump, verbatim.  Random schedules of submit, cancel, disconnect,
+``SteppedSimulator`` keeps the loop ``advance_to`` ran before the jump,
+verbatim.  Random schedules of submit, cancel, disconnect,
 expire and advance drive one engine through each and must leave the same
 clock, tick, KV events, snapshots, finished records, drift masks, crash
 evidence and loaded adapters, with the jump stepping every non-idle tick and
@@ -11,7 +11,8 @@ at most one idle tick per advance.
 from hypothesis import example, given, settings, strategies as st
 
 from tracefuzz.simulator.config import FaultFamily, FaultSpec, SimConfig
-from tracefuzz.simulator.endpoint import InProcessSimulator, serve
+from tracefuzz.simulator.endpoint import serve
+from tracefuzz.simulator.engine import SimCore
 
 ADAPTERS = ("BASE", "lora_a", "lora_b", "lora_c")
 
@@ -29,29 +30,37 @@ FAULTS = {
 }
 
 
-class SteppedSimulator(InProcessSimulator):
-    """The endpoint with its advance_to as it was before the jump."""
+class SteppedSimulator(SimCore):
+    """The core with its advance_to as it was before the jump."""
 
     def advance_to(self, clock_ms: int) -> None:
-        while self.core.clock_ms < clock_ms and not self.core.crashed:
-            self.core.step()
+        while self.clock_ms < clock_ms and not self.crashed:
+            self.step()
 
 
 def idle(core) -> bool:
     return not (core.waiting or core.running or core.loading) and core._drift_fire_tick is None
 
 
-def count_steps(sim, key_of, counts) -> None:
+def finished(core, rid):
+    """What the adapter reports of a finished request; None if it was rejected or is in flight."""
+    req = core.requests.get(rid)
+    if req is None or req.status is None:
+        return None
+    return req.status, req.first_token_ms, req.finished_ms, req.outputs, req.records, req.token_stamps
+
+
+def count_steps(core, key_of, counts) -> None:
     """Count the core's step() calls under key_of(core), read before each step."""
-    real_step = sim.core.step
+    real_step = core.step
 
     def step():
-        key = key_of(sim.core)
+        key = key_of(core)
         if key is not None:
             counts[key] += 1
         real_step()
 
-    sim.core.step = step  # an instance attribute: advance_to's self.step() finds it
+    core.step = step  # an instance attribute: advance_to's self.step() finds it
 
 
 def prompt(tag: int, length: int) -> list[int]:
@@ -142,39 +151,39 @@ def test_idle_jump_matches_the_tick_by_tick_loop(schedule, tick_ms, fault, load_
             stepped.advance_to(target)
             assert steps["jumped idle"] - idle_before <= 1  # an idle gap of any length steps once
         elif rids:
-            targets = jumped.in_flight_ids() if op[1] is None else [rids[op[1] % len(rids)]]
+            targets = [req.rid for req in jumped.in_flight()] if op[1] is None else [rids[op[1] % len(rids)]]
             for sim in (jumped, stepped):
                 for rid in targets:
                     if kind == "expire":
                         sim.expire(rid)
                     else:
                         sim.cancel(rid, disconnect=kind == "disconnect")
-        for core in (jumped.core, stepped.core):
+        for core in (jumped, stepped):
             assert type(core.clock_ms) is int and type(core.tick) is int
-        assert (jumped.core.clock_ms, jumped.core.tick) == (stepped.core.clock_ms, stepped.core.tick)
+        assert (jumped.clock_ms, jumped.tick) == (stepped.clock_ms, stepped.tick)
 
     assert steps["jumped busy"] == steps["busy"]  # the jump steps every non-idle tick
-    assert jumped.kv_events() == stepped.kv_events()
-    assert jumped.block_snapshots() == stepped.block_snapshots()
-    assert [jumped.finished_record(r) for r in rids] == [stepped.finished_record(r) for r in rids]
-    assert jumped.in_flight_ids() == stepped.in_flight_ids()
-    assert jumped.observed_drift_masks() == stepped.observed_drift_masks()
+    assert jumped.kv_events == stepped.kv_events
+    assert jumped.snapshots == stepped.snapshots
+    assert [finished(jumped, r) for r in rids] == [finished(stepped, r) for r in rids]
+    assert [req.rid for req in jumped.in_flight()] == [req.rid for req in stepped.in_flight()]
+    assert jumped.f3_observed_masks == stepped.f3_observed_masks
     assert jumped.crash_evidence == stepped.crash_evidence
-    assert jumped.core.loaded_adapters == stepped.core.loaded_adapters
+    assert jumped.loaded_adapters == stepped.loaded_adapters
 
 
 def test_a_long_idle_gap_costs_one_step():
     sim = serve(SimConfig(tick_ms=3))
     sim.submit("r", prompt(0, 40), "lora_a", 4, 1, 0, None, 0)
     sim.advance_to(200)
-    assert sim.finished_record("r")["status"] == "completed"
+    assert sim.requests["r"].status == "completed"
     steps = {"all": 0}
     count_steps(sim, lambda core: "all", steps)
-    tick = sim.core.tick
+    tick = sim.tick
     sim.advance_to(10**9 + 0.5)
     assert steps["all"] == 1
     assert sim.clock_ms == 10**9 + 2  # the first multiple of 3 past the target
-    assert sim.core.tick == tick + (10**9 + 2 - 201) // 3
+    assert sim.tick == tick + (10**9 + 2 - 201) // 3
 
 
 def test_an_idle_tick_that_breaks_the_scheduler_invariant_still_crashes_on_time():

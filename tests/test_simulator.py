@@ -4,10 +4,10 @@ three injectable fault families."""
 import pytest
 import requests
 
-from drift_schedules import run_schedule
+from drift_schedules import play_schedule, run_schedule
 from tracefuzz.simulator.config import FaultFamily, FaultSpec, SimConfig
 from tracefuzz.simulator.endpoint import serve
-from tracefuzz.simulator.engine import ALL_CONDITIONS
+from tracefuzz.simulator.engine import ALL_CONDITIONS, COND_LOAD_BURST
 from tracefuzz.simulator.http import serve_http
 
 
@@ -19,8 +19,8 @@ def run_one(sim, rid, tokens, adapter="BASE", max_tokens=4, n=1, logprobs=None, 
     err = sim.submit(rid, tokens, adapter, max_tokens, n, seed, logprobs, sim.clock_ms)
     assert err is None, err
     sim.advance_to(sim.clock_ms + horizon)
-    rec = sim.finished_record(rid)
-    assert rec is not None, f"{rid} never finished"
+    rec = sim.requests[rid]
+    assert rec.status is not None, f"{rid} never finished"
     return rec
 
 
@@ -31,8 +31,8 @@ def test_identical_runs_produce_identical_streams():
     def session():
         sim = serve(SimConfig(seed=5))
         recs = [run_one(sim, f"r{i}", prompt(40, i), max_tokens=6) for i in range(3)]
-        events = [(e.kind, e.block_id, e.block_hash, e.owner_request_id) for e in sim.kv_events()]
-        return [r["outputs"] for r in recs], events, sim.block_snapshots()
+        events = [(e.kind, e.block_id, e.block_hash, e.owner_request_id) for e in sim.kv_events]
+        return [r.outputs for r in recs], events, sim.snapshots
 
     assert session() == session()
 
@@ -40,29 +40,29 @@ def test_identical_runs_produce_identical_streams():
 def test_outputs_depend_on_engine_seed():
     a = serve(SimConfig(seed=0))
     b = serve(SimConfig(seed=1))
-    out_a = run_one(a, "r", prompt(32), max_tokens=8)["outputs"]
-    out_b = run_one(b, "r", prompt(32), max_tokens=8)["outputs"]
+    out_a = run_one(a, "r", prompt(32), max_tokens=8).outputs
+    out_b = run_one(b, "r", prompt(32), max_tokens=8).outputs
     assert out_a != out_b
 
 
 def test_unrelated_traffic_does_not_perturb_output():
     solo = serve(SimConfig(seed=2))
-    alone = run_one(solo, "victim", prompt(48, 9), max_tokens=6)["outputs"]
+    alone = run_one(solo, "victim", prompt(48, 9), max_tokens=6).outputs
 
     busy = serve(SimConfig(seed=2))
     busy.submit("noise0", prompt(64, 1), "BASE", 4, 1, 7, None, 0.0)
     busy.submit("noise1", prompt(24, 2), "lora_a", 4, 1, 8, None, 0.0)
-    shared = run_one(busy, "victim", prompt(48, 9), max_tokens=6)["outputs"]
+    shared = run_one(busy, "victim", prompt(48, 9), max_tokens=6).outputs
     assert alone == shared
 
 
 def test_multi_completion_streams_are_distinct_and_stable():
     sim = serve(SimConfig(seed=3))
     rec = run_one(sim, "r", prompt(32), max_tokens=5, n=3)
-    assert len(rec["outputs"]) == 3
-    assert len({tuple(s) for s in rec["outputs"]}) == 3
+    assert len(rec.outputs) == 3
+    assert len({tuple(s) for s in rec.outputs}) == 3
     again = run_one(serve(SimConfig(seed=3)), "r", prompt(32), max_tokens=5, n=3)
-    assert rec["outputs"] == again["outputs"]
+    assert rec.outputs == again.outputs
 
 
 # -- near-tie decode mode ------------------------------------------------------
@@ -73,17 +73,17 @@ def test_near_tie_salts_flip_and_canonical_restores():
     sim = serve(cfg)
     first = run_one(sim, "a", prompt(32, 5), max_tokens=16, logprobs=5)
     second = run_one(sim, "b", prompt(32, 5), max_tokens=16, logprobs=5, seed=0)
-    assert first["outputs"] != second["outputs"], "admission ordinal salt should flip some position"
+    assert first.outputs != second.outputs, "admission ordinal salt should flip some position"
 
-    sim.set_canonical_decode(True)
+    sim.canonical_decode = True
     canon1 = run_one(sim, "c", prompt(32, 5), max_tokens=16, logprobs=5)
     canon2 = run_one(sim, "d", prompt(32, 5), max_tokens=16, logprobs=5)
-    assert canon1["outputs"] == canon2["outputs"]
+    assert canon1.outputs == canon2.outputs
 
     # each salted stream deviates from canonical only by near-tie margins
-    canon_tokens = canon1["outputs"][0]
-    salted_tokens = first["outputs"][0]
-    ladders = canon1["records"][0]
+    canon_tokens = canon1.outputs[0]
+    salted_tokens = first.outputs[0]
+    ladders = canon1.records[0]
     for pos, (want, got) in enumerate(zip(canon_tokens, salted_tokens)):
         if want != got:
             top = dict(ladders[pos])
@@ -98,7 +98,7 @@ def test_clean_mode_ignores_admission_order():
     sim = serve(SimConfig(seed=6))
     one = run_one(sim, "x", prompt(40, 2), max_tokens=8)
     two = run_one(sim, "y", prompt(40, 2), max_tokens=8)
-    assert one["outputs"] == two["outputs"]
+    assert one.outputs == two.outputs
 
 
 # -- paged cache --------------------------------------------------------------
@@ -108,13 +108,13 @@ def test_prefix_reuse_emits_hits_and_shares_blocks():
     sim = serve(SimConfig(seed=7))
     shared = prompt(64, 3)
     run_one(sim, "first", shared, max_tokens=2)
-    before = len([e for e in sim.kv_events() if e.kind == "prefix_hit"])
+    before = len([e for e in sim.kv_events if e.kind == "prefix_hit"])
     run_one(sim, "second", shared, max_tokens=2)
-    hits = [e for e in sim.kv_events() if e.kind == "prefix_hit"]
+    hits = [e for e in sim.kv_events if e.kind == "prefix_hit"]
     # 64 tokens: three full leading blocks are cacheable, the final token is
     # always recomputed so the fourth block never serves a hit
     assert len(hits) - before == 3
-    snaps = sim.block_snapshots()
+    snaps = sim.snapshots
     assert [b for b, _ in snaps["second"][:3]] == [b for b, _ in snaps["first"][:3]]
 
 
@@ -123,7 +123,7 @@ def test_prefix_chain_hash_covers_adapter():
     shared = prompt(64, 4)
     run_one(sim, "base", shared, max_tokens=2)
     run_one(sim, "tuned", shared, max_tokens=2, adapter="lora_a")
-    snaps = sim.block_snapshots()
+    snaps = sim.snapshots
     assert [b for b, _ in snaps["tuned"][:3]] != [b for b, _ in snaps["base"][:3]]
 
 
@@ -132,7 +132,7 @@ def test_eviction_only_when_pool_exhausted():
     sim = serve(cfg)
     for i in range(6):
         run_one(sim, f"r{i}", prompt(64, i), max_tokens=2, horizon=400.0 + 400 * i)
-    events = sim.kv_events()
+    events = sim.kv_events
     evictions = [e for e in events if e.kind == "evict"]
     assert evictions, "a 24-block pool must evict under six 4-block prompts"
     # reconstruct residency: evictions may only happen with zero free blocks
@@ -153,8 +153,8 @@ def test_block_alloc_free_balance_on_reset():
     sim = serve(SimConfig(seed=9, total_kv_blocks=64))
     for i in range(4):
         run_one(sim, f"r{i}", prompt(48, i), max_tokens=3)
-    allocs = sum(1 for e in sim.kv_events() if e.kind == "alloc")
-    frees = sum(1 for e in sim.kv_events() if e.kind in ("free", "evict"))
+    allocs = sum(1 for e in sim.kv_events if e.kind == "alloc")
+    frees = sum(1 for e in sim.kv_events if e.kind in ("free", "evict"))
     assert allocs >= frees
     assert allocs - frees <= 64
 
@@ -183,23 +183,23 @@ def test_stale_grab_needs_walkable_suffix_block():
     # 48 tokens: the suffix block sits past the cache-walk horizon (the last
     # prompt token is never served from cache), so the fault cannot latch.
     sim = _stale_pair(48)
-    assert not any(e.kind == "reuse" for e in sim.kv_events())
+    assert not any(e.kind == "reuse" for e in sim.kv_events)
 
     sim = _stale_pair(64)
-    reuses = [e for e in sim.kv_events() if e.kind == "reuse"]
+    reuses = [e for e in sim.kv_events if e.kind == "reuse"]
     assert len(reuses) == 1
     assert reuses[0].owner_request_id == "victim"
 
 
 def test_stale_grab_changes_output_against_clean_run():
-    corrupted = _stale_pair(64).finished_record("victim")["outputs"]
-    clean = _stale_pair(64, faulted=False).finished_record("victim")["outputs"]
+    corrupted = _stale_pair(64).requests["victim"].outputs
+    clean = _stale_pair(64, faulted=False).requests["victim"].outputs
     assert corrupted != clean
 
 
 def test_stale_grab_inert_without_fault():
     sim = _stale_pair(64, faulted=False)
-    assert not any(e.kind == "reuse" for e in sim.kv_events())
+    assert not any(e.kind == "reuse" for e in sim.kv_events)
 
 
 # -- fault family: decode stall ------------------------------------------------
@@ -209,11 +209,11 @@ def test_stall_inflates_virtual_clock():
     spec = FaultSpec(family=FaultFamily.ENGINE_STALL, stall_ms=1000)
     sim = serve(SimConfig(seed=1, faults=(spec,)))
     rec = run_one(sim, "wide", prompt(32), max_tokens=4, n=8, horizon=60_000.0)
-    assert rec["first_token_ms"] >= 1000
+    assert rec.first_token_ms >= 1000
 
     clean = serve(SimConfig(seed=1))
     fast = run_one(clean, "wide", prompt(32), max_tokens=4, n=8)
-    assert fast["first_token_ms"] < 50
+    assert fast.first_token_ms < 50
 
 
 def test_stall_recovers_after_wide_request_completes():
@@ -221,17 +221,16 @@ def test_stall_recovers_after_wide_request_completes():
     sim = serve(SimConfig(seed=1, faults=(spec,)))
     run_one(sim, "wide", prompt(32), max_tokens=4, n=8, horizon=60_000.0)
     after = run_one(sim, "probe", prompt(16), max_tokens=2, horizon=sim.clock_ms + 200.0)
-    ttft = after["first_token_ms"] - after["submitted_ms"] if "submitted_ms" in after else None
     # the probe is admitted within a couple of ticks once the stall source drains
-    assert after["first_token_ms"] - sim.clock_ms <= 0  # finished before horizon
-    assert after["status"] == "completed"
+    assert after.first_token_ms - sim.clock_ms <= 0  # finished before horizon
+    assert after.status == "completed"
 
 
 def test_stall_threshold_is_configurable():
     spec = FaultSpec(family=FaultFamily.ENGINE_STALL, stall_ms=1000, n_completions_threshold=4)
     sim = serve(SimConfig(seed=1, faults=(spec,)))
     rec = run_one(sim, "wide", prompt(32), max_tokens=4, n=4, horizon=60_000.0)
-    assert rec["first_token_ms"] >= 1000
+    assert rec.first_token_ms >= 1000
 
 
 # -- fault family: adapter-load drift -------------------------------------------
@@ -265,8 +264,47 @@ def test_crashed_engine_rejects_submissions_until_reset():
     err = sim.submit("late", build_prompt(8, 0), "BASE", 1, 1, 0, None, sim.clock_ms)
     assert err is not None
     sim.reset()
-    assert sim.healthy and not sim.crashed
+    assert not sim.crashed
     assert sim.submit("fresh", build_prompt(8, 0), "BASE", 1, 1, 0, None, 0.0) is None
+
+
+def engine_state(sim):
+    outputs = {rid: (req.status, req.outputs, req.records, req.token_stamps) for rid, req in sim.requests.items()}
+    return (sim.kv_events, sim.snapshots, outputs, sim.clock_ms, sim.tick, sim.f3_observed_masks,
+            sim.crashed, sim.crash_evidence, sim.canonical_decode)
+
+
+@pytest.mark.parametrize("mask", [ALL_CONDITIONS, ALL_CONDITIONS & ~COND_LOAD_BURST])
+def test_reset_after_a_crash_replays_like_a_fresh_core(mask):
+    config = SimConfig(seed=1, near_tie_gap=0.05).with_faults(FaultFamily.ADAPTER_DRIFT)
+    reused = serve(config)
+    reused.canonical_decode = True
+    play_schedule(reused, ALL_CONDITIONS)
+    assert reused.crashed
+    reused.reset()
+    assert reused.canonical_decode and not reused.crashed
+
+    fresh = serve(config)
+    fresh.canonical_decode = True
+    for sim in (reused, fresh):
+        play_schedule(sim, mask, tag=3)
+    assert engine_state(reused) == engine_state(fresh)
+    assert reused.crashed == (mask == ALL_CONDITIONS)
+
+
+def test_reset_keeps_the_handle_and_replays_bit_identically():
+    config = SimConfig(seed=5, near_tie_gap=0.05)
+    sim = serve(config)
+
+    def session(sim):
+        for i in range(3):
+            run_one(sim, f"r{i}", prompt(40, i % 2), max_tokens=6, n=2, logprobs=3)
+        return engine_state(sim)
+
+    first = session(sim)
+    sim.reset()
+    assert sim.requests == {} and sim.kv_events == []
+    assert session(sim) == first == session(serve(config))
 
 
 # -- misc engine surface --------------------------------------------------------
@@ -274,7 +312,7 @@ def test_crashed_engine_rejects_submissions_until_reset():
 
 def test_engine_info_reports_static_config():
     cfg = SimConfig(total_kv_blocks=512, vocab_size=2048)
-    info = serve(cfg).engine_info()
+    info = serve(cfg).config.engine_info()
     assert info["total_kv_blocks"] == 512
     assert info["vocab_size"] == 2048
     assert info["engine"] == "tracefuzz-sim"
@@ -301,5 +339,5 @@ def test_cancel_and_disconnect_statuses():
     sim.advance_to(4.0)
     sim.cancel("d", disconnect=True)
     sim.advance_to(300.0)
-    assert sim.finished_record("c")["status"] == "cancelled"
-    assert sim.finished_record("d")["status"] == "disconnected"
+    assert sim.requests["c"].status == "cancelled"
+    assert sim.requests["d"].status == "disconnected"
