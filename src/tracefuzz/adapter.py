@@ -233,8 +233,6 @@ def reset_server(endpoint: EngineEndpoint) -> None:
 
 
 def collect_kv_stream(endpoint: EngineEndpoint) -> KvStreamResult:
-    if endpoint.kind is EngineKind.SIMULATOR:
-        return KvStreamResult(events=tuple(endpoint.handle.kv_events), supported=True)
     import requests
 
     resp = requests.get(endpoint.base_url.rstrip("/") + "/kv_events", timeout=10)
@@ -246,8 +244,6 @@ def collect_kv_stream(endpoint: EngineEndpoint) -> KvStreamResult:
 
 
 def check_health(endpoint: EngineEndpoint) -> bool:
-    if endpoint.kind is EngineKind.SIMULATOR:
-        return not endpoint.handle.crashed
     import requests
 
     try:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from collections.abc import Iterable
 
 # Exact ints and strs are most parts (tokens, positions, 64-bit digests, tags
 # and adapter names), so stable_u64 encodes them inline rather than through
@@ -73,6 +74,22 @@ def stable_u64(*parts: object) -> int:
         for p in parts
     ])
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+
+
+def stable_u64_tails(head: tuple, tails: Iterable[object]) -> list[int]:
+    """``[stable_u64(*head, tail) for tail in tails]``, encoding and hashing ``head`` once.
+
+    blake2b is streaming: each tail's encoding is fed to a copy of the state
+    that has absorbed the head's, so the hashed bytes, and the values, are
+    stable_u64's.
+    """
+    state = hashlib.blake2b(b"".join(map(_encode, head)), digest_size=8)
+    hashes = []
+    for tail in tails:
+        h = state.copy()
+        h.update(_INT_TABLE[tail] if type(tail) is int and 0 <= tail < _INT_TABLE_SIZE else _encode(tail))
+        hashes.append(int.from_bytes(h.digest(), "little"))
+    return hashes
 
 
 def stable_unit(*parts: object) -> float:

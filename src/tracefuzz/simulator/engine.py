@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..adapter import KvEvent
 from ..hashing import chain_digest, stable_u64
@@ -32,6 +33,32 @@ ALL_CONDITIONS = COND_OCCUPANCY | COND_SHAPE_MIX | COND_ADAPTER_MIX | COND_LOAD_
 
 # Engines with F3 unarmed still record the condition mask, at the default knobs.
 _UNARMED_F3 = FaultSpec(FaultFamily.ADAPTER_DRIFT)
+
+# Distinct keys kept by each prompt memo below; a campaign step sees a few
+# dozen.  The prompts they hold are mostly the very tuples
+# trace.PROMPT_CACHE_SIZE already keeps.
+PROMPT_MEMO_SIZE = 128
+
+
+@lru_cache(maxsize=PROMPT_MEMO_SIZE)
+def prompt_block_hashes(adapter: str, block_size: int, prompt: tuple[int, ...]) -> tuple[int, ...]:
+    """The chained hashes of the prompt's full blocks, as stream 0 seals them.
+
+    They depend on nothing else until a stale grab contaminates the chain, so
+    every admission of the prompt under this adapter and block size shares them.
+    """
+    chain_hash = 0
+    hashes = []
+    for pos in range(0, len(prompt) - block_size + 1, block_size):
+        chain_hash = stable_u64("blk", chain_hash, adapter, *prompt[pos : pos + block_size])
+        hashes.append(chain_hash)
+    return tuple(hashes)
+
+
+@lru_cache(maxsize=PROMPT_MEMO_SIZE)
+def prompt_digest(digest: int, prompt: tuple[int, ...]) -> int:
+    """A completion's context digest after an uncontaminated prompt."""
+    return stable_u64("prompt", digest, *prompt)
 
 
 @dataclass
@@ -56,6 +83,7 @@ class SimRequest:
     logprobs: int | None
     submitted_ms: int
     salt: int
+    block_hashes: tuple[int, ...] = ()  # prompt_block_hashes, looked up at admission
     state: str = WAITING
     prefill_pos: int = 0
     admitted_tick: int | None = None
@@ -317,23 +345,22 @@ class SimCore:
         block = cfg.block_size_tokens
         req.chains = [_Chain() for _ in range(req.n_completions)]
         chain0 = req.chains[0]
+        req.block_hashes = prompt_block_hashes(req.adapter, block, req.prompt)
 
         # Prefix-cache walk over full leading blocks of the prompt.  The final
         # prompt token is always computed, never served from cache, so at
         # least one prefill step remains for every admitted request.
-        chain_hash = 0
         pos = 0
         contaminated_at: int | None = None
         contaminated_span: tuple[int, ...] | None = None
         while pos + block <= len(req.prompt) - 1:
-            span = req.prompt[pos : pos + block]
-            next_hash = stable_u64("blk", chain_hash, req.adapter, *span)
+            next_hash = self._block_hash(req, chain0, len(chain0.blocks), req.prompt[pos : pos + block])
             hit = self.blocks.lookup(next_hash)
             if hit is not None:
                 self.blocks.pin(hit, self.tick)
                 chain0.blocks.append(hit)
                 chain0.hashes.append(next_hash)
-                chain_hash = next_hash
+                chain0.chain_hash = next_hash
                 pos += block
                 self._emit("prefix_hit", hit, next_hash, req.rid, req.adapter)
                 continue
@@ -343,7 +370,7 @@ class SimCore:
                 self.blocks.pin(grab_block, self.tick)
                 chain0.blocks.append(grab_block)
                 chain0.hashes.append(grab_hash)
-                chain_hash = grab_hash if grab_hash is not None else next_hash
+                chain0.chain_hash = grab_hash if grab_hash is not None else next_hash
                 req.contaminated = True
                 contaminated_at = pos
                 contaminated_span = tuple(
@@ -355,16 +382,16 @@ class SimCore:
                 pos += block
                 continue
             break
-        chain0.chain_hash = chain_hash
         req.prefill_pos = pos
 
-        effective = list(req.prompt)
         if contaminated_span is not None:
-            effective[contaminated_at : contaminated_at + block] = contaminated_span
+            effective = req.prompt[:contaminated_at] + contaminated_span + req.prompt[contaminated_at + block :]
         for c in range(req.n_completions):
             digest = init_digest(cfg.seed, req.request_seed, req.adapter, c)
-            digest = stable_u64("prompt", digest, *effective)
-            req.digests.append(digest)
+            if contaminated_span is None:
+                req.digests.append(prompt_digest(digest, req.prompt))
+            else:
+                req.digests.append(stable_u64("prompt", digest, *effective))
             req.outputs.append([])
             req.records.append([])
 
@@ -457,7 +484,7 @@ class SimCore:
         chain.buffer.append(token)
         chain.fill += 1
         if chain.fill == self.config.block_size_tokens:
-            sealed = stable_u64("blk", chain.chain_hash, req.adapter, *chain.buffer)
+            sealed = self._block_hash(req, chain, len(chain.blocks) - 1, chain.buffer)
             self.blocks.seal(chain.blocks[-1], sealed)
             chain.hashes[-1] = sealed
             chain.chain_hash = sealed
@@ -474,13 +501,24 @@ class SimCore:
         if block_id is None:
             self._preempt(req)
             return False
-        sealed = stable_u64("blk", chain.chain_hash, req.adapter, *span)
+        sealed = self._block_hash(req, chain, len(chain.blocks), span)
         self.blocks.seal(block_id, sealed)
         chain.blocks.append(block_id)
         chain.hashes.append(sealed)
         chain.chain_hash = sealed
         self._emit("alloc", block_id, sealed, req.rid, req.adapter)
         return True
+
+    def _block_hash(self, req: SimRequest, chain: _Chain, index: int, span) -> int:
+        """The sealed hash of ``span`` as block ``index`` of the chain, after ``chain.chain_hash``.
+
+        A prompt block of an uncontaminated stream 0 reads the memoized chain;
+        after a stale grab the chain continues from the grabbed hash, and
+        other streams hold decode tokens, so those hash directly.
+        """
+        if index < len(req.block_hashes) and not req.contaminated and chain is req.chains[0]:
+            return req.block_hashes[index]
+        return stable_u64("blk", chain.chain_hash, req.adapter, *span)
 
     def _preempt(self, req: SimRequest) -> None:
         """KV exhaustion: drop this request's state and requeue it for recompute."""

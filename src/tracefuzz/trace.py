@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 
-from .hashing import stable_u64
+from .hashing import stable_u64, stable_u64_tails
 
 DEFAULT_ADAPTER = "BASE"
 
@@ -260,8 +260,8 @@ def synthesize_prompt(shape: PromptShape, identity: str, corpus_seed: int, vocab
     if vocab_size < 2:
         raise ValueError("vocab_size must be >= 2")
     tokens = [stable_u64(corpus_seed, "prefix", i) % vocab_size for i in range(shape.prefix_len)]
-    for j in range(shape.prompt_len - shape.prefix_len):
-        tokens.append(stable_u64(corpus_seed, "suffix", identity, shape.prefix_len, shape.prompt_len, j) % vocab_size)
+    head = (corpus_seed, "suffix", identity, shape.prefix_len, shape.prompt_len)
+    tokens += [h % vocab_size for h in stable_u64_tails(head, range(shape.prompt_len - shape.prefix_len))]
     return tuple(tokens)
 
 

@@ -9,20 +9,15 @@ import pytest
 import requests
 
 import tracefuzz.adapter as adapter_module
-from drift_schedules import play_schedule
 from tracefuzz.adapter import (
     EndpointUnavailable,
     EngineEndpoint,
     EngineKind,
-    KvStreamResult,
-    check_health,
-    collect_kv_stream,
     completion_body,
     execute,
     reset_server,
 )
 from tracefuzz.simulator.config import FaultFamily, SimConfig
-from tracefuzz.simulator.engine import ALL_CONDITIONS
 from tracefuzz.simulator.endpoint import serve
 from tracefuzz.trace import (
     PromptShape,
@@ -199,17 +194,6 @@ def test_unavailable_endpoint_raises():
     assert ep.handle.crashed
     with pytest.raises(EndpointUnavailable):
         execute(TimedTrace("t~down", (send("x", 0),)), ep)
-
-
-def test_simulator_health_and_kv_stream_read_the_core():
-    ep = endpoint_for(SimConfig().with_faults(FaultFamily.ADAPTER_DRIFT))
-    report = execute(TimedTrace("t~probe", (send("a", 0, plen=64),)), ep)
-    assert check_health(ep)
-    assert collect_kv_stream(ep) == KvStreamResult(events=report.kv_events, supported=True)
-    reset_server(ep)
-    assert collect_kv_stream(ep) == KvStreamResult(events=(), supported=True)
-    play_schedule(ep.handle, ALL_CONDITIONS)
-    assert not check_health(ep)
 
 
 # -- HTTP transport ------------------------------------------------------------

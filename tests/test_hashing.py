@@ -13,7 +13,7 @@ from enum import IntEnum
 import pytest
 
 from tracefuzz import hashing
-from tracefuzz.hashing import stable_u64
+from tracefuzz.hashing import stable_u64, stable_u64_tails
 from tracefuzz.trace import (
     PROMPT_CACHE_SIZE,
     EventKind,
@@ -119,6 +119,17 @@ def test_stable_u64_agrees_with_the_reference_encoder():
     for _ in range(3000):
         parts = tuple(_random_part(rng) for _ in range(rng.randrange(8)))
         assert stable_u64(*parts) == _reference_u64(*parts), parts
+
+
+def test_shared_head_hashes_equal_stable_u64():
+    rng = random.Random(2025)
+    for _ in range(3000):
+        head = tuple(_random_part(rng) for _ in range(rng.randrange(6)))
+        tails = [_random_part(rng) for _ in range(rng.randrange(4))]
+        assert stable_u64_tails(head, tails) == [stable_u64(*head, tail) for tail in tails], (head, tails)
+    edges = [0, N - 1, N, -1, 2**64 - 1, -(2**63), True, False, EventKind.SEND, Level.LOW, "héllo ☃", b"\xff", None]
+    assert stable_u64_tails(("suffix", 2**70), edges) == [stable_u64("suffix", 2**70, tail) for tail in edges]
+    assert stable_u64_tails((), range(3)) == [stable_u64(j) for j in range(3)]
 
 
 @pytest.mark.parametrize("too_big", [2**135, -(2**135) - 1, 2**200])
