@@ -265,13 +265,9 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
 
     outcomes: dict[str, RequestOutcome] = {}
     dispatched: dict[str, int] = {}
-    undispatched: list[RequestSpec] = []
+    undispatched: list[tuple[RequestSpec, int]] = []
     for event in trace.events:
-        if core.crashed:
-            if event.kind is EventKind.SEND:
-                undispatched.append((event.spec, event.offset_ms))
-            continue
-        core.advance_to(event.offset_ms)
+        core.advance_to(event.offset_ms)  # returns at once on a crashed engine
         if core.crashed:
             if event.kind is EventKind.SEND:
                 undispatched.append((event.spec, event.offset_ms))

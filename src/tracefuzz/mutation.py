@@ -344,15 +344,10 @@ def _join_segments(prefix, suffix, shift: int, a_ids, b_ids) -> list[TraceEvent]
     return prefix + rebased
 
 
-def splice(parent_a: TimedTrace, parent_b: TimedTrace, cut_policy: str = "uniform", rng_seed: int = 0) -> TimedTrace:
+def splice(parent_a: TimedTrace, parent_b: TimedTrace, rng_seed: int = 0) -> TimedTrace:
     rng = random.Random(rng_seed)
     end_a, end_b = parent_a.end_offset_ms(), parent_b.end_offset_ms()
-    if cut_policy == "midpoint":
-        cut_a, cut_b = end_a // 2, end_b // 2
-    elif cut_policy == "uniform":
-        cut_a, cut_b = rng.randint(0, end_a), rng.randint(0, end_b)
-    else:
-        raise ValueError(f"unknown cut policy {cut_policy!r}")
+    cut_a, cut_b = rng.randint(0, end_a), rng.randint(0, end_b)
     if not parent_b.events:
         cut_a = end_a + 1  # nothing to append; keep all of a
     prefix = [e for e in parent_a.events if e.offset_ms <= cut_a]
@@ -383,7 +378,7 @@ def directed_splice(
     warm_window = warm_telemetry.peak_alloc_window() if warm_telemetry is not None else None
     pressure_window = pressure_telemetry.peak_inflight_window() if pressure_telemetry is not None else None
     if warm_window is None or pressure_window is None:
-        child = splice(warm, pressure, "uniform", rng_seed)
+        child = splice(warm, pressure, rng_seed)
         lineage = dict(child.metadata["lineage"])
         lineage["op"] = MutationKind.DIRECTED_SPLICE.value
         lineage["fallback"] = "undirected-fallback"
@@ -442,5 +437,5 @@ def mutate(
     if chosen == "event":
         return mutate_events(trace, rng_seed, palette)
     if chosen == "splice":
-        return splice(trace, partner, "uniform", rng_seed)
+        return splice(trace, partner, rng_seed)
     return directed_splice(trace, partner, telemetry, partner_telemetry, rng_seed)

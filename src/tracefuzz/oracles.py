@@ -305,21 +305,22 @@ def group_key(spec) -> str | None:
     )
 
 
-def extract_group_snapshots(report) -> dict[str, list]:
-    """Canonical per-group block-hash sequences for the cross-run store."""
-    out: dict[str, list] = {}
-    for rid in sorted(report.outcomes):
-        if report.outcomes[rid].status != "completed":
-            continue
+def _snapshot_groups(report) -> dict[str, list[tuple[str, list]]]:
+    """Completed requests' block-hash sequences by snapshot group, members in request-id order."""
+    groups: dict[str, list[tuple[str, list]]] = {}
+    for rid in sorted(report.block_snapshots):
         spec = report.request_index.get(rid)
-        if spec is None:
+        if spec is None or report.outcomes.get(rid) is None or report.outcomes[rid].status != "completed":
             continue
         key = group_key(spec)
-        if key is None or rid not in report.block_snapshots:
-            continue
-        hashes = [entry[1] for entry in report.block_snapshots[rid]]
-        out.setdefault(key, hashes)
-    return out
+        if key is not None:
+            groups.setdefault(key, []).append((rid, [entry[1] for entry in report.block_snapshots[rid]]))
+    return groups
+
+
+def extract_group_snapshots(report) -> dict[str, list]:
+    """Canonical per-group block-hash sequences for the cross-run store: each group's first member."""
+    return {key: members[0][1] for key, members in _snapshot_groups(report).items()}
 
 
 def structural_forensics(report, corpus_seed: int = 0, prior_snapshots: dict | None = None) -> list[Suspicion]:
@@ -377,15 +378,7 @@ def structural_forensics(report, corpus_seed: int = 0, prior_snapshots: dict | N
 
     # Matched groups must show identical block-hash sequences, both within a
     # report and against snapshots recorded by earlier runs.
-    groups: dict[str, list[tuple[str, list]]] = {}
-    for rid in sorted(report.block_snapshots):
-        spec = report.request_index.get(rid)
-        if spec is None or report.outcomes.get(rid) is None or report.outcomes[rid].status != "completed":
-            continue
-        key = group_key(spec)
-        if key is None:
-            continue
-        groups.setdefault(key, []).append((rid, [entry[1] for entry in report.block_snapshots[rid]]))
+    groups = _snapshot_groups(report)
     for key in sorted(groups):
         members = groups[key]
         spec = report.request_index[members[0][0]]
@@ -430,7 +423,7 @@ def full_sweep(
     corpus_seed: int = 0,
     prior_snapshots: dict | None = None,
 ) -> list[Suspicion]:
-    """Every oracle over one report, deduplicated by fingerprint."""
+    """Every oracle over one report; their kinds are disjoint and each merges its own duplicates."""
     thresholds = thresholds or OracleThresholds()
     suspicions = behavioral_check(report, baseline, thresholds)
     stall = detect_stall(report, thresholds.stall_window_ms)
@@ -438,7 +431,4 @@ def full_sweep(
         suspicions.append(stall)
     suspicions.extend(lifecycle_check(trace, report, thresholds))
     suspicions.extend(structural_forensics(report, corpus_seed, prior_snapshots))
-    unique: dict[str, Suspicion] = {}
-    for susp in suspicions:
-        unique.setdefault(susp.fingerprint, susp)
-    return list(unique.values())
+    return suspicions

@@ -25,18 +25,11 @@ class KvBlock:
 class BlockManager:
     total: int
     blocks: dict[int, KvBlock] = field(default_factory=dict)
-    allocs: int = 0
-    frees: int = 0
-    evicts: int = 0
 
     def __post_init__(self) -> None:
         self._free: deque[int] = deque(range(self.total))
         self._hash_index: dict[int, int] = {}
         self._lru: OrderedDict[int, None] = OrderedDict()  # unpinned resident blocks
-
-    @property
-    def held(self) -> int:
-        return len(self.blocks)
 
     @property
     def occupancy(self) -> float:
@@ -45,18 +38,16 @@ class BlockManager:
     def lookup(self, content_hash: int) -> int | None:
         return self._hash_index.get(content_hash)
 
-    def allocate(self, owner: str, adapter: str, tick: int) -> tuple[int | None, list[KvBlock]]:
-        """Returns (block_id, evicted_blocks); block_id None when nothing is evictable."""
-        evicted: list[KvBlock] = []
+    def allocate(self, owner: str, adapter: str, tick: int) -> tuple[int | None, KvBlock | None]:
+        """Returns (block_id, evicted LRU block or None); block_id None when nothing is evictable."""
+        victim = None
         if not self._free:
-            victim = self._evict_lru()
-            if victim is None:
-                return None, evicted
-            evicted.append(victim)
+            if not self._lru:
+                return None, None
+            victim = self.drop(next(iter(self._lru)))
         block_id = self._free.popleft()
-        self.blocks[block_id] = KvBlock(block_id, owner, adapter, ref_count=1, last_use=tick)
-        self.allocs += 1
-        return block_id, evicted
+        self.blocks[block_id] = KvBlock(block_id, owner, adapter, last_use=tick)
+        return block_id, victim
 
     def seal(self, block_id: int, content_hash: int) -> None:
         block = self.blocks[block_id]
@@ -65,12 +56,11 @@ class BlockManager:
         # under its own id but is not hash-addressable.
         self._hash_index.setdefault(content_hash, block_id)
 
-    def pin(self, block_id: int, tick: int) -> KvBlock:
+    def pin(self, block_id: int, tick: int) -> None:
         block = self.blocks[block_id]
         block.ref_count += 1
         block.last_use = tick
         self._lru.pop(block_id, None)
-        return block
 
     def unpin(self, block_id: int, tick: int) -> None:
         block = self.blocks[block_id]
@@ -80,22 +70,10 @@ class BlockManager:
             self._lru[block_id] = None
 
     def drop(self, block_id: int) -> KvBlock:
-        """Remove a block entirely (teardown path); caller emits the free event."""
+        """Remove a block and return its id to the free list; the caller emits its free or evict event."""
         block = self.blocks.pop(block_id)
-        if block.content_hash is not None and self._hash_index.get(block.content_hash) == block_id:
+        if self._hash_index.get(block.content_hash) == block_id:
             del self._hash_index[block.content_hash]
         self._lru.pop(block_id, None)
         self._free.append(block_id)
-        self.frees += 1
-        return block
-
-    def _evict_lru(self) -> KvBlock | None:
-        if not self._lru:
-            return None
-        block_id, _ = self._lru.popitem(last=False)
-        block = self.blocks.pop(block_id)
-        if block.content_hash is not None and self._hash_index.get(block.content_hash) == block_id:
-            del self._hash_index[block.content_hash]
-        self._free.append(block_id)
-        self.evicts += 1
         return block

@@ -188,7 +188,7 @@ class SimCore:
         self._finish(req, "timeout", teardown=True)
 
     def in_flight(self) -> list[SimRequest]:
-        return [r for r in self.waiting + self.running if not r.done]
+        return self.waiting + self.running
 
     # ------------------------------------------------------------------
     # Tick loop
@@ -244,7 +244,6 @@ class SimCore:
         budget = self._decode_phase(budget)
         budget = self._prefill_phase(budget)
         self._admission_phase(budget)
-        self.running = [r for r in self.running if not r.done]
         self.running_adapters = {r.adapter for r in self.running}
         self._check_scheduler_invariants()
 
@@ -293,7 +292,7 @@ class SimCore:
 
     def _decode_phase(self, budget: int) -> int:
         for req in list(self.running):
-            if req.state != DECODE or req.done:
+            if req.state != DECODE:
                 continue
             cost = req.n_completions
             if budget < cost:
@@ -304,7 +303,7 @@ class SimCore:
 
     def _prefill_phase(self, budget: int) -> int:
         for req in list(self.running):
-            if req.state != PREFILL or req.done:
+            if req.state != PREFILL:
                 continue
             budget = self._advance_prefill(req, budget)
         return budget
@@ -429,7 +428,8 @@ class SimCore:
         pos = req.prefill_pos
         while pos < end:
             if chain0.fill == 0 and end - pos >= cfg.block_size_tokens:
-                if not self._seal_span(req, chain0, req.prompt[pos : pos + cfg.block_size_tokens]):
+                sealed = self._block_hash(req, chain0, len(chain0.blocks), req.prompt[pos : pos + cfg.block_size_tokens])
+                if not self._allocate_block(req, chain0, sealed):
                     return 0  # preempted
                 pos += cfg.block_size_tokens
             else:
@@ -470,17 +470,8 @@ class SimCore:
             self._finish(req, "completed", teardown=False)
 
     def _append_token(self, req: SimRequest, chain: _Chain, token: int) -> bool:
-        if chain.fill == 0:
-            block_id, evicted = self.blocks.allocate(req.rid, req.adapter, self.tick)
-            for victim in evicted:
-                self._evictions_this_tick += 1
-                self._emit("evict", victim.block_id, victim.content_hash, victim.owner_request_id, victim.adapter)
-            if block_id is None:
-                self._preempt(req)
-                return False
-            chain.blocks.append(block_id)
-            chain.hashes.append(None)
-            self._emit("alloc", block_id, None, req.rid, req.adapter)
+        if chain.fill == 0 and not self._allocate_block(req, chain, None):
+            return False
         chain.buffer.append(token)
         chain.fill += 1
         if chain.fill == self.config.block_size_tokens:
@@ -492,20 +483,20 @@ class SimCore:
             chain.buffer = []
         return True
 
-    def _seal_span(self, req: SimRequest, chain: _Chain, span) -> bool:
-        """Fast path: allocate and seal one full block in a single move."""
-        block_id, evicted = self.blocks.allocate(req.rid, req.adapter, self.tick)
-        for victim in evicted:
+    def _allocate_block(self, req: SimRequest, chain: _Chain, sealed: int | None) -> bool:
+        """Append a new block to the chain, sealed as ``sealed`` unless None; False if ``req`` was preempted."""
+        block_id, victim = self.blocks.allocate(req.rid, req.adapter, self.tick)
+        if victim is not None:
             self._evictions_this_tick += 1
             self._emit("evict", victim.block_id, victim.content_hash, victim.owner_request_id, victim.adapter)
         if block_id is None:
             self._preempt(req)
             return False
-        sealed = self._block_hash(req, chain, len(chain.blocks), span)
-        self.blocks.seal(block_id, sealed)
         chain.blocks.append(block_id)
         chain.hashes.append(sealed)
-        chain.chain_hash = sealed
+        if sealed is not None:
+            self.blocks.seal(block_id, sealed)
+            chain.chain_hash = sealed
         self._emit("alloc", block_id, sealed, req.rid, req.adapter)
         return True
 
@@ -522,7 +513,7 @@ class SimCore:
 
     def _preempt(self, req: SimRequest) -> None:
         """KV exhaustion: drop this request's state and requeue it for recompute."""
-        self._release_blocks(req)
+        self._release_blocks(req, teardown=True)
         req.chains = []
         req.digests = []
         req.outputs = []
@@ -530,19 +521,17 @@ class SimCore:
         req.prefill_pos = 0
         req.contaminated = False
         req.state = WAITING
-        if req in self.running:
-            self.running.remove(req)
+        self.running.remove(req)
         self.waiting.insert(0, req)
 
-    def _release_blocks(self, req: SimRequest) -> None:
+    def _release_blocks(self, req: SimRequest, teardown: bool) -> None:
+        """Unpin every block the request's chains hold; teardown frees those it allocated and alone holds."""
         for chain in req.chains:
             for block_id in chain.blocks:
-                block = self.blocks.blocks.get(block_id)
-                if block is None:
-                    continue
-                if block.owner_request_id == req.rid and block.ref_count == 1:
-                    dropped = self.blocks.drop(block_id)
-                    self._emit("free", block_id, dropped.content_hash, req.rid, req.adapter)
+                block = self.blocks.blocks[block_id]
+                if teardown and block.owner_request_id == req.rid and block.ref_count == 1:
+                    self.blocks.drop(block_id)
+                    self._emit("free", block_id, block.content_hash, req.rid, req.adapter)
                 else:
                     self.blocks.unpin(block_id, self.tick)
 
@@ -551,13 +540,7 @@ class SimCore:
             self.snapshots[req.rid] = [[bid, h] for bid, h in zip(req.chains[0].blocks, req.chains[0].hashes)]
         else:
             self.snapshots[req.rid] = []
-        if teardown:
-            self._release_blocks(req)
-        else:
-            for chain in req.chains:
-                for block_id in chain.blocks:
-                    if block_id in self.blocks.blocks:
-                        self.blocks.unpin(block_id, self.tick)
+        self._release_blocks(req, teardown)
         req.state = DONE
         req.status = status
         req.finished_ms = self.clock_ms

@@ -172,6 +172,12 @@ def test_idle_jump_matches_the_tick_by_tick_loop(schedule, tick_ms, fault, load_
     assert jumped.loaded_adapters == stepped.loaded_adapters
 
 
+def test_every_override_names_a_simcore_method():
+    # After a rename, the override would be dead code and SteppedSimulator the jumping core itself.
+    overrides = [name for name, value in vars(SteppedSimulator).items() if callable(value) and not name.startswith("__")]
+    assert overrides and all(callable(getattr(SimCore, name, None)) for name in overrides)
+
+
 def test_a_long_idle_gap_costs_one_step():
     sim = serve(SimConfig(tick_ms=3))
     sim.submit("r", prompt(0, 40), "lora_a", 4, 1, 0, None, 0)

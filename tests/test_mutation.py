@@ -127,7 +127,7 @@ def test_mutate_events_valid_and_deterministic():
 def test_splice_renames_collisions():
     a = seed_trace(PROFILE_STEADY, 0)
     b = seed_trace(PROFILE_STEADY, 0)  # identical ids guarantee collisions
-    child = splice(a, b, "uniform", 5)
+    child = splice(a, b, 5)
     assert validate(child).ok
     assert child.metadata["lineage"]["op"] == "Splice"
     assert set(child.metadata["lineage"]["parents"]) == {a.trace_id}

@@ -1,8 +1,8 @@
 """The prompt memos in ``SimCore`` against direct hashing.
 
 ``DirectCore`` keeps the memo-free ``_init_request`` verbatim and hashes
-every block it seals directly, so its prefix walk, ``_seal_span``,
-``_append_token`` and prompt digests bypass both memos.  Random schedules
+every block it seals directly, so its prefix walk, its block allocation and
+sealing, and its prompt digests bypass both memos.  Random schedules
 of submit, cancel and advance drive it and the memoized core alike and must
 leave the same KV events, snapshots, outputs, logprob records and statuses.  The schedules reach F1 stale grabs
 (contaminated requests), preemption with recompute (few KV blocks), prompt
@@ -202,6 +202,13 @@ def test_memoized_core_matches_direct_hashing(schedule, kv_blocks, prefill_limit
     assert memoized.kv_events == direct.kv_events
     assert memoized.snapshots == direct.snapshots
     assert [finished(memoized, r) for r in rids] == [finished(direct, r) for r in rids]
+
+
+def test_every_override_names_a_simcore_method():
+    # After a rename, an override would be dead code and DirectCore the memoized core itself.
+    for core in (DirectCore, ProbedCore):
+        overrides = [name for name, value in vars(core).items() if callable(value) and not name.startswith("__")]
+        assert overrides and all(callable(getattr(SimCore, name, None)) for name in overrides), core
 
 
 def test_the_examples_reach_every_path():
