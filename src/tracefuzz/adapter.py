@@ -260,14 +260,17 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
     if core.crashed:
         raise EndpointUnavailable("simulator endpoint is down")
     core.canonical_decode = canonical_decode
+    # Offsets, dispatch times, stamps and the span count from the clock at
+    # entry, as _execute_wall counts them from its own entry.
+    epoch = core.clock_ms
     info = core.config.engine_info()
     vocab = info["vocab_size"]
 
     outcomes: dict[str, RequestOutcome] = {}
-    dispatched: dict[str, int] = {}
+    dispatched: dict[str, int] = {}  # rid -> core clock at dispatch
     undispatched: list[tuple[RequestSpec, int]] = []
     for event in trace.events:
-        core.advance_to(event.offset_ms)  # returns at once on a crashed engine
+        core.advance_to(epoch + event.offset_ms)  # returns at once on a crashed engine
         if core.crashed:
             if event.kind is EventKind.SEND:
                 undispatched.append((event.spec, event.offset_ms))
@@ -283,14 +286,14 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
                 n_completions=spec.sampling.n_completions,
                 request_seed=spec.sampling.seed,
                 logprobs=spec.sampling.logprobs,
-                dispatched_ms=event.offset_ms,
+                dispatched_ms=epoch + event.offset_ms,
             )
             if err is not None:
                 outcomes[spec.request_id] = RequestOutcome(
                     request_id=spec.request_id, status="server_error", dispatched_ms=event.offset_ms, error=err
                 )
             else:
-                dispatched[spec.request_id] = event.offset_ms
+                dispatched[spec.request_id] = epoch + event.offset_ms
         elif event.kind in (EventKind.CANCEL, EventKind.DISCONNECT):
             core.cancel(event.target, disconnect=event.kind is EventKind.DISCONNECT)
         # Wait events are pure schedule spacing; nothing to dispatch.
@@ -310,18 +313,18 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
         req = core.requests[rid]
         if req.status is None:  # still in flight at crash time
             outcomes[rid] = RequestOutcome(
-                request_id=rid, status="server_error", dispatched_ms=sent_at, error="engine crashed mid-request"
+                request_id=rid, status="server_error", dispatched_ms=sent_at - epoch, error="engine crashed mid-request"
             )
             continue
         outcomes[rid] = RequestOutcome(
             request_id=rid,
             status=req.status,
-            dispatched_ms=sent_at,
+            dispatched_ms=sent_at - epoch,
             ttft_ms=None if req.first_token_ms is None else req.first_token_ms - sent_at,
             total_ms=None if req.finished_ms is None else req.finished_ms - sent_at,
             output_tokens=tuple(tuple(s) for s in req.outputs),
             logprob_records=tuple(tuple(s) for s in req.records) if req.logprobs else None,
-            token_stamps=tuple(req.token_stamps),
+            token_stamps=tuple(stamp - epoch for stamp in req.token_stamps),
         )
     for spec, offset in undispatched:
         outcomes[spec.request_id] = RequestOutcome(
@@ -334,7 +337,7 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
         kv_events=tuple(core.kv_events),
         server_crashed=core.crashed,
         crash_evidence=core.crash_evidence,
-        wall_clock_span_ms=core.clock_ms,
+        wall_clock_span_ms=core.clock_ms - epoch,
         request_index=dict(trace.request_specs()),
         block_snapshots={rid: [list(entry) for entry in snap] for rid, snap in core.snapshots.items()},
         engine_info=info,

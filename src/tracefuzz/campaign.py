@@ -3,8 +3,7 @@
 Feedback is purely behavioral (outcome statuses, latency buckets, KV event
 shapes, crash signatures); there is no code-coverage instrumentation.  The
 pressure score summarizes how hard a trace leans on the engine and is reported
-for plotting, but it never steers selection unless the experiment flag is
-flipped on explicitly.
+for plotting; it never steers selection, only which entries eviction keeps.
 """
 
 from __future__ import annotations
@@ -183,14 +182,17 @@ def novelty(report, seen: set[str]) -> set[str]:
     return markers - seen
 
 
-def _selection_weight(entry: CorpusEntry, weights: dict, pressure_in_selection: bool, iteration: int) -> float:
+def _selection_weight(entry: CorpusEntry, weights: dict, iteration: int) -> float:
     age = max(0, iteration - entry.added_iteration)
     nov = min(1.0, len(entry.markers) / 3) * 0.5 ** (age / 64.0)
     susp = min(1.0, float(entry.suspicion_count))
-    pres = 0.0
-    if pressure_in_selection and entry.pressure is not None:
-        pres = min(1.0, entry.pressure.s_total / 4.0)
-    return weights["novelty"] * nov + weights["suspicion"] * susp + weights["pressure"] * pres
+    return weights["novelty"] * nov + weights["suspicion"] * susp
+
+
+def _retention_weight(entry: CorpusEntry, weights: dict, iteration: int) -> float:
+    """The selection weight plus the entry's pressure, which eviction alone weighs."""
+    pres = 0.0 if entry.pressure is None else min(1.0, entry.pressure.s_total / 4.0)
+    return _selection_weight(entry, weights, iteration) + weights["pressure"] * pres
 
 
 def select_seed(
@@ -198,7 +200,6 @@ def select_seed(
     rng: random.Random,
     weights: dict | None = None,
     *,
-    pressure_in_selection: bool = False,
     iteration: int = 0,
 ) -> CorpusEntry:
     """Weighted draw over the corpus with an epsilon-uniform floor."""
@@ -209,7 +210,7 @@ def select_seed(
     weights = weights or DEFAULT_SELECTION_WEIGHTS
     if rng.random() < weights.get("floor", 0.0):
         return rng.choice(corpus)
-    scored = [_selection_weight(e, weights, pressure_in_selection, iteration) for e in corpus]
+    scored = [_selection_weight(e, weights, iteration) for e in corpus]
     if sum(scored) <= 0.0:
         return rng.choice(corpus)
     return rng.choices(corpus, weights=scored, k=1)[0]
@@ -299,7 +300,6 @@ class CampaignConfig:
     bootstrap_per_profile: int = 1
     corpus_cap: int = 256
     stop_on_finding: bool = False
-    pressure_in_selection: bool = False
     mutation_intensity: float = 0.05
     palette: MutationPalette = field(default_factory=MutationPalette)
     endpoint_descriptor: dict = field(default_factory=dict)
@@ -330,7 +330,6 @@ class CampaignConfig:
             "bootstrap_per_profile": self.bootstrap_per_profile,
             "corpus_cap": self.corpus_cap,
             "stop_on_finding": self.stop_on_finding,
-            "pressure_in_selection": self.pressure_in_selection,
             "mutation_intensity": self.mutation_intensity,
             "endpoint": dict(self.endpoint_descriptor),
         }
@@ -396,7 +395,7 @@ def _evict_to_cap(corpus: list[CorpusEntry], cap: int, weights: dict, iteration:
         candidates = [e for e in corpus if e.suspicion_count == 0]
         if not candidates:
             return
-        worst = min(candidates, key=lambda e: (_selection_weight(e, weights, True, iteration), e.entry_id))
+        worst = min(candidates, key=lambda e: (_retention_weight(e, weights, iteration), e.entry_id))
         corpus.remove(worst)
 
 
@@ -414,8 +413,7 @@ def _next_trace(
         return pending, corpus[pending].trace
 
     def pick() -> CorpusEntry:
-        return select_seed(corpus, rng, config.selection_weights,
-                           pressure_in_selection=config.pressure_in_selection, iteration=iteration)
+        return select_seed(corpus, rng, config.selection_weights, iteration=iteration)
 
     parent = pick()
     partner = pick() if len(corpus) > 1 else None

@@ -115,6 +115,11 @@ def _campaign_config(args) -> CampaignConfig:
             raise UsageError(f"cannot load campaign config: {exc}") from exc
         if not isinstance(doc, dict):
             raise UsageError("bad campaign config: the top level must be a JSON object")
+    # Any key a persisted config.json holds is accepted, so one can be run
+    # again; its "endpoint" record is rebuilt from the flags.
+    unknown = sorted(set(doc) - set(CampaignConfig().to_dict()))
+    if unknown:
+        raise UsageError(f"bad campaign config: unknown keys {', '.join(unknown)}")
     kwargs: dict = {}
     for key in (
         "rng_seed",
@@ -126,7 +131,6 @@ def _campaign_config(args) -> CampaignConfig:
         "bootstrap_per_profile",
         "corpus_cap",
         "stop_on_finding",
-        "pressure_in_selection",
         "mutation_intensity",
     ):
         if key in doc:

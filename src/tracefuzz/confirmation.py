@@ -1,15 +1,19 @@
 """Stage-2 confirmation: replay suspicions and separate real bugs from noise.
 
-Two mechanisms, combined per suspicion kind:
+Every suspicion except a timing one goes through one replay arm:
 
-* A relational check against a clean reference.  The suspect request is
-  re-issued alone on a reset engine with tie-breaking pinned and logprobs
-  enabled, and divergence is judged at the first differing position: an
-  original token that sits inside the reference top-N within the tolerance
-  margin is explainable by benign nondeterminism and dismissed.
+* Relational kinds (corrupted output, cross-adapter reuse, hash conflict,
+  snapshot divergence) first meet a relational check against a clean
+  reference.  The suspect request is re-issued alone on a reset engine with
+  tie-breaking pinned and logprobs enabled, and divergence is judged at the
+  first differing position: an original token that sits inside the reference
+  top-N within the tolerance margin is explainable by benign nondeterminism,
+  and the suspicion is dismissed without a replay.
 * Majority replay.  The whole trace is re-executed on a reset engine with
-  deterministic decoding forced, and the anomaly must re-fire in at least
-  ceil(2k/3) of k replays.
+  deterministic decoding forced, every oracle sweeps each replay, and the
+  suspicion's own fingerprint must re-fire in at least ceil(2k/3) of k
+  replays.  A fingerprint covers its kind, so which oracle raises which kind
+  stays the oracles' business.
 
 Timing suspicions get their own arm: a fresh latency baseline from solo
 probes, a probe injected into the replayed window (so deterministic queueing
@@ -25,15 +29,18 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import ClassVar
 
-from .adapter import EndpointUnavailable, EngineKind, execute, reset_server
+# execute, reset_server and structural_forensics are bound here by name
+# because perfbench/tracer.py patches them in this module (checked by
+# tests/test_bench_sites.py); structural_forensics is reached through
+# full_sweep.
+from .adapter import EndpointUnavailable, execute, reset_server
 from .oracles import (
     BaselineStats,
     OracleThresholds,
     Suspicion,
     SuspicionKind,
-    behavioral_check,
-    lifecycle_check,
-    structural_forensics,
+    full_sweep,
+    structural_forensics,  # noqa: F401
 )
 from .trace import EventKind, PromptShape, RequestSpec, SamplingConfig, TimedTrace, TraceEvent, ordered
 
@@ -174,15 +181,10 @@ class ConfirmationConfig:
     epsilon: float = 0.1
     k: int = 3
     retry_budget: int = 2
-    relational_aggregate: str = "any"  # "any" | "majority" over per-stream verdicts
     probe_count: int = 16
     probe_spacing_ms: int = 40
     regression_factor: float = 10.0
     recovery_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.relational_aggregate not in ("any", "majority"):
-            raise ValueError(f"relational_aggregate must be 'any' or 'majority', got {self.relational_aggregate!r}")
 
 
 @dataclass
@@ -222,7 +224,7 @@ def _judge(suspicion, confirmed: bool, evidence: dict, reason: str = "not-reprod
     return Dismissal(suspicion, verdict, reason, evidence)
 
 
-_STATE_KINDS = frozenset(
+_RELATIONAL_KINDS = frozenset(
     {
         SuspicionKind.CORRUPTED_OUTPUT,
         SuspicionKind.CROSS_ADAPTER_REUSE,
@@ -253,9 +255,7 @@ def confirm_suspicion(
     try:
         if suspicion.kind in _TIMING_KINDS:
             return _confirm_timing(suspicion, trace, endpoint, config, corpus_seed)
-        if suspicion.kind in _STATE_KINDS:
-            return _confirm_state(suspicion, trace, endpoint, config, original_report, corpus_seed)
-        return _confirm_replayable(suspicion, trace, endpoint, config, corpus_seed, thresholds)
+        return _confirm_replay(suspicion, trace, endpoint, config, original_report, corpus_seed, thresholds)
     except (EndpointUnavailable, OSError) as exc:
         LOG.warning("confirmation of %s abandoned: %s", suspicion.fingerprint, exc)
         return _judge(suspicion, False, {"error": str(exc)}, "unconfirmable-endpoint-failure")
@@ -267,19 +267,6 @@ def _tally(flags, config) -> tuple[dict, bool]:
     return evidence, majority_confirm(flags, config.k)
 
 
-def _replay_majority(trace, endpoint, config, corpus_seed, recheck):
-    reports = replay(trace, endpoint, config.k, config.top_n, corpus_seed, config.retry_budget)
-    tally, confirmed = _tally([bool(recheck(r)) for r in reports], config)
-    return tally, confirmed, reports
-
-
-def _fingerprint_recheck(suspicion, oracle):
-    def recheck(report) -> bool:
-        return any(s.fingerprint == suspicion.fingerprint for s in oracle(report))
-
-    return recheck
-
-
 # -- relational arm ---------------------------------------------------------
 
 
@@ -287,12 +274,6 @@ def solo_probe_trace(spec: RequestSpec, top_n: int) -> TimedTrace:
     """A one-request trace reproducing spec's prompt and decode settings."""
     probe = replace(spec, sampling=_pinned_sampling(spec.sampling, top_n))
     return TimedTrace(trace_id=f"solo~{spec.request_id}", events=(TraceEvent.send(0, probe),))
-
-
-def clean_reference(spec: RequestSpec, endpoint, config: ConfirmationConfig, corpus_seed: int):
-    """Outcome of the suspect request alone on a reset engine, ties pinned."""
-    report = _run_isolated(solo_probe_trace(spec, config.top_n), endpoint, corpus_seed, config.retry_budget)
-    return report.outcomes.get(spec.request_id)
 
 
 def _relational_verdicts(suspicion, endpoint, config, original_report, corpus_seed) -> list[RelationalVerdict]:
@@ -304,7 +285,9 @@ def _relational_verdicts(suspicion, endpoint, config, original_report, corpus_se
         spec = original_report.request_index.get(rid)
         if outcome is None or spec is None or outcome.status != "completed" or not outcome.output_tokens:
             continue
-        reference = clean_reference(spec, endpoint, config, corpus_seed)
+        # The suspect request alone on a reset engine, ties pinned.
+        solo = _run_isolated(solo_probe_trace(spec, config.top_n), endpoint, corpus_seed, config.retry_budget)
+        reference = solo.outcomes.get(rid)
         if reference is None or reference.status != "completed":
             continue
         for stream, original in enumerate(outcome.output_tokens):
@@ -324,15 +307,11 @@ def _relational_verdicts(suspicion, endpoint, config, original_report, corpus_se
     return verdicts
 
 
-def _aggregate_relational(verdicts, config) -> Verdict | None:
+def _aggregate_relational(verdicts) -> Verdict | None:
+    """TRUE_POSITIVE when any stream diverges past the margin, else FALSE_POSITIVE when any stream ties."""
     if not verdicts:
         return None
-    true_positives = sum(v.verdict is Verdict.TRUE_POSITIVE for v in verdicts)
-    if config.relational_aggregate == "majority":
-        promoted = true_positives >= majority_threshold(len(verdicts))
-    else:
-        promoted = true_positives > 0
-    if promoted:
+    if any(v.verdict is Verdict.TRUE_POSITIVE for v in verdicts):
         return Verdict.TRUE_POSITIVE
     if any(v.verdict is Verdict.FALSE_POSITIVE for v in verdicts):
         return Verdict.FALSE_POSITIVE
@@ -352,56 +331,46 @@ def _relational_evidence(verdicts) -> list[dict]:
     ]
 
 
-# -- arms ---------------------------------------------------------------------
+# -- replay arm ---------------------------------------------------------------
 
 
-def _confirm_state(suspicion, trace, endpoint, config, original_report, corpus_seed):
-    verdicts = _relational_verdicts(suspicion, endpoint, config, original_report, corpus_seed)
-    relational = _relational_evidence(verdicts)
-    aggregate = _aggregate_relational(verdicts, config)
+def _confirm_replay(suspicion, trace, endpoint, config, original_report, corpus_seed, thresholds):
+    """Confirmed when the suspicion's fingerprint re-fires in a majority of k pinned replays."""
+    evidence: dict = {}
+    aggregate = None
+    if suspicion.kind in _RELATIONAL_KINDS:
+        verdicts = _relational_verdicts(suspicion, endpoint, config, original_report, corpus_seed)
+        evidence["relational"] = _relational_evidence(verdicts)
+        aggregate = _aggregate_relational(verdicts)
+        if aggregate is Verdict.FALSE_POSITIVE:
+            # Explainable tie-break divergence; replaying would only re-observe it.
+            return _judge(suspicion, False, evidence, "within-tie-margin", Verdict.FALSE_POSITIVE)
 
-    if aggregate is Verdict.FALSE_POSITIVE:
-        # Explainable tie-break divergence; replaying would only re-observe it.
-        return _judge(suspicion, False, {"relational": relational}, "within-tie-margin", Verdict.FALSE_POSITIVE)
-
-    recheck = _fingerprint_recheck(suspicion, lambda r: structural_forensics(r, corpus_seed=corpus_seed))
-    tally, confirmed, _ = _replay_majority(trace, endpoint, config, corpus_seed, recheck)
-    return _judge(suspicion, aggregate is Verdict.TRUE_POSITIVE or confirmed, {"relational": relational, **tally})
-
-
-def _confirm_replayable(suspicion, trace, endpoint, config, corpus_seed, thresholds):
-    """Crash, timeout, kv leak, lifecycle: the anomaly must re-fire under replay."""
-
+    reports = replay(trace, endpoint, config.k, config.top_n, corpus_seed, config.retry_budget)
+    flags = []
+    for report in reports:
+        found = full_sweep(trace, report, BaselineStats(), thresholds, corpus_seed)
+        flags.append(any(s.fingerprint == suspicion.fingerprint for s in found))
+    tally, confirmed = _tally(flags, config)
+    evidence.update(tally)
     if suspicion.kind is SuspicionKind.CRASH:
-        signature = suspicion.evidence.get("signature")
-
-        def recheck(report) -> bool:
-            return report.server_crashed and (report.crash_evidence or {}).get("signature") == signature
-
-    else:
-
-        def oracle(report):
-            found = behavioral_check(report, BaselineStats(), thresholds)
-            found.extend(lifecycle_check(trace, report, thresholds))
-            return found
-
-        recheck = _fingerprint_recheck(suspicion, oracle)
-
-    evidence, confirmed, reports = _replay_majority(trace, endpoint, config, corpus_seed, recheck)
-    if suspicion.kind is SuspicionKind.CRASH and reports:
         evidence["crash_evidence"] = reports[-1].crash_evidence
-    return _judge(suspicion, confirmed, evidence)
+    return _judge(suspicion, aggregate is Verdict.TRUE_POSITIVE or confirmed, evidence)
 
 
 # -- timing arm ---------------------------------------------------------------
 
 
-def latency_probe_trace(config: ConfirmationConfig, tag: str) -> TimedTrace:
+# The recovery probe lets the engine settle this long after the replayed window.
+RECOVERY_SETTLE_MS = 5
+
+
+def latency_probe_trace(config: ConfirmationConfig, tag: str, start_ms: int = 0) -> TimedTrace:
     shape = PromptShape(prefix_len=0, prompt_len=8)
     sampling = SamplingConfig(max_tokens=2, temperature=0.0, seed=0)
     events = tuple(
         TraceEvent.send(
-            i * config.probe_spacing_ms,
+            start_ms + i * config.probe_spacing_ms,
             RequestSpec(
                 request_id=f"{tag}~{i}",
                 shape=shape,
@@ -422,14 +391,6 @@ def _probe_p50(report) -> float | None:
     return float(ttfts[(len(ttfts) - 1) // 2])
 
 
-def _align_offsets(trace: TimedTrace, endpoint, settle_ms: int = 5) -> TimedTrace:
-    """Shift offsets past the engine's current virtual clock for same-instance runs."""
-    if endpoint.kind is not EngineKind.SIMULATOR:
-        return trace
-    base = endpoint.handle.clock_ms + settle_ms
-    return trace.with_events(tuple(replace(e, offset_ms=e.offset_ms + base) for e in trace.events))
-
-
 def _regression_window(suspicion) -> tuple[int, int]:
     window = suspicion.evidence.get("window")
     if window:
@@ -447,13 +408,7 @@ def _confirm_timing(suspicion, trace, endpoint, config, corpus_seed):
 
     window_start, window_end = _regression_window(suspicion)
     probe_at = max(0, (window_start + window_end) // 2)
-    probe_spec = RequestSpec(
-        request_id="timing-probe~0",
-        shape=PromptShape(prefix_len=0, prompt_len=8),
-        sampling=SamplingConfig(max_tokens=2, temperature=0.0, seed=0),
-        prompt_family_id="latency-probe",
-        adapter="BASE",
-    )
+    probe_spec = latency_probe_trace(config, "timing-probe").events[0].spec
     injected = trace.with_events(
         ordered(trace.events + (TraceEvent.send(probe_at, probe_spec),)),
         trace_id=trace.trace_id + "~timing",
@@ -479,12 +434,9 @@ def _confirm_timing(suspicion, trace, endpoint, config, corpus_seed):
     recovered = False
     if last_report is not None and not last_report.server_crashed:
         try:
-            recovery_report = execute(
-                _align_offsets(latency_probe_trace(config, "recovery"), endpoint),
-                endpoint,
-                corpus_seed,
-                canonical_decode=True,
-            )
+            # No reset: the probe runs on the engine the last replay left behind.
+            probes = latency_probe_trace(config, "recovery", RECOVERY_SETTLE_MS)
+            recovery_report = execute(probes, endpoint, corpus_seed, canonical_decode=True)
             recovery_p50 = _probe_p50(recovery_report)
             recovered = recovery_p50 is not None and recovery_p50 <= config.recovery_factor * floor
         except (EndpointUnavailable, OSError):

@@ -157,12 +157,21 @@ class SimCore:
             return f"duplicate request id {rid!r}"
         if adapter not in self.config.adapters:
             return f"unknown adapter {adapter!r}"
+        prompt = tuple(prompt)
+        n_completions = max(1, n_completions)
+        # Stream 0 holds the prompt and its decode tokens, every other stream
+        # its decode tokens.  A request that cannot fit an empty pool would be
+        # preempted and re-admitted forever.
+        block = self.config.block_size_tokens
+        needed = -(-(len(prompt) + max_tokens) // block) + (n_completions - 1) * -(-max_tokens // block)
+        if needed > self.config.total_kv_blocks:
+            return f"request needs {needed} KV blocks, the pool holds {self.config.total_kv_blocks}"
         req = SimRequest(
             rid=rid,
-            prompt=tuple(prompt),
+            prompt=prompt,
             adapter=adapter,
             max_tokens=max_tokens,
-            n_completions=max(1, n_completions),
+            n_completions=n_completions,
             request_seed=request_seed if request_seed is not None else 0,
             logprobs=logprobs,
             submitted_ms=dispatched_ms,

@@ -7,7 +7,6 @@ peaks sit on the timeline).
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 
 
@@ -17,7 +16,6 @@ class TelemetrySummary:
     distinct_adapters: int
     peak_kv_held: int
     distinct_prompt_lens: int
-    ttft_p50_ms: float | None
     window_ms: int
     alloc_windows: tuple[int, ...]
     inflight_windows: tuple[int, ...]
@@ -39,7 +37,6 @@ def compute_telemetry(trace, report, window_ms: int = 1000) -> TelemetrySummary:
     intervals: list[tuple[int, int]] = []
     adapters: set[str] = set()
     prompt_lens: set[int] = set()
-    ttfts: list[int] = []
     for rid, outcome in report.outcomes.items():
         spec = report.request_index.get(rid)
         if spec is not None:
@@ -48,8 +45,6 @@ def compute_telemetry(trace, report, window_ms: int = 1000) -> TelemetrySummary:
                 adapters.add(spec.adapter)
         end = outcome.dispatched_ms + (outcome.total_ms if outcome.total_ms is not None else 0)
         intervals.append((outcome.dispatched_ms, max(end, outcome.dispatched_ms)))
-        if outcome.ttft_ms is not None and outcome.status == "completed":
-            ttfts.append(outcome.ttft_ms)
 
     # Peak concurrency by sweep line over dispatch/termination edges.
     edges: list[tuple[int, int]] = []
@@ -78,7 +73,6 @@ def compute_telemetry(trace, report, window_ms: int = 1000) -> TelemetrySummary:
         distinct_adapters=len(adapters),
         peak_kv_held=ledger.peak_held,
         distinct_prompt_lens=len(prompt_lens),
-        ttft_p50_ms=statistics.median(ttfts) if ttfts else None,
         window_ms=window_ms,
         alloc_windows=tuple(alloc_windows),
         inflight_windows=tuple(inflight_windows),

@@ -68,11 +68,6 @@ class SamplingConfig:
         if self.logprobs is not None and self.logprobs < 1:
             raise ValueError("logprobs must be >= 1 when set")
 
-    @property
-    def deterministic(self) -> bool:
-        # Deterministic decode contract: greedy with a pinned seed.
-        return self.temperature == 0.0 and self.seed is not None
-
 
 @dataclass(frozen=True)
 class RequestSpec:

@@ -20,6 +20,7 @@ from tracefuzz.adapter import (
 from tracefuzz.simulator.config import FaultFamily, SimConfig
 from tracefuzz.simulator.endpoint import serve
 from tracefuzz.trace import (
+    EventKind,
     PromptShape,
     RequestSpec,
     SamplingConfig,
@@ -105,6 +106,14 @@ def test_submit_error_becomes_server_error_outcome():
     assert report.outcomes["b"].status == "completed"
 
 
+def test_a_request_that_cannot_fit_the_pool_is_a_server_error():
+    ep = endpoint_for(SimConfig(total_kv_blocks=8))
+    report = execute(TimedTrace("t~huge", (send("huge", 0, plen=512, mt=2),)), ep)
+    assert report.outcomes["huge"].status == "server_error"
+    assert "KV blocks" in report.outcomes["huge"].error
+    assert report.wall_clock_span_ms == 0
+
+
 def test_logprob_records_surface_when_requested():
     ep = endpoint_for()
     trace = TimedTrace("t~lp", (send("a", 0, logprobs=5, mt=3),))
@@ -158,17 +167,42 @@ def test_crash_marks_inflight_and_undispatched():
 
 
 def test_timeout_drain_expires_starved_requests():
-    # a prompt larger than the whole pool can never finish prefill
+    # Eight streams trip the F2 stall: every tick costs a second, so the
+    # request is still decoding when its two-second deadline passes.
     ep = EngineEndpoint(
         kind=EngineKind.SIMULATOR,
-        handle=serve(SimConfig(total_kv_blocks=8)),
+        handle=serve(SimConfig().with_faults(FaultFamily.ENGINE_STALL)),
         request_timeout_ms=2_000,
     )
-    trace = TimedTrace("t~wedge", (send("wedged", 0, plen=512, mt=2),))
+    trace = TimedTrace("t~wedge", (send("wedged", 0, mt=8, n=8),))
     report = execute(trace, ep)
     assert report.outcomes["wedged"].status == "timeout"
     assert report.wall_clock_span_ms >= 2_000
     assert EngineEndpoint(kind=EngineKind.SIMULATOR, handle=ep.handle).request_timeout_ms == 60_000
+
+
+def test_execute_counts_from_the_clock_at_entry():
+    # A core whose clock has moved on (as a recovery probe finds it after a
+    # replay) must report the trace as a fresh core does: offsets, dispatch
+    # times, stamps and the span are counted from the clock at entry.
+    trace = TimedTrace(
+        "t~late",
+        (send("a", 0, plen=16, mt=8), send("b", 10, plen=16, mt=32), TraceEvent(20, EventKind.CANCEL, target="b")),
+    )
+
+    def observed(report):
+        return report.wall_clock_span_ms, {
+            rid: (o.status, o.dispatched_ms, o.ttft_ms, o.total_ms, o.output_tokens, o.token_stamps)
+            for rid, o in report.outcomes.items()
+        }
+
+    ep = endpoint_for()
+    fresh = observed(execute(trace, ep))
+    reset_server(ep)
+    ep.handle.advance_to(1_000)
+    late = observed(execute(trace, ep))
+    assert fresh[1]["b"][0] == "cancelled" and fresh[1]["b"][2] is not None
+    assert late == fresh
 
 
 def test_reset_server_gives_fresh_state():

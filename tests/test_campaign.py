@@ -43,7 +43,6 @@ def telemetry_of(send=10, adapters=3, kv=750, shapes=3):
         distinct_adapters=adapters,
         peak_kv_held=kv,
         distinct_prompt_lens=shapes,
-        ttft_p50_ms=2.0,
         window_ms=1000,
         alloc_windows=(kv,),
         inflight_windows=(send,),

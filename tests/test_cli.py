@@ -100,6 +100,15 @@ def test_bad_config_sections_are_usage_errors(tmp_path, capsys, doc):
     assert "bad campaign config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [{"iteratons": 1, "rng_sed": 4}, {"pressure_in_selection": True}])
+def test_unknown_campaign_config_keys_are_usage_errors(tmp_path, capsys, doc):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--sim", "--config", str(config)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unknown keys" in err and all(key in err for key in doc)
+
+
 @pytest.mark.parametrize("command", [["run", "--budget", "1"], ["sim", "--port", "0", "--duration-s", "0.1"]])
 @pytest.mark.parametrize(
     "doc",
@@ -139,6 +148,12 @@ def test_clean_run_exits_zero_and_persists(clean_campaign, capsys):
     assert (out / "summary.json").exists()
     assert (out / "config.json").exists()
     assert (out / "pressure.csv").exists()
+
+
+def test_a_persisted_config_runs_again(clean_campaign, tmp_path, capsys):
+    _, out = clean_campaign
+    args = ["run", "--sim", "--config", str(out / "config.json"), "--budget", "1", "--out", str(tmp_path / "again")]
+    assert main(args) == EXIT_OK
 
 
 def test_run_with_findings_exits_one(tmp_path, capsys):

@@ -12,7 +12,6 @@ from itertools import product
 import pytest
 
 from tracefuzz.confirmation import (
-    ConfirmationConfig,
     InstrumentationGapError,
     RelationalVerdict,
     Verdict,
@@ -185,12 +184,6 @@ def test_majority_confirm_rejects_wrong_count():
         majority_confirm([True, True], 3)
     with pytest.raises(ValueError):
         majority_threshold(0)
-
-
-def test_relational_aggregate_accepts_only_known_rules():
-    assert ConfirmationConfig(relational_aggregate="majority").relational_aggregate == "majority"
-    with pytest.raises(ValueError, match="relational_aggregate"):
-        ConfirmationConfig(relational_aggregate="majoritty")
 
 
 # -- replay pinning ----------------------------------------------------------

@@ -7,7 +7,6 @@ were so that any disagreement with the ledger-backed code is a real one.
 """
 
 import math
-import statistics
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -25,7 +24,6 @@ def reference_telemetry(trace, report, window_ms=1000):
     intervals = []
     adapters = set()
     prompt_lens = set()
-    ttfts = []
     for rid, outcome in report.outcomes.items():
         spec = report.request_index.get(rid)
         if spec is not None:
@@ -34,8 +32,6 @@ def reference_telemetry(trace, report, window_ms=1000):
                 adapters.add(spec.adapter)
         end = outcome.dispatched_ms + (outcome.total_ms if outcome.total_ms is not None else 0)
         intervals.append((outcome.dispatched_ms, max(end, outcome.dispatched_ms)))
-        if outcome.ttft_ms is not None and outcome.status == "completed":
-            ttfts.append(outcome.ttft_ms)
 
     edges = []
     for start, end in intervals:
@@ -76,7 +72,6 @@ def reference_telemetry(trace, report, window_ms=1000):
         distinct_adapters=len(adapters),
         peak_kv_held=peak_held,
         distinct_prompt_lens=len(prompt_lens),
-        ttft_p50_ms=statistics.median(ttfts) if ttfts else None,
         window_ms=window_ms,
         alloc_windows=tuple(alloc_windows),
         inflight_windows=tuple(inflight_windows),

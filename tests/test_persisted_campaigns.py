@@ -38,10 +38,10 @@ CASES = {
 }
 
 EXPECTED = {
-    "near-tie-dismissals": (26, "8ec16f1361ff8a3f1d71ff0e6490d6e2df5d5d4443f19871b0a91a22c9bacda8"),
-    "f2-findings-duplicates": (29, "3d251e81a2ebccd5e496462a09bc472d75d21cd0e1519611e4c2ac204cae7779"),
-    "seeds-not-yet-run": (12, "da47cc7d457eeb14fd0aaa5e0be1790cf4f45375abe5ec8822b0ffe1e3f829d0"),
-    "corpus-cap-evicts": (12, "7abb1cefe4ef7d6e450269c17206b90fb5bc335ee33cafbcc220aef8959512e5"),
+    "near-tie-dismissals": (26, "030d4f68c9b82793d901d645fe2bfc72b701cd128be13b7c6122251e7402d9c3"),
+    "f2-findings-duplicates": (29, "647d8b6c727449af33c0ca9ce9aa631ad7b43feb9bfbb4bd0fc23d20d630ce4c"),
+    "seeds-not-yet-run": (12, "07038b9ea8b20a79a242913e50026de93b2b120132c3f948878592ef1cc18b9c"),
+    "corpus-cap-evicts": (12, "cffa6982aab610e01b1a7ab4e42f0a2b49d98e1974cb15ddd51fe9ed1a5a8cbf"),
 }
 
 

@@ -71,6 +71,19 @@ def test_a_non_streamed_completion_is_refused():
         server.stop()
 
 
+def test_a_request_too_large_for_the_pool_is_refused():
+    # 21 prompt tokens and 4 decode tokens need 7 blocks of 4; the pool has 6.
+    server = serve_http(SimConfig(block_size_tokens=4, total_kv_blocks=6, max_batch_tokens=24, chunked_prefill_limit=8))
+    try:
+        body = {"prompt": render_prompt(prompt(21)), "max_tokens": 4, "stream": True}
+        resp = requests.post(server.base_url + "/v1/completions", json=body, timeout=5)
+        assert resp.status_code == 400
+        assert "KV blocks" in resp.json()["error"]
+        assert server.core.requests == {}
+    finally:
+        server.stop()
+
+
 def test_decode_mode_set_over_http_survives_a_reset():
     server = serve_http(SimConfig(seed=4, near_tie_gap=0.05))
     base = server.base_url

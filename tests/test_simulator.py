@@ -330,6 +330,34 @@ def test_submit_rejects_unknown_adapter_and_duplicates():
     assert sim.submit("a", prompt(16), "BASE", 2, 1, 0, None, 0.0) is not None
 
 
+TINY_POOL = SimConfig(block_size_tokens=4, total_kv_blocks=6, max_batch_tokens=24, chunked_prefill_limit=8)
+
+
+@pytest.mark.parametrize(
+    "prompt_len,max_tokens,n,fits",
+    [
+        (20, 4, 1, True),  # ceil(24/4) = 6 blocks
+        (21, 4, 1, False),  # ceil(25/4) = 7
+        (30, 4, 1, False),  # 9: re-admitted 250 times in 1,000 ms before the check
+        (13, 4, 2, True),  # ceil(17/4) + ceil(4/4) = 6
+        (12, 5, 2, False),  # ceil(17/4) + ceil(5/4) = 7
+        (8, 4, 3, True),  # 3 + 2 * 1 = 5
+        (8, 5, 3, False),  # 4 + 2 * 2 = 8
+    ],
+)
+def test_a_request_that_cannot_fit_an_empty_pool_is_refused(prompt_len, max_tokens, n, fits):
+    sim = serve(TINY_POOL)
+    err = sim.submit("r", prompt(prompt_len), "BASE", max_tokens, n, 0, None, 0)
+    sim.advance_to(1_000)
+    if fits:
+        assert err is None
+        assert sim.requests["r"].status == "completed"
+        assert sim.admission_counter == 1  # never preempted and re-admitted
+    else:
+        assert "KV blocks" in err
+        assert sim.requests == {} and sim.kv_events == []
+
+
 def test_cancel_and_disconnect_statuses():
     sim = serve(SimConfig())
     sim.submit("c", prompt(512), "BASE", 64, 1, 0, None, 0.0)
