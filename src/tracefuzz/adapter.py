@@ -11,13 +11,16 @@ import json
 import logging
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
 from .trace import EventKind, RequestSpec, TimedTrace, parse_prompt, prompt_for, render_prompt
 
 LOG = logging.getLogger(__name__)
+
+# A wall-clock dispatch later than this marks the report's schedule degraded.
+SCHEDULE_TOLERANCE_MS = 5
 
 KV_EVENT_KINDS = ("alloc", "free", "prefix_hit", "evict", "reuse")
 
@@ -171,17 +174,10 @@ class ExecutionReport:
 
 
 @dataclass
-class KvStreamResult:
-    events: tuple
-    supported: bool
-
-
-@dataclass
 class EngineEndpoint:
     kind: EngineKind
     handle: object | None = None  # in-process simulator core
     base_url: str | None = None
-    schedule_tolerance_ms: int = 5
     request_timeout_ms: int = 60_000
 
     def __post_init__(self) -> None:
@@ -232,15 +228,15 @@ def reset_server(endpoint: EngineEndpoint) -> None:
     resp.raise_for_status()
 
 
-def collect_kv_stream(endpoint: EngineEndpoint) -> KvStreamResult:
+def collect_kv_stream(endpoint: EngineEndpoint) -> tuple[KvEvent, ...] | None:
+    """The endpoint's KV event stream, or None when it serves none."""
     import requests
 
     resp = requests.get(endpoint.base_url.rstrip("/") + "/kv_events", timeout=10)
     if resp.status_code == 404:
-        return KvStreamResult(events=(), supported=False)
+        return None
     resp.raise_for_status()
-    events = tuple(KvEvent.from_json_line(line) for line in resp.text.splitlines() if line.strip())
-    return KvStreamResult(events=events, supported=True)
+    return tuple(KvEvent.from_json_line(line) for line in resp.text.splitlines() if line.strip())
 
 
 def check_health(endpoint: EngineEndpoint) -> bool:
@@ -260,9 +256,11 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
     if core.crashed:
         raise EndpointUnavailable("simulator endpoint is down")
     core.canonical_decode = canonical_decode
-    # Offsets, dispatch times, stamps and the span count from the clock at
-    # entry, as _execute_wall counts them from its own entry.
+    # Offsets, dispatch times, stamps, KV timestamps and the span count from
+    # the clock at entry, as _execute_wall counts them from its own entry;
+    # KV events and snapshots are this trace's own.
     epoch = core.clock_ms
+    first_kv_event = len(core.kv_events)
     info = core.config.engine_info()
     vocab = info["vocab_size"]
 
@@ -331,15 +329,20 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
             request_id=spec.request_id, status="server_error", dispatched_ms=offset, error="engine down before dispatch"
         )
 
+    kv_events = core.kv_events[first_kv_event:]
+    if epoch:
+        kv_events = [replace(event, ts_ms=event.ts_ms - epoch) for event in kv_events]
     return ExecutionReport(
         trace_id=trace.trace_id,
         outcomes=outcomes,
-        kv_events=tuple(core.kv_events),
+        kv_events=tuple(kv_events),
         server_crashed=core.crashed,
         crash_evidence=core.crash_evidence,
         wall_clock_span_ms=core.clock_ms - epoch,
         request_index=dict(trace.request_specs()),
-        block_snapshots={rid: [list(entry) for entry in snap] for rid, snap in core.snapshots.items()},
+        block_snapshots={
+            rid: [list(entry) for entry in snap] for rid, snap in core.snapshots.items() if rid in dispatched
+        },
         engine_info=info,
         schedule_degraded=False,
     )
@@ -421,7 +424,7 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
         if delay > 0:
             time.sleep(delay)
         lateness = int((time.monotonic() - target) * 1000)
-        if lateness > endpoint.schedule_tolerance_ms:
+        if lateness > SCHEDULE_TOLERANCE_MS:
             dispatch_errors.append(lateness)
         if event.kind is EventKind.SEND:
             rid = event.spec.request_id
@@ -455,12 +458,12 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
     return ExecutionReport(
         trace_id=trace.trace_id,
         outcomes=reported,
-        kv_events=stream.events,
+        kv_events=stream or (),
         server_crashed=crashed,
         crash_evidence={"signature": "connection-lost"} if crashed else None,
         wall_clock_span_ms=span,
         request_index=dict(trace.request_specs()),
         engine_info=info,
         schedule_degraded=bool(dispatch_errors),
-        kv_stream_supported=stream.supported,
+        kv_stream_supported=stream is not None,
     )

@@ -21,8 +21,6 @@ from .adapter import EndpointUnavailable, execute, reset_server
 from .confirmation import ConfirmationConfig, Dismissal, Finding, confirm_suspicion, majority_threshold
 from .mutation import (
     DEFAULT_MUTATION_WEIGHTS,
-    DEFAULT_PALETTE,
-    MutationPalette,
     SeedProfile,
     generate_seed,
     mutate,
@@ -301,7 +299,6 @@ class CampaignConfig:
     corpus_cap: int = 256
     stop_on_finding: bool = False
     mutation_intensity: float = 0.05
-    palette: MutationPalette = field(default_factory=MutationPalette)
     endpoint_descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -423,7 +420,6 @@ def _next_trace(
         partner=partner.trace if partner is not None else None,
         telemetry=parent.telemetry,
         partner_telemetry=partner.telemetry if partner is not None else None,
-        palette=config.palette,
         weights=config.mutation_weights,
         intensity=config.mutation_intensity,
     )
@@ -611,9 +607,11 @@ def persist_campaign(result: CampaignResult, out_dir: Path) -> None:
 def minimize(trace: TimedTrace, reproduce_predicate, k: int = 3, log_sink: list | None = None) -> TimedTrace:
     """Shrink a trace while a majority of k predicate evaluations stays true.
 
-    Greedy delta debugging over events, a singleton sweep for 1-minimality,
-    then right-to-left gap collapsing over offsets.  Refuses flaky inputs:
-    if the original trace cannot win its own majority vote there is nothing
+    Greedy delta debugging over events, then right-to-left gap collapsing
+    over offsets.  Delta debugging stops at fewer than two events or after a
+    pass of single-event removals that all lost their vote, so that last pass
+    certifies 1-minimality over events.  Refuses flaky inputs: if the
+    original trace cannot win its own majority vote there is nothing
     trustworthy to preserve.  Accepted reductions are appended to log_sink.
     """
     counter = itertools.count()
@@ -646,7 +644,7 @@ def minimize(trace: TimedTrace, reproduce_predicate, k: int = 3, log_sink: list 
     if not holds(current):
         raise ValueError("refusing to minimize: predicate does not hold on the input under majority vote")
 
-    # Delta debugging over event subsets.
+    # Delta debugging over event subsets, down to single events.
     granularity = 2
     while len(current.events) >= 2:
         events = list(current.events)
@@ -664,19 +662,6 @@ def minimize(trace: TimedTrace, reproduce_predicate, k: int = 3, log_sink: list 
             if granularity >= len(events):
                 break
             granularity = min(len(events), granularity * 2)
-
-    # Singleton sweep until fixpoint: certifies 1-minimality over events.
-    shrunk = True
-    while shrunk:
-        shrunk = False
-        events = list(current.events)
-        for i in range(len(events)):
-            candidate = build(events[:i] + events[i + 1 :])
-            if candidate.events and holds(candidate):
-                note("singleton", len(events), len(candidate.events))
-                current = candidate
-                shrunk = True
-                break
 
     # Collapse timing gaps right to left; each collapse shifts the tail left.
     collapsed = True

@@ -61,8 +61,6 @@ class InstrumentationGapError(RuntimeError):
 class RelationalVerdict:
     verdict: Verdict
     position: int | None = None
-    original_token: int | None = None
-    replay_token: int | None = None
     delta: float | None = None
     in_top_n: bool | None = None
     note: str | None = None
@@ -102,14 +100,10 @@ def confirm_relational(original, reference, reference_ladders, top_n: int = 5, e
     if ref_p not in logprob:
         raise InstrumentationGapError(f"reference ladder at position {p} omits the reference's own token")
     if y_p not in logprob:
-        return RelationalVerdict(
-            Verdict.TRUE_POSITIVE, position=p, original_token=y_p, replay_token=ref_p, in_top_n=False
-        )
+        return RelationalVerdict(Verdict.TRUE_POSITIVE, position=p, in_top_n=False)
     delta = logprob[ref_p] - logprob[y_p]
     verdict = Verdict.FALSE_POSITIVE if delta < epsilon else Verdict.TRUE_POSITIVE
-    return RelationalVerdict(
-        verdict, position=p, original_token=y_p, replay_token=ref_p, delta=delta, in_top_n=True
-    )
+    return RelationalVerdict(verdict, position=p, delta=delta, in_top_n=True)
 
 
 def majority_threshold(k: int) -> int:

@@ -66,6 +66,10 @@ class MutationPalette:
 DEFAULT_PALETTE = MutationPalette()
 
 
+# Decode tokens of every seed filler: fillers are there to fill the KV pool.
+FILLER_MAX_TOKENS = 2
+
+
 @dataclass(frozen=True)
 class SeedProfile:
     """Recipe for one bootstrap trace: fillers at t=0, then a clustered burst."""
@@ -76,8 +80,6 @@ class SeedProfile:
     adapter_palette: tuple[str, ...] = ("BASE",)
     burst_window_ms: int = 6
     kv_filler_count: int = 0
-    burst_start_ms: int | None = None  # None: directly after the filler phase
-    filler_max_tokens: int = 2
     max_tokens_palette: tuple[int, ...] = (16,)
     n_completions_palette: tuple[int, ...] = (1,)
     family_count: int | None = None  # None: every request its own family
@@ -114,16 +116,14 @@ def generate_seed(profile: SeedProfile, rng_seed: int) -> TimedTrace:
         spec = RequestSpec(
             request_id=f"fill{i}",
             shape=filler_shape,
-            sampling=SamplingConfig(max_tokens=profile.filler_max_tokens, temperature=0.0, seed=0),
+            sampling=SamplingConfig(max_tokens=FILLER_MAX_TOKENS, temperature=0.0, seed=0),
             prompt_family_id=f"{profile.name}-fill{i}",
             adapter="BASE",
         )
         events.append(TraceEvent.send(0, spec))
 
-    if profile.burst_start_ms is not None:
-        base = profile.burst_start_ms
-    else:
-        base = 4 + 2 * profile.kv_filler_count if profile.kv_filler_count else 0
+    # The burst starts directly after the filler phase.
+    base = 4 + 2 * profile.kv_filler_count if profile.kv_filler_count else 0
     window = max(profile.burst_window_ms, max(profile.n_requests - 1, 0))
     offsets = sorted(rng.sample(range(base, base + window + 1), profile.n_requests))
 
@@ -366,13 +366,16 @@ def splice(parent_a: TimedTrace, parent_b: TimedTrace, rng_seed: int = 0) -> Tim
     )
 
 
+# A directed splice starts the pressure burst this long after the warm phase ends.
+SPLICE_GAP_MS = 2
+
+
 def directed_splice(
     warm: TimedTrace,
     pressure: TimedTrace,
     warm_telemetry=None,
     pressure_telemetry=None,
     rng_seed: int = 0,
-    gap_ms: int = 2,
 ) -> TimedTrace:
     """Place warm's peak cache-population phase strictly before pressure's burst."""
     warm_window = warm_telemetry.peak_alloc_window() if warm_telemetry is not None else None
@@ -389,7 +392,7 @@ def directed_splice(
     suffix = [e for e in pressure.events if e.offset_ms >= pressure_start]
     a_ids = set(_send_offsets(prefix))
     b_ids = set(_send_offsets(suffix))
-    events = _join_segments(prefix, suffix, warm_end + gap_ms - pressure_start, a_ids, b_ids)
+    events = _join_segments(prefix, suffix, warm_end + SPLICE_GAP_MS - pressure_start, a_ids, b_ids)
     return _finish(
         events,
         trace_id=_child_id(warm.trace_id, pressure.trace_id, "directed", rng_seed),
@@ -398,7 +401,7 @@ def directed_splice(
             "parents": [warm.trace_id, pressure.trace_id],
             "warm_window": list(warm_window),
             "pressure_window": list(pressure_window),
-            "gap_ms": gap_ms,
+            "gap_ms": SPLICE_GAP_MS,
         },
     )
 

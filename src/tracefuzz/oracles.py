@@ -76,6 +76,12 @@ class OracleThresholds:
     kv_leak_grace_ms: int = 2_000
     lifecycle_tolerance_ms: int = 5
 
+    def __post_init__(self) -> None:
+        # With no baseline sample required, the TTFT check would ask an empty
+        # baseline for its quantile.
+        if self.min_baseline_samples < 1:
+            raise ValueError("min_baseline_samples must be >= 1")
+
 
 class BaselineStats:
     """Rolling TTFT quantiles over recent non-suspect executions."""

@@ -18,7 +18,6 @@ class KvBlock:
     adapter: str
     content_hash: int | None = None
     ref_count: int = 1
-    last_use: int = 0
 
 
 @dataclass
@@ -38,7 +37,7 @@ class BlockManager:
     def lookup(self, content_hash: int) -> int | None:
         return self._hash_index.get(content_hash)
 
-    def allocate(self, owner: str, adapter: str, tick: int) -> tuple[int | None, KvBlock | None]:
+    def allocate(self, owner: str, adapter: str) -> tuple[int | None, KvBlock | None]:
         """Returns (block_id, evicted LRU block or None); block_id None when nothing is evictable."""
         victim = None
         if not self._free:
@@ -46,7 +45,7 @@ class BlockManager:
                 return None, None
             victim = self.drop(next(iter(self._lru)))
         block_id = self._free.popleft()
-        self.blocks[block_id] = KvBlock(block_id, owner, adapter, last_use=tick)
+        self.blocks[block_id] = KvBlock(block_id, owner, adapter)
         return block_id, victim
 
     def seal(self, block_id: int, content_hash: int) -> None:
@@ -56,16 +55,13 @@ class BlockManager:
         # under its own id but is not hash-addressable.
         self._hash_index.setdefault(content_hash, block_id)
 
-    def pin(self, block_id: int, tick: int) -> None:
-        block = self.blocks[block_id]
-        block.ref_count += 1
-        block.last_use = tick
+    def pin(self, block_id: int) -> None:
+        self.blocks[block_id].ref_count += 1
         self._lru.pop(block_id, None)
 
-    def unpin(self, block_id: int, tick: int) -> None:
+    def unpin(self, block_id: int) -> None:
         block = self.blocks[block_id]
         block.ref_count -= 1
-        block.last_use = tick
         if block.ref_count <= 0:
             self._lru[block_id] = None
 

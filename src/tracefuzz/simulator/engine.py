@@ -81,7 +81,6 @@ class SimRequest:
     n_completions: int
     request_seed: int
     logprobs: int | None
-    submitted_ms: int
     salt: int
     block_hashes: tuple[int, ...] = ()  # prompt_block_hashes, looked up at admission
     state: str = WAITING
@@ -123,7 +122,6 @@ class SimCore:
         self.requests: dict[str, SimRequest] = {}
         self.loaded_adapters: set[str] = {"BASE"}
         self.loading: dict[str, int] = {}  # adapter -> ready tick
-        self.running_adapters: set[str] = set()
         self.kv_events: list[KvEvent] = []
         self.snapshots: dict[str, list] = {}
         self.crashed = False
@@ -174,7 +172,6 @@ class SimCore:
             n_completions=n_completions,
             request_seed=request_seed if request_seed is not None else 0,
             logprobs=logprobs,
-            submitted_ms=dispatched_ms,
             salt=0,
         )
         self.requests[rid] = req
@@ -253,7 +250,6 @@ class SimCore:
         budget = self._decode_phase(budget)
         budget = self._prefill_phase(budget)
         self._admission_phase(budget)
-        self.running_adapters = {r.adapter for r in self.running}
         self._check_scheduler_invariants()
 
     # ------------------------------------------------------------------
@@ -292,8 +288,9 @@ class SimCore:
     def _check_scheduler_invariants(self) -> None:
         if self._drift_fire_tick is not None:
             return  # drift window: the buggy path has disabled its own check
-        loras = {r.adapter for r in self.running if r.adapter != "BASE"}
-        if not self.running_adapters <= self.loaded_adapters or len(loras) > self.config.max_loras_per_batch:
+        running_adapters = {r.adapter for r in self.running}
+        loras = running_adapters - {"BASE"}
+        if not running_adapters <= self.loaded_adapters or len(loras) > self.config.max_loras_per_batch:
             self._crash("scheduler-invariant", "internal scheduler invariant violated outside a drift window")
 
     # ------------------------------------------------------------------
@@ -365,7 +362,7 @@ class SimCore:
             next_hash = self._block_hash(req, chain0, len(chain0.blocks), req.prompt[pos : pos + block])
             hit = self.blocks.lookup(next_hash)
             if hit is not None:
-                self.blocks.pin(hit, self.tick)
+                self.blocks.pin(hit)
                 chain0.blocks.append(hit)
                 chain0.hashes.append(next_hash)
                 chain0.chain_hash = next_hash
@@ -375,7 +372,7 @@ class SimCore:
             grabbed = self._maybe_stale_grab(req, len(chain0.blocks))
             if grabbed is not None:
                 grab_block, grab_hash = grabbed
-                self.blocks.pin(grab_block, self.tick)
+                self.blocks.pin(grab_block)
                 chain0.blocks.append(grab_block)
                 chain0.hashes.append(grab_hash)
                 chain0.chain_hash = grab_hash if grab_hash is not None else next_hash
@@ -494,7 +491,7 @@ class SimCore:
 
     def _allocate_block(self, req: SimRequest, chain: _Chain, sealed: int | None) -> bool:
         """Append a new block to the chain, sealed as ``sealed`` unless None; False if ``req`` was preempted."""
-        block_id, victim = self.blocks.allocate(req.rid, req.adapter, self.tick)
+        block_id, victim = self.blocks.allocate(req.rid, req.adapter)
         if victim is not None:
             self._evictions_this_tick += 1
             self._emit("evict", victim.block_id, victim.content_hash, victim.owner_request_id, victim.adapter)
@@ -542,7 +539,7 @@ class SimCore:
                     self.blocks.drop(block_id)
                     self._emit("free", block_id, block.content_hash, req.rid, req.adapter)
                 else:
-                    self.blocks.unpin(block_id, self.tick)
+                    self.blocks.unpin(block_id)
 
     def _finish(self, req: SimRequest, status: str, teardown: bool) -> None:
         if req.chains:

@@ -2,8 +2,9 @@
 
 Serves an OpenAI-style streaming completion endpoint plus the control surface
 the execution adapter probes (health, reset, info, decode mode, KV events).
-A driver thread keeps the core's virtual clock synced to wall time, so F2-style
-descheduling shows up as real streaming latency.  A crash kills in-flight
+Every handler that reads or changes the core first catches its virtual clock
+up with wall time, so F2-style descheduling shows up as real streaming
+latency, and a server nobody talks to runs no ticks.  A crash kills in-flight
 completion streams abruptly (connection loss) but leaves the control plane up:
 /health reports 503 until /control/reset revives the engine, standing in for
 the external supervisor a real deployment would have.
@@ -19,10 +20,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from ..trace import parse_prompt, token_word
 from .config import SimConfig
 from .engine import SimCore
-
-# Longest stretch of virtual time one locked clock-driver pass advances: idle
-# stretches jump in one step, and a busy catch-up lets handlers in between.
-CATCH_UP_MS = 100
 
 
 class SimHttpServer:
@@ -52,12 +49,14 @@ class SimHttpServer:
             def do_GET(self):
                 if self.path == "/health":
                     with server.lock:
+                        server._sync()
                         ok = not server.core.crashed
                     self._json(200 if ok else 503, {"status": "ok" if ok else "crashed"})
                 elif self.path == "/control/info":
                     self._json(200, server.config.engine_info())
                 elif self.path == "/kv_events":
                     with server.lock:
+                        server._sync()
                         lines = [e.to_json_line() for e in server.core.kv_events]
                     body = ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
                     self.send_response(200)
@@ -96,6 +95,7 @@ class SimHttpServer:
                 prompt = doc.get("prompt", "")
                 tokens = parse_prompt(prompt) if isinstance(prompt, str) else tuple(int(t) for t in prompt)
                 with server.lock:
+                    server._sync()
                     if server.core.crashed:
                         self.close_connection = True
                         return
@@ -120,6 +120,7 @@ class SimHttpServer:
             def _poll(self, rid: str, generation: int):
                 """One locked snapshot: (alive, outputs, done)."""
                 with server.lock:
+                    server._sync()
                     if server.generation != generation or server.core.crashed:
                         return False, [], True
                     req = server.core.requests.get(rid)
@@ -158,6 +159,7 @@ class SimHttpServer:
                     # Client went away: graceful abort and disconnect look the
                     # same from here, so treat both as a disconnect.
                     with server.lock:
+                        server._sync()
                         if server.generation == generation and not server.core.crashed:
                             server.core.cancel(rid, disconnect=True)
                 finally:
@@ -166,7 +168,6 @@ class SimHttpServer:
         self.httpd = ThreadingHTTPServer((host, port), Handler)
         self.httpd.daemon_threads = True
         self._serve_thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
-        self._driver_thread = threading.Thread(target=self._drive, daemon=True)
 
     # -- control -----------------------------------------------------------
 
@@ -184,7 +185,6 @@ class SimHttpServer:
     def start(self) -> "SimHttpServer":
         self._epoch = time.monotonic()
         self._serve_thread.start()
-        self._driver_thread.start()
         return self
 
     def stop(self) -> None:
@@ -192,17 +192,18 @@ class SimHttpServer:
         self.httpd.shutdown()
         self.httpd.server_close()
 
-    # -- clock driver --------------------------------------------------------
+    # -- clock ---------------------------------------------------------------
 
-    def _drive(self) -> None:
-        # Keep virtual time caught up with wall time.  A fault that inflates
-        # the virtual clock (engine stall) makes this loop idle in wall time,
-        # which is exactly the latency a client should feel.
-        while not self._stop.is_set():
-            with self.lock:
-                target = int((time.monotonic() - self._epoch) * 1000)
-                self.core.advance_to(min(target, self.core.clock_ms + CATCH_UP_MS))
-            time.sleep(self.config.tick_ms / 1000.0)
+    def _sync(self) -> None:
+        """Run the core up to the wall time since start or the last reset.
+
+        An idle stretch passes in one step.  A fault that inflates the
+        virtual clock (engine stall) leaves it ahead of wall time, so nothing
+        runs until wall time catches up: exactly the latency a client should
+        feel.  While requests are in flight their streams sync every tick.
+        """
+        with self.lock:
+            self.core.advance_to(int((time.monotonic() - self._epoch) * 1000))
 
 
 def serve_http(config: SimConfig, host: str = "127.0.0.1", port: int = 0) -> SimHttpServer:

@@ -19,6 +19,7 @@ from tracefuzz.adapter import (
 )
 from tracefuzz.simulator.config import FaultFamily, SimConfig
 from tracefuzz.simulator.endpoint import serve
+from tracefuzz.telemetry import compute_telemetry
 from tracefuzz.trace import (
     EventKind,
     PromptShape,
@@ -203,6 +204,25 @@ def test_execute_counts_from_the_clock_at_entry():
     late = observed(execute(trace, ep))
     assert fresh[1]["b"][0] == "cancelled" and fresh[1]["b"][2] is not None
     assert late == fresh
+
+
+def test_a_report_holds_only_its_own_trace_kv_state():
+    # A second trace on the same core without a reset, as the recovery probe
+    # runs after a replay: its report must not carry the first trace's KV
+    # events or snapshots, and its KV stamps count from entry like its span.
+    ep = endpoint_for()
+    execute(TimedTrace("t~a", (send("a", 0),)), ep)
+    ep.handle.advance_to(1_000)
+    late = execute(TimedTrace("t~b", (send("b", 0),)), ep)
+
+    assert {e.owner_request_id for e in late.kv_events} == {"b"}
+    assert all(0 <= e.ts_ms <= late.wall_clock_span_ms for e in late.kv_events)
+    assert set(late.block_snapshots) == {"b"}
+    assert len(compute_telemetry(None, late).alloc_windows) == 1
+
+    reset_server(ep)
+    fresh = execute(TimedTrace("t~b", (send("b", 0),)), ep)
+    assert [(e.ts_ms, e.kind) for e in late.kv_events] == [(e.ts_ms, e.kind) for e in fresh.kv_events]
 
 
 def test_reset_server_gives_fresh_state():

@@ -1,11 +1,13 @@
 """Pressure scoring, corpus selection, the campaign loop, minimization, and
 on-disk artifact layout."""
 
+import dataclasses
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tracefuzz import campaign
 from tracefuzz.adapter import EngineEndpoint, EngineKind
@@ -23,12 +25,13 @@ from tracefuzz.campaign import (
     select_seed,
 )
 from tracefuzz.confirmation import majority_confirm, majority_threshold
+from tracefuzz.hashing import stable_u64
 from tracefuzz.mutation import generate_seed
 from tracefuzz.oracles import SuspicionKind
 from tracefuzz.simulator.config import FaultFamily, SimConfig
 from tracefuzz.simulator.endpoint import serve
 from tracefuzz.telemetry import TelemetrySummary
-from tracefuzz.trace import EventKind, PromptShape, RequestSpec, SamplingConfig, TimedTrace, TraceEvent
+from tracefuzz.trace import EventKind, PromptShape, RequestSpec, SamplingConfig, TimedTrace, TraceEvent, repair
 
 from test_oracles import outcome, report_of
 
@@ -218,6 +221,14 @@ def test_campaign_config_validation():
         CampaignConfig(profiles=())
 
 
+def test_campaign_config_records_every_setting():
+    # config.json is how a persisted campaign runs again: a field it leaves
+    # out is a setting no one can set from there.
+    fields = {f.name for f in dataclasses.fields(CampaignConfig)}
+    recorded = set(CampaignConfig().to_dict())
+    assert recorded == (fields - {"endpoint_descriptor"}) | {"endpoint"}
+
+
 # -- bootstrap + loop ------------------------------------------------------------
 
 
@@ -362,6 +373,76 @@ def test_minimize_votes_stop_once_the_majority_is_settled(k):
             accepted = False
         assert accepted == majority_confirm(votes, k), votes
         assert len(cast) == settled_after, votes
+
+
+@st.composite
+def _control_traces(draw):
+    """Sends with unique ids, some cancelled or disconnected, at arbitrary offsets."""
+    n_sends = draw(st.integers(1, 7))
+    events = [
+        TraceEvent.send(draw(st.integers(0, 20)), RequestSpec(
+            request_id=f"r{i}", shape=PromptShape(0, 16),
+            sampling=SamplingConfig(max_tokens=4, temperature=0.0, seed=0),
+        ))
+        for i in range(n_sends)
+    ]
+    for _ in range(draw(st.integers(0, 4))):
+        control = draw(st.sampled_from((TraceEvent.cancel, TraceEvent.disconnect)))
+        events.append(control(draw(st.integers(0, 30)), f"r{draw(st.integers(0, n_sends - 1))}"))
+    return repair(TimedTrace("t~prop", tuple(events)))
+
+
+def _kind_ids(trace):
+    return sorted((e.kind.value, e.spec.request_id if e.kind is EventKind.SEND else e.target) for e in trace.events)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_control_traces(), st.data())
+def test_minimize_returns_a_one_minimal_trace(trace, data):
+    # Both predicates ignore offsets, so the gap collapse keeps them true.
+    present = _kind_ids(trace)
+    if data.draw(st.booleans(), label="monotone"):
+        required = data.draw(st.lists(st.sampled_from(present), unique=True, min_size=1), label="required")
+
+        def predicate(candidate):
+            kept = _kind_ids(candidate)
+            return all(item in kept for item in required)
+    else:
+        modulus = data.draw(st.integers(2, 4), label="modulus")
+
+        def residue(candidate):
+            return stable_u64("multiset", *itertools.chain.from_iterable(_kind_ids(candidate))) % modulus
+
+        target = residue(trace)
+
+        def predicate(candidate):
+            return residue(candidate) == target
+
+    small = minimize(trace, predicate, k=3)
+    assert predicate(small)
+    events = list(small.events)
+    for i in range(len(events)):
+        rest = repair(small.with_events(events[:i] + events[i + 1 :]))
+        assert not rest.events or not predicate(rest), (i, events)
+
+
+def test_minimize_never_votes_twice_on_one_candidate_between_reductions():
+    log = []
+    voted: set = set()
+    last = [None]
+
+    def predicate(candidate):
+        if candidate is not last[0]:  # the first of this candidate's votes
+            last[0] = candidate
+            key = (len(log), candidate.events)
+            assert key not in voted, f"re-voted {[(e.kind.value, e.offset_ms) for e in candidate.events]}"
+            voted.add(key)
+        rids = {e.spec.request_id for e in candidate.events if e.kind is EventKind.SEND}
+        cancels = {e.target for e in candidate.events if e.kind is EventKind.CANCEL}
+        return "r3" in rids and "r3" in cancels
+
+    small = minimize(_bulky_trace(), predicate, k=3, log_sink=log)
+    assert len(small.events) == 2
 
 
 def test_minimize_keeps_an_already_minimal_trace():

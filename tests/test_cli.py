@@ -91,6 +91,7 @@ def test_bad_campaign_config_file(tmp_path, capsys):
         {"thresholds": {"stall_window": 5}},
         {"confirmation": {"relational_aggregate": "majoritty"}},
         ["not", "an", "object"],
+        {"thresholds": {"min_baseline_samples": 0}},
     ],
 )
 def test_bad_config_sections_are_usage_errors(tmp_path, capsys, doc):

@@ -10,6 +10,7 @@ from tracefuzz.campaign import DEFAULT_PROFILES, PROFILE_CHURN, PROFILE_PREFIX_S
 from tracefuzz.mutation import (
     DEFAULT_MUTATION_WEIGHTS,
     DEFAULT_PALETTE,
+    FILLER_MAX_TOKENS,
     SeedProfile,
     directed_splice,
     generate_seed,
@@ -41,7 +42,7 @@ def test_generate_seed_matches_profile_recipe():
     trace = generate_seed(PROFILE_PREFIX_SHARE, 7)
     assert validate(trace).ok
     sends = trace.send_events()
-    fillers = [e for e in sends if e.offset_ms == 0 and e.spec.sampling.max_tokens == PROFILE_PREFIX_SHARE.filler_max_tokens]
+    fillers = [e for e in sends if e.offset_ms == 0 and e.spec.sampling.max_tokens == FILLER_MAX_TOKENS]
     burst = [e for e in sends if e not in fillers]
     assert len(fillers) == PROFILE_PREFIX_SHARE.kv_filler_count
     assert len(burst) == PROFILE_PREFIX_SHARE.n_requests

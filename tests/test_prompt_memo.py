@@ -46,7 +46,7 @@ class DirectCore(SimCore):
             next_hash = stable_u64("blk", chain_hash, req.adapter, *span)
             hit = self.blocks.lookup(next_hash)
             if hit is not None:
-                self.blocks.pin(hit, self.tick)
+                self.blocks.pin(hit)
                 chain0.blocks.append(hit)
                 chain0.hashes.append(next_hash)
                 chain_hash = next_hash
@@ -56,7 +56,7 @@ class DirectCore(SimCore):
             grabbed = self._maybe_stale_grab(req, len(chain0.blocks))
             if grabbed is not None:
                 grab_block, grab_hash = grabbed
-                self.blocks.pin(grab_block, self.tick)
+                self.blocks.pin(grab_block)
                 chain0.blocks.append(grab_block)
                 chain0.hashes.append(grab_hash)
                 chain_hash = grab_hash if grab_hash is not None else next_hash

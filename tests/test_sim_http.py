@@ -1,13 +1,11 @@
-"""The simulator's HTTP front end: clock driver, refused requests and the
-decode mode across resets."""
+"""The simulator's HTTP front end: the clock kept by its handlers, refused
+requests and the decode mode across resets."""
 
 import json
 import time
-from types import SimpleNamespace
 
 import requests
 
-import tracefuzz.simulator.http as sim_http
 from tracefuzz.simulator.config import SimConfig
 from tracefuzz.simulator.http import serve_http
 from tracefuzz.trace import parse_prompt, render_prompt
@@ -31,14 +29,9 @@ def streamed_tokens(base_url, body):
     raise AssertionError("stream ended without [DONE]")
 
 
-def test_an_idle_server_steps_at_most_once_per_driver_pass(monkeypatch):
-    passes = [0]
-
-    def late_sleep(seconds):
-        passes[0] += 1
-        time.sleep(0.02)  # every pass runs 20 ticks late, as a driver thread under load does
-
-    monkeypatch.setattr(sim_http, "time", SimpleNamespace(monotonic=time.monotonic, sleep=late_sleep))
+def test_an_idle_server_does_not_step():
+    # The clock catches up when a handler touches the core, so an engine
+    # nobody talks to runs no ticks at all.
     server = serve_http(SimConfig(tick_ms=1))
     steps = [0]
     real_step = server.core.step
@@ -50,13 +43,30 @@ def test_an_idle_server_steps_at_most_once_per_driver_pass(monkeypatch):
     try:
         with server.lock:
             server.core.step = step  # an instance attribute: advance_to's self.step() finds it
-            passes[0] = 0
         time.sleep(1.0)
+        assert steps[0] == 0
+        assert requests.get(server.base_url + "/health", timeout=5).status_code == 200
     finally:
         server.stop()
-    # A pass steps before it sleeps, so the last one may not be counted yet.
-    assert passes[0] >= 10
-    assert steps[0] <= passes[0] + 1
+    assert steps[0] == 1  # the idle second passes in one step and one jump
+    assert server.core.clock_ms >= 1_000
+
+
+def test_a_stream_after_an_idle_gap_takes_its_virtual_time():
+    # The first sync after a gap runs the whole idle stretch, so the next
+    # request decodes one tick per millisecond of wall time, not in a burst
+    # while the clock catches up.
+    server = serve_http(SimConfig(tick_ms=1))
+    body = {"prompt": render_prompt(prompt(16)), "max_tokens": 64, "stream": True}
+    try:
+        assert requests.get(server.base_url + "/health", timeout=5).status_code == 200
+        time.sleep(0.6)
+        started = time.monotonic()
+        assert len(streamed_tokens(server.base_url, body)) == 64
+        elapsed = time.monotonic() - started
+    finally:
+        server.stop()
+    assert elapsed >= 0.06
 
 
 def test_a_non_streamed_completion_is_refused():
