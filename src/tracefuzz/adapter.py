@@ -11,9 +11,10 @@ import json
 import logging
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .trace import EventKind, RequestSpec, TimedTrace, parse_prompt, prompt_for, render_prompt
 
@@ -38,8 +39,7 @@ class EngineKind(str, Enum):
     OPENAI = "generic-openai-compatible"
 
 
-@dataclass(frozen=True)
-class KvEvent:
+class KvEvent(NamedTuple):
     ts_ms: int
     kind: str
     block_id: int
@@ -48,31 +48,14 @@ class KvEvent:
     adapter: str
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "ts_ms": self.ts_ms,
-                "kind": self.kind,
-                "block_id": self.block_id,
-                "block_hash": self.block_hash,
-                "owner_request_id": self.owner_request_id,
-                "adapter": self.adapter,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self._asdict(), sort_keys=True)
 
     @staticmethod
     def from_json_line(line: str) -> "KvEvent":
         doc = json.loads(line)
         if doc["kind"] not in KV_EVENT_KINDS:
             raise ValueError(f"unknown kv event kind {doc['kind']!r}")
-        return KvEvent(
-            ts_ms=doc["ts_ms"],
-            kind=doc["kind"],
-            block_id=doc["block_id"],
-            block_hash=doc.get("block_hash"),
-            owner_request_id=doc["owner_request_id"],
-            adapter=doc["adapter"],
-        )
+        return KvEvent(doc["ts_ms"], doc["kind"], doc["block_id"], doc.get("block_hash"), doc["owner_request_id"], doc["adapter"])
 
 
 @dataclass(frozen=True)
@@ -103,7 +86,7 @@ class KvLedger:
         holders: dict[int, set[str]] = {}
         cross_adapter = []
         for event in events:
-            kind, block, ts = event.kind, event.block_id, event.ts_ms
+            ts, kind, block, _, owner, adapter = event
             kinds.append(kind)
             if ts > last_ts:
                 last_ts = ts
@@ -113,7 +96,7 @@ class KvLedger:
                     peak = held
                 alloc_ts.append(ts)
                 latest_alloc[block] = event
-                holders.setdefault(block, set()).add(event.owner_request_id)
+                holders.setdefault(block, set()).add(owner)
             elif kind in ("free", "evict"):
                 held -= 1
                 latest_alloc.pop(block, None)
@@ -121,9 +104,9 @@ class KvLedger:
             elif kind in ("prefix_hit", "reuse"):
                 alloc = latest_alloc.get(block)
                 if alloc is not None:
-                    if alloc.owner_request_id != event.owner_request_id:
+                    if alloc.owner_request_id != owner:
                         holders.pop(block, None)
-                    if alloc.adapter != event.adapter:
+                    if alloc.adapter != adapter:
                         cross_adapter.append((alloc, event))
         by_owner: dict[str, set[int]] = {}
         for block, owners in holders.items():
@@ -228,24 +211,33 @@ def reset_server(endpoint: EngineEndpoint) -> None:
     resp.raise_for_status()
 
 
-def collect_kv_stream(endpoint: EngineEndpoint) -> tuple[KvEvent, ...] | None:
-    """The endpoint's KV event stream, or None when it serves none."""
+def collect_kv_stream(endpoint: EngineEndpoint, since: int, epoch_ms: int) -> tuple[KvEvent, ...] | None:
+    """The endpoint's KV events from index ``since`` on, stamped from ``epoch_ms``; None when it serves none."""
     import requests
 
-    resp = requests.get(endpoint.base_url.rstrip("/") + "/kv_events", timeout=10)
+    resp = requests.get(endpoint.base_url.rstrip("/") + "/kv_events", params={"since": since}, timeout=10)
     if resp.status_code == 404:
         return None
     resp.raise_for_status()
-    return tuple(KvEvent.from_json_line(line) for line in resp.text.splitlines() if line.strip())
+    events = (KvEvent.from_json_line(line) for line in resp.text.splitlines() if line.strip())
+    return tuple(event._replace(ts_ms=event.ts_ms - epoch_ms) for event in events)
 
 
-def check_health(endpoint: EngineEndpoint) -> bool:
+def check_health(endpoint: EngineEndpoint) -> dict | None:
+    """The endpoint's /health document ({} unless a JSON object), or None when the endpoint is not healthy."""
     import requests
 
     try:
-        return requests.get(endpoint.base_url.rstrip("/") + "/health", timeout=5).status_code == 200
+        resp = requests.get(endpoint.base_url.rstrip("/") + "/health", timeout=5)
     except requests.RequestException:
-        return False
+        return None
+    if resp.status_code != 200:
+        return None
+    try:
+        doc = resp.json()
+    except ValueError:
+        doc = {}
+    return doc if isinstance(doc, dict) else {}
 
 
 # --------------------------------------------------------------------------
@@ -331,7 +323,7 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
 
     kv_events = core.kv_events[first_kv_event:]
     if epoch:
-        kv_events = [replace(event, ts_ms=event.ts_ms - epoch) for event in kv_events]
+        kv_events = [event._replace(ts_ms=event.ts_ms - epoch) for event in kv_events]
     return ExecutionReport(
         trace_id=trace.trace_id,
         outcomes=outcomes,
@@ -355,13 +347,17 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
     import requests
 
     base = endpoint.base_url.rstrip("/")
-    if not check_health(endpoint):
-        raise EndpointUnavailable(f"no healthy endpoint at {base}")
     try:
         info = requests.get(base + "/control/info", timeout=5).json()
     except requests.RequestException:
         info = {}
     vocab = info.get("vocab_size", 1024)
+    # The stream length and server clock just before the epoch, when the
+    # engine gives them: the report holds its own KV events, stamped from entry.
+    health = check_health(endpoint)
+    if health is None:
+        raise EndpointUnavailable(f"no healthy endpoint at {base}")
+    kv_since, kv_epoch_ms = health.get("kv_events", 0), health.get("clock_ms", 0)
 
     outcomes: dict[str, RequestOutcome] = {}
     live: dict[str, requests.Response] = {}
@@ -374,19 +370,20 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
         tokens: list[int] = []
         stamps: list[int] = []
         ttft = None
-        status, error = "completed", None
+        status, error = "server_error", "stream ended before [DONE]"
         try:
             resp = requests.post(base + "/v1/completions", json=body, stream=True, timeout=endpoint.request_timeout_ms / 1000)
             with lock:
                 live[rid] = resp
             if resp.status_code != 200:
-                status, error = "server_error", f"http {resp.status_code}"
+                error = f"http {resp.status_code}"
             else:
                 for raw in resp.iter_lines():
                     if not raw or not raw.startswith(b"data: "):
                         continue
                     payload = raw[len(b"data: ") :]
                     if payload == b"[DONE]":
+                        status, error = "completed", None
                         break
                     chunk = json.loads(payload)
                     text = chunk["choices"][0].get("text", "")
@@ -398,10 +395,12 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
                             ttft = now_ms - intended_ms
         except requests.exceptions.Timeout:
             status, error = "timeout", "client-side timeout"
-        except (requests.RequestException, OSError) as exc:
-            # Closed from our side (abort) or the engine died under us.
-            status = "cancelled" if aborted.get(rid) == "cancel" else "disconnected" if aborted.get(rid) else "server_error"
-            error = None if rid in aborted else str(exc)
+        except Exception as exc:  # the thread's boundary: every Send gets one outcome
+            LOG.debug("request %s ended by an error", rid, exc_info=True)
+            status, error = "server_error", f"{type(exc).__name__}: {exc}"
+        if status != "completed" and rid in aborted:
+            # Closed from our side, however that surfaced: an error, a truncated chunk, an early end.
+            status, error = ("cancelled" if aborted[rid] == "cancel" else "disconnected"), None
         outcome = RequestOutcome(
             request_id=rid,
             status=status,
@@ -453,8 +452,8 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
         if rid not in reported:
             reported[rid] = RequestOutcome(request_id=rid, status="timeout", dispatched_ms=event.offset_ms, error="no response")
 
-    stream = collect_kv_stream(endpoint)
-    crashed = not check_health(endpoint)
+    stream = collect_kv_stream(endpoint, kv_since, kv_epoch_ms)
+    crashed = check_health(endpoint) is None
     return ExecutionReport(
         trace_id=trace.trace_id,
         outcomes=reported,

@@ -11,7 +11,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class KvBlock:
     block_id: int
     owner_request_id: str
@@ -37,22 +37,33 @@ class BlockManager:
     def lookup(self, content_hash: int) -> int | None:
         return self._hash_index.get(content_hash)
 
-    def allocate(self, owner: str, adapter: str) -> tuple[int | None, KvBlock | None]:
-        """Returns (block_id, evicted LRU block or None); block_id None when nothing is evictable."""
-        victim = None
-        if not self._free:
-            if not self._lru:
-                return None, None
-            victim = self.drop(next(iter(self._lru)))
-        block_id = self._free.popleft()
-        self.blocks[block_id] = KvBlock(block_id, owner, adapter)
-        return block_id, victim
+    def allocate_run(self, owner: str, adapter: str, hashes) -> list[tuple[KvBlock | None, KvBlock | None]]:
+        """(new block, evicted LRU block or None) per hash, each block sealed under its hash unless None.
+
+        The run ends with (None, None) at the first block nothing can be evicted for; ``hashes`` is not
+        read past it.  Each block is sealed before the next eviction: when a victim carries a hash of the
+        run, that order decides which id the hash index keeps.
+        """
+        run = []
+        free, lru, index = self._free, self._lru, self._hash_index
+        for content_hash in hashes:
+            victim = None
+            if not free:
+                if not lru:
+                    run.append((None, None))
+                    break
+                victim = self.drop(next(iter(lru)))
+            block_id = free.popleft()
+            block = self.blocks[block_id] = KvBlock(block_id, owner, adapter, content_hash)
+            if content_hash is not None:
+                # First writer wins; duplicate content computed concurrently
+                # stays live under its own id but is not hash-addressable.
+                index.setdefault(content_hash, block_id)
+            run.append((block, victim))
+        return run
 
     def seal(self, block_id: int, content_hash: int) -> None:
-        block = self.blocks[block_id]
-        block.content_hash = content_hash
-        # First writer wins; duplicate content computed concurrently stays live
-        # under its own id but is not hash-addressable.
+        self.blocks[block_id].content_hash = content_hash
         self._hash_index.setdefault(content_hash, block_id)
 
     def pin(self, block_id: int) -> None:

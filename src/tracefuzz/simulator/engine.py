@@ -47,12 +47,14 @@ def prompt_block_hashes(adapter: str, block_size: int, prompt: tuple[int, ...]) 
     They depend on nothing else until a stale grab contaminates the chain, so
     every admission of the prompt under this adapter and block size shares them.
     """
-    chain_hash = 0
-    hashes = []
-    for pos in range(0, len(prompt) - block_size + 1, block_size):
-        chain_hash = stable_u64("blk", chain_hash, adapter, *prompt[pos : pos + block_size])
-        hashes.append(chain_hash)
-    return tuple(hashes)
+    return tuple(chained_hashes(0, adapter, block_size, prompt, 0, len(prompt) // block_size))
+
+
+def chained_hashes(chain_hash: int, adapter: str, block_size: int, prompt, pos: int, count: int):
+    """Lazily, the sealed hashes of ``count`` full blocks of ``prompt`` from ``pos`` on, after ``chain_hash``."""
+    for start in range(pos, pos + count * block_size, block_size):
+        chain_hash = stable_u64("blk", chain_hash, adapter, *prompt[start : start + block_size])
+        yield chain_hash
 
 
 @lru_cache(maxsize=PROMPT_MEMO_SIZE)
@@ -434,10 +436,10 @@ class SimCore:
         pos = req.prefill_pos
         while pos < end:
             if chain0.fill == 0 and end - pos >= cfg.block_size_tokens:
-                sealed = self._block_hash(req, chain0, len(chain0.blocks), req.prompt[pos : pos + cfg.block_size_tokens])
-                if not self._allocate_block(req, chain0, sealed):
+                count = (end - pos) // cfg.block_size_tokens  # every full block left in the chunk, in one run
+                if not self._allocate_blocks(req, chain0, self._run_hashes(req, chain0, pos, count)):
                     return 0  # preempted
-                pos += cfg.block_size_tokens
+                pos += count * cfg.block_size_tokens
             else:
                 if not self._append_token(req, chain0, req.prompt[pos]):
                     return 0
@@ -476,7 +478,7 @@ class SimCore:
             self._finish(req, "completed", teardown=False)
 
     def _append_token(self, req: SimRequest, chain: _Chain, token: int) -> bool:
-        if chain.fill == 0 and not self._allocate_block(req, chain, None):
+        if chain.fill == 0 and not self._allocate_blocks(req, chain, (None,)):
             return False
         chain.buffer.append(token)
         chain.fill += 1
@@ -489,22 +491,34 @@ class SimCore:
             chain.buffer = []
         return True
 
-    def _allocate_block(self, req: SimRequest, chain: _Chain, sealed: int | None) -> bool:
-        """Append a new block to the chain, sealed as ``sealed`` unless None; False if ``req`` was preempted."""
-        block_id, victim = self.blocks.allocate(req.rid, req.adapter)
-        if victim is not None:
-            self._evictions_this_tick += 1
-            self._emit("evict", victim.block_id, victim.content_hash, victim.owner_request_id, victim.adapter)
-        if block_id is None:
-            self._preempt(req)
-            return False
-        chain.blocks.append(block_id)
-        chain.hashes.append(sealed)
-        if sealed is not None:
-            self.blocks.seal(block_id, sealed)
-            chain.chain_hash = sealed
-        self._emit("alloc", block_id, sealed, req.rid, req.adapter)
+    def _allocate_blocks(self, req: SimRequest, chain: _Chain, hashes) -> bool:
+        """Append a new block per hash to the chain, sealed under it unless None; False if ``req`` was preempted.
+
+        Each block's eviction is emitted before its allocation.  A decode block is the run ``(None,)``.
+        """
+        ts, rid, adapter = self.clock_ms, req.rid, req.adapter
+        emit = self.kv_events.append
+        for block, victim in self.blocks.allocate_run(rid, adapter, hashes):
+            if victim is not None:
+                self._evictions_this_tick += 1
+                emit(KvEvent(ts, "evict", victim.block_id, victim.content_hash, victim.owner_request_id, victim.adapter))
+            if block is None:
+                self._preempt(req)
+                return False
+            chain.blocks.append(block.block_id)
+            chain.hashes.append(block.content_hash)
+            emit(KvEvent(ts, "alloc", block.block_id, block.content_hash, rid, adapter))
+        if block.content_hash is not None:
+            chain.chain_hash = block.content_hash
         return True
+
+    def _run_hashes(self, req: SimRequest, chain: _Chain, pos: int, count: int):
+        """The sealed hashes of stream 0's ``count`` full prompt blocks from ``pos`` on: the memoized
+        chain's, or after a stale grab hashed lazily, so a run that falls short hashes no block past it."""
+        if not req.contaminated:
+            index = len(chain.blocks)
+            return req.block_hashes[index : index + count]
+        return chained_hashes(chain.chain_hash, req.adapter, self.config.block_size_tokens, req.prompt, pos, count)
 
     def _block_hash(self, req: SimRequest, chain: _Chain, index: int, span) -> int:
         """The sealed hash of ``span`` as block ``index`` of the chain, after ``chain.chain_hash``.
@@ -556,6 +570,4 @@ class SimCore:
             self.running.remove(req)
 
     def _emit(self, kind: str, block_id: int, block_hash, owner: str, adapter: str) -> None:
-        self.kv_events.append(
-            KvEvent(ts_ms=self.clock_ms, kind=kind, block_id=block_id, block_hash=block_hash, owner_request_id=owner, adapter=adapter)
-        )
+        self.kv_events.append(KvEvent(self.clock_ms, kind, block_id, block_hash, owner, adapter))

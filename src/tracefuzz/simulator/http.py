@@ -1,7 +1,8 @@
 """Wall-clock HTTP front end over the simulator core.
 
 Serves an OpenAI-style streaming completion endpoint plus the control surface
-the execution adapter probes (health, reset, info, decode mode, KV events).
+the execution adapter probes (health with the KV stream length and virtual
+clock, reset, info, decode mode, KV events from an index on).
 Every handler that reads or changes the core first catches its virtual clock
 up with wall time, so F2-style descheduling shows up as real streaming
 latency, and a server nobody talks to runs no ticks.  A crash kills in-flight
@@ -16,6 +17,7 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import parse_qs, urlsplit
 
 from ..trace import parse_prompt, token_word
 from .config import SimConfig
@@ -47,17 +49,20 @@ class SimHttpServer:
                 self.wfile.write(body)
 
             def do_GET(self):
-                if self.path == "/health":
+                url = urlsplit(self.path)
+                if url.path == "/health":
                     with server.lock:
                         server._sync()
-                        ok = not server.core.crashed
-                    self._json(200 if ok else 503, {"status": "ok" if ok else "crashed"})
-                elif self.path == "/control/info":
+                        core, ok = server.core, not server.core.crashed
+                        doc = {"status": "ok" if ok else "crashed", "kv_events": len(core.kv_events), "clock_ms": core.clock_ms}
+                    self._json(200 if ok else 503, doc)
+                elif url.path == "/control/info":
                     self._json(200, server.config.engine_info())
-                elif self.path == "/kv_events":
+                elif url.path == "/kv_events":
+                    since = int(parse_qs(url.query).get("since", ["0"])[0])
                     with server.lock:
                         server._sync()
-                        lines = [e.to_json_line() for e in server.core.kv_events]
+                        lines = [e.to_json_line() for e in server.core.kv_events[since:]]
                     body = ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
                     self.send_response(200)
                     self.send_header("Content-Type", "application/x-ndjson")

@@ -13,6 +13,7 @@ from tracefuzz.adapter import (
     EndpointUnavailable,
     EngineEndpoint,
     EngineKind,
+    KvEvent,
     completion_body,
     execute,
     reset_server,
@@ -336,6 +337,52 @@ def test_hung_streams_share_one_join_deadline(monkeypatch):
     assert len(waits) == 6
     assert sum(waits) <= ep.request_timeout_ms / 1000 + 5
     assert {o.status for o in report.outcomes.values()} == {"timeout"}
+
+
+@pytest.mark.parametrize(
+    "lines, status, error",
+    [
+        ([b'data: {"choices": [{"text": ""}]}', b"data: [DONE]"], "completed", None),
+        ([b'data: {"choices": [{"text": ""}]}'], "server_error", "stream ended before [DONE]"),
+        ([b'data: {"choices": [{"te'], "server_error", "JSONDecodeError: "),
+        ([b'data: {"choices": []}'], "server_error", "IndexError: "),
+    ],
+)
+def test_a_stream_nobody_aborted_completes_only_with_done(monkeypatch, lines, status, error):
+    uncaught = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
+    monkeypatch.setattr(requests, "post", lambda url, **kwargs: _Reply(200, lines=lines))
+    monkeypatch.setattr(requests, "get", lambda url, **kwargs: _Reply(404 if url.endswith("/kv_events") else 200, {}))
+    report = execute(TimedTrace("t~framing", (send("s", 0),)), EngineEndpoint(kind=EngineKind.OPENAI, base_url="http://stub"))
+    outcome = report.outcomes["s"]
+    assert outcome.status == status
+    assert outcome.error == error if error is None else outcome.error.startswith(error)
+    assert uncaught == []
+
+
+def test_an_engine_without_a_stream_cursor_reports_its_whole_kv_stream(monkeypatch):
+    # A /health body that is not a JSON object gives no cursor: the report
+    # reads the stream from its start, unshifted.
+    line = '{"adapter": "BASE", "block_hash": null, "block_id": 3, "kind": "alloc", "owner_request_id": "q", "ts_ms": 9}'
+    asked = []
+
+    class PlainText(_Reply):
+        def json(self):
+            raise ValueError("not JSON")
+
+    def get(url, **kwargs):
+        if url.endswith("/kv_events"):
+            asked.append(kwargs.get("params"))
+            return SimpleNamespace(status_code=200, text=line + "\n", raise_for_status=lambda: None)
+        return PlainText(200) if url.endswith("/health") else _Reply(200, {"vocab_size": 1024})
+
+    monkeypatch.setattr(requests, "post", lambda url, **kwargs: _Reply(200, lines=[b"data: [DONE]"]))
+    monkeypatch.setattr(requests, "get", get)
+    report = execute(TimedTrace("t~plain", (send("p", 0),)), EngineEndpoint(kind=EngineKind.OPENAI, base_url="http://stub"))
+    assert asked == [{"since": 0}]
+    assert report.kv_events == (KvEvent(9, "alloc", 3, None, "q", "BASE"),)
+    assert report.outcomes["p"].status == "completed"
+    assert not report.server_crashed
 
 
 # -- HTTP request bodies --------------------------------------------------------

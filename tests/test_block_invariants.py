@@ -105,8 +105,11 @@ class BlockMachine(RuleBasedStateMachine):
             seed=7,
             faults=self.faults,
         )
-        self.core = SimCore(config)
+        self.core = self.new_core(config)
         self.sent = 0
+
+    def new_core(self, config: SimConfig) -> SimCore:
+        return SimCore(config)
 
     def send(self, prefix: list[int], suffix_len: int, adapter: str, max_tokens: int, n: int) -> None:
         rid = f"r{self.sent}"

@@ -1,8 +1,9 @@
 """The prompt memos in ``SimCore`` against direct hashing.
 
 ``DirectCore`` keeps the memo-free ``_init_request`` verbatim and hashes
-every block it seals directly, so its prefix walk, its block allocation and
-sealing, and its prompt digests bypass both memos.  Random schedules
+every block it seals directly, so its prefix walk, its runs of prefill
+blocks, the blocks it seals token by token and its prompt digests bypass
+both memos.  Random schedules
 of submit, cancel and advance drive it and the memoized core alike and must
 leave the same KV events, snapshots, outputs, logprob records and statuses.  The schedules reach F1 stale grabs
 (contaminated requests), preemption with recompute (few KV blocks), prompt
@@ -30,6 +31,12 @@ class DirectCore(SimCore):
 
     def _block_hash(self, req, chain, index, span) -> int:
         return stable_u64("blk", chain.chain_hash, req.adapter, *span)
+
+    def _run_hashes(self, req, chain, pos, count):
+        chain_hash, block = chain.chain_hash, self.config.block_size_tokens
+        for start in range(pos, pos + count * block, block):
+            chain_hash = stable_u64("blk", chain_hash, req.adapter, *req.prompt[start : start + block])
+            yield chain_hash
 
     def _init_request(self, req) -> None:
         cfg = self.config
@@ -100,6 +107,11 @@ class ProbedCore(SimCore):
     def _preempt(self, req) -> None:
         self.reached["preempt"] += 1
         super()._preempt(req)
+
+    def _run_hashes(self, req, chain, pos, count):
+        if req.contaminated:
+            self.reached["prompt run after a grab"] += 1
+        return super()._run_hashes(req, chain, pos, count)
 
     def _block_hash(self, req, chain, index, span) -> int:
         if req.contaminated and chain is req.chains[0] and index < len(req.block_hashes):
@@ -215,6 +227,7 @@ def test_the_examples_reach_every_path():
     grab = ProbedCore(config_for(10, 64, True))
     play(grab, STALE_GRAB)
     assert grab.reached["stale grab"] and grab.reached["prompt block after a grab"]
+    assert grab.reached["prompt run after a grab"]
     assert any(event.kind == "reuse" and event.block_hash is not None for event in grab.kv_events)
     preempt = ProbedCore(config_for(10, 20, False))
     play(preempt, PREEMPTION)

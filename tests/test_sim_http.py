@@ -1,14 +1,18 @@
 """The simulator's HTTP front end: the clock kept by its handlers, refused
-requests and the decode mode across resets."""
+requests, the decode mode across resets, and what the wall-clock transport
+reports over it."""
 
 import json
+import threading
 import time
 
 import requests
 
+from test_adapter import send
+from tracefuzz.adapter import EngineEndpoint, EngineKind, execute
 from tracefuzz.simulator.config import SimConfig
 from tracefuzz.simulator.http import serve_http
-from tracefuzz.trace import parse_prompt, render_prompt
+from tracefuzz.trace import TimedTrace, TraceEvent, parse_prompt, render_prompt
 
 
 def prompt(n, tag=0):
@@ -110,3 +114,40 @@ def test_decode_mode_set_over_http_survives_a_reset():
         assert pinned[0] == pinned[1]
     finally:
         server.stop()
+
+
+def test_client_aborts_map_to_their_statuses_over_http(monkeypatch):
+    # Closing a response mid-stream can hand the reader a truncated chunk;
+    # an abort the client started is still its cancel or disconnect, and no
+    # request thread dies with a traceback.
+    uncaught = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
+    server = serve_http(SimConfig(seed=3))
+    trace = TimedTrace(
+        "t~aborts",
+        (send("a", 0, plen=64, mt=400), send("d", 0, plen=64, mt=400), TraceEvent.cancel(30, "a"), TraceEvent.disconnect(30, "d")),
+    )
+    try:
+        report = execute(trace, EngineEndpoint(kind=EngineKind.OPENAI, base_url=server.base_url))
+    finally:
+        server.stop()
+    assert {rid: outcome.status for rid, outcome in report.outcomes.items()} == {"a": "cancelled", "d": "disconnected"}
+    assert all(outcome.error is None for outcome in report.outcomes.values())
+    assert uncaught == []
+
+
+def test_a_report_over_http_holds_only_its_own_kv_events():
+    # Without a reset between them, the second trace reports its own
+    # request's events only, stamped from its own entry.
+    server = serve_http(SimConfig())
+    endpoint = EngineEndpoint(kind=EngineKind.OPENAI, base_url=server.base_url)
+    try:
+        execute(TimedTrace("t~first", (send("x", 0, plen=48),)), endpoint)
+        time.sleep(1.0)
+        report = execute(TimedTrace("t~second", (send("y", 0, plen=48),)), endpoint)
+    finally:
+        server.stop()
+    assert report.outcomes["y"].status == "completed"
+    assert report.kv_events
+    assert len({event.owner_request_id for event in report.kv_events}) == 1
+    assert all(0 <= event.ts_ms <= report.wall_clock_span_ms for event in report.kv_events)
