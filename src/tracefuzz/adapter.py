@@ -372,7 +372,8 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
         ttft = None
         status, error = "server_error", "stream ended before [DONE]"
         try:
-            resp = requests.post(base + "/v1/completions", json=body, stream=True, timeout=endpoint.request_timeout_ms / 1000)
+            resp = requests.post(base + "/v1/completions", json=body, headers={"X-Request-Id": rid},
+                                 stream=True, timeout=endpoint.request_timeout_ms / 1000)
             with lock:
                 live[rid] = resp
             if resp.status_code != 200:

@@ -23,6 +23,9 @@ its string value and an IntEnum as its integer.  The digest is one
 blake2b-64 over the concatenated encodings, read as a little-endian integer.
 These values are frozen: prompts, block hashes and token streams derive from
 them.
+
+The simulator's decode step hashes these same encodings, built with ``encode``
+and ``encode_int``, through ``u64`` without going through ``stable_u64``.
 """
 
 from __future__ import annotations
@@ -34,15 +37,21 @@ from collections.abc import Iterable
 
 # Exact ints and strs are most parts (tokens, positions, 64-bit digests, tags
 # and adapter names), so stable_u64 encodes them inline rather than through
-# _encode: small non-negative ints come from a precomputed table.  The checks
+# encode: small non-negative ints come from a precomputed table.  The checks
 # are on the exact type, so bool, str-Enum and IntEnum parts always take
-# _encode.
+# encode.
 _INT_HEAD = b"i" + struct.pack("<I", 17)
 _INT_TABLE_SIZE = 4096
 _INT_TABLE = [_INT_HEAD + i.to_bytes(17, "little", signed=True) for i in range(_INT_TABLE_SIZE)]
 
 
-def _encode(part: object) -> bytes:
+def encode_int(n: int) -> bytes:
+    """The encoding of an exact-int part."""
+    return _INT_TABLE[n] if 0 <= n < _INT_TABLE_SIZE else _INT_HEAD + n.to_bytes(17, "little", signed=True)
+
+
+def encode(part: object) -> bytes:
+    """The encoding of any part."""
     if isinstance(part, bool):  # bool is an int subclass; check first
         tag, body = b"b", b"\x01" if part else b"\x00"
     elif isinstance(part, int):
@@ -70,9 +79,14 @@ def stable_u64(*parts: object) -> int:
         (_INT_TABLE[p] if 0 <= p < _INT_TABLE_SIZE else _INT_HEAD + p.to_bytes(17, "little", signed=True))
         if type(p) is int
         else b"s" + len(e := p.encode()).to_bytes(4, "little") + e if type(p) is str
-        else _encode(p)
+        else encode(p)
         for p in parts
     ])
+    return u64(data)
+
+
+def u64(data: bytes) -> int:
+    """The blake2b-64 of ``data`` as a little-endian integer: ``stable_u64`` of the parts it encodes."""
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
@@ -83,23 +97,13 @@ def stable_u64_tails(head: tuple, tails: Iterable[object]) -> list[int]:
     that has absorbed the head's, so the hashed bytes, and the values, are
     stable_u64's.
     """
-    state = hashlib.blake2b(b"".join(map(_encode, head)), digest_size=8)
+    state = hashlib.blake2b(b"".join(map(encode, head)), digest_size=8)
     hashes = []
     for tail in tails:
         h = state.copy()
-        h.update(_INT_TABLE[tail] if type(tail) is int and 0 <= tail < _INT_TABLE_SIZE else _encode(tail))
+        h.update(_INT_TABLE[tail] if type(tail) is int and 0 <= tail < _INT_TABLE_SIZE else encode(tail))
         hashes.append(int.from_bytes(h.digest(), "little"))
     return hashes
-
-
-def stable_unit(*parts: object) -> float:
-    """Deterministic float in [0, 1) derived from the parts."""
-    return stable_u64(*parts) / float(1 << 64)
-
-
-def chain_digest(digest: int, token: int) -> int:
-    """Advance a rolling context digest by one token (avalanche on any change)."""
-    return stable_u64("ctx", digest, token)
 
 
 def canonical_json(obj: object) -> str:

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ..adapter import KvEvent
-from ..hashing import chain_digest, stable_u64
+from ..hashing import stable_u64
 from .blocks import BlockManager
 from .config import FaultFamily, FaultSpec, SimConfig
-from .decode import init_digest, pseudo_decode
+from .decode import decode_step, init_digest
 
 WAITING = "waiting"
 PREFILL = "prefill"
@@ -453,20 +453,13 @@ class SimCore:
 
     def _decode_step(self, req: SimRequest) -> None:
         cfg = self.config
-        near_tie = cfg.near_tie_gap
+        width = max(req.logprobs or 0, 2)
         for c in range(req.n_completions):
-            position = len(req.outputs[c])
-            flip = False
-            if near_tie is not None and req.salt != 0:
-                flip = stable_u64("flip", req.digests[c], position, req.salt) % 2 == 1
-            width = max(req.logprobs or 0, 2)
-            token, ladder = pseudo_decode(
-                req.digests[c], position, cfg.vocab_size, width, cfg.logprob_spread, near_tie, flip
-            )
+            token, ladder, req.digests[c] = decode_step(req.digests[c], len(req.outputs[c]), req.salt,
+                                                        cfg.vocab_size, width, cfg.logprob_spread, cfg.near_tie_gap)
             req.outputs[c].append(token)
             if req.logprobs:
                 req.records[c].append(ladder[: req.logprobs])
-            req.digests[c] = chain_digest(req.digests[c], token)
             chain = req.chains[c]
             if not self._append_token(req, chain, token):
                 return  # preempted mid-step; recomputation is deterministic

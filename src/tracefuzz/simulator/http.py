@@ -2,7 +2,8 @@
 
 Serves an OpenAI-style streaming completion endpoint plus the control surface
 the execution adapter probes (health with the KV stream length and virtual
-clock, reset, info, decode mode, KV events from an index on).
+clock, reset, info, decode mode, KV events from an index on).  A completion
+takes its client's ``X-Request-Id`` as its id unless used since the last reset.
 Every handler that reads or changes the core first catches its virtual clock
 up with wall time, so F2-style descheduling shows up as real streaming
 latency, and a server nobody talks to runs no ticks.  A crash kills in-flight
@@ -105,8 +106,10 @@ class SimHttpServer:
                         self.close_connection = True
                         return
                     generation = server.generation
-                    server._rid_counter += 1
-                    rid = f"h~{server._rid_counter:06d}"
+                    rid = self.headers.get("X-Request-Id")
+                    while not rid or rid in server.core.requests:  # none sent, or used since the last reset
+                        server._rid_counter += 1
+                        rid = f"h~{server._rid_counter:06d}"
                     err = server.core.submit(
                         rid=rid,
                         prompt=tokens,

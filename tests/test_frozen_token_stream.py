@@ -1,0 +1,70 @@
+"""Frozen token streams: the exact tokens and logprob ladders the simulator decodes.
+
+A fixed set of traces, with several completions per request, logprobs set,
+four adapters, a cancel, a disconnect and a preempting burst, runs in-process
+on a near-tie engine twice: with scheduler-order flips firing, and with
+``canonical_decode`` pinning them off.  One sha256 covers every request's
+status, output tokens, logprob records and token stamps.  Stage 2 replays
+with logprob checks read exactly these values, so a change to how a decode
+step hashes must leave these bytes unchanged; an intended change to decoding
+re-records the digest.
+"""
+
+import hashlib
+
+from test_adapter import send
+from tracefuzz.adapter import EngineEndpoint, EngineKind, execute
+from tracefuzz.hashing import canonical_json
+from tracefuzz.simulator.config import SimConfig
+from tracefuzz.simulator.endpoint import serve
+from tracefuzz.trace import TimedTrace, TraceEvent
+
+ENGINE = SimConfig(seed=5, near_tie_gap=0.05, total_kv_blocks=96)
+
+EXPECTED = (2_798, "d6800a1e9c22cc861f897a912031b9fd1d43779e043d0d8035d19a31bb4c7c62")
+
+
+def traces():
+    mixed = TimedTrace("t~mixed", (
+        send("a", 0, plen=40, n=3, logprobs=4, mt=24),
+        send("b", 1, plen=40, prefix=16, adapter="lora_a", n=2, logprobs=1, mt=20, fam="fam-a"),
+        send("c", 2, plen=24, adapter="lora_b", logprobs=8, mt=30),
+        send("d", 3, plen=56, adapter="lora_c", n=4, logprobs=2, mt=12),
+        send("e", 5, plen=32, mt=18),
+    ))
+    aborts = TimedTrace("t~aborts", (
+        send("a", 0, plen=64, n=2, logprobs=3, mt=200),
+        send("d", 0, plen=64, adapter="lora_a", logprobs=5, mt=200),
+        send("k", 1, plen=32, n=2, logprobs=2, mt=40),
+        TraceEvent.cancel(30, "a"),
+        TraceEvent.disconnect(45, "d"),
+    ))
+    # Eleven 160-token prompts overflow the 96-block pool, so requests preempt
+    # and recompute their decode.
+    burst = TimedTrace("t~burst", tuple(
+        send(f"p{i}", i, plen=160, adapter=("BASE", "lora_a")[i % 2], n=1 + i % 3, logprobs=1 + i % 4, mt=48)
+        for i in range(11)
+    ))
+    return [mixed, aborts, burst]
+
+
+def test_token_streams_are_frozen():
+    digest = hashlib.sha256()
+    tokens, statuses = 0, set()
+    core = serve(ENGINE)
+    endpoint = EngineEndpoint(EngineKind.SIMULATOR, handle=core)
+    streams = {}
+    for canonical in (False, True):
+        for trace in traces():
+            core.reset()
+            report = execute(trace, endpoint, canonical_decode=canonical)
+            for rid, outcome in sorted(report.outcomes.items()):
+                record = [rid, outcome.status, outcome.output_tokens, outcome.logprob_records, outcome.token_stamps]
+                digest.update(canonical_json(record).encode() + b"\n")
+                tokens += sum(map(len, outcome.output_tokens))
+                statuses.add(outcome.status)
+                streams[canonical, trace.trace_id, rid] = outcome.output_tokens
+    assert statuses == {"completed", "cancelled", "disconnected"}
+    # Flips fire only off the canonical path, so the two runs decode differently.
+    assert any(streams[False, tid, rid] != out for (canonical, tid, rid), out in streams.items() if canonical)
+    assert (tokens, digest.hexdigest()) == EXPECTED

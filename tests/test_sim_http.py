@@ -11,6 +11,7 @@ import requests
 from test_adapter import send
 from tracefuzz.adapter import EngineEndpoint, EngineKind, execute
 from tracefuzz.simulator.config import SimConfig
+from tracefuzz.simulator.endpoint import serve
 from tracefuzz.simulator.http import serve_http
 from tracefuzz.trace import TimedTrace, TraceEvent, parse_prompt, render_prompt
 
@@ -19,8 +20,9 @@ def prompt(n, tag=0):
     return [(tag * 131 + i * 7 + 3) % 1024 for i in range(n)]
 
 
-def streamed_tokens(base_url, body):
-    resp = requests.post(base_url + "/v1/completions", json=body, stream=True, timeout=10)
+def streamed_tokens(base_url, body, rid=None):
+    headers = {"X-Request-Id": rid} if rid else {}
+    resp = requests.post(base_url + "/v1/completions", json=body, headers=headers, stream=True, timeout=10)
     assert resp.status_code == 200
     tokens = []
     for raw in resp.iter_lines():
@@ -151,3 +153,24 @@ def test_a_report_over_http_holds_only_its_own_kv_events():
     assert report.kv_events
     assert len({event.owner_request_id for event in report.kv_events}) == 1
     assert all(0 <= event.ts_ms <= report.wall_clock_span_ms for event in report.kv_events)
+
+
+def test_kv_owners_over_http_are_the_trace_request_ids():
+    # The client sends each Send's request id, and the server keys the
+    # request's KV events by it, so owner-keyed checks find trace requests.
+    trace = TimedTrace(
+        "t~owners",
+        (send("a", 0, plen=64, mt=40), send("d", 0, plen=64, mt=40), TraceEvent.cancel(30, "a"), TraceEvent.disconnect(30, "d")),
+    )
+    in_process = execute(trace, EngineEndpoint(kind=EngineKind.SIMULATOR, handle=serve(SimConfig(seed=3))))
+    server = serve_http(SimConfig(seed=3))
+    try:
+        report = execute(trace, EngineEndpoint(kind=EngineKind.OPENAI, base_url=server.base_url))
+        # An id already used since the last reset falls back to the server's own.
+        body = {"prompt": render_prompt(prompt(16)), "max_tokens": 2}
+        streamed_tokens(server.base_url, body, rid="a")
+    finally:
+        server.stop()
+    owners = {event.owner_request_id for event in report.kv_events}
+    assert owners == {event.owner_request_id for event in in_process.kv_events} == {"a", "d"}
+    assert sorted(server.core.requests) == ["a", "d", "h~000001"]
