@@ -62,11 +62,12 @@ class KvEvent(NamedTuple):
 class KvLedger:
     """What telemetry, novelty and the KV oracles read off one event stream.
 
-    Built by a single pass in stream order.  Releases are free and evict,
-    adoptions prefix_hit and reuse.  An alloc over a block that is still live
-    leaves both allocators holding it; a release drops every holder; an
-    adoption by a request other than the block's latest allocator makes the
-    block shared cache property, which no allocator holds any more.
+    Built by a single pass in stream order; the held blocks, which only the
+    leak check reads, by a second pass on first read.  Releases are free and
+    evict, adoptions prefix_hit and reuse.  An alloc over a block that is
+    still live leaves both allocators holding it; a release drops every
+    holder; an adoption by a request other than the block's latest allocator
+    makes the block shared cache property, which no allocator holds any more.
     """
 
     peak_held: int  # high-water mark of allocs minus releases
@@ -74,16 +75,16 @@ class KvLedger:
     bigrams: frozenset  # (kind, next kind) pairs in stream order
     alloc_ts: tuple
     last_ts_ms: int  # latest timestamp in the stream, 0 when empty
-    held_blocks: dict  # allocator -> frozenset of block ids
     cross_adapter: tuple  # (alloc event, adopting event) pairs whose adapters differ
+    events: tuple = field(repr=False)
 
     @staticmethod
     def of(events) -> "KvLedger":
+        events = tuple(events)
         held = peak = last_ts = 0
         kinds: list[str] = []
         alloc_ts: list[int] = []
         latest_alloc: dict[int, KvEvent] = {}  # block -> most recent alloc, until released
-        holders: dict[int, set[str]] = {}
         cross_adapter = []
         for event in events:
             ts, kind, block, _, owner, adapter = event
@@ -96,31 +97,42 @@ class KvLedger:
                     peak = held
                 alloc_ts.append(ts)
                 latest_alloc[block] = event
-                holders.setdefault(block, set()).add(owner)
             elif kind in ("free", "evict"):
                 held -= 1
                 latest_alloc.pop(block, None)
-                holders.pop(block, None)
             elif kind in ("prefix_hit", "reuse"):
                 alloc = latest_alloc.get(block)
-                if alloc is not None:
-                    if alloc.owner_request_id != owner:
-                        holders.pop(block, None)
-                    if alloc.adapter != adapter:
-                        cross_adapter.append((alloc, event))
-        by_owner: dict[str, set[int]] = {}
-        for block, owners in holders.items():
-            for owner in owners:
-                by_owner.setdefault(owner, set()).add(block)
+                if alloc is not None and alloc.adapter != adapter:
+                    cross_adapter.append((alloc, event))
         return KvLedger(
             peak_held=peak,
             kinds=frozenset(kinds),
             bigrams=frozenset(zip(kinds, kinds[1:])),
             alloc_ts=tuple(alloc_ts),
             last_ts_ms=last_ts,
-            held_blocks={owner: frozenset(blocks) for owner, blocks in by_owner.items()},
             cross_adapter=tuple(cross_adapter),
+            events=events,
         )
+
+    @cached_property
+    def held_blocks(self) -> dict:
+        """Allocator -> frozenset of the block ids it still holds, walked from the stream on first read."""
+        latest_owner: dict[int, str] = {}  # block -> its most recent allocator, until released
+        holders: dict[int, set[str]] = {}
+        for _, kind, block, _, owner, _ in self.events:
+            if kind == "alloc":
+                latest_owner[block] = owner
+                holders.setdefault(block, set()).add(owner)
+            elif kind in ("free", "evict"):
+                latest_owner.pop(block, None)
+                holders.pop(block, None)
+            elif kind in ("prefix_hit", "reuse") and latest_owner.get(block, owner) != owner:
+                holders.pop(block, None)
+        by_owner: dict[str, set[int]] = {}
+        for block, owners in holders.items():
+            for owner in owners:
+                by_owner.setdefault(owner, set()).add(block)
+        return {owner: frozenset(blocks) for owner, blocks in by_owner.items()}
 
 
 @dataclass
@@ -332,9 +344,7 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
         crash_evidence=core.crash_evidence,
         wall_clock_span_ms=core.clock_ms - epoch,
         request_index=dict(trace.request_specs()),
-        block_snapshots={
-            rid: [list(entry) for entry in snap] for rid, snap in core.snapshots.items() if rid in dispatched
-        },
+        block_snapshots={rid: snap for rid, snap in core.snapshots.items() if rid in dispatched},
         engine_info=info,
         schedule_degraded=False,
     )
@@ -353,7 +363,11 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
         info = {}
     vocab = info.get("vocab_size", 1024)
     # The stream length and server clock just before the epoch, when the
-    # engine gives them: the report holds its own KV events, stamped from entry.
+    # engine gives them: the report holds its own KV events, stamped from the
+    # clock read.  The span counts from just before that read, so it covers
+    # every stamp, while dispatch counts from the epoch after it, so the read
+    # makes no Send late.
+    origin = time.monotonic()
     health = check_health(endpoint)
     if health is None:
         raise EndpointUnavailable(f"no healthy endpoint at {base}")
@@ -376,7 +390,10 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
                                  stream=True, timeout=endpoint.request_timeout_ms / 1000)
             with lock:
                 live[rid] = resp
-            if resp.status_code != 200:
+                aborted_early = rid in aborted  # its abort fired before the response arrived
+            if aborted_early:
+                resp.close()
+            elif resp.status_code != 200:
                 error = f"http {resp.status_code}"
             else:
                 for raw in resp.iter_lines():
@@ -433,8 +450,8 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
             threads[rid] = t
             t.start()
         elif event.kind in (EventKind.CANCEL, EventKind.DISCONNECT):
-            aborted[event.target] = "cancel" if event.kind is EventKind.CANCEL else "disconnect"
             with lock:
+                aborted[event.target] = "cancel" if event.kind is EventKind.CANCEL else "disconnect"
                 resp = live.get(event.target)
             if resp is not None:
                 resp.close()
@@ -443,7 +460,7 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
     deadline = time.monotonic() + endpoint.request_timeout_ms / 1000 + 5
     for t in threads.values():
         t.join(timeout=max(0.0, deadline - time.monotonic()))
-    span = int((time.monotonic() - epoch) * 1000)
+    span = int((time.monotonic() - origin) * 1000)
     # A thread that outlived its join may still finish; it writes into the
     # shared dict, never into the report's copy.
     with lock:

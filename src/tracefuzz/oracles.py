@@ -10,9 +10,11 @@ diverging outputs belongs to the confirmation stage, not here.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice, repeat
+from operator import itemgetter
 
 from .hashing import canonical_json, fingerprint
 from .trace import EventKind, prompt_for
@@ -345,28 +347,32 @@ def structural_forensics(report, corpus_seed: int = 0, prior_snapshots: dict | N
             )
         )
 
-    # One content hash must never cover two different prompt spans.
-    prompts: dict[str, tuple] = {}
-
-    def prompt_of(rid: str):
-        if rid not in prompts:
-            spec = report.request_index.get(rid)
-            prompts[rid] = prompt_for(spec, corpus_seed, vocab) if spec is not None else ()
-        return prompts[rid]
-
+    # One content hash must never cover two different prompt spans.  Every
+    # claimed hash has at least one (span, adapter) variant, so some hash has
+    # two exactly when the distinct claims outnumber the distinct hashes, and
+    # only then are the claims of the conflicted hashes walked for evidence.
+    # Only full prompt blocks claim; an unsealed block's None is never one.
+    prompts = {
+        rid: prompt_for(report.request_index[rid], corpus_seed, vocab)
+        for rid in sorted(report.block_snapshots)
+        if rid in report.request_index
+    }
+    distinct_claims, distinct_hashes = set(), set()
+    for rid, prompt in prompts.items():
+        spans = zip(*[iter(prompt)] * block_size)  # the prompt's full blocks, in order
+        hashes = tuple(islice(map(itemgetter(1), report.block_snapshots[rid]), len(prompt) // block_size))
+        distinct_hashes.update(hashes)
+        distinct_claims.update(zip(hashes, spans, repeat(report.request_index[rid].adapter)))
     claims: dict[int, dict[tuple, list]] = {}
-    for rid in sorted(report.block_snapshots):
-        if rid not in report.request_index:
-            continue
-        prompt = prompt_of(rid)
-        for index, (block_id, block_hash) in enumerate(report.block_snapshots[rid]):
-            if block_hash is None:
-                continue
-            if (index + 1) * block_size > len(prompt):
-                continue  # span reaches into decode tokens; content not comparable
-            span = tuple(prompt[index * block_size : (index + 1) * block_size])
+    if len(distinct_claims) > len(distinct_hashes):
+        variant_counts = Counter(map(itemgetter(0), distinct_claims))
+        conflicted = {block_hash for block_hash, n in variant_counts.items() if n > 1 and block_hash is not None}
+        for rid, prompt in prompts.items():
             adapter = report.request_index[rid].adapter
-            claims.setdefault(block_hash, {}).setdefault((span, adapter), []).append((rid, index))
+            for index, (block_id, block_hash) in enumerate(report.block_snapshots[rid][: len(prompt) // block_size]):
+                if block_hash in conflicted:
+                    span = tuple(prompt[index * block_size : (index + 1) * block_size])
+                    claims.setdefault(block_hash, {}).setdefault((span, adapter), []).append((rid, index))
     for block_hash in sorted(claims):
         variants = claims[block_hash]
         if len(variants) > 1:

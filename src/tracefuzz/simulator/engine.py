@@ -166,6 +166,9 @@ class SimCore:
         needed = -(-(len(prompt) + max_tokens) // block) + (n_completions - 1) * -(-max_tokens // block)
         if needed > self.config.total_kv_blocks:
             return f"request needs {needed} KV blocks, the pool holds {self.config.total_kv_blocks}"
+        # Decoding draws that many distinct candidate tokens per step.
+        if (logprobs or 0) > self.config.vocab_size:
+            return f"logprobs {logprobs} exceeds the vocabulary of {self.config.vocab_size} tokens"
         req = SimRequest(
             rid=rid,
             prompt=prompt,
@@ -549,10 +552,8 @@ class SimCore:
                     self.blocks.unpin(block_id)
 
     def _finish(self, req: SimRequest, status: str, teardown: bool) -> None:
-        if req.chains:
-            self.snapshots[req.rid] = [[bid, h] for bid, h in zip(req.chains[0].blocks, req.chains[0].hashes)]
-        else:
-            self.snapshots[req.rid] = []
+        # Built once and shared by every report that holds it; nothing mutates a snapshot.
+        self.snapshots[req.rid] = list(zip(req.chains[0].blocks, req.chains[0].hashes)) if req.chains else []
         self._release_blocks(req, teardown)
         req.state = DONE
         req.status = status

@@ -89,12 +89,17 @@ def test_a_non_streamed_completion_is_refused():
 
 def test_a_request_too_large_for_the_pool_is_refused():
     # 21 prompt tokens and 4 decode tokens need 7 blocks of 4; the pool has 6.
+    # Logprobs wider than the 1,024-token vocabulary are refused the same way.
     server = serve_http(SimConfig(block_size_tokens=4, total_kv_blocks=6, max_batch_tokens=24, chunked_prefill_limit=8))
     try:
         body = {"prompt": render_prompt(prompt(21)), "max_tokens": 4, "stream": True}
         resp = requests.post(server.base_url + "/v1/completions", json=body, timeout=5)
         assert resp.status_code == 400
         assert "KV blocks" in resp.json()["error"]
+        body = {"prompt": render_prompt(prompt(8)), "max_tokens": 4, "logprobs": 1025, "stream": True}
+        resp = requests.post(server.base_url + "/v1/completions", json=body, timeout=5)
+        assert resp.status_code == 400
+        assert "logprobs" in resp.json()["error"]
         assert server.core.requests == {}
     finally:
         server.stop()
@@ -136,6 +141,31 @@ def test_client_aborts_map_to_their_statuses_over_http(monkeypatch):
     assert {rid: outcome.status for rid, outcome in report.outcomes.items()} == {"a": "cancelled", "d": "disconnected"}
     assert all(outcome.error is None for outcome in report.outcomes.values())
     assert uncaught == []
+
+
+def test_an_abort_before_the_response_arrives_still_aborts(monkeypatch):
+    # The responses arrive 300 ms after their Sends, long after the aborts at
+    # 10 ms found nothing to close; each request closes its own response on
+    # arrival instead of streaming it to [DONE].
+    real_post = requests.post
+
+    def late_post(*args, **kwargs):
+        resp = real_post(*args, **kwargs)
+        time.sleep(0.3)
+        return resp
+
+    monkeypatch.setattr(requests, "post", late_post)
+    server = serve_http(SimConfig(seed=3))
+    trace = TimedTrace(
+        "t~early-aborts",
+        (send("a", 0, plen=64, mt=40), send("d", 0, plen=64, mt=40), TraceEvent.cancel(10, "a"), TraceEvent.disconnect(10, "d")),
+    )
+    try:
+        report = execute(trace, EngineEndpoint(kind=EngineKind.OPENAI, base_url=server.base_url))
+    finally:
+        server.stop()
+    assert {rid: outcome.status for rid, outcome in report.outcomes.items()} == {"a": "cancelled", "d": "disconnected"}
+    assert all(outcome.output_tokens == ((),) for outcome in report.outcomes.values())
 
 
 def test_a_report_over_http_holds_only_its_own_kv_events():

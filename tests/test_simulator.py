@@ -358,6 +358,17 @@ def test_a_request_that_cannot_fit_an_empty_pool_is_refused(prompt_len, max_toke
         assert sim.requests == {} and sim.kv_events == []
 
 
+def test_logprobs_wider_than_the_vocabulary_are_refused():
+    # Each decode step draws one distinct candidate token per logprob, so a
+    # wider request would spin forever; it is refused before any tick runs.
+    sim = serve(SimConfig(vocab_size=8))
+    err = sim.submit("wide", prompt(16), "BASE", 2, 1, 0, 9, 0)
+    assert "logprobs" in err
+    assert sim.requests == {}
+    rec = run_one(sim, "full", prompt(16), logprobs=8)
+    assert rec.status == "completed" and len(rec.records[0][0]) == 8
+
+
 def test_cancel_and_disconnect_statuses():
     sim = serve(SimConfig())
     sim.submit("c", prompt(512), "BASE", 64, 1, 0, None, 0.0)
