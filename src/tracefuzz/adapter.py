@@ -24,6 +24,8 @@ LOG = logging.getLogger(__name__)
 SCHEDULE_TOLERANCE_MS = 5
 
 KV_EVENT_KINDS = ("alloc", "free", "prefix_hit", "evict", "reuse")
+KV_RELEASE_KINDS = ("free", "evict")
+KV_ADOPTION_KINDS = ("prefix_hit", "reuse")
 
 
 class EndpointUnavailable(RuntimeError):
@@ -63,11 +65,11 @@ class KvLedger:
     """What telemetry, novelty and the KV oracles read off one event stream.
 
     Built by a single pass in stream order; the held blocks, which only the
-    leak check reads, by a second pass on first read.  Releases are free and
-    evict, adoptions prefix_hit and reuse.  An alloc over a block that is
-    still live leaves both allocators holding it; a release drops every
-    holder; an adoption by a request other than the block's latest allocator
-    makes the block shared cache property, which no allocator holds any more.
+    leak check reads, by a second pass on first read.  An alloc over a block
+    that is still live leaves both allocators holding it; a release drops
+    every holder; an adoption by a request other than the block's latest
+    allocator makes the block shared cache property, which no allocator
+    holds any more.
     """
 
     peak_held: int  # high-water mark of allocs minus releases
@@ -97,10 +99,10 @@ class KvLedger:
                     peak = held
                 alloc_ts.append(ts)
                 latest_alloc[block] = event
-            elif kind in ("free", "evict"):
+            elif kind in KV_RELEASE_KINDS:
                 held -= 1
                 latest_alloc.pop(block, None)
-            elif kind in ("prefix_hit", "reuse"):
+            elif kind in KV_ADOPTION_KINDS:
                 alloc = latest_alloc.get(block)
                 if alloc is not None and alloc.adapter != adapter:
                     cross_adapter.append((alloc, event))
@@ -123,10 +125,10 @@ class KvLedger:
             if kind == "alloc":
                 latest_owner[block] = owner
                 holders.setdefault(block, set()).add(owner)
-            elif kind in ("free", "evict"):
+            elif kind in KV_RELEASE_KINDS:
                 latest_owner.pop(block, None)
                 holders.pop(block, None)
-            elif kind in ("prefix_hit", "reuse") and latest_owner.get(block, owner) != owner:
+            elif kind in KV_ADOPTION_KINDS and latest_owner.get(block, owner) != owner:
                 holders.pop(block, None)
         by_owner: dict[str, set[int]] = {}
         for block, owners in holders.items():

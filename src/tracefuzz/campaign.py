@@ -331,6 +331,25 @@ class CampaignConfig:
             "endpoint": dict(self.endpoint_descriptor),
         }
 
+    @staticmethod
+    def from_dict(doc: dict) -> "CampaignConfig":
+        """The inverse of ``to_dict``, from any subset of its keys; the ``endpoint`` record is ignored."""
+        unknown = sorted(set(doc) - set(CampaignConfig().to_dict()))
+        if unknown:
+            raise ValueError(f"unknown keys {', '.join(unknown)}")
+        kwargs = {key: value for key, value in doc.items() if key != "endpoint"}
+        if "profiles" in doc:
+            by_name = {p.name: p for p in DEFAULT_PROFILES}
+            missing = [name for name in doc["profiles"] if name not in by_name]
+            if missing:
+                raise ValueError(f"unknown seed profiles: {', '.join(missing)} (have: {', '.join(sorted(by_name))})")
+            kwargs["profiles"] = tuple(by_name[name] for name in doc["profiles"])
+        if "thresholds" in doc:
+            kwargs["thresholds"] = OracleThresholds(**doc["thresholds"])
+        if "confirmation" in doc:
+            kwargs["confirmation"] = ConfirmationConfig(**doc["confirmation"])
+        return CampaignConfig(**kwargs)
+
 
 # --------------------------------------------------------------------------
 # The loop

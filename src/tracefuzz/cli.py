@@ -15,12 +15,7 @@ import time
 from pathlib import Path
 
 from .adapter import EndpointUnavailable, EngineEndpoint, EngineKind, UnsupportedOperation, execute, reset_server
-from .campaign import (
-    DEFAULT_PROFILES,
-    CampaignConfig,
-    minimize,
-    run_campaign,
-)
+from .campaign import CampaignConfig, minimize, run_campaign
 from .confirmation import ConfirmationConfig, Finding, confirm_suspicion, first_difference, replay
 from .oracles import BaselineStats, OracleThresholds, full_sweep
 from .simulator.config import FaultFamily, FaultSpec, SimConfig
@@ -40,8 +35,6 @@ _FAULTS = {
     "f3": FaultFamily.ADAPTER_DRIFT,
     "adapter_drift": FaultFamily.ADAPTER_DRIFT,
 }
-
-_PROFILES = {p.name: p for p in DEFAULT_PROFILES}
 
 
 class UsageError(Exception):
@@ -107,6 +100,7 @@ def _load_trace(path: Path):
 
 
 def _campaign_config(args) -> CampaignConfig:
+    """The --config file (any persisted config.json runs again) under the run flags."""
     doc: dict = {}
     if args.config is not None:
         try:
@@ -115,51 +109,23 @@ def _campaign_config(args) -> CampaignConfig:
             raise UsageError(f"cannot load campaign config: {exc}") from exc
         if not isinstance(doc, dict):
             raise UsageError("bad campaign config: the top level must be a JSON object")
-    # Any key a persisted config.json holds is accepted, so one can be run
-    # again; its "endpoint" record is rebuilt from the flags.
-    unknown = sorted(set(doc) - set(CampaignConfig().to_dict()))
-    if unknown:
-        raise UsageError(f"bad campaign config: unknown keys {', '.join(unknown)}")
-    kwargs: dict = {}
-    for key in (
-        "rng_seed",
-        "iterations",
-        "time_budget_s",
-        "mutation_weights",
-        "selection_weights",
-        "corpus_seed",
-        "bootstrap_per_profile",
-        "corpus_cap",
-        "stop_on_finding",
-        "mutation_intensity",
-    ):
-        if key in doc:
-            kwargs[key] = doc[key]
-    profile_names = doc.get("profiles")
-    if args.profiles:
-        profile_names = [s.strip() for s in args.profiles.split(",") if s.strip()]
-    if profile_names:
-        unknown = [n for n in profile_names if n not in _PROFILES]
-        if unknown:
-            raise UsageError(f"unknown seed profiles: {', '.join(unknown)} (have: {', '.join(sorted(_PROFILES))})")
-        kwargs["profiles"] = tuple(_PROFILES[n] for n in profile_names)
+    profiles = [s.strip() for s in (args.profiles or "").split(",") if s.strip()]
+    if profiles:
+        doc["profiles"] = profiles
     if args.budget is not None:
-        kwargs["iterations"] = args.budget
+        doc["iterations"] = args.budget
     if args.seed is not None:
-        kwargs["rng_seed"] = args.seed
+        doc["rng_seed"] = args.seed
     if args.stop_on_finding:
-        kwargs["stop_on_finding"] = True
+        doc["stop_on_finding"] = True
     if args.corpus_seed:
-        kwargs["corpus_seed"] = args.corpus_seed
-    kwargs["endpoint_descriptor"] = {"endpoint": args.endpoint, "sim": bool(args.sim or args.sim_config), "faults": list(args.fault)}
+        doc["corpus_seed"] = args.corpus_seed
     try:
-        if "thresholds" in doc:
-            kwargs["thresholds"] = OracleThresholds(**doc["thresholds"])
-        if "confirmation" in doc:
-            kwargs["confirmation"] = ConfirmationConfig(**doc["confirmation"])
-        return CampaignConfig(**kwargs)
+        config = CampaignConfig.from_dict(doc)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad campaign config: {exc}") from exc
+    config.endpoint_descriptor = {"endpoint": args.endpoint, "sim": bool(args.sim or args.sim_config), "faults": list(args.fault)}
+    return config
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import ClassVar
 
@@ -312,19 +312,6 @@ def _aggregate_relational(verdicts) -> Verdict | None:
     return Verdict.PASS
 
 
-def _relational_evidence(verdicts) -> list[dict]:
-    return [
-        {
-            "verdict": v.verdict.value,
-            "position": v.position,
-            "delta": v.delta,
-            "in_top_n": v.in_top_n,
-            "note": v.note,
-        }
-        for v in verdicts
-    ]
-
-
 # -- replay arm ---------------------------------------------------------------
 
 
@@ -334,7 +321,7 @@ def _confirm_replay(suspicion, trace, endpoint, config, original_report, corpus_
     aggregate = None
     if suspicion.kind in _RELATIONAL_KINDS:
         verdicts = _relational_verdicts(suspicion, endpoint, config, original_report, corpus_seed)
-        evidence["relational"] = _relational_evidence(verdicts)
+        evidence["relational"] = [asdict(v) for v in verdicts]
         aggregate = _aggregate_relational(verdicts)
         if aggregate is Verdict.FALSE_POSITIVE:
             # Explainable tie-break divergence; replaying would only re-observe it.

@@ -98,6 +98,8 @@ class SimConfig:
     @staticmethod
     def from_dict(doc: dict) -> "SimConfig":
         doc = dict(doc)
-        faults = tuple(FaultSpec.from_dict(f) for f in doc.pop("faults", []))
-        adapters = tuple(doc.pop("adapters", ("BASE", "lora_a", "lora_b", "lora_c")))
-        return SimConfig(adapters=adapters, faults=faults, **doc)
+        if "faults" in doc:
+            doc["faults"] = tuple(FaultSpec.from_dict(f) for f in doc["faults"])
+        if "adapters" in doc:
+            doc["adapters"] = tuple(doc["adapters"])
+        return SimConfig(**doc)

@@ -31,9 +31,6 @@ COND_ADAPTER_MIX = 4
 COND_LOAD_BURST = 8
 ALL_CONDITIONS = COND_OCCUPANCY | COND_SHAPE_MIX | COND_ADAPTER_MIX | COND_LOAD_BURST
 
-# Engines with F3 unarmed still record the condition mask, at the default knobs.
-_UNARMED_F3 = FaultSpec(FaultFamily.ADAPTER_DRIFT)
-
 # Distinct keys kept by each prompt memo below; a campaign step sees a few
 # dozen.  The prompts they hold are mostly the very tuples
 # trace.PROMPT_CACHE_SIZE already keeps.
@@ -129,7 +126,7 @@ class SimCore:
         self.crashed = False
         self.crash_evidence: dict | None = None
         self.admission_counter = 0
-        self.f3_observed_masks: set[int] = set()
+        self.f3_observed_masks: set[int] = set()  # filled only with F3 armed
         self._drift_adapter: str | None = None
         self._drift_fire_tick: int | None = None
         self._submit_log: dict[str, deque] = {}
@@ -181,8 +178,8 @@ class SimCore:
         )
         self.requests[rid] = req
         self.waiting.append(req)
-        log = self._submit_log.setdefault(adapter, deque(maxlen=256))
-        log.append(dispatched_ms)
+        if self._f3 is not None:
+            self._submit_log.setdefault(adapter, deque(maxlen=256)).append(dispatched_ms)
         return None
 
     def cancel(self, rid: str, disconnect: bool = False) -> None:
@@ -242,7 +239,8 @@ class SimCore:
             del self.loading[adapter]
             self.loaded_adapters.add(adapter)
 
-        self._evaluate_drift_conditions()
+        if self._f3 is not None:
+            self._evaluate_drift_conditions(self._f3)
         if self._drift_fire_tick is not None and self.tick >= self._drift_fire_tick:
             self._crash(
                 "running-adapters-not-subset-loaded",
@@ -260,11 +258,10 @@ class SimCore:
     # ------------------------------------------------------------------
     # Fault machinery
 
-    def _evaluate_drift_conditions(self) -> None:
+    def _evaluate_drift_conditions(self, knobs: FaultSpec) -> None:
         inflight = self.in_flight()
         mask = 0
         burst_adapter = None
-        knobs = self._f3 or _UNARMED_F3
         if self.blocks.occupancy > knobs.occupancy_threshold:
             mask |= COND_OCCUPANCY
         lens = {len(r.prompt) for r in inflight}
@@ -273,18 +270,16 @@ class SimCore:
         if len({r.adapter for r in inflight}) >= knobs.adapter_mix_min:
             mask |= COND_ADAPTER_MIX
         for adapter in sorted(self.loading):
-            log = self._submit_log.get(adapter)
-            if not log:
-                continue
-            recent = [t for t in log if t >= self.clock_ms - knobs.burst_window_ms]
+            # An adapter starts loading only for a waiting request, whose submit logged it.
+            recent = [t for t in self._submit_log[adapter] if t >= self.clock_ms - knobs.burst_window_ms]
             if len(recent) >= knobs.burst_min:
                 mask |= COND_LOAD_BURST
                 burst_adapter = adapter
                 break
         self.f3_observed_masks.add(mask)
-        if self._f3 is not None and mask == ALL_CONDITIONS and self._drift_fire_tick is None:
+        if mask == ALL_CONDITIONS and self._drift_fire_tick is None:
             self._drift_adapter = burst_adapter
-            self._drift_fire_tick = self.tick + self._f3.crash_delay_ticks
+            self._drift_fire_tick = self.tick + knobs.crash_delay_ticks
 
     def _crash(self, signature: str, message: str) -> None:
         self.crashed = True
@@ -466,7 +461,8 @@ class SimCore:
             chain = req.chains[c]
             if not self._append_token(req, chain, token):
                 return  # preempted mid-step; recomputation is deterministic
-            if c == 0:
+            # A recompute after a preemption re-decodes positions already stamped.
+            if c == 0 and len(req.outputs[0]) > len(req.token_stamps):
                 req.token_stamps.append(self.clock_ms)
                 if req.first_token_ms is None:
                     req.first_token_ms = self.clock_ms

@@ -81,6 +81,9 @@ class SimHttpServer:
                 except json.JSONDecodeError:
                     self._json(400, {"error": "body is not JSON"})
                     return
+                if not isinstance(doc, dict):
+                    self._json(400, {"error": "body is not a JSON object"})
+                    return
                 if self.path == "/control/reset":
                     server.reset()
                     self._json(200, {"status": "reset"})
@@ -98,8 +101,10 @@ class SimHttpServer:
                 if not doc.get("stream", True):
                     self._json(400, {"error": "only streamed completions are served"})
                     return
-                prompt = doc.get("prompt", "")
-                tokens = parse_prompt(prompt) if isinstance(prompt, str) else tuple(int(t) for t in prompt)
+                error, tokens = _parse_completion(doc)
+                if error is not None:
+                    self._json(400, {"error": error})
+                    return
                 with server.lock:
                     server._sync()
                     if server.core.crashed:
@@ -114,8 +119,8 @@ class SimHttpServer:
                         rid=rid,
                         prompt=tokens,
                         adapter=doc.get("model", "BASE"),
-                        max_tokens=int(doc.get("max_tokens", 16)),
-                        n_completions=int(doc.get("n", 1)),
+                        max_tokens=doc.get("max_tokens", 16),
+                        n_completions=doc.get("n", 1),
                         request_seed=doc.get("seed"),
                         logprobs=doc.get("logprobs"),
                         dispatched_ms=server.core.clock_ms,
@@ -212,6 +217,24 @@ class SimHttpServer:
         """
         with self.lock:
             self.core.advance_to(int((time.monotonic() - self._epoch) * 1000))
+
+
+def _parse_completion(doc: dict):
+    """(error, None) for a completion body the engine cannot take, else (None, prompt tokens)."""
+    bad = [key for key in ("max_tokens", "n", "logprobs", "seed") if key in doc and type(doc[key]) is not int]
+    if bad:
+        return f"not an integer: {', '.join(bad)}", None
+    if not isinstance(doc.get("model", "BASE"), str):
+        return "model must be a string", None
+    prompt = doc.get("prompt", "")
+    if isinstance(prompt, str):
+        try:
+            return None, parse_prompt(prompt)
+        except ValueError as exc:
+            return f"bad prompt: {exc}", None
+    if isinstance(prompt, list) and all(type(t) is int for t in prompt):
+        return None, tuple(prompt)
+    return "prompt must be token words or a list of token ids", None
 
 
 def serve_http(config: SimConfig, host: str = "127.0.0.1", port: int = 0) -> SimHttpServer:

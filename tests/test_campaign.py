@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from tracefuzz import campaign
 from tracefuzz.adapter import EngineEndpoint, EngineKind
 from tracefuzz.campaign import (
+    PROFILE_LORA_MIX,
     PROFILE_STEADY,
     CampaignConfig,
     CorpusEntry,
@@ -24,10 +25,10 @@ from tracefuzz.campaign import (
     score_pressure,
     select_seed,
 )
-from tracefuzz.confirmation import majority_confirm, majority_threshold
+from tracefuzz.confirmation import ConfirmationConfig, majority_confirm, majority_threshold
 from tracefuzz.hashing import stable_u64
-from tracefuzz.mutation import generate_seed
-from tracefuzz.oracles import SuspicionKind
+from tracefuzz.mutation import DEFAULT_MUTATION_WEIGHTS, generate_seed
+from tracefuzz.oracles import OracleThresholds, SuspicionKind
 from tracefuzz.simulator.config import FaultFamily, SimConfig
 from tracefuzz.simulator.endpoint import serve
 from tracefuzz.telemetry import TelemetrySummary
@@ -227,6 +228,37 @@ def test_campaign_config_records_every_setting():
     fields = {f.name for f in dataclasses.fields(CampaignConfig)}
     recorded = set(CampaignConfig().to_dict())
     assert recorded == (fields - {"endpoint_descriptor"}) | {"endpoint"}
+
+
+def test_campaign_config_from_dict_inverts_to_dict():
+    changed = CampaignConfig(
+        rng_seed=7,
+        iterations=9,
+        time_budget_s=2.5,
+        mutation_weights=dict(zip(DEFAULT_MUTATION_WEIGHTS, reversed(DEFAULT_MUTATION_WEIGHTS.values()))),
+        selection_weights={"novelty": 0.1, "suspicion": 0.2, "pressure": 0.3, "floor": 0.4},
+        thresholds=OracleThresholds(
+            ttft_regression_factor=4.0, min_baseline_samples=7, stall_window_ms=900, kv_leak_grace_ms=11,
+            lifecycle_tolerance_ms=3,
+        ),
+        confirmation=ConfirmationConfig(
+            top_n=3, epsilon=0.2, k=5, retry_budget=1, probe_count=4, probe_spacing_ms=9, regression_factor=3.0,
+            recovery_factor=1.5,
+        ),
+        corpus_seed=3,
+        profiles=(PROFILE_LORA_MIX, PROFILE_STEADY),
+        bootstrap_per_profile=2,
+        corpus_cap=17,
+        stop_on_finding=True,
+        mutation_intensity=0.2,
+        endpoint_descriptor={"endpoint": "http://127.0.0.1:1", "sim": False, "faults": []},
+    )
+    default = CampaignConfig()
+    assert all(getattr(changed, f.name) != getattr(default, f.name) for f in dataclasses.fields(CampaignConfig))
+    for config in (default, changed):
+        rebuilt = CampaignConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+        assert rebuilt.endpoint_descriptor == {}  # the endpoint is the running command's, not the file's
+        assert dataclasses.replace(rebuilt, endpoint_descriptor=config.endpoint_descriptor) == config
 
 
 # -- bootstrap + loop ------------------------------------------------------------

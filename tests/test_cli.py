@@ -4,6 +4,7 @@ All invocations go through main(argv) in-process; stdout/stderr are captured
 with capsys.
 """
 
+import dataclasses
 import json
 import pathlib
 import sys
@@ -11,13 +12,17 @@ import sys
 import pytest
 
 from tracefuzz import campaign, cli
-from tracefuzz.adapter import UnsupportedOperation
+from tracefuzz.adapter import EndpointUnavailable, EngineEndpoint, EngineKind, UnsupportedOperation, execute
+from tracefuzz.campaign import PROFILE_STEADY, CampaignConfig, run_campaign
 from tracefuzz.cli import EXIT_ENDPOINT, EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main
 from tracefuzz.trace import PromptShape, RequestSpec, SamplingConfig, TimedTrace, TraceEvent, deserialize, serialize
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from drift_schedules import drift_schedule  # noqa: E402
 
+from tracefuzz.oracles import BaselineStats, SuspicionKind, full_sweep  # noqa: E402
+from tracefuzz.simulator.config import FaultFamily, SimConfig  # noqa: E402
+from tracefuzz.simulator.endpoint import serve  # noqa: E402
 from tracefuzz.simulator.engine import ALL_CONDITIONS  # noqa: E402
 
 
@@ -181,6 +186,20 @@ def test_run_with_findings_exits_one(tmp_path, capsys):
     assert (tmp_path / "out" / "traces" / f"{doc['trace_id']}.json").exists()
 
 
+def test_run_aborts_after_three_endpoint_failures_in_a_row(monkeypatch, tmp_path, capsys):
+    def unavailable(trace, endpoint, corpus_seed=0, canonical_decode=False):
+        raise EndpointUnavailable("engine unreachable")
+
+    monkeypatch.setattr(campaign, "execute", unavailable)
+    out = tmp_path / "out"
+    code = main(["run", "--sim", "--budget", "6", "--profiles", "steady", "--out", str(out)])
+    assert code == EXIT_ENDPOINT
+    assert "campaign aborted" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["aborted"] is True
+    assert summary["iterations_run"] == 3
+
+
 # -- replay / confirm --------------------------------------------------------------
 
 
@@ -189,6 +208,27 @@ def test_replay_identical_on_clean_sim(tmp_path, capsys):
     path = write_trace(tmp_path, trace)
     assert main(["replay", "--trace", str(path), "--sim", "--k", "3"]) == EXIT_OK
     assert "3/3 identical" in capsys.readouterr().out
+
+
+def test_replay_prints_each_divergence(monkeypatch, tmp_path, capsys):
+    real_replay = cli.replay
+
+    def diverging_replay(trace, endpoint, **kwargs):
+        reports = real_replay(trace, endpoint, **kwargs)
+        outcomes = reports[1].outcomes
+        tokens = outcomes["a"].output_tokens[0]
+        flipped = (tokens[0], tokens[1] + 1) + tokens[2:]
+        outcomes["a"] = dataclasses.replace(outcomes["a"], output_tokens=(flipped,))
+        outcomes["b"] = dataclasses.replace(outcomes["b"], status="timeout")
+        return reports
+
+    monkeypatch.setattr(cli, "replay", diverging_replay)
+    path = write_trace(tmp_path, TimedTrace("t~rep", (send("a", 0), send("b", 1))))
+    assert main(["replay", "--trace", str(path), "--sim", "--k", "3"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "replay 2: a: first difference at position 1; b: status completed vs timeout" in out
+    assert "replay 3: identical to replay 1" in out
+    assert "2/3 identical" in out
 
 
 def test_confirm_clean_trace(tmp_path, capsys):
@@ -221,6 +261,23 @@ def test_minimize_crash_trace(tmp_path, capsys):
     small = deserialize(out.read_bytes())
     assert len(small.events) <= len(drift_trace().events)
     assert f"-> {len(small.events)} events" in captured.out or "already minimal" in captured.out
+
+
+@pytest.mark.parametrize("goal", ["kind", "fingerprint"])
+def test_minimize_keeps_a_suspicion_kind_or_fingerprint(tmp_path, capsys, goal):
+    trace = drift_trace()
+    report = execute(trace, EngineEndpoint(EngineKind.SIMULATOR, handle=serve(SimConfig().with_faults(FaultFamily.ADAPTER_DRIFT))))
+    crash = next(s for s in full_sweep(trace, report, BaselineStats()) if s.kind is SuspicionKind.CRASH)
+    predicate = f"kind:{crash.kind.value}" if goal == "kind" else f"fingerprint:{crash.fingerprint}"
+    path, out = write_trace(tmp_path, trace), tmp_path / "small.json"
+    code = main([
+        "minimize", "--trace", str(path), "--predicate", predicate,
+        "--sim", "--fault", "F3", "--k", "1", "--out", str(out),
+    ])
+    assert code == EXIT_OK
+    # The drift trace is event-minimal already; its gaps still collapse.
+    assert "collapse:" in capsys.readouterr().out
+    assert deserialize(out.read_bytes()).events[-1].offset_ms < trace.events[-1].offset_ms
 
 
 def test_minimize_unreproducible_exits_three(tmp_path, capsys):
@@ -277,6 +334,21 @@ def test_report_table_and_json(clean_campaign, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"]["iterations_run"] == 4
     assert doc["findings"] == []
+
+
+def test_report_lists_findings_and_their_first_iterations(tmp_path, capsys):
+    # F2 stalls under the steady profile: one finding, re-raised as duplicates.
+    config = CampaignConfig(rng_seed=11, iterations=20, profiles=(PROFILE_STEADY,), bootstrap_per_profile=2)
+    endpoint = EngineEndpoint(EngineKind.SIMULATOR, handle=serve(SimConfig(seed=1).with_faults(FaultFamily.ENGINE_STALL)))
+    result = run_campaign(config, endpoint, out_dir=tmp_path)
+    assert result.findings
+    assert main(["report", "--campaign", str(tmp_path)]) == EXIT_OK
+    table = capsys.readouterr().out
+    assert f"{'kind':24} {'reproductions':>13}  fingerprint" in table
+    for fp, record in result.findings.items():
+        assert f"{record.finding.kind.value:24} {record.duplicates + 1:>13}  {fp}" in table
+    first = sorted({record.first_iteration for record in result.findings.values()})
+    assert f"findings first confirmed at iterations: {', '.join(map(str, first))}" in table
 
 
 def test_report_missing_directory(tmp_path, capsys):

@@ -21,7 +21,7 @@ from tracefuzz.trace import TimedTrace, TraceEvent
 
 ENGINE = SimConfig(seed=5, near_tie_gap=0.05, total_kv_blocks=96)
 
-EXPECTED = (2_798, "d6800a1e9c22cc861f897a912031b9fd1d43779e043d0d8035d19a31bb4c7c62")
+EXPECTED = (2_798, "7c6e99c96a9d36f076b296652253488c1f07421d32bd8118e0190b6c1cb47e7b")
 
 
 def traces():

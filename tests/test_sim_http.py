@@ -105,6 +105,30 @@ def test_a_request_too_large_for_the_pool_is_refused():
         server.stop()
 
 
+def test_completion_bodies_the_engine_cannot_take_are_refused():
+    server = serve_http(SimConfig())
+    words = render_prompt(prompt(8))
+    bodies = [
+        {"prompt": words, "max_tokens": "x"},
+        {"prompt": words, "n": None},
+        {"prompt": words, "logprobs": "9"},
+        {"prompt": words, "seed": 1.5},
+        {"prompt": words, "model": 3},
+        {"prompt": "not token words"},
+        {"prompt": [1, "2"]},
+        ["not", "an", "object"],
+    ]
+    try:
+        for body in bodies:
+            resp = requests.post(server.base_url + "/v1/completions", json=body, timeout=5)
+            assert resp.status_code == 400, body
+            assert resp.json()["error"]
+        assert requests.get(server.base_url + "/health", timeout=5).status_code == 200
+        assert server.core.requests == {}
+    finally:
+        server.stop()
+
+
 def test_decode_mode_set_over_http_survives_a_reset():
     server = serve_http(SimConfig(seed=4, near_tie_gap=0.05))
     base = server.base_url

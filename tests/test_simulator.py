@@ -248,6 +248,13 @@ def test_drift_requires_all_four_conditions():
         assert ALL_CONDITIONS not in masks
 
 
+def test_drift_conditions_are_evaluated_only_with_f3_armed():
+    clean = serve(SimConfig(seed=0))
+    play_schedule(clean, ALL_CONDITIONS, tag=1)
+    assert not clean.crashed
+    assert clean.f3_observed_masks == set()
+
+
 def test_drift_crash_evidence_shape():
     crashed, _, sim = run_schedule(ALL_CONDITIONS, sim_seed=3, tag=2)
     assert crashed
@@ -308,6 +315,13 @@ def test_reset_keeps_the_handle_and_replays_bit_identically():
 
 
 # -- misc engine surface --------------------------------------------------------
+
+
+def test_sim_config_from_dict_keeps_the_defaults_it_is_not_given():
+    assert SimConfig.from_dict({}) == SimConfig()
+    config = SimConfig.from_dict({"adapters": ["BASE", "lora_a"], "faults": [{"family": "engine_stall", "stall_ms": 7}]})
+    assert config.adapters == ("BASE", "lora_a")
+    assert config.faults == (FaultSpec(FaultFamily.ENGINE_STALL, stall_ms=7),)
 
 
 def test_engine_info_reports_static_config():
@@ -380,3 +394,28 @@ def test_cancel_and_disconnect_statuses():
     sim.advance_to(300.0)
     assert sim.requests["c"].status == "cancelled"
     assert sim.requests["d"].status == "disconnected"
+
+
+def test_a_preempted_request_keeps_one_stamp_per_token():
+    # Twelve 4-token blocks cannot hold two 20-token prompts decoding 20
+    # tokens each, so one request is preempted and recomputes its decode.
+    # The positions it decodes again were stamped when first decoded.
+    sim = serve(SimConfig(total_kv_blocks=12, block_size_tokens=4, max_batch_tokens=64, chunked_prefill_limit=64))
+    stamped_before = {}
+    real_preempt = sim._preempt
+
+    def preempt(req):
+        stamped_before.setdefault(req.rid, list(req.token_stamps))
+        real_preempt(req)
+
+    sim._preempt = preempt
+    for rid, tag in (("a", 0), ("b", 1)):
+        assert sim.submit(rid, prompt(20, tag), "BASE", 20, 1, 0, None, 0) is None
+    sim.advance_to(500)
+    assert any(stamped_before.values())  # a request was preempted after its first tokens
+    for rid, req in sim.requests.items():
+        assert req.status == "completed"
+        assert len(req.token_stamps) == len(req.outputs[0]) == 20
+        assert req.token_stamps == sorted(set(req.token_stamps))
+        before = stamped_before.get(rid, [])
+        assert req.token_stamps[: len(before)] == before

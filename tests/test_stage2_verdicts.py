@@ -155,6 +155,35 @@ def test_stage2_verdict_is_frozen(case):
     assert _verdict_row(outcome) == FROZEN[case], canonical_json(outcome.evidence)
 
 
+# -- stall ----------------------------------------------------------------------
+
+
+def test_a_stall_is_confirmed_by_a_probe_inside_its_window(monkeypatch):
+    # Each descheduled tick costs 15 s, past the 10 s stall window, so
+    # full_sweep raises a stall; the timing arm probes the middle of its quiet window.
+    engine = SimConfig(seed=1, faults=(FaultSpec(FaultFamily.ENGINE_STALL, stall_ms=15_000),))
+    endpoint = EngineEndpoint(kind=EngineKind.SIMULATOR, handle=serve(engine), request_timeout_ms=600_000)
+    trace = TimedTrace("t~quiet", (send("wide", 0, mt=4, n=8), send("probe", 2)))
+    reset_server(endpoint)
+    report = execute(trace, endpoint)
+    stall = next(s for s in full_sweep(trace, report, BaselineStats()) if s.kind is SuspicionKind.STALL)
+
+    replayed = []
+    real_replay = confirmation.replay
+
+    def recording_replay(trace, *args):
+        replayed.append(trace)
+        return real_replay(trace, *args)
+
+    monkeypatch.setattr(confirmation, "replay", recording_replay)
+    outcome = confirm_suspicion(stall, trace, endpoint, ConfirmationConfig(), original_report=report)
+    assert isinstance(outcome, Finding), outcome
+    [injected] = replayed
+    probe = next(e for e in injected.events if e.kind is EventKind.SEND and e.spec.request_id.startswith("timing-probe"))
+    start, end = stall.evidence["window"]
+    assert probe.offset_ms == (start + end) // 2 > 0
+
+
 # -- corrupted output -----------------------------------------------------------
 
 
