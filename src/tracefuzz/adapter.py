@@ -149,20 +149,36 @@ class RequestOutcome:
     token_stamps: tuple = ()  # absolute ms of stream-0 token arrivals
     error: str | None = None
 
+    @property
+    def end_ms(self) -> int:
+        """When the request ended on the trace's clock; its dispatch when it never reported a total."""
+        return self.dispatched_ms + (self.total_ms or 0)
+
 
 @dataclass
 class ExecutionReport:
-    trace_id: str
+    """What one trace, with prompts synthesized from one corpus seed, did on an engine."""
+
+    trace: TimedTrace
+    corpus_seed: int
     outcomes: dict[str, RequestOutcome]
     kv_events: tuple = ()
     server_crashed: bool = False
     crash_evidence: dict | None = None
     wall_clock_span_ms: int = 0
-    request_index: dict = field(default_factory=dict)
     block_snapshots: dict = field(default_factory=dict)
     engine_info: dict = field(default_factory=dict)
     schedule_degraded: bool = False
     kv_stream_supported: bool = True
+
+    @property
+    def trace_id(self) -> str:
+        return self.trace.trace_id
+
+    @cached_property
+    def request_index(self) -> dict[str, RequestSpec]:
+        """Request id -> the Send that issued it."""
+        return self.trace.request_specs()
 
     @cached_property
     def kv_ledger(self) -> KvLedger:
@@ -339,13 +355,13 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
     if epoch:
         kv_events = [event._replace(ts_ms=event.ts_ms - epoch) for event in kv_events]
     return ExecutionReport(
-        trace_id=trace.trace_id,
+        trace=trace,
+        corpus_seed=corpus_seed,
         outcomes=outcomes,
         kv_events=tuple(kv_events),
         server_crashed=core.crashed,
         crash_evidence=core.crash_evidence,
         wall_clock_span_ms=core.clock_ms - epoch,
-        request_index=dict(trace.request_specs()),
         block_snapshots={rid: snap for rid, snap in core.snapshots.items() if rid in dispatched},
         engine_info=info,
         schedule_degraded=False,
@@ -399,6 +415,8 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
                 error = f"http {resp.status_code}"
             else:
                 for raw in resp.iter_lines():
+                    if rid in aborted:
+                        break  # what is left was buffered before our own close, not streamed after it
                     if not raw or not raw.startswith(b"data: "):
                         continue
                     payload = raw[len(b"data: ") :]
@@ -475,13 +493,13 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
     stream = collect_kv_stream(endpoint, kv_since, kv_epoch_ms)
     crashed = check_health(endpoint) is None
     return ExecutionReport(
-        trace_id=trace.trace_id,
+        trace=trace,
+        corpus_seed=corpus_seed,
         outcomes=reported,
         kv_events=stream or (),
         server_crashed=crashed,
         crash_evidence={"signature": "connection-lost"} if crashed else None,
         wall_clock_span_ms=span,
-        request_index=dict(trace.request_specs()),
         engine_info=info,
         schedule_degraded=bool(dispatch_errors),
         kv_stream_supported=stream is not None,

@@ -14,7 +14,7 @@ import logging
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .adapter import EndpointUnavailable, execute, reset_server
@@ -28,7 +28,6 @@ from .mutation import (
 from .oracles import (
     BaselineStats,
     OracleThresholds,
-    Suspicion,
     extract_group_snapshots,
     full_sweep,
 )
@@ -365,7 +364,7 @@ class CampaignResult:
     executed_trace_ids: list[str] = field(default_factory=list)
     findings: dict[str, FindingRecord] = field(default_factory=dict)
     dismissals: dict[str, DismissalRecord] = field(default_factory=dict)
-    suspicions_raised: list[Suspicion] = field(default_factory=list)
+    suspicions_raised: int = 0
     # (iteration, score, best s_total so far), one row per executed trace
     pressure_series: list[tuple[int, PressureScore, float]] = field(default_factory=list)
     regression_checks_skipped: int = 0
@@ -382,7 +381,7 @@ class CampaignResult:
             "executed_trace_ids": list(self.executed_trace_ids),
             "findings": self.finding_fingerprints(),
             "dismissals": sorted(self.dismissals),
-            "suspicions_raised": len(self.suspicions_raised),
+            "suspicions_raised": self.suspicions_raised,
             "corpus_size": len(self.corpus),
             "regression_checks_skipped": self.regression_checks_skipped,
             "aborted": self.aborted,
@@ -444,7 +443,7 @@ def _next_trace(
     )
 
 
-def _record_verdicts(result: CampaignResult, suspicions, trace, report, endpoint, iteration: int) -> bool:
+def _record_verdicts(result: CampaignResult, suspicions, report, endpoint, iteration: int) -> bool:
     """Confirm each unseen fingerprint; return whether any became a new finding."""
     config = result.config
     found_new = False
@@ -454,15 +453,7 @@ def _record_verdicts(result: CampaignResult, suspicions, trace, report, endpoint
         if known is not None:
             known.duplicates += 1
             continue
-        outcome = confirm_suspicion(
-            susp,
-            trace,
-            endpoint,
-            config.confirmation,
-            original_report=report,
-            corpus_seed=config.corpus_seed,
-            thresholds=config.thresholds,
-        )
+        outcome = confirm_suspicion(susp, report, endpoint, config.confirmation, config.thresholds)
         if isinstance(outcome, Finding):
             result.findings[susp.fingerprint] = FindingRecord(outcome, first_iteration=iteration)
             found_new = True
@@ -500,7 +491,7 @@ def run_campaign(config: CampaignConfig, endpoint, out_dir: Path | str | None = 
 
         result.executed_trace_ids.append(trace.trace_id)
         result.trace_store[trace.trace_id] = trace
-        telemetry = compute_telemetry(trace, report)
+        telemetry = compute_telemetry(report)
         pressure = score_pressure(telemetry)
         best_pressure = max(best_pressure, pressure.s_total)
         result.pressure_series.append((iteration, pressure, best_pressure))
@@ -508,13 +499,13 @@ def run_campaign(config: CampaignConfig, endpoint, out_dir: Path | str | None = 
         if result.baseline.count < config.thresholds.min_baseline_samples:
             result.regression_checks_skipped += 1  # TTFT oracle was gated off, not green
 
-        suspicions = full_sweep(trace, report, result.baseline, config.thresholds, config.corpus_seed, prior_snapshots)
-        result.suspicions_raised.extend(suspicions)
+        suspicions = full_sweep(report, result.baseline, config.thresholds, prior_snapshots)
+        result.suspicions_raised += len(suspicions)
 
         fresh = novelty(report, seen_markers)
         seen_markers |= fresh
 
-        found_new = _record_verdicts(result, suspicions, trace, report, endpoint, iteration)
+        found_new = _record_verdicts(result, suspicions, report, endpoint, iteration)
 
         if not suspicions and not report.server_crashed and not report.schedule_degraded:
             result.baseline.add_report(report)
@@ -547,17 +538,6 @@ def run_campaign(config: CampaignConfig, endpoint, out_dir: Path | str | None = 
 # Persistence
 
 
-def _suspicion_dict(susp: Suspicion) -> dict:
-    return {
-        "kind": susp.kind.value,
-        "trace_id": susp.trace_id,
-        "fingerprint": susp.fingerprint,
-        "signature": susp.signature,
-        "evidence": susp.evidence,
-        "severity_hint": susp.severity_hint,
-    }
-
-
 def _verdict_dict(judged: Finding | Dismissal, record, detail: dict) -> dict:
     return {
         "fingerprint": judged.fingerprint,
@@ -572,7 +552,7 @@ def _verdict_dict(judged: Finding | Dismissal, record, detail: dict) -> dict:
 
 
 def _finding_dict(record: FindingRecord) -> dict:
-    return _verdict_dict(record.finding, record, {"suspicion": _suspicion_dict(record.finding.suspicion)})
+    return _verdict_dict(record.finding, record, {"suspicion": asdict(record.finding.suspicion)})
 
 
 def _dismissal_dict(record: DismissalRecord) -> dict:

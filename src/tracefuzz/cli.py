@@ -137,7 +137,7 @@ def cmd_run(args) -> int:
     endpoint = _make_endpoint(args)
     result = run_campaign(config, endpoint, out_dir=args.out)
     print(f"iterations executed: {result.iterations_run}")
-    print(f"suspicions raised:   {len(result.suspicions_raised)}")
+    print(f"suspicions raised:   {result.suspicions_raised}")
     print(f"confirmed findings:  {len(result.findings)}")
     print(f"dismissed:           {len(result.dismissals)}")
     print(f"corpus size:         {len(result.corpus)}")
@@ -188,15 +188,13 @@ def cmd_confirm(args) -> int:
     thresholds = OracleThresholds()
     reset_server(endpoint)
     report = execute(trace, endpoint, corpus_seed=args.corpus_seed)
-    suspicions = full_sweep(trace, report, BaselineStats(), thresholds, args.corpus_seed)
+    suspicions = full_sweep(report, BaselineStats(), thresholds)
     if not suspicions:
         print("no suspicions raised")
         return EXIT_OK
     confirmed = 0
     for susp in suspicions:
-        outcome = confirm_suspicion(
-            susp, trace, endpoint, config, original_report=report, corpus_seed=args.corpus_seed, thresholds=thresholds
-        )
+        outcome = confirm_suspicion(susp, report, endpoint, config, thresholds)
         if isinstance(outcome, Finding):
             confirmed += 1
             print(f"{susp.kind.value} {susp.fingerprint}: TruePositive")
@@ -224,7 +222,7 @@ def cmd_minimize(args) -> int:
             return False
         if goal == "crash":
             return report.server_crashed
-        suspicions = full_sweep(candidate, report, BaselineStats(), thresholds, args.corpus_seed)
+        suspicions = full_sweep(report, BaselineStats(), thresholds)
         if goal.startswith("kind:"):
             return any(s.kind.value == goal[len("kind:") :] for s in suspicions)
         return any(s.fingerprint == goal[len("fingerprint:") :] for s in suspicions)

@@ -231,15 +231,14 @@ _TIMING_KINDS = frozenset({SuspicionKind.STALL, SuspicionKind.TTFT_REGRESSION})
 
 def confirm_suspicion(
     suspicion: Suspicion,
-    trace: TimedTrace,
+    report,
     endpoint,
     config: ConfirmationConfig | None = None,
-    original_report=None,
-    corpus_seed: int = 0,
     thresholds: OracleThresholds | None = None,
 ):
-    """Route one suspicion through its confirmation arm.
+    """Route one suspicion, raised on ``report``, through its confirmation arm.
 
+    Replays run the report's trace with prompts from its corpus seed.
     Returns a Finding (confirmed) or a Dismissal.  Endpoint trouble that
     survives the retry budget yields a Dismissal marked unconfirmable rather
     than an exception, so campaigns keep moving.
@@ -248,8 +247,8 @@ def confirm_suspicion(
     thresholds = thresholds or OracleThresholds()
     try:
         if suspicion.kind in _TIMING_KINDS:
-            return _confirm_timing(suspicion, trace, endpoint, config, corpus_seed)
-        return _confirm_replay(suspicion, trace, endpoint, config, original_report, corpus_seed, thresholds)
+            return _confirm_timing(suspicion, report, endpoint, config)
+        return _confirm_replay(suspicion, report, endpoint, config, thresholds)
     except (EndpointUnavailable, OSError) as exc:
         LOG.warning("confirmation of %s abandoned: %s", suspicion.fingerprint, exc)
         return _judge(suspicion, False, {"error": str(exc)}, "unconfirmable-endpoint-failure")
@@ -270,17 +269,15 @@ def solo_probe_trace(spec: RequestSpec, top_n: int) -> TimedTrace:
     return TimedTrace(trace_id=f"solo~{spec.request_id}", events=(TraceEvent.send(0, probe),))
 
 
-def _relational_verdicts(suspicion, endpoint, config, original_report, corpus_seed) -> list[RelationalVerdict]:
-    if original_report is None:
-        return []
+def _relational_verdicts(suspicion, report, endpoint, config) -> list[RelationalVerdict]:
     verdicts: list[RelationalVerdict] = []
     for rid in suspicion.evidence.get("request_ids", []):
-        outcome = original_report.outcomes.get(rid)
-        spec = original_report.request_index.get(rid)
+        outcome = report.outcomes.get(rid)
+        spec = report.request_index.get(rid)
         if outcome is None or spec is None or outcome.status != "completed" or not outcome.output_tokens:
             continue
         # The suspect request alone on a reset engine, ties pinned.
-        solo = _run_isolated(solo_probe_trace(spec, config.top_n), endpoint, corpus_seed, config.retry_budget)
+        solo = _run_isolated(solo_probe_trace(spec, config.top_n), endpoint, report.corpus_seed, config.retry_budget)
         reference = solo.outcomes.get(rid)
         if reference is None or reference.status != "completed":
             continue
@@ -315,22 +312,22 @@ def _aggregate_relational(verdicts) -> Verdict | None:
 # -- replay arm ---------------------------------------------------------------
 
 
-def _confirm_replay(suspicion, trace, endpoint, config, original_report, corpus_seed, thresholds):
+def _confirm_replay(suspicion, report, endpoint, config, thresholds):
     """Confirmed when the suspicion's fingerprint re-fires in a majority of k pinned replays."""
     evidence: dict = {}
     aggregate = None
     if suspicion.kind in _RELATIONAL_KINDS:
-        verdicts = _relational_verdicts(suspicion, endpoint, config, original_report, corpus_seed)
+        verdicts = _relational_verdicts(suspicion, report, endpoint, config)
         evidence["relational"] = [asdict(v) for v in verdicts]
         aggregate = _aggregate_relational(verdicts)
         if aggregate is Verdict.FALSE_POSITIVE:
             # Explainable tie-break divergence; replaying would only re-observe it.
             return _judge(suspicion, False, evidence, "within-tie-margin", Verdict.FALSE_POSITIVE)
 
-    reports = replay(trace, endpoint, config.k, config.top_n, corpus_seed, config.retry_budget)
+    reports = replay(report.trace, endpoint, config.k, config.top_n, report.corpus_seed, config.retry_budget)
     flags = []
-    for report in reports:
-        found = full_sweep(trace, report, BaselineStats(), thresholds, corpus_seed)
+    for replayed in reports:
+        found = full_sweep(replayed, BaselineStats(), thresholds)
         flags.append(any(s.fingerprint == suspicion.fingerprint for s in found))
     tally, confirmed = _tally(flags, config)
     evidence.update(tally)
@@ -380,7 +377,8 @@ def _regression_window(suspicion) -> tuple[int, int]:
     return start, start + int(suspicion.evidence.get("ttft_ms", 0))
 
 
-def _confirm_timing(suspicion, trace, endpoint, config, corpus_seed):
+def _confirm_timing(suspicion, report, endpoint, config):
+    trace, corpus_seed = report.trace, report.corpus_seed
     baseline_report = _run_isolated(latency_probe_trace(config, "baseline"), endpoint, corpus_seed, config.retry_budget)
     baseline_p50 = _probe_p50(baseline_report)
     if baseline_p50 is None:
@@ -399,13 +397,13 @@ def _confirm_timing(suspicion, trace, endpoint, config, corpus_seed):
     amplification = 0.0
     suspect_rids = suspicion.evidence.get("request_ids", [])
     last_report = None
-    for report in replay(injected, endpoint, config.k, config.top_n, corpus_seed, config.retry_budget):
-        last_report = report
-        probe_outcome = report.outcomes.get(probe_spec.request_id)
+    for replayed in replay(injected, endpoint, config.k, config.top_n, corpus_seed, config.retry_budget):
+        last_report = replayed
+        probe_outcome = replayed.outcomes.get(probe_spec.request_id)
         probe_ttft = probe_outcome.ttft_ms if probe_outcome and probe_outcome.ttft_ms is not None else None
         flags.append(probe_ttft is not None and probe_ttft >= config.regression_factor * floor)
         for rid in suspect_rids:
-            outcome = report.outcomes.get(rid)
+            outcome = replayed.outcomes.get(rid)
             if outcome is not None and outcome.ttft_ms is not None:
                 amplification = max(amplification, outcome.ttft_ms / floor)
         if probe_ttft is not None:

@@ -209,9 +209,7 @@ def _kv_leak_check(report, thresholds: OracleThresholds) -> list[Suspicion]:
         leaked = held.get(rid)
         if not leaked:
             continue
-        outcome = report.outcomes[rid]
-        end = outcome.dispatched_ms + (outcome.total_ms or 0)
-        if report.wall_clock_span_ms - end < thresholds.kv_leak_grace_ms:
+        if report.wall_clock_span_ms - report.outcomes[rid].end_ms < thresholds.kv_leak_grace_ms:
             continue  # still within the post-teardown grace window
         spec = report.request_index.get(rid)
         out.append(
@@ -230,10 +228,7 @@ def detect_stall(report, stall_window_ms: int) -> Suspicion | None:
     if report.schedule_degraded:
         return None
     progress = sorted(stamp for o in report.outcomes.values() for stamp in o.token_stamps)
-    intervals = []
-    for o in report.outcomes.values():
-        end = o.dispatched_ms + (o.total_ms if o.total_ms is not None else 0)
-        intervals.append((o.dispatched_ms, end))
+    intervals = [(o.dispatched_ms, o.end_ms) for o in report.outcomes.values()]
     if not intervals:
         return None
     span_end = max(end for _, end in intervals)
@@ -257,10 +252,10 @@ def detect_stall(report, stall_window_ms: int) -> Suspicion | None:
     )
 
 
-def lifecycle_check(trace, report, thresholds: OracleThresholds | None = None) -> list[Suspicion]:
+def lifecycle_check(report, thresholds: OracleThresholds | None = None) -> list[Suspicion]:
     tol = (thresholds or OracleThresholds()).lifecycle_tolerance_ms
     controls: dict[str, tuple[str, int]] = {}
-    for event in trace.events:
+    for event in report.trace.events:
         if event.kind in (EventKind.CANCEL, EventKind.DISCONNECT) and event.target not in controls:
             controls[event.target] = (event.kind.value, event.offset_ms)
     suspicions = []
@@ -273,8 +268,7 @@ def lifecycle_check(trace, report, thresholds: OracleThresholds | None = None) -
         elif outcome.status == "disconnected" and (control is None or control[0] != "Disconnect"):
             subtype = "spurious-disconnect"
         elif control is not None and outcome.status == "completed" and outcome.total_ms is not None:
-            end = outcome.dispatched_ms + outcome.total_ms
-            if end > control[1] + tol:
+            if outcome.end_ms > control[1] + tol:
                 subtype = "generation-past-" + ("cancel" if control[0] == "Cancel" else "disconnect")
         if control is not None and control[0] == "Disconnect" and outcome.token_stamps:
             if max(outcome.token_stamps) > control[1] + tol:
@@ -331,7 +325,7 @@ def extract_group_snapshots(report) -> dict[str, list]:
     return {key: members[0][1] for key, members in _snapshot_groups(report).items()}
 
 
-def structural_forensics(report, corpus_seed: int = 0, prior_snapshots: dict | None = None) -> list[Suspicion]:
+def structural_forensics(report, prior_snapshots: dict | None = None) -> list[Suspicion]:
     suspicions: list[Suspicion] = []
     block_size = report.engine_info.get("block_size_tokens", 16)
     vocab = report.engine_info.get("vocab_size", 1024)
@@ -353,7 +347,7 @@ def structural_forensics(report, corpus_seed: int = 0, prior_snapshots: dict | N
     # only then are the claims of the conflicted hashes walked for evidence.
     # Only full prompt blocks claim; an unsealed block's None is never one.
     prompts = {
-        rid: prompt_for(report.request_index[rid], corpus_seed, vocab)
+        rid: prompt_for(report.request_index[rid], report.corpus_seed, vocab)
         for rid in sorted(report.block_snapshots)
         if rid in report.request_index
     }
@@ -428,11 +422,9 @@ def _snapshot_signature(scope: str, spec, expected: list, got: list) -> dict:
 
 
 def full_sweep(
-    trace,
     report,
     baseline: BaselineStats,
     thresholds: OracleThresholds | None = None,
-    corpus_seed: int = 0,
     prior_snapshots: dict | None = None,
 ) -> list[Suspicion]:
     """Every oracle over one report; their kinds are disjoint and each merges its own duplicates."""
@@ -441,6 +433,6 @@ def full_sweep(
     stall = detect_stall(report, thresholds.stall_window_ms)
     if stall is not None:
         suspicions.append(stall)
-    suspicions.extend(lifecycle_check(trace, report, thresholds))
-    suspicions.extend(structural_forensics(report, corpus_seed, prior_snapshots))
+    suspicions.extend(lifecycle_check(report, thresholds))
+    suspicions.extend(structural_forensics(report, prior_snapshots))
     return suspicions

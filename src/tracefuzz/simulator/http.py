@@ -60,7 +60,10 @@ class SimHttpServer:
                 elif url.path == "/control/info":
                     self._json(200, server.config.engine_info())
                 elif url.path == "/kv_events":
-                    since = int(parse_qs(url.query).get("since", ["0"])[0])
+                    since = _count(parse_qs(url.query).get("since", ["0"])[0])
+                    if since is None:
+                        self._json(400, {"error": "since must be a non-negative integer"})
+                        return
                     with server.lock:
                         server._sync()
                         lines = [e.to_json_line() for e in server.core.kv_events[since:]]
@@ -74,7 +77,11 @@ class SimHttpServer:
                     self._json(404, {"error": "no such path"})
 
             def do_POST(self):
-                length = int(self.headers.get("Content-Length") or 0)
+                length = _count(self.headers.get("Content-Length") or "0")
+                if length is None:
+                    self.close_connection = True  # where the body ends is unknown
+                    self._json(400, {"error": "Content-Length must be a non-negative integer"})
+                    return
                 raw = self.rfile.read(length) if length else b"{}"
                 try:
                     doc = json.loads(raw or b"{}")
@@ -88,7 +95,10 @@ class SimHttpServer:
                     server.reset()
                     self._json(200, {"status": "reset"})
                 elif self.path == "/control/decode_mode":
-                    canonical = bool(doc.get("canonical", False))
+                    canonical = doc.get("canonical")
+                    if type(canonical) is not bool:
+                        self._json(400, {"error": "canonical must be a JSON boolean"})
+                        return
                     with server.lock:
                         server.core.canonical_decode = canonical
                     self._json(200, {"canonical": canonical})
@@ -217,6 +227,12 @@ class SimHttpServer:
         """
         with self.lock:
             self.core.advance_to(int((time.monotonic() - self._epoch) * 1000))
+
+
+def _count(text: str) -> int | None:
+    """The value of a decimal digit string, or None for anything else: a sign, a blank, other characters."""
+    text = text.strip()
+    return int(text) if text.isascii() and text.isdigit() else None
 
 
 def _parse_completion(doc: dict):

@@ -33,7 +33,7 @@ class TelemetrySummary:
         return (i * self.window_ms, (i + 1) * self.window_ms)
 
 
-def compute_telemetry(trace, report, window_ms: int = 1000) -> TelemetrySummary:
+def compute_telemetry(report, window_ms: int = 1000) -> TelemetrySummary:
     intervals: list[tuple[int, int]] = []
     adapters: set[str] = set()
     prompt_lens: set[int] = set()
@@ -43,8 +43,7 @@ def compute_telemetry(trace, report, window_ms: int = 1000) -> TelemetrySummary:
             prompt_lens.add(spec.shape.prompt_len)
             if outcome.status != "server_error":
                 adapters.add(spec.adapter)
-        end = outcome.dispatched_ms + (outcome.total_ms if outcome.total_ms is not None else 0)
-        intervals.append((outcome.dispatched_ms, max(end, outcome.dispatched_ms)))
+        intervals.append((outcome.dispatched_ms, max(outcome.end_ms, outcome.dispatched_ms)))
 
     # Peak concurrency by sweep line over dispatch/termination edges.
     edges: list[tuple[int, int]] = []

@@ -173,10 +173,7 @@ def test_ac05_stall_fault_regression_confirmed_with_recovery():
     assert regressions, f"no regression raised: {[s.kind for s in suspicions]}"
     assert regressions[0].evidence["ratio"] >= 100.0
 
-    outcome = confirm_suspicion(
-        regressions[0], trace, endpoint, ConfirmationConfig(),
-        original_report=report, thresholds=thresholds,
-    )
+    outcome = confirm_suspicion(regressions[0], report, endpoint, ConfirmationConfig(), thresholds)
     assert isinstance(outcome, Finding), getattr(outcome, "reason", None)
     evidence = outcome.evidence
     assert evidence["amplification"] >= 100.0
@@ -230,7 +227,7 @@ def test_ac08_false_positive_floor():
 
     near_tie = CampaignConfig(rng_seed=3, iterations=60, profiles=(PROFILE_STEADY,), bootstrap_per_profile=2)
     tied = run_campaign(near_tie, sim_endpoint(seed=5, near_tie_gap=0.05))
-    assert len(tied.suspicions_raised) >= 20
+    assert tied.suspicions_raised >= 20
     assert tied.findings == {}
     assert tied.dismissals, "near ties never reached confirmation"
     for rec in tied.dismissals.values():

@@ -185,13 +185,20 @@ def test_eviction_spares_suspicious_entries():
 
 
 def test_campaign_counts_reraised_findings_against_the_original(monkeypatch):
+    raised: list = []
     confirmed: list[str] = []
-    confirm = campaign.confirm_suspicion
+    sweep, confirm = campaign.full_sweep, campaign.confirm_suspicion
+
+    def recording_sweep(*args, **kwargs):
+        suspicions = sweep(*args, **kwargs)
+        raised.extend(suspicions)
+        return suspicions
 
     def counting_confirm(suspicion, *args, **kwargs):
         confirmed.append(suspicion.fingerprint)
         return confirm(suspicion, *args, **kwargs)
 
+    monkeypatch.setattr(campaign, "full_sweep", recording_sweep)
     monkeypatch.setattr(campaign, "confirm_suspicion", counting_confirm)
     endpoint = EngineEndpoint(
         kind=EngineKind.SIMULATOR, handle=serve(SimConfig(seed=1).with_faults(FaultFamily.ENGINE_STALL))
@@ -200,7 +207,7 @@ def test_campaign_counts_reraised_findings_against_the_original(monkeypatch):
     assert result.findings
     for fp, record in result.findings.items():
         raised_at = [
-            result.executed_trace_ids.index(s.trace_id) for s in result.suspicions_raised if s.fingerprint == fp
+            result.executed_trace_ids.index(s.trace_id) for s in raised if s.fingerprint == fp
         ]
         assert record.duplicates >= 1
         assert record.duplicates == len(raised_at) - 1

@@ -267,7 +267,7 @@ def test_minimize_crash_trace(tmp_path, capsys):
 def test_minimize_keeps_a_suspicion_kind_or_fingerprint(tmp_path, capsys, goal):
     trace = drift_trace()
     report = execute(trace, EngineEndpoint(EngineKind.SIMULATOR, handle=serve(SimConfig().with_faults(FaultFamily.ADAPTER_DRIFT))))
-    crash = next(s for s in full_sweep(trace, report, BaselineStats()) if s.kind is SuspicionKind.CRASH)
+    crash = next(s for s in full_sweep(report, BaselineStats()) if s.kind is SuspicionKind.CRASH)
     predicate = f"kind:{crash.kind.value}" if goal == "kind" else f"fingerprint:{crash.fingerprint}"
     path, out = write_trace(tmp_path, trace), tmp_path / "small.json"
     code = main([

@@ -9,12 +9,14 @@ the request index and snapshots longer than the prompt; the seeded reports
 are the frozen KV stream set's real executions.
 """
 
+from dataclasses import replace
+
 from hypothesis import example, given, settings, strategies as st
 
 from tracefuzz.adapter import KV_EVENT_KINDS, EngineEndpoint, EngineKind, ExecutionReport, KvEvent, KvLedger, execute
 from tracefuzz.oracles import Suspicion, SuspicionKind, _merge, _snapshot_groups, _snapshot_signature, structural_forensics
 from tracefuzz.simulator.endpoint import serve
-from tracefuzz.trace import PromptShape, RequestSpec, SamplingConfig, prompt_for
+from tracefuzz.trace import PromptShape, RequestSpec, SamplingConfig, TimedTrace, TraceEvent, prompt_for
 
 from test_frozen_kv_stream import ENGINES, traces
 from test_oracles import outcome
@@ -22,7 +24,7 @@ from test_oracles import outcome
 # -- reference walks ---------------------------------------------------------------
 
 
-def reference_forensics(report, corpus_seed=0, prior_snapshots=None):
+def reference_forensics(report, prior_snapshots=None):
     suspicions = []
     block_size = report.engine_info.get("block_size_tokens", 16)
     vocab = report.engine_info.get("vocab_size", 1024)
@@ -39,7 +41,7 @@ def reference_forensics(report, corpus_seed=0, prior_snapshots=None):
     for rid in sorted(report.block_snapshots):
         if rid not in report.request_index:
             continue
-        prompt = prompt_for(report.request_index[rid], corpus_seed, vocab)
+        prompt = prompt_for(report.request_index[rid], report.corpus_seed, vocab)
         for index, (block_id, block_hash) in enumerate(report.block_snapshots[rid]):
             if block_hash is None:
                 continue
@@ -161,12 +163,17 @@ def forensic_reports(draw):
         entries = [(bid, draw(hashes)) for bid in range(max(0, length))]
         snapshots[rid] = draw(st.sampled_from((entries, [list(entry) for entry in entries])))
     return ExecutionReport(
-        trace_id="t~forensics",
+        trace=sends(specs),
+        corpus_seed=0,
         outcomes={rid: outcome(rid) for rid in snapshots},
-        request_index=specs,
         block_snapshots=snapshots,
         engine_info={"block_size_tokens": block, "vocab_size": vocab},
     )
+
+
+def sends(specs):
+    """A trace that sends each spec at 0 ms, so its request index is ``specs``."""
+    return TimedTrace("t~forensics", tuple(TraceEvent.send(0, spec) for spec in specs.values()))
 
 
 def _shared_hash_report(adapters, identities):
@@ -176,9 +183,9 @@ def _shared_hash_report(adapters, identities):
         for rid, adapter, identity in zip(("a", "b"), adapters, identities)
     }
     return ExecutionReport(
-        trace_id="t~forensics",
+        trace=sends(specs),
+        corpus_seed=0,
         outcomes={rid: outcome(rid) for rid in specs},
-        request_index=specs,
         block_snapshots={rid: [(0, 7), (1, None)] for rid in specs},
         engine_info={"block_size_tokens": 4, "vocab_size": 1024},
     )
@@ -190,7 +197,8 @@ def _shared_hash_report(adapters, identities):
 @example(_shared_hash_report(("BASE", "lora_a"), ("x", "x")), 0)  # one span under two adapters
 @example(_shared_hash_report(("BASE", "BASE"), ("x", "x")), 0)  # one span, one adapter: no conflict
 def test_forensics_matches_the_reference_claims_walk(report, corpus_seed):
-    assert structural_forensics(report, corpus_seed) == reference_forensics(report, corpus_seed)
+    report = replace(report, corpus_seed=corpus_seed)
+    assert structural_forensics(report) == reference_forensics(report)
 
 
 def test_shared_hash_examples_conflict_as_expected():

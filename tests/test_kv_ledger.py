@@ -15,12 +15,14 @@ from tracefuzz.campaign import novelty
 from tracefuzz.oracles import OracleThresholds, Suspicion, SuspicionKind, _kv_leak_check, _merge, structural_forensics
 from tracefuzz.telemetry import TelemetrySummary, compute_telemetry
 
+from tracefuzz.trace import TimedTrace, TraceEvent
+
 from test_oracles import outcome, spec_of
 
 # -- reference walks ---------------------------------------------------------------
 
 
-def reference_telemetry(trace, report, window_ms=1000):
+def reference_telemetry(report, window_ms=1000):
     intervals = []
     adapters = set()
     prompt_lens = set()
@@ -196,6 +198,11 @@ kv_events = st.lists(
 )
 
 
+def sends(outcomes, specs):
+    """A trace that sends each outcome's request, as the given spec, at its dispatch time."""
+    return TimedTrace("t~ledger", tuple(TraceEvent.send(o.dispatched_ms, spec) for o, spec in zip(outcomes, specs)))
+
+
 @st.composite
 def reports(draw):
     outcomes = []
@@ -205,11 +212,11 @@ def reports(draw):
             outcome(rid, status=draw(st.sampled_from(STATUSES)), dispatched=draw(st.integers(0, 100)), total=total)
         )
     return ExecutionReport(
-        trace_id="t~ledger",
+        trace=sends(outcomes, [spec_of(o.request_id, adapter=draw(st.sampled_from(ADAPTERS))) for o in outcomes]),
+        corpus_seed=0,
         outcomes={o.request_id: o for o in outcomes},
         kv_events=tuple(draw(kv_events)),
         wall_clock_span_ms=draw(st.integers(0, 3_000)),
-        request_index={o.request_id: spec_of(o.request_id, adapter=draw(st.sampled_from(ADAPTERS))) for o in outcomes},
         engine_info={"engine": "tracefuzz-sim", "vocab_size": 1024},
         kv_stream_supported=draw(st.booleans()),
     )
@@ -218,11 +225,11 @@ def reports(draw):
 def _report(events, statuses=("cancelled", "cancelled", "completed"), span=3_000):
     outcomes = [outcome(rid, status=status) for rid, status in zip(OWNERS, statuses)]
     return ExecutionReport(
-        trace_id="t~ledger",
+        trace=sends(outcomes, [spec_of(o.request_id) for o in outcomes]),
+        corpus_seed=0,
         outcomes={o.request_id: o for o in outcomes},
         kv_events=tuple(events),
         wall_clock_span_ms=span,
-        request_index={o.request_id: spec_of(o.request_id) for o in outcomes},
         engine_info={"engine": "tracefuzz-sim", "vocab_size": 1024},
     )
 
@@ -233,7 +240,7 @@ def _report(events, statuses=("cancelled", "cancelled", "completed"), span=3_000
 @example(_report([ev(9, "free", 3, "a"), ev(1, "alloc", 3, "a"), ev(4, "reuse", 7, "c", "lora_a")]), 250, 0)
 def test_ledger_consumers_match_the_reference_walks(report, window_ms, grace_ms):
     thresholds = OracleThresholds(kv_leak_grace_ms=grace_ms)
-    assert compute_telemetry(None, report, window_ms) == reference_telemetry(None, report, window_ms)
+    assert compute_telemetry(report, window_ms) == reference_telemetry(report, window_ms)
     assert novelty(report, set()) == reference_novelty(report, set())
     assert novelty(report, {"kv-kind:alloc"}) == reference_novelty(report, {"kv-kind:alloc"})
     assert _kv_leak_check(report, thresholds) == reference_leak_check(report, thresholds)

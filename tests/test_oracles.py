@@ -44,18 +44,19 @@ def spec_of(rid, fam=None, mt=16, adapter="BASE"):
     )
 
 
-def report_of(outcomes, *, trace_id="t~synth", kv_events=(), crashed=False, evidence=None,
+def report_of(outcomes, *, trace_id="t~synth", controls=(), kv_events=(), crashed=False, evidence=None,
               span=None, specs=None, degraded=False, vocab=1024):
-    index = {o.request_id: (specs or {}).get(o.request_id, spec_of(o.request_id)) for o in outcomes}
-    ends = [o.dispatched_ms + (o.total_ms or 0) for o in outcomes] or [0]
+    """A report whose trace sends each outcome's request at its dispatch time, then the given controls."""
+    sends = tuple(TraceEvent.send(o.dispatched_ms, (specs or {}).get(o.request_id, spec_of(o.request_id))) for o in outcomes)
+    ends = [o.end_ms for o in outcomes] or [0]
     return ExecutionReport(
-        trace_id=trace_id,
+        trace=TimedTrace(trace_id, sends + tuple(controls)),
+        corpus_seed=0,
         outcomes={o.request_id: o for o in outcomes},
         kv_events=tuple(kv_events),
         server_crashed=crashed,
         crash_evidence=evidence,
         wall_clock_span_ms=span if span is not None else max(ends),
-        request_index=index,
         block_snapshots={},
         engine_info={"engine": "tracefuzz-sim", "vocab_size": vocab},
         schedule_degraded=degraded,
@@ -202,41 +203,31 @@ def test_stall_suppressed_when_schedule_degraded():
 # -- lifecycle ----------------------------------------------------------------------
 
 
-def _ctl_trace(kind=None, at=5):
-    events = [TraceEvent.send(0, spec_of("r", fam="fam-r"))]
-    if kind == "cancel":
-        events.append(TraceEvent.cancel(at, "r"))
-    elif kind == "disconnect":
-        events.append(TraceEvent.disconnect(at, "r"))
-    return TimedTrace("t~ctl", tuple(events))
-
-
 def test_lifecycle_spurious_and_late_generation():
-    spurious = lifecycle_check(_ctl_trace(), report_of([outcome("r", status="cancelled", ttft=None)]))
+    spurious = lifecycle_check(report_of([outcome("r", status="cancelled", ttft=None)]))
     assert [s.signature["subtype"] for s in spurious] == ["spurious-cancel"]
 
     late = lifecycle_check(
-        _ctl_trace("cancel", at=5),
-        report_of([outcome("r", dispatched=0, ttft=2, total=40)]),
+        report_of([outcome("r", dispatched=0, ttft=2, total=40)], controls=(TraceEvent.cancel(5, "r"),)),
     )
     assert [s.signature["subtype"] for s in late] == ["generation-past-cancel"]
 
     streaming = lifecycle_check(
-        _ctl_trace("disconnect", at=5),
-        report_of([outcome("r", status="disconnected", ttft=2, total=4, stamps=(2, 30))]),
+        report_of(
+            [outcome("r", status="disconnected", ttft=2, total=4, stamps=(2, 30))],
+            controls=(TraceEvent.disconnect(5, "r"),),
+        ),
     )
     assert [s.signature["subtype"] for s in streaming] == ["post-disconnect-streaming"]
 
 
 def test_lifecycle_honest_paths_are_quiet():
     honest_cancel = lifecycle_check(
-        _ctl_trace("cancel", at=5),
-        report_of([outcome("r", status="cancelled", ttft=2, total=5, stamps=(2,))]),
+        report_of([outcome("r", status="cancelled", ttft=2, total=5, stamps=(2,))], controls=(TraceEvent.cancel(5, "r"),)),
     )
     assert honest_cancel == []
     fast_completion = lifecycle_check(
-        _ctl_trace("cancel", at=50),
-        report_of([outcome("r", dispatched=0, ttft=2, total=6)]),
+        report_of([outcome("r", dispatched=0, ttft=2, total=6)], controls=(TraceEvent.cancel(50, "r"),)),
     )
     assert fast_completion == []
 
@@ -320,9 +311,8 @@ def test_group_key_discriminates_decode_settings():
 
 
 def test_full_sweep_merges_and_dedupes():
-    trace = _ctl_trace()
     rep = report_of([outcome("r", status="cancelled", ttft=None)])
-    sweep = full_sweep(trace, rep, warmed_baseline())
+    sweep = full_sweep(rep, warmed_baseline())
     fingerprints = [s.fingerprint for s in sweep]
     assert len(fingerprints) == len(set(fingerprints))
     assert {s.kind for s in sweep} == {SuspicionKind.LIFECYCLE_VIOLATION}
@@ -331,4 +321,4 @@ def test_full_sweep_merges_and_dedupes():
 def test_full_sweep_on_real_clean_run_is_empty():
     trace = TimedTrace("t~clean", tuple(_send(f"r{i}", i, f"fam-{i}", 32) for i in range(4)))
     report = _exec(trace, SimConfig(seed=6))
-    assert full_sweep(trace, report, warmed_baseline()) == []
+    assert full_sweep(report, warmed_baseline()) == []

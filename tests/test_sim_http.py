@@ -2,7 +2,9 @@
 requests, the decode mode across resets, and what the wall-clock transport
 reports over it."""
 
+import http.client
 import json
+import sys
 import threading
 import time
 
@@ -10,6 +12,7 @@ import requests
 
 from test_adapter import send
 from tracefuzz.adapter import EngineEndpoint, EngineKind, execute
+from tracefuzz.oracles import lifecycle_check
 from tracefuzz.simulator.config import SimConfig
 from tracefuzz.simulator.endpoint import serve
 from tracefuzz.simulator.http import serve_http
@@ -129,6 +132,39 @@ def test_completion_bodies_the_engine_cannot_take_are_refused():
         server.stop()
 
 
+def test_requests_the_server_cannot_read_are_refused_and_it_keeps_serving():
+    server = serve_http(SimConfig())
+    errors = []
+    server.httpd.handle_error = lambda request, client_address: errors.append(sys.exc_info()[1])
+    base = server.base_url
+    host, port = server.httpd.server_address[:2]
+    try:
+        for since in ("abc", "-1", "1.5"):
+            resp = requests.get(base + "/kv_events", params={"since": since}, timeout=5)
+            assert resp.status_code == 400, since
+            assert "since" in resp.json()["error"]
+        for doc in ({"canonical": "false"}, {"canonical": 1}, {"canonical": None}, {}):
+            resp = requests.post(base + "/control/decode_mode", json=doc, timeout=5)
+            assert resp.status_code == 400, doc
+            assert "canonical" in resp.json()["error"]
+        assert not server.core.canonical_decode
+        for length in ("abc", "-1"):
+            conn = http.client.HTTPConnection(host, port, timeout=5)
+            try:
+                conn.putrequest("POST", "/control/reset")
+                conn.putheader("Content-Length", length)
+                conn.endheaders()
+                resp = conn.getresponse()
+                assert resp.status == 400, length
+                assert "Content-Length" in json.loads(resp.read())["error"]
+            finally:
+                conn.close()
+        assert requests.get(base + "/health", timeout=5).status_code == 200
+    finally:
+        server.stop()
+    assert errors == []
+
+
 def test_decode_mode_set_over_http_survives_a_reset():
     server = serve_http(SimConfig(seed=4, near_tie_gap=0.05))
     base = server.base_url
@@ -190,6 +226,46 @@ def test_an_abort_before_the_response_arrives_still_aborts(monkeypatch):
         server.stop()
     assert {rid: outcome.status for rid, outcome in report.outcomes.items()} == {"a": "cancelled", "d": "disconnected"}
     assert all(outcome.output_tokens == ((),) for outcome in report.outcomes.values())
+
+
+def test_lines_read_after_an_abort_record_no_tokens(monkeypatch):
+    # Each response yields two tokens, then, once the client's own abort has
+    # closed it, the lines it had buffered before: those must not be recorded
+    # as tokens streamed after the abort.
+    def line(text):
+        return b"data: " + json.dumps({"choices": [{"index": 0, "text": text}]}).encode()
+
+    class BufferedResponse:
+        status_code = 200
+
+        def __init__(self):
+            self.closed = threading.Event()
+
+        def iter_lines(self):
+            yield line(render_prompt([1]))
+            yield line(" " + render_prompt([2]))
+            assert self.closed.wait(5)
+            yield line(" " + render_prompt([3]))
+            yield b"data: [DONE]"
+
+        def close(self):
+            self.closed.set()
+
+    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: BufferedResponse())
+    server = serve_http(SimConfig())
+    trace = TimedTrace(
+        "t~buffered",
+        (send("a", 0), send("d", 0), TraceEvent.cancel(200, "a"), TraceEvent.disconnect(200, "d")),
+    )
+    try:
+        report = execute(trace, EngineEndpoint(kind=EngineKind.OPENAI, base_url=server.base_url))
+    finally:
+        server.stop()
+    assert {rid: outcome.status for rid, outcome in report.outcomes.items()} == {"a": "cancelled", "d": "disconnected"}
+    for outcome in report.outcomes.values():
+        assert outcome.output_tokens == ((1, 2),)
+        assert max(outcome.token_stamps) < 200
+    assert lifecycle_check(report) == []
 
 
 def test_a_report_over_http_holds_only_its_own_kv_events():

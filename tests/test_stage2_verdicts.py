@@ -141,12 +141,10 @@ def confirm_case(case):
     trace = build()
     reset_server(endpoint)
     report = execute(trace, endpoint)
-    suspicion = next(s for s in full_sweep(trace, report, baseline, thresholds) if s.kind is kind)
+    suspicion = next(s for s in full_sweep(report, baseline, thresholds) if s.kind is kind)
     if confirm_fault is not raise_fault:
         endpoint = _endpoint(confirm_fault, timeout_ms)
-    return confirm_suspicion(
-        suspicion, trace, endpoint, ConfirmationConfig(), original_report=report, thresholds=thresholds
-    )
+    return confirm_suspicion(suspicion, report, endpoint, ConfirmationConfig(), thresholds)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -166,7 +164,7 @@ def test_a_stall_is_confirmed_by_a_probe_inside_its_window(monkeypatch):
     trace = TimedTrace("t~quiet", (send("wide", 0, mt=4, n=8), send("probe", 2)))
     reset_server(endpoint)
     report = execute(trace, endpoint)
-    stall = next(s for s in full_sweep(trace, report, BaselineStats()) if s.kind is SuspicionKind.STALL)
+    stall = next(s for s in full_sweep(report, BaselineStats()) if s.kind is SuspicionKind.STALL)
 
     replayed = []
     real_replay = confirmation.replay
@@ -176,7 +174,7 @@ def test_a_stall_is_confirmed_by_a_probe_inside_its_window(monkeypatch):
         return real_replay(trace, *args)
 
     monkeypatch.setattr(confirmation, "replay", recording_replay)
-    outcome = confirm_suspicion(stall, trace, endpoint, ConfirmationConfig(), original_report=report)
+    outcome = confirm_suspicion(stall, report, endpoint, ConfirmationConfig())
     assert isinstance(outcome, Finding), outcome
     [injected] = replayed
     probe = next(e for e in injected.events if e.kind is EventKind.SEND and e.spec.request_id.startswith("timing-probe"))
@@ -195,9 +193,9 @@ def test_corrupted_output_that_replays_is_confirmed(monkeypatch, tokens, subtype
 
     def corrupting_execute(replayed, endpoint, corpus_seed=0, canonical_decode=False):
         return ExecutionReport(
-            trace_id=replayed.trace_id,
+            trace=replayed,
+            corpus_seed=corpus_seed,
             outcomes={"a": RequestOutcome("a", "completed", 0, ttft_ms=1, total_ms=3, output_tokens=tokens)},
-            request_index=dict(replayed.request_specs()),
             engine_info={"vocab_size": 1024},
         )
 
@@ -208,6 +206,6 @@ def test_corrupted_output_that_replays_is_confirmed(monkeypatch, tokens, subtype
     [suspicion] = behavioral_check(report, BaselineStats(), OracleThresholds())
     assert suspicion.kind is SuspicionKind.CORRUPTED_OUTPUT and suspicion.signature == {"subtype": subtype}
 
-    outcome = confirm_suspicion(suspicion, trace, endpoint, original_report=report)
+    outcome = confirm_suspicion(suspicion, report, endpoint)
     assert isinstance(outcome, Finding), outcome
     assert outcome.evidence["majority_hits"] == 3
