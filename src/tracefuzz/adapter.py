@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -393,11 +394,11 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
 
     outcomes: dict[str, RequestOutcome] = {}
     live: dict[str, requests.Response] = {}
-    threads: dict[str, threading.Thread] = {}
     lock = threading.Lock()
     dispatch_errors: list[int] = []
 
-    def run_request(rid: str, body: dict, intended_ms: int) -> None:
+    def run_request(rid: str, body: dict, intended_ms: int, gate: threading.Event) -> None:
+        gate.wait()
         started = time.monotonic()
         tokens: list[int] = []
         stamps: list[int] = []
@@ -453,9 +454,32 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
             live.pop(rid, None)
             outcomes[rid] = outcome
 
+    closing: queue.SimpleQueue = queue.SimpleQueue()
+
+    def closer() -> None:
+        while (resp := closing.get()) is not None:
+            try:
+                resp.close()
+            except Exception:  # the closer's boundary: the request thread reports the abort either way
+                LOG.debug("closing an aborted response failed", exc_info=True)
+
+    # Every thread starts before the epoch, so the dispatch loop only signals
+    # them: Thread.start() waits until the new thread runs, and closing an
+    # aborted response can take milliseconds, so either would make the next
+    # event late.  The closer ends at the None queued after the last event.
     aborted: dict[str, str] = {}
+    gates: dict[int, threading.Event] = {}  # per Send, by its index in the trace
+    threads: list[threading.Thread] = []
+    for index, event in enumerate(trace.events):
+        if event.kind is EventKind.SEND:
+            gates[index] = threading.Event()
+            body = completion_body(event.spec, corpus_seed, vocab)
+            args = (event.spec.request_id, body, event.offset_ms, gates[index])
+            threads.append(threading.Thread(target=run_request, args=args, daemon=True))
+    for t in [threading.Thread(target=closer, daemon=True), *threads]:
+        t.start()
     epoch = time.monotonic()
-    for event in trace.events:
+    for index, event in enumerate(trace.events):
         target = epoch + event.offset_ms / 1000.0
         delay = target - time.monotonic()
         if delay > 0:
@@ -464,21 +488,18 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
         if lateness > SCHEDULE_TOLERANCE_MS:
             dispatch_errors.append(lateness)
         if event.kind is EventKind.SEND:
-            rid = event.spec.request_id
-            body = completion_body(event.spec, corpus_seed, vocab)
-            t = threading.Thread(target=run_request, args=(rid, body, event.offset_ms), daemon=True)
-            threads[rid] = t
-            t.start()
+            gates[index].set()
         elif event.kind in (EventKind.CANCEL, EventKind.DISCONNECT):
             with lock:
                 aborted[event.target] = "cancel" if event.kind is EventKind.CANCEL else "disconnect"
                 resp = live.get(event.target)
             if resp is not None:
-                resp.close()
+                closing.put(resp)
+    closing.put(None)
 
     # One deadline for all joins: hung streams share it rather than each waiting a full timeout.
     deadline = time.monotonic() + endpoint.request_timeout_ms / 1000 + 5
-    for t in threads.values():
+    for t in threads:
         t.join(timeout=max(0.0, deadline - time.monotonic()))
     span = int((time.monotonic() - origin) * 1000)
     # A thread that outlived its join may still finish; it writes into the

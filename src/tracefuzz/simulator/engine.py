@@ -4,6 +4,21 @@ Virtual time only: one step() call advances the clock by tick_ms (plus any
 injected engine-loop descheduling), and advance_to() skips idle stretches in
 one move.  All state transitions are pure functions of the submission
 sequence and the config, so identical schedules replay bit-identically.
+
+Decode steps are memoized per core.  A completion's stream is fixed by its
+context digest after the prompt (a stale grab's contaminated digest
+included), its salt and its logprobs; vocabulary, spread and tie gap come
+from the frozen config, and without a tie gap the salt is never read, so it
+keys as 0.  Each stream keeps its (token, record, next digest) per position,
+so a mutant, a stage-2 replay or a minimize candidate that admits the same
+stream again reads its steps back instead of hashing them.  At most
+DECODE_MEMO_STREAMS streams are kept, the least recently admitted dropped
+first, and at most DECODE_MEMO_POSITIONS positions each; later tokens, and
+streams asking for more than DECODE_MEMO_LOGPROBS logprobs, decode directly.
+The memo is derived from the config and pure inputs alone, so reset() keeps
+it.  It lives on the core, not in a module cache, because its entries grow
+in place while a request decodes: cores serving in parallel must not share
+them, and a core's own users are already serialized (SimHttpServer.lock).
 """
 
 from __future__ import annotations
@@ -35,6 +50,11 @@ ALL_CONDITIONS = COND_OCCUPANCY | COND_SHAPE_MIX | COND_ADAPTER_MIX | COND_LOAD_
 # dozen.  The prompts they hold are mostly the very tuples
 # trace.PROMPT_CACHE_SIZE already keeps.
 PROMPT_MEMO_SIZE = 128
+# Streams, positions per stream and logprobs per position kept by each
+# core's decode memo.  The mutation palettes ask for at most 32 tokens and 5 logprobs.
+DECODE_MEMO_STREAMS = 256
+DECODE_MEMO_POSITIONS = 64
+DECODE_MEMO_LOGPROBS = 8
 
 
 @lru_cache(maxsize=PROMPT_MEMO_SIZE)
@@ -93,6 +113,7 @@ class SimRequest:
     digests: list[int] = field(default_factory=list)
     outputs: list[list[int]] = field(default_factory=list)
     records: list[list] = field(default_factory=list)
+    steps: list[list] = field(default_factory=list)  # each stream's decode memo entry, looked up at position 0
     token_stamps: list[int] = field(default_factory=list)
 
     @property
@@ -109,10 +130,11 @@ class SimCore:
         self._f1 = config.fault(FaultFamily.STALE_KV_REUSE)
         self._f2 = config.fault(FaultFamily.ENGINE_STALL)
         self._f3 = config.fault(FaultFamily.ADAPTER_DRIFT)
+        self._decode_memo: dict[tuple, list] = {}
         self.reset()
 
     def reset(self) -> None:
-        """Restore a fresh engine in place, crashed or not; the decode mode is kept."""
+        """Restore a fresh engine in place, crashed or not; the decode mode and decode memo are kept."""
         self.clock_ms = 0
         self.tick = 0
         self.blocks = BlockManager(self.config.total_kv_blocks)
@@ -451,13 +473,23 @@ class SimCore:
 
     def _decode_step(self, req: SimRequest) -> None:
         cfg = self.config
-        width = max(req.logprobs or 0, 2)
         for c in range(req.n_completions):
-            token, ladder, req.digests[c] = decode_step(req.digests[c], len(req.outputs[c]), req.salt,
-                                                        cfg.vocab_size, width, cfg.logprob_spread, cfg.near_tie_gap)
+            position = len(req.outputs[c])
+            if position == 0:
+                req.steps.append(self._stream_steps(req, c))
+            steps = req.steps[c]
+            if position < len(steps):
+                token, record, req.digests[c] = steps[position]
+            else:
+                width = max(req.logprobs or 0, 2)
+                token, ladder, req.digests[c] = decode_step(req.digests[c], position, req.salt,
+                                                            cfg.vocab_size, width, cfg.logprob_spread, cfg.near_tie_gap)
+                record = ladder[: req.logprobs] if req.logprobs else None
+                if position < DECODE_MEMO_POSITIONS:
+                    steps.append((token, record, req.digests[c]))
             req.outputs[c].append(token)
-            if req.logprobs:
-                req.records[c].append(ladder[: req.logprobs])
+            if record is not None:
+                req.records[c].append(record)
             chain = req.chains[c]
             if not self._append_token(req, chain, token):
                 return  # preempted mid-step; recomputation is deterministic
@@ -468,6 +500,25 @@ class SimCore:
                     req.first_token_ms = self.clock_ms
         if all(len(out) >= req.max_tokens for out in req.outputs):
             self._finish(req, "completed", teardown=False)
+
+    def _stream_steps(self, req: SimRequest, c: int) -> list:
+        """The memo entry of completion ``c``'s stream, read before its first token; new ones start empty.
+
+        The memo drops its least recently admitted stream when full.  A stream
+        asking for more logprobs than DECODE_MEMO_LOGPROBS gets a list only the
+        request holds: its records would outweigh the rest of the memo.
+        """
+        if (req.logprobs or 0) > DECODE_MEMO_LOGPROBS:
+            return []
+        key = (req.digests[c], req.salt if self.config.near_tie_gap is not None else 0, req.logprobs)
+        memo = self._decode_memo
+        steps = memo.pop(key, None)
+        if steps is None:
+            if len(memo) >= DECODE_MEMO_STREAMS:
+                del memo[next(iter(memo))]
+            steps = []
+        memo[key] = steps
+        return steps
 
     def _append_token(self, req: SimRequest, chain: _Chain, token: int) -> bool:
         if chain.fill == 0 and not self._allocate_blocks(req, chain, (None,)):
@@ -530,6 +581,7 @@ class SimCore:
         req.digests = []
         req.outputs = []
         req.records = []
+        req.steps = []
         req.prefill_pos = 0
         req.contaminated = False
         req.state = WAITING

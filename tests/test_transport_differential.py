@@ -8,8 +8,10 @@ offset.  F1-armed traces are not compared yet.
 """
 
 import threading
+import time
 
 import pytest
+import requests
 
 from test_adapter import send
 from tracefuzz.adapter import EngineEndpoint, EngineKind, execute, reset_server
@@ -62,4 +64,27 @@ def test_both_transports_report_a_clean_engine_alike(monkeypatch, name):
     finally:
         server.stop()
     assert got == expected
+    assert uncaught == []
+
+
+def test_a_slow_close_makes_no_control_late(monkeypatch):
+    # Two controls share an offset: closing the first response must not delay the second.
+    uncaught = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
+    close = requests.models.Response.close
+
+    def slow_close(self):
+        time.sleep(0.02)
+        close(self)
+
+    monkeypatch.setattr(requests.models.Response, "close", slow_close)
+    server = serve_http(SimConfig(seed=3))
+    try:
+        endpoint = EngineEndpoint(kind=EngineKind.OPENAI, base_url=server.base_url)
+        reset_server(endpoint)
+        report = execute(TRACES["cancel-disconnect"], endpoint)
+    finally:
+        server.stop()
+    assert report.schedule_degraded is False
+    assert {rid: outcome.status for rid, outcome in report.outcomes.items()} == {"a": "cancelled", "d": "disconnected"}
     assert uncaught == []
