@@ -27,6 +27,9 @@ SCHEDULE_TOLERANCE_MS = 5
 KV_EVENT_KINDS = ("alloc", "free", "prefix_hit", "evict", "reuse")
 KV_RELEASE_KINDS = ("free", "evict")
 KV_ADOPTION_KINDS = ("prefix_hit", "reuse")
+# The JSON types each KvEvent field may take; an absent block_hash is None.
+_KV_FIELD_TYPES = {"ts_ms": {int}, "kind": {str}, "block_id": {int}, "block_hash": {int, type(None)},
+                   "owner_request_id": {str}, "adapter": {str}}
 
 
 class EndpointUnavailable(RuntimeError):
@@ -55,10 +58,13 @@ class KvEvent(NamedTuple):
 
     @staticmethod
     def from_json_line(line: str) -> "KvEvent":
+        """One event of an engine's stream; ValueError for a line that is not one."""
         doc = json.loads(line)
+        if not isinstance(doc, dict) or any(type(doc.get(name)) not in types for name, types in _KV_FIELD_TYPES.items()):
+            raise ValueError(f"not a kv event: {line!r}")
         if doc["kind"] not in KV_EVENT_KINDS:
             raise ValueError(f"unknown kv event kind {doc['kind']!r}")
-        return KvEvent(doc["ts_ms"], doc["kind"], doc["block_id"], doc.get("block_hash"), doc["owner_request_id"], doc["adapter"])
+        return KvEvent._make(doc.get(name) for name in KvEvent._fields)
 
 
 @dataclass(frozen=True)
@@ -143,12 +149,16 @@ class RequestOutcome:
     request_id: str
     status: str  # completed | cancelled | disconnected | timeout | server_error
     dispatched_ms: int
-    ttft_ms: int | None = None
     total_ms: int | None = None
     output_tokens: tuple = ()  # one token tuple per completion stream
     logprob_records: tuple | None = None  # per stream, per position: ((token, logprob), ...)
     token_stamps: tuple = ()  # absolute ms of stream-0 token arrivals
     error: str | None = None
+
+    @property
+    def ttft_ms(self) -> int | None:
+        """Time to the first stream-0 token, read off its stamp; None when no token arrived."""
+        return self.token_stamps[0] - self.dispatched_ms if self.token_stamps else None
 
     @property
     def end_ms(self) -> int:
@@ -163,14 +173,16 @@ class ExecutionReport:
     trace: TimedTrace
     corpus_seed: int
     outcomes: dict[str, RequestOutcome]
-    kv_events: tuple = ()
-    server_crashed: bool = False
-    crash_evidence: dict | None = None
+    kv_events: tuple | None = ()  # None when the engine serves no KV stream
+    crash_evidence: dict | None = None  # None unless the engine crashed
     wall_clock_span_ms: int = 0
     block_snapshots: dict = field(default_factory=dict)
     engine_info: dict = field(default_factory=dict)
     schedule_degraded: bool = False
-    kv_stream_supported: bool = True
+
+    @property
+    def server_crashed(self) -> bool:
+        return self.crash_evidence is not None
 
     @property
     def trace_id(self) -> str:
@@ -184,7 +196,7 @@ class ExecutionReport:
     @cached_property
     def kv_ledger(self) -> KvLedger:
         """Built on first use, so reports nothing inspects never walk their stream."""
-        return KvLedger.of(self.kv_events)
+        return KvLedger.of(self.kv_events or ())
 
 
 @dataclass
@@ -227,7 +239,7 @@ def execute(
     """Dispatch every event at its offset and collect one outcome per Send."""
     if endpoint.kind is EngineKind.SIMULATOR:
         return _execute_virtual(trace, endpoint, corpus_seed, canonical_decode)
-    return _execute_wall(trace, endpoint, corpus_seed)
+    return _execute_wall(trace, endpoint, corpus_seed, canonical_decode)
 
 
 def reset_server(endpoint: EngineEndpoint) -> None:
@@ -242,16 +254,37 @@ def reset_server(endpoint: EngineEndpoint) -> None:
     resp.raise_for_status()
 
 
-def collect_kv_stream(endpoint: EngineEndpoint, since: int, epoch_ms: int) -> tuple[KvEvent, ...] | None:
-    """The endpoint's KV events from index ``since`` on, stamped from ``epoch_ms``; None when it serves none."""
+def collect_kv_stream(endpoint: EngineEndpoint, since, epoch_ms) -> tuple[KvEvent, ...] | None:
+    """The endpoint's KV events from index ``since`` on, restamped from its clock at ``epoch_ms``; None when it
+    serves none, when either value is not a non-negative int, or when a line is not an event from ``epoch_ms`` on."""
     import requests
 
+    if not all(type(value) is int and value >= 0 for value in (since, epoch_ms)):
+        return None
     resp = requests.get(endpoint.base_url.rstrip("/") + "/kv_events", params={"since": since}, timeout=10)
     if resp.status_code == 404:
         return None
     resp.raise_for_status()
-    events = (KvEvent.from_json_line(line) for line in resp.text.splitlines() if line.strip())
+    try:
+        events = [KvEvent.from_json_line(line) for line in resp.text.splitlines() if line.strip()]
+    except ValueError:
+        return None
+    if any(event.ts_ms < epoch_ms for event in events):
+        return None
     return tuple(event._replace(ts_ms=event.ts_ms - epoch_ms) for event in events)
+
+
+def engine_info(endpoint: EngineEndpoint) -> dict:
+    """The endpoint's /control/info object; {} unless a 200 JSON object whose sizes, where given, are positive ints."""
+    import requests
+
+    try:
+        resp = requests.get(endpoint.base_url.rstrip("/") + "/control/info", timeout=5)
+        info = resp.json() if resp.status_code == 200 else {}
+    except (requests.RequestException, ValueError):
+        return {}
+    sizes = [info.get(key, 1) for key in ("vocab_size", "block_size_tokens")] if isinstance(info, dict) else [0]
+    return info if all(type(size) is int and size > 0 for size in sizes) else {}
 
 
 def check_health(endpoint: EngineEndpoint) -> dict | None:
@@ -341,7 +374,6 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
             request_id=rid,
             status=req.status,
             dispatched_ms=sent_at - epoch,
-            ttft_ms=None if req.first_token_ms is None else req.first_token_ms - sent_at,
             total_ms=None if req.finished_ms is None else req.finished_ms - sent_at,
             output_tokens=tuple(tuple(s) for s in req.outputs),
             logprob_records=tuple(tuple(s) for s in req.records) if req.logprobs else None,
@@ -360,7 +392,6 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
         corpus_seed=corpus_seed,
         outcomes=outcomes,
         kv_events=tuple(kv_events),
-        server_crashed=core.crashed,
         crash_evidence=core.crash_evidence,
         wall_clock_span_ms=core.clock_ms - epoch,
         block_snapshots={rid: snap for rid, snap in core.snapshots.items() if rid in dispatched},
@@ -372,15 +403,17 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
 # --------------------------------------------------------------------------
 # Wall-clock execution against an OpenAI-style HTTP endpoint.
 
-def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
+def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionReport:
     import requests
 
     base = endpoint.base_url.rstrip("/")
-    try:
-        info = requests.get(base + "/control/info", timeout=5).json()
-    except requests.RequestException:
-        info = {}
+    info = engine_info(endpoint)
     vocab = info.get("vocab_size", 1024)
+    # Every execution sets the decode mode, so a pinned replay leaves no pin
+    # behind for the next one; an engine without the control cannot be pinned.
+    resp = requests.post(base + "/control/decode_mode", json={"canonical": canonical_decode}, timeout=5)
+    if resp.status_code != 404:
+        resp.raise_for_status()
     # The stream length and server clock just before the epoch, when the
     # engine gives them: the report holds its own KV events, stamped from the
     # clock read.  The span counts from just before that read, so it covers
@@ -402,7 +435,6 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
         started = time.monotonic()
         tokens: list[int] = []
         stamps: list[int] = []
-        ttft = None
         status, error = "server_error", "stream ended before [DONE]"
         try:
             resp = requests.post(base + "/v1/completions", json=body, headers={"X-Request-Id": rid},
@@ -430,8 +462,6 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
                     for tok in parse_prompt(text):
                         tokens.append(tok)
                         stamps.append(now_ms)
-                        if ttft is None:
-                            ttft = now_ms - intended_ms
         except requests.exceptions.Timeout:
             status, error = "timeout", "client-side timeout"
         except Exception as exc:  # the thread's boundary: every Send gets one outcome
@@ -444,7 +474,6 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
             request_id=rid,
             status=status,
             dispatched_ms=intended_ms,
-            ttft_ms=ttft,
             total_ms=int((time.monotonic() - started) * 1000),
             output_tokens=(tuple(tokens),),
             token_stamps=tuple(stamps),
@@ -511,17 +540,15 @@ def _execute_wall(trace, endpoint, corpus_seed) -> ExecutionReport:
         if rid not in reported:
             reported[rid] = RequestOutcome(request_id=rid, status="timeout", dispatched_ms=event.offset_ms, error="no response")
 
-    stream = collect_kv_stream(endpoint, kv_since, kv_epoch_ms)
+    kv_events = collect_kv_stream(endpoint, kv_since, kv_epoch_ms)
     crashed = check_health(endpoint) is None
     return ExecutionReport(
         trace=trace,
         corpus_seed=corpus_seed,
         outcomes=reported,
-        kv_events=stream or (),
-        server_crashed=crashed,
+        kv_events=kv_events,
         crash_evidence={"signature": "connection-lost"} if crashed else None,
         wall_clock_span_ms=span,
         engine_info=info,
         schedule_degraded=bool(dispatch_errors),
-        kv_stream_supported=stream is not None,
     )

@@ -62,32 +62,27 @@ class PressureScore:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
-    @property
-    def burst(self) -> float:
-        return self.n_send / _SEND_NORM
-
-    @property
-    def multi_adapter(self) -> float:
-        return self.n_adapter / _ADAPTER_NORM
-
-    @property
-    def kv_pressure(self) -> float:
-        return self.n_kv / _KV_NORM
-
-    @property
-    def shape_diversity(self) -> float:
-        return self.n_shape / _SHAPE_NORM
+    @staticmethod
+    def of(telemetry: TelemetrySummary) -> "PressureScore":
+        return PressureScore(
+            n_send=telemetry.peak_inflight,
+            n_adapter=telemetry.distinct_adapters,
+            n_kv=telemetry.peak_kv_held,
+            n_shape=telemetry.distinct_prompt_lens,
+        )
 
     @property
     def s_total(self) -> float:
-        return self.burst + self.multi_adapter + self.kv_pressure + self.shape_diversity
+        burst, multi_adapter, kv_pressure, shape_diversity = self.components().values()
+        # Left to right, not sum(), which compensates on Python >= 3.12 and could move the last digit.
+        return burst + multi_adapter + kv_pressure + shape_diversity
 
     def components(self) -> dict[str, float]:
         return {
-            "burst": self.burst,
-            "multi_adapter": self.multi_adapter,
-            "kv_pressure": self.kv_pressure,
-            "shape_diversity": self.shape_diversity,
+            "burst": self.n_send / _SEND_NORM,
+            "multi_adapter": self.n_adapter / _ADAPTER_NORM,
+            "kv_pressure": self.n_kv / _KV_NORM,
+            "shape_diversity": self.n_shape / _SHAPE_NORM,
         }
 
     def to_dict(self) -> dict:
@@ -103,26 +98,6 @@ class PressureScore:
         }
 
 
-def score_pressure(
-    telemetry: TelemetrySummary | None = None,
-    *,
-    n_send: int | None = None,
-    n_adapter: int | None = None,
-    n_kv: int | None = None,
-    n_shape: int | None = None,
-) -> PressureScore:
-    """Additive pressure score; counters override telemetry when given."""
-    counters = (n_send, n_adapter, n_kv, n_shape)
-    if any(c is None for c in counters):
-        if telemetry is None:
-            raise ValueError("score_pressure needs telemetry or all four counters")
-        n_send = telemetry.peak_inflight if n_send is None else n_send
-        n_adapter = telemetry.distinct_adapters if n_adapter is None else n_adapter
-        n_kv = telemetry.peak_kv_held if n_kv is None else n_kv
-        n_shape = telemetry.distinct_prompt_lens if n_shape is None else n_shape
-    return PressureScore(n_send=n_send, n_adapter=n_adapter, n_kv=n_kv, n_shape=n_shape)
-
-
 # --------------------------------------------------------------------------
 # Corpus
 
@@ -131,7 +106,6 @@ def score_pressure(
 class CorpusEntry:
     trace: TimedTrace
     telemetry: TelemetrySummary | None = None  # set once the trace has run
-    pressure: PressureScore | None = None
     markers: frozenset[str] = frozenset()
     suspicion_count: int = 0
     added_iteration: int = 0
@@ -147,6 +121,10 @@ class CorpusEntry:
     @property
     def executed(self) -> bool:
         return self.telemetry is not None
+
+    @property
+    def pressure(self) -> PressureScore | None:
+        return None if self.telemetry is None else PressureScore.of(self.telemetry)
 
 
 def novelty(report, seen: set[str]) -> set[str]:
@@ -172,10 +150,7 @@ def novelty(report, seen: set[str]) -> set[str]:
     markers.update(f"kv-kind:{kind}" for kind in ledger.kinds)
     markers.update(f"kv-2gram:{a}>{b}" for a, b in ledger.bigrams)
     if report.server_crashed:
-        signature = "unknown"
-        if isinstance(report.crash_evidence, dict):
-            signature = str(report.crash_evidence.get("signature", "unknown"))
-        markers.add(f"crash:{signature}")
+        markers.add(f"crash:{report.crash_evidence.get('signature', 'unknown')}")
     return markers - seen
 
 
@@ -492,7 +467,7 @@ def run_campaign(config: CampaignConfig, endpoint, out_dir: Path | str | None = 
         result.executed_trace_ids.append(trace.trace_id)
         result.trace_store[trace.trace_id] = trace
         telemetry = compute_telemetry(report)
-        pressure = score_pressure(telemetry)
+        pressure = PressureScore.of(telemetry)
         best_pressure = max(best_pressure, pressure.s_total)
         result.pressure_series.append((iteration, pressure, best_pressure))
 
@@ -515,7 +490,6 @@ def run_campaign(config: CampaignConfig, endpoint, out_dir: Path | str | None = 
         entry = CorpusEntry(
             trace=trace,
             telemetry=telemetry,
-            pressure=pressure,
             markers=frozenset(fresh),
             suspicion_count=len(suspicions),
             added_iteration=iteration,

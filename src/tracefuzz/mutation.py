@@ -226,7 +226,7 @@ def _fresh_rid(rng: random.Random) -> str:
     return f"m~{rng.randrange(1 << 32):08x}"
 
 
-def _insert(trace, rng, palette) -> list[TraceEvent]:
+def _insert(trace, rng) -> list[TraceEvent]:
     events = list(trace.events)
     span = trace.end_offset_ms()
     sends = _send_offsets(events)
@@ -239,27 +239,27 @@ def _insert(trace, rng, palette) -> list[TraceEvent]:
             family = f"fam~{rng.randrange(1 << 32):08x}"
         spec = RequestSpec(
             request_id=_fresh_rid(rng),
-            shape=rng.choice(palette.shapes),
+            shape=rng.choice(DEFAULT_PALETTE.shapes),
             sampling=SamplingConfig(
-                max_tokens=rng.choice(palette.max_tokens),
+                max_tokens=rng.choice(DEFAULT_PALETTE.max_tokens),
                 temperature=0.0,
                 seed=0,
-                n_completions=rng.choice(palette.n_completions),
-                logprobs=rng.choice(palette.logprobs),
+                n_completions=rng.choice(DEFAULT_PALETTE.n_completions),
+                logprobs=rng.choice(DEFAULT_PALETTE.logprobs),
             ),
             prompt_family_id=family,
-            adapter=rng.choice(palette.adapters),
+            adapter=rng.choice(DEFAULT_PALETTE.adapters),
         )
         events.append(TraceEvent.send(rng.randint(0, span + 5), spec))
     elif roll < 0.85:
         target = rng.choice(sorted(sends))
-        offset = sends[target] + rng.choice(palette.control_delays)
+        offset = sends[target] + rng.choice(DEFAULT_PALETTE.control_delays)
         if rng.random() < 0.6:
             events.append(TraceEvent.cancel(offset, target))
         else:
             events.append(TraceEvent.disconnect(offset, target))
     else:
-        events.append(TraceEvent.wait(rng.randint(0, span + 5), rng.choice(palette.wait_durations)))
+        events.append(TraceEvent.wait(rng.randint(0, span + 5), rng.choice(DEFAULT_PALETTE.wait_durations)))
     return events
 
 
@@ -280,7 +280,7 @@ def _delete(trace, rng) -> list[TraceEvent]:
     return [e for e in events if e is not victim]
 
 
-def _modify(trace, rng, palette) -> list[TraceEvent]:
+def _modify(trace, rng) -> list[TraceEvent]:
     events = list(trace.events)
     send_positions = [i for i, e in enumerate(events) if e.kind is EventKind.SEND]
     if not send_positions:
@@ -291,28 +291,28 @@ def _modify(trace, rng, palette) -> list[TraceEvent]:
     # comparisons attributable, the second keeps replays meaningful.
     which = rng.choice(("shape", "adapter", "max_tokens", "n_completions", "logprobs"))
     if which == "shape":
-        spec = replace(spec, shape=rng.choice(palette.shapes))
+        spec = replace(spec, shape=rng.choice(DEFAULT_PALETTE.shapes))
     elif which == "adapter":
-        spec = replace(spec, adapter=rng.choice(palette.adapters))
+        spec = replace(spec, adapter=rng.choice(DEFAULT_PALETTE.adapters))
     elif which == "max_tokens":
-        spec = replace(spec, sampling=replace(spec.sampling, max_tokens=rng.choice(palette.max_tokens)))
+        spec = replace(spec, sampling=replace(spec.sampling, max_tokens=rng.choice(DEFAULT_PALETTE.max_tokens)))
     elif which == "n_completions":
-        spec = replace(spec, sampling=replace(spec.sampling, n_completions=rng.choice(palette.n_completions)))
+        spec = replace(spec, sampling=replace(spec.sampling, n_completions=rng.choice(DEFAULT_PALETTE.n_completions)))
     else:
-        spec = replace(spec, sampling=replace(spec.sampling, logprobs=rng.choice(palette.logprobs)))
+        spec = replace(spec, sampling=replace(spec.sampling, logprobs=rng.choice(DEFAULT_PALETTE.logprobs)))
     events[i] = replace(events[i], spec=spec)
     return events
 
 
-def mutate_events(trace: TimedTrace, rng_seed: int, palette: MutationPalette = DEFAULT_PALETTE) -> TimedTrace:
+def mutate_events(trace: TimedTrace, rng_seed: int) -> TimedTrace:
     rng = random.Random(rng_seed)
     op = rng.choice((MutationKind.EVENT_INSERT, MutationKind.EVENT_DELETE, MutationKind.EVENT_MODIFY))
     if op is MutationKind.EVENT_INSERT:
-        events = _insert(trace, rng, palette)
+        events = _insert(trace, rng)
     elif op is MutationKind.EVENT_DELETE:
         events = _delete(trace, rng)
     else:
-        events = _modify(trace, rng, palette)
+        events = _modify(trace, rng)
     return _finish(
         events,
         trace_id=_child_id(trace.trace_id, op.value, rng_seed),
@@ -416,7 +416,6 @@ def mutate(
     partner: TimedTrace | None = None,
     telemetry=None,
     partner_telemetry=None,
-    palette: MutationPalette = DEFAULT_PALETTE,
     weights: dict | None = None,
     intensity: float = 0.05,
 ) -> TimedTrace:
@@ -438,7 +437,7 @@ def mutate(
     if chosen == "timing":
         return mutate_timing(trace, rng_seed, intensity)
     if chosen == "event":
-        return mutate_events(trace, rng_seed, palette)
+        return mutate_events(trace, rng_seed)
     if chosen == "splice":
         return splice(trace, partner, rng_seed)
     return directed_splice(trace, partner, telemetry, partner_telemetry, rng_seed)

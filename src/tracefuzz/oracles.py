@@ -139,7 +139,7 @@ def _decade(value: float) -> int:
 def behavioral_check(report, baseline: BaselineStats, thresholds: OracleThresholds) -> list[Suspicion]:
     suspicions: list[Suspicion] = []
     if report.server_crashed:
-        evidence = dict(report.crash_evidence or {})
+        evidence = dict(report.crash_evidence)
         signature = {"signature": evidence.get("signature", "connection-lost")}
         suspicions.append(Suspicion.create(SuspicionKind.CRASH, report.trace_id, signature, evidence))
 
@@ -199,7 +199,7 @@ def behavioral_check(report, baseline: BaselineStats, thresholds: OracleThreshol
 
 def _kv_leak_check(report, thresholds: OracleThresholds) -> list[Suspicion]:
     cancelled = {rid for rid, o in report.outcomes.items() if o.status in ("cancelled", "disconnected")}
-    if not cancelled or not report.kv_stream_supported:
+    if not cancelled or report.kv_events is None:
         return []
     # A block another request adopted is shared cache property: outliving
     # its allocator is by design, not a leak.

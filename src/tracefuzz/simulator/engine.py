@@ -105,7 +105,6 @@ class SimRequest:
     state: str = WAITING
     prefill_pos: int = 0
     admitted_tick: int | None = None
-    first_token_ms: int | None = None
     finished_ms: int | None = None
     status: str | None = None
     contaminated: bool = False
@@ -496,8 +495,6 @@ class SimCore:
             # A recompute after a preemption re-decodes positions already stamped.
             if c == 0 and len(req.outputs[0]) > len(req.token_stamps):
                 req.token_stamps.append(self.clock_ms)
-                if req.first_token_ms is None:
-                    req.first_token_ms = self.clock_ms
         if all(len(out) >= req.max_tokens for out in req.outputs):
             self._finish(req, "completed", teardown=False)
 

@@ -43,7 +43,7 @@ def compute_telemetry(report, window_ms: int = 1000) -> TelemetrySummary:
             prompt_lens.add(spec.shape.prompt_len)
             if outcome.status != "server_error":
                 adapters.add(spec.adapter)
-        intervals.append((outcome.dispatched_ms, max(outcome.end_ms, outcome.dispatched_ms)))
+        intervals.append((outcome.dispatched_ms, outcome.end_ms))
 
     # Peak concurrency by sweep line over dispatch/termination edges.
     edges: list[tuple[int, int]] = []

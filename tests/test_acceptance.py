@@ -23,9 +23,9 @@ from tracefuzz.campaign import (
     PROFILE_PREFIX_SHARE,
     PROFILE_STEADY,
     CampaignConfig,
+    PressureScore,
     minimize,
     run_campaign,
-    score_pressure,
 )
 from tracefuzz.confirmation import (
     ConfirmationConfig,
@@ -35,7 +35,7 @@ from tracefuzz.confirmation import (
     majority_confirm,
     majority_threshold,
 )
-from tracefuzz.mutation import MutationPalette, generate_seed, mutate
+from tracefuzz.mutation import generate_seed, mutate
 from tracefuzz.oracles import (
     BaselineStats,
     OracleThresholds,
@@ -119,13 +119,13 @@ def test_ac02_majority_rule_matches_ceiling_arithmetic():
 
 
 def test_ac03_pressure_score_formula():
-    assert score_pressure(n_send=20, n_adapter=6, n_kv=1500, n_shape=6).s_total == pytest.approx(4.0, abs=1e-9)
+    assert PressureScore(n_send=20, n_adapter=6, n_kv=1500, n_shape=6).s_total == pytest.approx(4.0, abs=1e-9)
     rng = random.Random(0)
     for _ in range(10):
         n_send, n_adapter = rng.randrange(0, 200), rng.randrange(0, 30)
         n_kv, n_shape = rng.randrange(0, 20_000), rng.randrange(0, 40)
         direct = n_send / 20 + n_adapter / 6 + n_kv / 1500 + n_shape / 6
-        got = score_pressure(n_send=n_send, n_adapter=n_adapter, n_kv=n_kv, n_shape=n_shape).s_total
+        got = PressureScore(n_send=n_send, n_adapter=n_adapter, n_kv=n_kv, n_shape=n_shape).s_total
         assert got == pytest.approx(direct, abs=1e-9)
 
 
@@ -271,7 +271,6 @@ def test_ac10_determinism_and_round_trips():
     assert a.finding_fingerprints() == b.finding_fingerprints()
 
     # serialization round-trip over 1,000 generated and mutated traces
-    palette = MutationPalette()
     rng = random.Random(17)
     traces = []
     for i in range(250):
@@ -281,7 +280,7 @@ def test_ac10_determinism_and_round_trips():
     while len(traces) < 1000:
         parent = rng.choice(pool)
         partner = rng.choice(pool) if rng.random() < 0.5 else None
-        traces.append(mutate(parent, rng.randrange(1 << 62), partner=partner, palette=palette))
+        traces.append(mutate(parent, rng.randrange(1 << 62), partner=partner))
     assert len(traces) == 1000
     for trace in traces:
         blob = serialize(trace)
@@ -294,7 +293,7 @@ def test_ac10_determinism_and_round_trips():
     for i in range(10_000):
         parent = parents[i % len(parents)]
         partner = parents[(i * 7 + 3) % len(parents)] if i % 3 else None
-        mutant = mutate(parent, i, partner=partner, palette=palette)
+        mutant = mutate(parent, i, partner=partner)
         report = validate(mutant)
         assert report.ok, f"mutant {i} invalid: {report.violations}"
         checked += 1

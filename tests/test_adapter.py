@@ -264,6 +264,10 @@ class _Reply:
     def iter_lines(self):
         yield from self._lines
 
+    def raise_for_status(self):
+        if self.status_code >= 400:
+            raise requests.HTTPError(f"http {self.status_code}")
+
     def close(self):
         pass
 
@@ -277,6 +281,8 @@ def test_wall_report_is_not_rewritten_by_a_request_that_outlives_its_join(monkey
         yield b"data: [DONE]"
 
     def post(url, **kwargs):
+        if not url.endswith("/v1/completions"):
+            return _Reply(404)  # no decode-mode control
         stragglers.append(threading.current_thread())
         return _Reply(200, lines=slow_stream())
 
@@ -383,6 +389,56 @@ def test_an_engine_without_a_stream_cursor_reports_its_whole_kv_stream(monkeypat
     assert report.kv_events == (KvEvent(9, "alloc", 3, None, "q", "BASE"),)
     assert report.outcomes["p"].status == "completed"
     assert not report.server_crashed
+
+
+_KV_LINE = '{"adapter": "BASE", "block_hash": null, "block_id": 3, "kind": "alloc", "owner_request_id": "q", "ts_ms": 9}'
+
+
+def _execute_on_stub(monkeypatch, info=_Reply(200, {"vocab_size": 1024}), health=None, kv_text=_KV_LINE + "\n"):
+    """One Send over a stub engine with the given /control/info reply, /health body and /kv_events text."""
+    def get(url, **kwargs):
+        if url.endswith("/kv_events"):
+            return SimpleNamespace(status_code=200, text=kv_text, raise_for_status=lambda: None)
+        if url.endswith("/health"):
+            return _Reply(200, {"kv_events": 0, "clock_ms": 0} if health is None else health)
+        return info
+
+    monkeypatch.setattr(requests, "post", lambda url, **kwargs: _Reply(200, lines=[b"data: [DONE]"]))
+    monkeypatch.setattr(requests, "get", get)
+    report = execute(TimedTrace("t~odd", (send("p", 0),)), EngineEndpoint(kind=EngineKind.OPENAI, base_url="http://stub"))
+    assert report.outcomes["p"].status == "completed"
+    return report
+
+
+@pytest.mark.parametrize(
+    "info",
+    [_Reply(200, []), _Reply(200, {"vocab_size": "1024"}), _Reply(200, {"vocab_size": True}),
+     _Reply(200, {"vocab_size": 1024, "block_size_tokens": 0}), _Reply(503, {"vocab_size": 7})],
+)
+def test_engine_info_that_is_not_an_info_object_counts_as_empty(monkeypatch, info):
+    assert _execute_on_stub(monkeypatch, info=info).engine_info == {}
+
+
+@pytest.mark.parametrize(
+    "health",
+    [{"kv_events": "0", "clock_ms": 0}, {"kv_events": -1, "clock_ms": 0}, {"kv_events": True, "clock_ms": 0},
+     {"kv_events": 0, "clock_ms": 1.5}, {"kv_events": 0, "clock_ms": None}],
+)
+def test_a_health_cursor_that_is_not_a_count_leaves_the_kv_stream_unsupported(monkeypatch, health):
+    assert _execute_on_stub(monkeypatch, health=health).kv_events is None
+
+
+@pytest.mark.parametrize(
+    "line",
+    ['{"kind": "alloc"}', "[]", "not json", _KV_LINE.replace('"alloc"', '"grow"'),
+     _KV_LINE.replace('"ts_ms": 9', '"ts_ms": "9"'), _KV_LINE.replace("null", '"h"'),
+     _KV_LINE.replace('"ts_ms": 9', '"ts_ms": 4')],
+    ids=["no-fields", "a-list", "not-json", "unknown-kind", "string-ts", "string-hash", "stamped-before-entry"],
+)
+def test_a_kv_line_that_is_not_an_event_leaves_the_kv_stream_unsupported(monkeypatch, line):
+    health = {"kv_events": 0, "clock_ms": 5}
+    assert _execute_on_stub(monkeypatch, health=health).kv_events == (KvEvent(4, "alloc", 3, None, "q", "BASE"),)
+    assert _execute_on_stub(monkeypatch, health=health, kv_text=f"{_KV_LINE}\n{line}\n").kv_events is None
 
 
 # -- HTTP request bodies --------------------------------------------------------

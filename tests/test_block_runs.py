@@ -180,7 +180,7 @@ def state_of(core: SimCore) -> tuple:
     """Everything a client or an oracle can see of the core, and its block-manager state."""
     manager = core.blocks
     requests = [
-        (rid, req.state, req.status, req.prefill_pos, req.contaminated, req.first_token_ms, req.finished_ms,
+        (rid, req.state, req.status, req.prefill_pos, req.contaminated, req.finished_ms,
          req.outputs, req.records, req.token_stamps, req.digests,
          [(chain.blocks, chain.hashes, chain.fill, chain.chain_hash) for chain in req.chains])
         for rid, req in core.requests.items()

@@ -22,7 +22,6 @@ from tracefuzz.campaign import (
     minimize,
     novelty,
     run_campaign,
-    score_pressure,
     select_seed,
 )
 from tracefuzz.confirmation import ConfirmationConfig, majority_confirm, majority_threshold
@@ -58,10 +57,7 @@ def telemetry_of(send=10, adapters=3, kv=750, shapes=3):
 
 def test_pressure_score_is_a_sum_of_normalized_counters():
     score = PressureScore(n_send=10, n_adapter=3, n_kv=750, n_shape=3)
-    assert score.burst == 0.5
-    assert score.multi_adapter == 0.5
-    assert score.kv_pressure == 0.5
-    assert score.shape_diversity == 0.5
+    assert score.components() == {"burst": 0.5, "multi_adapter": 0.5, "kv_pressure": 0.5, "shape_diversity": 0.5}
     assert score.s_total == pytest.approx(2.0)
     assert sum(score.components().values()) == pytest.approx(score.s_total)
 
@@ -71,22 +67,15 @@ def test_pressure_score_rejects_negative_counters():
         PressureScore(n_send=-1, n_adapter=0, n_kv=0, n_shape=0)
 
 
-def test_score_pressure_reads_telemetry_and_honors_overrides():
+def test_pressure_score_reads_telemetry():
     tele = telemetry_of(send=40, adapters=6, kv=3000, shapes=12)
-    from_tele = score_pressure(telemetry=tele)
+    from_tele = PressureScore.of(tele)
     assert (from_tele.n_send, from_tele.n_adapter, from_tele.n_kv, from_tele.n_shape) == (40, 6, 3000, 12)
     assert from_tele.s_total == pytest.approx(2.0 + 1.0 + 2.0 + 2.0)
 
-    overridden = score_pressure(telemetry=tele, n_kv=0)
-    assert overridden.n_kv == 0 and overridden.n_send == 40
-
-    with pytest.raises(ValueError):
-        score_pressure()  # neither telemetry nor a full counter set
-
-
-def test_score_pressure_accepts_bare_counters():
-    score = score_pressure(n_send=20, n_adapter=6, n_kv=1500, n_shape=6)
-    assert score.s_total == pytest.approx(4.0)
+    trace = TimedTrace("t~view", ())
+    assert CorpusEntry(trace, telemetry=tele).pressure == from_tele
+    assert CorpusEntry(trace).pressure is None  # not run yet
 
 
 # -- novelty markers ------------------------------------------------------------
@@ -113,7 +102,7 @@ def test_novelty_reports_only_unseen_markers():
 
 
 def test_novelty_crash_marker_carries_signature():
-    rep = report_of([outcome("a")], crashed=True, evidence={"signature": "sig-x"})
+    rep = report_of([outcome("a")], evidence={"signature": "sig-x"})
     assert "crash:sig-x" in novelty(rep, set())
 
 

@@ -40,8 +40,6 @@ class DirectDecodeCore(SimCore):
             # A recompute after a preemption re-decodes positions already stamped.
             if c == 0 and len(req.outputs[0]) > len(req.token_stamps):
                 req.token_stamps.append(self.clock_ms)
-                if req.first_token_ms is None:
-                    req.first_token_ms = self.clock_ms
         if all(len(out) >= req.max_tokens for out in req.outputs):
             self._finish(req, "completed", teardown=False)
 

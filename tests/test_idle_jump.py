@@ -47,7 +47,7 @@ def finished(core, rid):
     req = core.requests.get(rid)
     if req is None or req.status is None:
         return None
-    return req.status, req.first_token_ms, req.finished_ms, req.outputs, req.records, req.token_stamps
+    return req.status, req.finished_ms, req.outputs, req.records, req.token_stamps
 
 
 def count_steps(core, key_of, counts) -> None:

@@ -46,7 +46,7 @@ def reference_telemetry(report, window_ms=1000):
         peak_inflight = max(peak_inflight, depth)
 
     held = peak_held = 0
-    for event in report.kv_events:
+    for event in report.kv_events or ():
         if event.kind == "alloc":
             held += 1
         elif event.kind in ("free", "evict"):
@@ -56,12 +56,12 @@ def reference_telemetry(report, window_ms=1000):
     span = max(
         [report.wall_clock_span_ms]
         + [end for _, end in intervals]
-        + [e.ts_ms for e in report.kv_events],
+        + [e.ts_ms for e in report.kv_events or ()],
         default=0,
     )
     n_windows = span // window_ms + 1
     alloc_windows = [0] * n_windows
-    for event in report.kv_events:
+    for event in report.kv_events or ():
         if event.kind == "alloc":
             alloc_windows[event.ts_ms // window_ms] += 1
     inflight_windows = [0] * n_windows
@@ -92,14 +92,14 @@ def reference_novelty(report, seen):
     for decade in ttft_decades:
         markers.add(f"ttft-decade:{decade}")
     held = peak = 0
-    for event in report.kv_events:
+    for event in report.kv_events or ():
         if event.kind == "alloc":
             held += 1
         elif event.kind in ("free", "evict"):
             held -= 1
         peak = max(peak, held)
     markers.add(f"kv-peak:2^{peak.bit_length()}")
-    kinds = [e.kind for e in report.kv_events]
+    kinds = [e.kind for e in report.kv_events or ()]
     for kind in kinds:
         markers.add(f"kv-kind:{kind}")
     for a, b in zip(kinds, kinds[1:]):
@@ -114,7 +114,7 @@ def reference_novelty(report, seen):
 
 def reference_leak_check(report, thresholds):
     cancelled = {rid for rid, o in report.outcomes.items() if o.status in ("cancelled", "disconnected")}
-    if not cancelled or not report.kv_stream_supported:
+    if not cancelled or report.kv_events is None:
         return []
     owned = {rid: set() for rid in cancelled}
     alloc_owner = {}
@@ -155,7 +155,7 @@ def reference_leak_check(report, thresholds):
 def reference_cross_adapter(report):
     suspicions = []
     origin = {}
-    for event in report.kv_events:
+    for event in report.kv_events or ():
         if event.kind == "alloc":
             origin[event.block_id] = (event.owner_request_id, event.adapter)
         elif event.kind in ("free", "evict"):
@@ -215,10 +215,9 @@ def reports(draw):
         trace=sends(outcomes, [spec_of(o.request_id, adapter=draw(st.sampled_from(ADAPTERS))) for o in outcomes]),
         corpus_seed=0,
         outcomes={o.request_id: o for o in outcomes},
-        kv_events=tuple(draw(kv_events)),
+        kv_events=draw(st.one_of(st.none(), kv_events.map(tuple))),  # None: the engine serves no stream
         wall_clock_span_ms=draw(st.integers(0, 3_000)),
         engine_info={"engine": "tracefuzz-sim", "vocab_size": 1024},
-        kv_stream_supported=draw(st.booleans()),
     )
 
 

@@ -21,12 +21,14 @@ from tracefuzz.trace import PromptShape, RequestSpec, SamplingConfig, TimedTrace
 THRESHOLDS = OracleThresholds()
 
 
-def outcome(rid, status="completed", dispatched=0, ttft=2, total=6, tokens=((1, 2, 3),), stamps=(2, 4, 6), **kw):
+def outcome(rid, status="completed", dispatched=0, ttft=2, total=6, tokens=((1, 2, 3),), stamps=None, **kw):
+    """Unless stamps are given, three tokens 2 ms apart from ttft after dispatch (none when ttft is None)."""
+    if stamps is None:
+        stamps = () if ttft is None else tuple(dispatched + ttft + gap for gap in (0, 2, 4))
     return RequestOutcome(
         request_id=rid,
         status=status,
         dispatched_ms=dispatched,
-        ttft_ms=ttft,
         total_ms=total,
         output_tokens=tokens,
         token_stamps=stamps,
@@ -44,7 +46,7 @@ def spec_of(rid, fam=None, mt=16, adapter="BASE"):
     )
 
 
-def report_of(outcomes, *, trace_id="t~synth", controls=(), kv_events=(), crashed=False, evidence=None,
+def report_of(outcomes, *, trace_id="t~synth", controls=(), kv_events=(), evidence=None,
               span=None, specs=None, degraded=False, vocab=1024):
     """A report whose trace sends each outcome's request at its dispatch time, then the given controls."""
     sends = tuple(TraceEvent.send(o.dispatched_ms, (specs or {}).get(o.request_id, spec_of(o.request_id))) for o in outcomes)
@@ -54,7 +56,6 @@ def report_of(outcomes, *, trace_id="t~synth", controls=(), kv_events=(), crashe
         corpus_seed=0,
         outcomes={o.request_id: o for o in outcomes},
         kv_events=tuple(kv_events),
-        server_crashed=crashed,
         crash_evidence=evidence,
         wall_clock_span_ms=span if span is not None else max(ends),
         block_snapshots={},
@@ -79,8 +80,8 @@ def test_clean_report_raises_nothing():
 
 def test_crash_suspicion_fingerprint_ignores_trace_identity():
     ev = {"signature": "running-adapters-not-subset-loaded", "tick": 31}
-    r1 = report_of([outcome("a")], trace_id="t~one", crashed=True, evidence=ev)
-    r2 = report_of([outcome("a")], trace_id="t~two", crashed=True, evidence=dict(ev, tick=99))
+    r1 = report_of([outcome("a")], trace_id="t~one", evidence=ev)
+    r2 = report_of([outcome("a")], trace_id="t~two", evidence=dict(ev, tick=99))
     s1 = behavioral_check(r1, BaselineStats(), THRESHOLDS)
     s2 = behavioral_check(r2, BaselineStats(), THRESHOLDS)
     assert [s.kind for s in s1] == [SuspicionKind.CRASH]
@@ -144,7 +145,7 @@ def _leak_events(freed=False, adopted=False):
 
 def test_kv_leak_past_grace_raises():
     rep = report_of(
-        [outcome("dead", status="cancelled", dispatched=0, ttft=None, total=2, tokens=(), stamps=())],
+        [outcome("dead", status="cancelled", dispatched=0, total=2, tokens=(), stamps=())],
         kv_events=_leak_events(),
         span=THRESHOLDS.kv_leak_grace_ms + 10,
     )
@@ -156,7 +157,7 @@ def test_kv_leak_past_grace_raises():
 def test_kv_leak_freed_or_adopted_blocks_are_exempt():
     for kwargs in ({"freed": True}, {"adopted": True}):
         rep = report_of(
-            [outcome("dead", status="cancelled", ttft=None, total=2, tokens=(), stamps=())],
+            [outcome("dead", status="cancelled", total=2, tokens=(), stamps=())],
             kv_events=_leak_events(**kwargs),
             span=THRESHOLDS.kv_leak_grace_ms + 10,
         )
@@ -165,7 +166,7 @@ def test_kv_leak_freed_or_adopted_blocks_are_exempt():
 
 def test_kv_leak_within_grace_window_is_quiet():
     rep = report_of(
-        [outcome("dead", status="cancelled", ttft=None, total=2, tokens=(), stamps=())],
+        [outcome("dead", status="cancelled", total=2, tokens=(), stamps=())],
         kv_events=_leak_events(),
         span=THRESHOLDS.kv_leak_grace_ms - 100,
     )
@@ -176,27 +177,27 @@ def test_kv_leak_within_grace_window_is_quiet():
 
 
 def test_stall_requires_covered_quiet_gap():
-    covered = report_of([outcome("long", dispatched=0, ttft=12_500, total=13_000, stamps=(12_500, 13_000))])
+    covered = report_of([outcome("long", dispatched=0, total=13_000, stamps=(12_500, 13_000))])
     sus = detect_stall(covered, THRESHOLDS.stall_window_ms)
     assert sus is not None and sus.kind is SuspicionKind.STALL
     assert sus.evidence["gap_ms"] == 12_500
     assert sus.signature == {"gap_decade": 4}
 
-    short = report_of([outcome("ok", ttft=8_000, total=9_000, stamps=(8_000, 9_000))])
+    short = report_of([outcome("ok", total=9_000, stamps=(8_000, 9_000))])
     assert detect_stall(short, THRESHOLDS.stall_window_ms) is None
 
     # the same quiet gap with no in-flight request covering it: idle, not a stall
     uncovered = report_of(
         [
-            outcome("early", dispatched=0, ttft=1, total=2, stamps=(1, 2)),
-            outcome("late", dispatched=20_000, ttft=1, total=2, stamps=(20_001, 20_002)),
+            outcome("early", dispatched=0, total=2, stamps=(1, 2)),
+            outcome("late", dispatched=20_000, total=2, stamps=(20_001, 20_002)),
         ]
     )
     assert detect_stall(uncovered, THRESHOLDS.stall_window_ms) is None
 
 
 def test_stall_suppressed_when_schedule_degraded():
-    rep = report_of([outcome("long", ttft=12_500, total=13_000, stamps=(12_500,))], degraded=True)
+    rep = report_of([outcome("long", total=13_000, stamps=(12_500,))], degraded=True)
     assert detect_stall(rep, THRESHOLDS.stall_window_ms) is None
 
 
@@ -214,7 +215,7 @@ def test_lifecycle_spurious_and_late_generation():
 
     streaming = lifecycle_check(
         report_of(
-            [outcome("r", status="disconnected", ttft=2, total=4, stamps=(2, 30))],
+            [outcome("r", status="disconnected", total=4, stamps=(2, 30))],
             controls=(TraceEvent.disconnect(5, "r"),),
         ),
     )
@@ -223,7 +224,7 @@ def test_lifecycle_spurious_and_late_generation():
 
 def test_lifecycle_honest_paths_are_quiet():
     honest_cancel = lifecycle_check(
-        report_of([outcome("r", status="cancelled", ttft=2, total=5, stamps=(2,))], controls=(TraceEvent.cancel(5, "r"),)),
+        report_of([outcome("r", status="cancelled", total=5, stamps=(2,))], controls=(TraceEvent.cancel(5, "r"),)),
     )
     assert honest_cancel == []
     fast_completion = lifecycle_check(

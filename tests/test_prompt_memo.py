@@ -156,7 +156,7 @@ def play(core: SimCore, schedule) -> list[str]:
 
 def finished(core, rid):
     req = core.requests[rid]
-    return req.status, req.first_token_ms, req.finished_ms, req.outputs, req.records, req.token_stamps
+    return req.status, req.finished_ms, req.outputs, req.records, req.token_stamps
 
 
 request_plans = st.tuples(

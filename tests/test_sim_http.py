@@ -183,6 +183,21 @@ def test_decode_mode_set_over_http_survives_a_reset():
         server.stop()
 
 
+def test_each_http_execution_sets_the_decode_mode_it_was_given():
+    # A pinned replay pins the server, and the next plain execution unpins it.
+    server = serve_http(SimConfig())
+    endpoint = EngineEndpoint(kind=EngineKind.OPENAI, base_url=server.base_url)
+    modes = []
+    try:
+        for canonical in (True, False):
+            report = execute(TimedTrace("t~pin", (send("a", 0),)), endpoint, canonical_decode=canonical)
+            assert report.outcomes["a"].status == "completed"
+            modes.append(server.core.canonical_decode)
+    finally:
+        server.stop()
+    assert modes == [True, False]
+
+
 def test_client_aborts_map_to_their_statuses_over_http(monkeypatch):
     # Closing a response mid-stream can hand the reader a truncated chunk;
     # an abort the client started is still its cancel or disconnect, and no
@@ -251,7 +266,9 @@ def test_lines_read_after_an_abort_record_no_tokens(monkeypatch):
         def close(self):
             self.closed.set()
 
-    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: BufferedResponse())
+    real_post = requests.post  # the control plane is the real server's
+    monkeypatch.setattr(requests, "post", lambda url, **kwargs: BufferedResponse() if url.endswith("/v1/completions")
+                        else real_post(url, **kwargs))
     server = serve_http(SimConfig())
     trace = TimedTrace(
         "t~buffered",

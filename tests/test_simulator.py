@@ -209,11 +209,11 @@ def test_stall_inflates_virtual_clock():
     spec = FaultSpec(family=FaultFamily.ENGINE_STALL, stall_ms=1000)
     sim = serve(SimConfig(seed=1, faults=(spec,)))
     rec = run_one(sim, "wide", prompt(32), max_tokens=4, n=8, horizon=60_000.0)
-    assert rec.first_token_ms >= 1000
+    assert rec.token_stamps[0] >= 1000
 
     clean = serve(SimConfig(seed=1))
     fast = run_one(clean, "wide", prompt(32), max_tokens=4, n=8)
-    assert fast.first_token_ms < 50
+    assert fast.token_stamps[0] < 50
 
 
 def test_stall_recovers_after_wide_request_completes():
@@ -222,7 +222,7 @@ def test_stall_recovers_after_wide_request_completes():
     run_one(sim, "wide", prompt(32), max_tokens=4, n=8, horizon=60_000.0)
     after = run_one(sim, "probe", prompt(16), max_tokens=2, horizon=sim.clock_ms + 200.0)
     # the probe is admitted within a couple of ticks once the stall source drains
-    assert after.first_token_ms - sim.clock_ms <= 0  # finished before horizon
+    assert after.token_stamps[0] - sim.clock_ms <= 0  # finished before horizon
     assert after.status == "completed"
 
 
@@ -230,7 +230,7 @@ def test_stall_threshold_is_configurable():
     spec = FaultSpec(family=FaultFamily.ENGINE_STALL, stall_ms=1000, n_completions_threshold=4)
     sim = serve(SimConfig(seed=1, faults=(spec,)))
     rec = run_one(sim, "wide", prompt(32), max_tokens=4, n=4, horizon=60_000.0)
-    assert rec.first_token_ms >= 1000
+    assert rec.token_stamps[0] >= 1000
 
 
 # -- fault family: adapter-load drift -------------------------------------------

@@ -195,7 +195,8 @@ def test_corrupted_output_that_replays_is_confirmed(monkeypatch, tokens, subtype
         return ExecutionReport(
             trace=replayed,
             corpus_seed=corpus_seed,
-            outcomes={"a": RequestOutcome("a", "completed", 0, ttft_ms=1, total_ms=3, output_tokens=tokens)},
+            outcomes={"a": RequestOutcome("a", "completed", 0, total_ms=3, output_tokens=tokens,
+                                          token_stamps=(1, 2, 3)[: len(tokens[0])])},
             engine_info={"vocab_size": 1024},
         )
 
