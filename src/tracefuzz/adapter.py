@@ -154,6 +154,7 @@ class RequestOutcome:
     logprob_records: tuple | None = None  # per stream, per position: ((token, logprob), ...)
     token_stamps: tuple = ()  # absolute ms of stream-0 token arrivals
     error: str | None = None
+    aborted_ms: int | None = None  # when its first Cancel or Disconnect reached the engine; None if none did
 
     @property
     def ttft_ms(self) -> int | None:
@@ -322,6 +323,7 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
 
     outcomes: dict[str, RequestOutcome] = {}
     dispatched: dict[str, int] = {}  # rid -> core clock at dispatch
+    aborted: dict[str, int] = {}  # rid -> when its first control ran, from the epoch
     undispatched: list[tuple[RequestSpec, int]] = []
     for event in trace.events:
         core.advance_to(epoch + event.offset_ms)  # returns at once on a crashed engine
@@ -350,6 +352,7 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
                 dispatched[spec.request_id] = epoch + event.offset_ms
         elif event.kind in (EventKind.CANCEL, EventKind.DISCONNECT):
             core.cancel(event.target, disconnect=event.kind is EventKind.DISCONNECT)
+            aborted.setdefault(event.target, core.clock_ms - epoch)
         # Wait events are pure schedule spacing; nothing to dispatch.
 
     # Drain: run until every dispatched request is terminal or times out.
@@ -378,6 +381,7 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
             output_tokens=tuple(tuple(s) for s in req.outputs),
             logprob_records=tuple(tuple(s) for s in req.records) if req.logprobs else None,
             token_stamps=tuple(stamp - epoch for stamp in req.token_stamps),
+            aborted_ms=aborted.get(rid),
         )
     for spec, offset in undispatched:
         outcomes[spec.request_id] = RequestOutcome(
@@ -435,7 +439,7 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
         started = time.monotonic()
         tokens: list[int] = []
         stamps: list[int] = []
-        status, error = "server_error", "stream ended before [DONE]"
+        status, error, ended = "server_error", "stream ended before [DONE]", None
         try:
             resp = requests.post(base + "/v1/completions", json=body, headers={"X-Request-Id": rid},
                                  stream=True, timeout=endpoint.request_timeout_ms / 1000)
@@ -448,36 +452,38 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
                 error = f"http {resp.status_code}"
             else:
                 for raw in resp.iter_lines():
-                    if rid in aborted:
-                        break  # what is left was buffered before our own close, not streamed after it
                     if not raw or not raw.startswith(b"data: "):
                         continue
                     payload = raw[len(b"data: ") :]
-                    if payload == b"[DONE]":
-                        status, error = "completed", None
-                        break
-                    chunk = json.loads(payload)
-                    text = chunk["choices"][0].get("text", "")
-                    now_ms = int((time.monotonic() - started) * 1000) + intended_ms
-                    for tok in parse_prompt(text):
-                        tokens.append(tok)
-                        stamps.append(now_ms)
+                    text = None if payload == b"[DONE]" else json.loads(payload)["choices"][0].get("text", "")
+                    now = time.monotonic()
+                    with lock:
+                        if rid in aborted:
+                            break  # the abort's mark ends what we record: the rest was buffered before our close
+                        if text is None:
+                            status, error, ended = "completed", None, now
+                            break
+                        for tok in parse_prompt(text):
+                            tokens.append(tok)
+                            stamps.append(int((now - started) * 1000) + intended_ms)
         except requests.exceptions.Timeout:
             status, error = "timeout", "client-side timeout"
         except Exception as exc:  # the thread's boundary: every Send gets one outcome
             LOG.debug("request %s ended by an error", rid, exc_info=True)
             status, error = "server_error", f"{type(exc).__name__}: {exc}"
-        if status != "completed" and rid in aborted:
+        control, aborted_ms = aborted.get(rid, (None, None))
+        if status != "completed" and control is not None:
             # Closed from our side, however that surfaced: an error, a truncated chunk, an early end.
-            status, error = ("cancelled" if aborted[rid] == "cancel" else "disconnected"), None
+            status, error = ("cancelled" if control is EventKind.CANCEL else "disconnected"), None
         outcome = RequestOutcome(
             request_id=rid,
             status=status,
             dispatched_ms=intended_ms,
-            total_ms=int((time.monotonic() - started) * 1000),
+            total_ms=int(((ended or time.monotonic()) - started) * 1000),
             output_tokens=(tuple(tokens),),
             token_stamps=tuple(stamps),
             error=error,
+            aborted_ms=aborted_ms,
         )
         with lock:
             live.pop(rid, None)
@@ -496,7 +502,7 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
     # them: Thread.start() waits until the new thread runs, and closing an
     # aborted response can take milliseconds, so either would make the next
     # event late.  The closer ends at the None queued after the last event.
-    aborted: dict[str, str] = {}
+    aborted: dict[str, tuple[EventKind, int]] = {}  # rid -> its first control and when it was marked, from the epoch
     gates: dict[int, threading.Event] = {}  # per Send, by its index in the trace
     threads: list[threading.Thread] = []
     for index, event in enumerate(trace.events):
@@ -520,7 +526,7 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
             gates[index].set()
         elif event.kind in (EventKind.CANCEL, EventKind.DISCONNECT):
             with lock:
-                aborted[event.target] = "cancel" if event.kind is EventKind.CANCEL else "disconnect"
+                aborted.setdefault(event.target, (event.kind, int((time.monotonic() - epoch) * 1000)))
                 resp = live.get(event.target)
             if resp is not None:
                 closing.put(resp)

@@ -30,6 +30,7 @@ from .oracles import (
     OracleThresholds,
     extract_group_snapshots,
     full_sweep,
+    ttft_gate_open,
 )
 from .telemetry import TelemetrySummary, compute_telemetry
 from .trace import PromptShape, TimedTrace, repair, serialize
@@ -272,7 +273,6 @@ class CampaignConfig:
     bootstrap_per_profile: int = 1
     corpus_cap: int = 256
     stop_on_finding: bool = False
-    mutation_intensity: float = 0.05
     endpoint_descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -301,7 +301,6 @@ class CampaignConfig:
             "bootstrap_per_profile": self.bootstrap_per_profile,
             "corpus_cap": self.corpus_cap,
             "stop_on_finding": self.stop_on_finding,
-            "mutation_intensity": self.mutation_intensity,
             "endpoint": dict(self.endpoint_descriptor),
         }
 
@@ -414,7 +413,6 @@ def _next_trace(
         telemetry=parent.telemetry,
         partner_telemetry=partner.telemetry if partner is not None else None,
         weights=config.mutation_weights,
-        intensity=config.mutation_intensity,
     )
 
 
@@ -471,7 +469,7 @@ def run_campaign(config: CampaignConfig, endpoint, out_dir: Path | str | None = 
         best_pressure = max(best_pressure, pressure.s_total)
         result.pressure_series.append((iteration, pressure, best_pressure))
 
-        if result.baseline.count < config.thresholds.min_baseline_samples:
+        if not ttft_gate_open(report, result.baseline, config.thresholds):
             result.regression_checks_skipped += 1  # TTFT oracle was gated off, not green
 
         suspicions = full_sweep(report, result.baseline, config.thresholds, prior_snapshots)

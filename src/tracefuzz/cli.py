@@ -17,7 +17,7 @@ from pathlib import Path
 from .adapter import EndpointUnavailable, EngineEndpoint, EngineKind, UnsupportedOperation, execute, reset_server
 from .campaign import CampaignConfig, minimize, run_campaign
 from .confirmation import ConfirmationConfig, Finding, confirm_suspicion, first_difference, replay
-from .oracles import BaselineStats, OracleThresholds, full_sweep
+from .oracles import BaselineStats, OracleThresholds, SuspicionKind, full_sweep
 from .simulator.config import FaultFamily, FaultSpec, SimConfig
 from .simulator.endpoint import serve
 from .trace import TraceFormatError, deserialize, serialize
@@ -118,7 +118,7 @@ def _campaign_config(args) -> CampaignConfig:
         doc["rng_seed"] = args.seed
     if args.stop_on_finding:
         doc["stop_on_finding"] = True
-    if args.corpus_seed:
+    if args.corpus_seed is not None:
         doc["corpus_seed"] = args.corpus_seed
     try:
         config = CampaignConfig.from_dict(doc)
@@ -126,6 +126,15 @@ def _campaign_config(args) -> CampaignConfig:
         raise UsageError(f"bad campaign config: {exc}") from exc
     config.endpoint_descriptor = {"endpoint": args.endpoint, "sim": bool(args.sim or args.sim_config), "faults": list(args.fault)}
     return config
+
+
+def _confirmation_config(args) -> ConfirmationConfig:
+    """The stage-2 flags (replay has no --epsilon); a value stage 2 cannot use is a usage error."""
+    epsilon = getattr(args, "epsilon", ConfirmationConfig.epsilon)
+    try:
+        return ConfirmationConfig(top_n=args.top_n, epsilon=epsilon, k=args.k)
+    except ValueError as exc:
+        raise UsageError(f"bad confirmation settings: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -152,11 +161,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    if args.k < 1:
-        raise UsageError("--k must be >= 1")
+    config = _confirmation_config(args)
     trace = _load_trace(args.trace)
     endpoint = _make_endpoint(args)
-    reports = replay(trace, endpoint, k=args.k, top_n=args.top_n, corpus_seed=args.corpus_seed)
+    reports = replay(trace, endpoint, k=config.k, top_n=config.top_n, corpus_seed=args.corpus_seed)
     reference = reports[0]
     identical = 0
     for i, report in enumerate(reports, start=1):
@@ -182,9 +190,9 @@ def cmd_replay(args) -> int:
 
 
 def cmd_confirm(args) -> int:
+    config = _confirmation_config(args)
     trace = _load_trace(args.trace)
     endpoint = _make_endpoint(args)
-    config = ConfirmationConfig(top_n=args.top_n, epsilon=args.epsilon, k=args.k)
     thresholds = OracleThresholds()
     reset_server(endpoint)
     report = execute(trace, endpoint, corpus_seed=args.corpus_seed)
@@ -205,9 +213,12 @@ def cmd_confirm(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    goal = args.predicate
-    if goal != "crash" and not goal.startswith("kind:") and not goal.startswith("fingerprint:"):
-        raise UsageError("--predicate must be 'crash', 'kind:<suspicion-kind>', or 'fingerprint:<fp>'")
+    goal, _, target = args.predicate.partition(":")
+    kinds = [kind.value for kind in SuspicionKind]
+    if args.predicate != "crash" and not (goal == "kind" and target in kinds or goal == "fingerprint" and target):
+        raise UsageError(f"--predicate must be 'crash', 'kind:<{'|'.join(kinds)}>', or 'fingerprint:<fp>'")
+    if args.k < 1:
+        raise UsageError("--k must be >= 1")
     trace = _load_trace(args.trace)
     endpoint = _make_endpoint(args)
     thresholds = OracleThresholds()
@@ -220,12 +231,10 @@ def cmd_minimize(args) -> int:
             report = execute(candidate, endpoint, corpus_seed=args.corpus_seed)
         except (EndpointUnavailable, OSError):
             return False
-        if goal == "crash":
+        if args.predicate == "crash":
             return report.server_crashed
         suspicions = full_sweep(report, BaselineStats(), thresholds)
-        if goal.startswith("kind:"):
-            return any(s.kind.value == goal[len("kind:") :] for s in suspicions)
-        return any(s.fingerprint == goal[len("fingerprint:") :] for s in suspicions)
+        return any(target == (s.kind.value if goal == "kind" else s.fingerprint) for s in suspicions)
 
     log: list[dict] = []
     try:
@@ -272,12 +281,12 @@ def cmd_report(args) -> int:
     if not summary_path.exists() or not pressure_path.exists():
         print(f"incomplete campaign directory: {root}", file=sys.stderr)
         return EXIT_USAGE
-    summary = json.loads(summary_path.read_text())
+    summary = _read_object(summary_path)
     findings = []
     findings_dir = root / "findings"
     if findings_dir.is_dir():
         for path in sorted(findings_dir.glob("*.json")):
-            findings.append(json.loads(path.read_text()))
+            findings.append(_read_object(path, "kind", "fingerprint"))
 
     if args.format == "json":
         doc = {"summary": summary, "findings": findings}
@@ -304,13 +313,23 @@ def cmd_report(args) -> int:
                 print(f"findings first confirmed at iterations: {flagged}")
 
     if args.plot:
-        code = _emit_plot(summary, Path(args.plot))
-        if code != EXIT_OK:
-            return code
+        _emit_plot(summary, Path(args.plot))
     return EXIT_OK
 
 
-def _emit_plot(summary: dict, out: Path) -> int:
+def _read_object(path: Path, *keys: str) -> dict:
+    """A campaign file's JSON object, holding ``keys``; anything else is a usage error."""
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"unreadable campaign file {path}: {exc}") from exc
+    if not isinstance(doc, dict) or not all(key in doc for key in keys):
+        with_keys = f" with {', '.join(keys)}" if keys else ""
+        raise UsageError(f"unreadable campaign file {path}: not a JSON object{with_keys}")
+    return doc
+
+
+def _emit_plot(summary: dict, out: Path) -> None:
     series = summary.get("pressure_series", [])
     try:
         import matplotlib
@@ -319,7 +338,7 @@ def _emit_plot(summary: dict, out: Path) -> int:
         import matplotlib.pyplot as plt
     except ImportError:
         print("matplotlib not installed; skipping plot (series data is in summary.json)", file=sys.stderr)
-        return EXIT_OK
+        return
     xs = [row["iteration"] for row in series]
     parts = ["burst", "multi_adapter", "kv_pressure", "shape_diversity"]
     stacks = [[row["components"][p] for row in series] for p in parts]
@@ -335,7 +354,6 @@ def _emit_plot(summary: dict, out: Path) -> int:
     fig.savefig(out, dpi=120)
     plt.close(fig)
     print(f"wrote {out}")
-    return EXIT_OK
 
 
 # --------------------------------------------------------------------------
@@ -354,27 +372,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", help="comma-separated seed profile names")
     p.add_argument("--stop-on-finding", action="store_true")
     _add_endpoint_flags(p)
-    p.set_defaults(fn=cmd_run)
+    p.set_defaults(fn=cmd_run, corpus_seed=None)  # unset, a config file's corpus_seed stands
 
     p = sub.add_parser("replay", help="replay a trace k times and diff the outputs")
     p.add_argument("--trace", type=Path, required=True)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--top-n", type=int, default=5)
+    p.add_argument("--k", type=int, default=ConfirmationConfig.k)
+    p.add_argument("--top-n", type=int, default=ConfirmationConfig.top_n)
     _add_endpoint_flags(p)
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("confirm", help="execute a trace, raise suspicions, and confirm them")
     p.add_argument("--trace", type=Path, required=True)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--top-n", type=int, default=5)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--k", type=int, default=ConfirmationConfig.k)
+    p.add_argument("--top-n", type=int, default=ConfirmationConfig.top_n)
+    p.add_argument("--epsilon", type=float, default=ConfirmationConfig.epsilon)
     _add_endpoint_flags(p)
     p.set_defaults(fn=cmd_confirm)
 
     p = sub.add_parser("minimize", help="shrink a trace while a predicate keeps reproducing")
     p.add_argument("--trace", type=Path, required=True)
     p.add_argument("--predicate", default="crash", help="crash | kind:<suspicion-kind> | fingerprint:<fp>")
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=int, default=ConfirmationConfig.k)
     p.add_argument("--out", type=Path, default=None)
     _add_endpoint_flags(p)
     p.set_defaults(fn=cmd_minimize)

@@ -76,7 +76,7 @@ def first_difference(y, y2) -> int | None:
     return min(len(y), len(y2))
 
 
-def confirm_relational(original, reference, reference_ladders, top_n: int = 5, epsilon: float = 0.1) -> RelationalVerdict:
+def confirm_relational(original, reference, reference_ladders, top_n: int, epsilon: float) -> RelationalVerdict:
     """Judge one stream's divergence against the clean reference ladders.
 
     reference_ladders holds, per reference position, recorded (token, logprob)
@@ -145,18 +145,18 @@ def pin_trace(trace: TimedTrace, top_n: int) -> TimedTrace:
     return trace.with_events(tuple(events))
 
 
-def replay(trace: TimedTrace, endpoint, k: int, top_n: int = 5, corpus_seed: int = 0, retry_budget: int = 2):
+def replay(trace: TimedTrace, endpoint, k: int, top_n: int, corpus_seed: int = 0):
     """k isolated re-executions, each on a reset engine with decoding pinned."""
     pinned = pin_trace(trace, top_n)
     reports = []
     for _ in range(k):
-        reports.append(_run_isolated(pinned, endpoint, corpus_seed, retry_budget))
+        reports.append(_run_isolated(pinned, endpoint, corpus_seed))
     return reports
 
 
-def _run_isolated(trace, endpoint, corpus_seed, retry_budget):
+def _run_isolated(trace, endpoint, corpus_seed):
     last: Exception | None = None
-    for _ in range(retry_budget + 1):
+    for _ in range(RETRY_BUDGET + 1):
         try:
             reset_server(endpoint)
             return execute(trace, endpoint, corpus_seed=corpus_seed, canonical_decode=True)
@@ -174,11 +174,10 @@ class ConfirmationConfig:
     top_n: int = 5
     epsilon: float = 0.1
     k: int = 3
-    retry_budget: int = 2
-    probe_count: int = 16
-    probe_spacing_ms: int = 40
-    regression_factor: float = 10.0
-    recovery_factor: float = 2.0
+
+    def __post_init__(self) -> None:
+        if min(self.top_n, self.k) < 1:
+            raise ValueError(f"top_n and k must be >= 1, got top_n={self.top_n}, k={self.k}")
 
 
 @dataclass
@@ -247,7 +246,7 @@ def confirm_suspicion(
     thresholds = thresholds or OracleThresholds()
     try:
         if suspicion.kind in _TIMING_KINDS:
-            return _confirm_timing(suspicion, report, endpoint, config)
+            return _confirm_timing(suspicion, report, endpoint, config, thresholds)
         return _confirm_replay(suspicion, report, endpoint, config, thresholds)
     except (EndpointUnavailable, OSError) as exc:
         LOG.warning("confirmation of %s abandoned: %s", suspicion.fingerprint, exc)
@@ -277,7 +276,7 @@ def _relational_verdicts(suspicion, report, endpoint, config) -> list[Relational
         if outcome is None or spec is None or outcome.status != "completed" or not outcome.output_tokens:
             continue
         # The suspect request alone on a reset engine, ties pinned.
-        solo = _run_isolated(solo_probe_trace(spec, config.top_n), endpoint, report.corpus_seed, config.retry_budget)
+        solo = _run_isolated(solo_probe_trace(spec, config.top_n), endpoint, report.corpus_seed)
         reference = solo.outcomes.get(rid)
         if reference is None or reference.status != "completed":
             continue
@@ -324,7 +323,7 @@ def _confirm_replay(suspicion, report, endpoint, config, thresholds):
             # Explainable tie-break divergence; replaying would only re-observe it.
             return _judge(suspicion, False, evidence, "within-tie-margin", Verdict.FALSE_POSITIVE)
 
-    reports = replay(report.trace, endpoint, config.k, config.top_n, report.corpus_seed, config.retry_budget)
+    reports = replay(report.trace, endpoint, config.k, config.top_n, report.corpus_seed)
     flags = []
     for replayed in reports:
         found = full_sweep(replayed, BaselineStats(), thresholds)
@@ -339,16 +338,20 @@ def _confirm_replay(suspicion, report, endpoint, config, thresholds):
 # -- timing arm ---------------------------------------------------------------
 
 
-# The recovery probe lets the engine settle this long after the replayed window.
+RETRY_BUDGET = 2  # retries of an isolated run whose endpoint fails
+PROBE_COUNT, PROBE_SPACING_MS = 16, 40  # a latency probe: this many solo requests, this far apart
+# The recovery probe lets the engine settle this long after the replayed window,
+# and the engine has recovered when the probe's p50 is within RECOVERY_FACTOR of the baseline's.
 RECOVERY_SETTLE_MS = 5
+RECOVERY_FACTOR = 2.0
 
 
-def latency_probe_trace(config: ConfirmationConfig, tag: str, start_ms: int = 0) -> TimedTrace:
+def latency_probe_trace(tag: str, start_ms: int = 0) -> TimedTrace:
     shape = PromptShape(prefix_len=0, prompt_len=8)
     sampling = SamplingConfig(max_tokens=2, temperature=0.0, seed=0)
     events = tuple(
         TraceEvent.send(
-            start_ms + i * config.probe_spacing_ms,
+            start_ms + i * PROBE_SPACING_MS,
             RequestSpec(
                 request_id=f"{tag}~{i}",
                 shape=shape,
@@ -357,7 +360,7 @@ def latency_probe_trace(config: ConfirmationConfig, tag: str, start_ms: int = 0)
                 adapter="BASE",
             ),
         )
-        for i in range(config.probe_count)
+        for i in range(PROBE_COUNT)
     )
     return TimedTrace(trace_id=f"probe~{tag}", events=events)
 
@@ -377,9 +380,9 @@ def _regression_window(suspicion) -> tuple[int, int]:
     return start, start + int(suspicion.evidence.get("ttft_ms", 0))
 
 
-def _confirm_timing(suspicion, report, endpoint, config):
+def _confirm_timing(suspicion, report, endpoint, config, thresholds):
     trace, corpus_seed = report.trace, report.corpus_seed
-    baseline_report = _run_isolated(latency_probe_trace(config, "baseline"), endpoint, corpus_seed, config.retry_budget)
+    baseline_report = _run_isolated(latency_probe_trace("baseline"), endpoint, corpus_seed)
     baseline_p50 = _probe_p50(baseline_report)
     if baseline_p50 is None:
         raise EndpointUnavailable("latency baseline probes produced no completions")
@@ -387,7 +390,7 @@ def _confirm_timing(suspicion, report, endpoint, config):
 
     window_start, window_end = _regression_window(suspicion)
     probe_at = max(0, (window_start + window_end) // 2)
-    probe_spec = latency_probe_trace(config, "timing-probe").events[0].spec
+    probe_spec = latency_probe_trace("timing-probe").events[0].spec
     injected = trace.with_events(
         ordered(trace.events + (TraceEvent.send(probe_at, probe_spec),)),
         trace_id=trace.trace_id + "~timing",
@@ -396,12 +399,10 @@ def _confirm_timing(suspicion, report, endpoint, config):
     flags = []
     amplification = 0.0
     suspect_rids = suspicion.evidence.get("request_ids", [])
-    last_report = None
-    for replayed in replay(injected, endpoint, config.k, config.top_n, corpus_seed, config.retry_budget):
-        last_report = replayed
+    for replayed in replay(injected, endpoint, config.k, config.top_n, corpus_seed):
         probe_outcome = replayed.outcomes.get(probe_spec.request_id)
-        probe_ttft = probe_outcome.ttft_ms if probe_outcome and probe_outcome.ttft_ms is not None else None
-        flags.append(probe_ttft is not None and probe_ttft >= config.regression_factor * floor)
+        probe_ttft = probe_outcome.ttft_ms if probe_outcome else None
+        flags.append(probe_ttft is not None and probe_ttft >= thresholds.ttft_regression_factor * floor)
         for rid in suspect_rids:
             outcome = replayed.outcomes.get(rid)
             if outcome is not None and outcome.ttft_ms is not None:
@@ -411,13 +412,13 @@ def _confirm_timing(suspicion, report, endpoint, config):
 
     recovery_p50 = None
     recovered = False
-    if last_report is not None and not last_report.server_crashed:
+    if not replayed.server_crashed:  # the last of k >= 1 replays
         try:
             # No reset: the probe runs on the engine the last replay left behind.
-            probes = latency_probe_trace(config, "recovery", RECOVERY_SETTLE_MS)
+            probes = latency_probe_trace("recovery", RECOVERY_SETTLE_MS)
             recovery_report = execute(probes, endpoint, corpus_seed, canonical_decode=True)
             recovery_p50 = _probe_p50(recovery_report)
-            recovered = recovery_p50 is not None and recovery_p50 <= config.recovery_factor * floor
+            recovered = recovery_p50 is not None and recovery_p50 <= RECOVERY_FACTOR * floor
         except (EndpointUnavailable, OSError):
             pass
 

@@ -136,6 +136,11 @@ def _decade(value: float) -> int:
 # Stage 1: behavioral
 
 
+def ttft_gate_open(report, baseline: BaselineStats, thresholds: OracleThresholds) -> bool:
+    """Whether the TTFT regression check judges this report: a full baseline and an on-time schedule."""
+    return baseline.count >= thresholds.min_baseline_samples and not report.schedule_degraded
+
+
 def behavioral_check(report, baseline: BaselineStats, thresholds: OracleThresholds) -> list[Suspicion]:
     suspicions: list[Suspicion] = []
     if report.server_crashed:
@@ -144,7 +149,7 @@ def behavioral_check(report, baseline: BaselineStats, thresholds: OracleThreshol
         suspicions.append(Suspicion.create(SuspicionKind.CRASH, report.trace_id, signature, evidence))
 
     vocab = report.engine_info.get("vocab_size")
-    regression_ready = baseline.count >= thresholds.min_baseline_samples and not report.schedule_degraded
+    regression_ready = ttft_gate_open(report, baseline, thresholds)
     for rid in sorted(report.outcomes):
         outcome = report.outcomes[rid]
         spec = report.request_index.get(rid)
@@ -253,6 +258,7 @@ def detect_stall(report, stall_window_ms: int) -> Suspicion | None:
 
 
 def lifecycle_check(report, thresholds: OracleThresholds | None = None) -> list[Suspicion]:
+    """Each request against its first control: a timed subtype reads when that control reached the engine."""
     tol = (thresholds or OracleThresholds()).lifecycle_tolerance_ms
     controls: dict[str, tuple[str, int]] = {}
     for event in report.trace.events:
@@ -262,25 +268,22 @@ def lifecycle_check(report, thresholds: OracleThresholds | None = None) -> list[
     for rid in sorted(report.outcomes):
         outcome = report.outcomes[rid]
         control = controls.get(rid)
+        # The engine cannot stop before it is told to, and a control that never reached it times nothing.
+        deadline = math.inf if control is None or outcome.aborted_ms is None else outcome.aborted_ms + tol
         subtype = None
         if outcome.status == "cancelled" and (control is None or control[0] != "Cancel"):
             subtype = "spurious-cancel"
         elif outcome.status == "disconnected" and (control is None or control[0] != "Disconnect"):
             subtype = "spurious-disconnect"
-        elif control is not None and outcome.status == "completed" and outcome.total_ms is not None:
-            if outcome.end_ms > control[1] + tol:
-                subtype = "generation-past-" + ("cancel" if control[0] == "Cancel" else "disconnect")
-        if control is not None and control[0] == "Disconnect" and outcome.token_stamps:
-            if max(outcome.token_stamps) > control[1] + tol:
-                subtype = subtype or "post-disconnect-streaming"
+        elif outcome.status == "completed" and outcome.total_ms is not None and outcome.end_ms > deadline:
+            subtype = "generation-past-" + ("cancel" if control[0] == "Cancel" else "disconnect")
+        elif control is not None and control[0] == "Disconnect" and max(outcome.token_stamps, default=0) > deadline:
+            subtype = "post-disconnect-streaming"
         if subtype is not None:
+            evidence = {"request_ids": [rid], "subtype": subtype,
+                        "control_offset_ms": control and control[1], "aborted_ms": outcome.aborted_ms}
             suspicions.append(
-                Suspicion.create(
-                    SuspicionKind.LIFECYCLE_VIOLATION,
-                    report.trace_id,
-                    {"subtype": subtype},
-                    {"request_ids": [rid], "subtype": subtype},
-                )
+                Suspicion.create(SuspicionKind.LIFECYCLE_VIOLATION, report.trace_id, {"subtype": subtype}, evidence)
             )
     return _merge(suspicions)
 

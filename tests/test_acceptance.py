@@ -29,6 +29,7 @@ from tracefuzz.campaign import (
 )
 from tracefuzz.confirmation import (
     ConfirmationConfig,
+    Dismissal,
     Finding,
     Verdict,
     confirm_suspicion,
@@ -152,7 +153,8 @@ def test_ac04_stale_kv_fault_yields_confirmed_state_corruption():
     assert elapsed < 600.0, f"campaign took {elapsed:.1f}s"
 
 
-def test_ac05_stall_fault_regression_confirmed_with_recovery():
+def _ac05_regression():
+    """The F2 endpoint, the stalled trace's report after a warm baseline, and its TTFT regression."""
     endpoint = sim_endpoint(faults=(FaultFamily.ENGINE_STALL,))
     thresholds = OracleThresholds()
 
@@ -171,14 +173,30 @@ def test_ac05_stall_fault_regression_confirmed_with_recovery():
     suspicions = behavioral_check(report, baseline, thresholds)
     regressions = [s for s in suspicions if s.kind is SuspicionKind.TTFT_REGRESSION]
     assert regressions, f"no regression raised: {[s.kind for s in suspicions]}"
-    assert regressions[0].evidence["ratio"] >= 100.0
+    return endpoint, report, regressions[0]
 
-    outcome = confirm_suspicion(regressions[0], report, endpoint, ConfirmationConfig(), thresholds)
+
+def test_ac05_stall_fault_regression_confirmed_with_recovery():
+    endpoint, report, regression = _ac05_regression()
+    assert regression.evidence["ratio"] >= 100.0
+
+    outcome = confirm_suspicion(regression, report, endpoint, ConfirmationConfig(), OracleThresholds())
     assert isinstance(outcome, Finding), getattr(outcome, "reason", None)
     evidence = outcome.evidence
     assert evidence["amplification"] >= 100.0
     assert evidence["recovered"] is True
     assert evidence["recovery_p50_ms"] <= 2.0 * evidence["baseline_p50_ms"]
+
+
+def test_ac05_stage2_judges_with_the_oracles_ttft_factor():
+    # One factor judges both stages: above the injected probe's amplification,
+    # the same replays show admission queueing, not a regression.
+    endpoint, report, regression = _ac05_regression()
+    confirmed = confirm_suspicion(regression, report, endpoint, ConfirmationConfig(), OracleThresholds())
+    assert isinstance(confirmed, Finding), getattr(confirmed, "reason", None)
+    above = OracleThresholds(ttft_regression_factor=math.floor(confirmed.evidence["amplification"]) + 1)
+    outcome = confirm_suspicion(regression, report, endpoint, ConfirmationConfig(), above)
+    assert isinstance(outcome, Dismissal) and outcome.reason == "latency-explained-by-admission-queueing"
 
 
 def test_ac06_adapter_drift_crash_found_and_minimized():

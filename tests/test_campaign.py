@@ -237,16 +237,12 @@ def test_campaign_config_from_dict_inverts_to_dict():
             ttft_regression_factor=4.0, min_baseline_samples=7, stall_window_ms=900, kv_leak_grace_ms=11,
             lifecycle_tolerance_ms=3,
         ),
-        confirmation=ConfirmationConfig(
-            top_n=3, epsilon=0.2, k=5, retry_budget=1, probe_count=4, probe_spacing_ms=9, regression_factor=3.0,
-            recovery_factor=1.5,
-        ),
+        confirmation=ConfirmationConfig(top_n=3, epsilon=0.2, k=5),
         corpus_seed=3,
         profiles=(PROFILE_LORA_MIX, PROFILE_STEADY),
         bootstrap_per_profile=2,
         corpus_cap=17,
         stop_on_finding=True,
-        mutation_intensity=0.2,
         endpoint_descriptor={"endpoint": "http://127.0.0.1:1", "sim": False, "faults": []},
     )
     default = CampaignConfig()
@@ -507,6 +503,37 @@ def test_stop_on_finding_halts_the_loop():
         assert result.iterations_run == last_iteration + 1
     else:
         assert result.iterations_run == 60
+
+
+def test_a_disconnect_held_up_by_a_stall_files_no_lifecycle_finding():
+    # Under F2, iteration 26 disconnects r4 and r7 at 18 and 34 ms, but a
+    # stalled step holds the clock until 1,017 ms: both Disconnects reach the
+    # engine then, together with the one token that step decoded for each.
+    # The engine never streamed after it was told, so nothing is filed.
+    endpoint = EngineEndpoint(
+        kind=EngineKind.SIMULATOR, handle=serve(SimConfig(seed=5).with_faults(FaultFamily.ENGINE_STALL))
+    )
+    result = run_campaign(CampaignConfig(rng_seed=1, iterations=27), endpoint)
+    assert result.iterations_run == 27
+    assert {rec.finding.kind for rec in result.findings.values()} == {SuspicionKind.TTFT_REGRESSION}
+    assert not result.dismissals
+
+
+def test_a_schedule_degraded_run_counts_as_a_skipped_regression_check(monkeypatch):
+    # The TTFT check is gated off on a late schedule even once the baseline is full.
+    real_execute = campaign.execute
+    calls = itertools.count()
+
+    def degraded_after_the_first(trace, endpoint, corpus_seed=0, canonical_decode=False):
+        report = real_execute(trace, endpoint, corpus_seed, canonical_decode)
+        report.schedule_degraded = next(calls) > 0
+        return report
+
+    monkeypatch.setattr(campaign, "execute", degraded_after_the_first)
+    config = steady_config(rng_seed=4, iterations=4, thresholds=OracleThresholds(min_baseline_samples=1))
+    result = run_campaign(config, sim_endpoint(seed=1))
+    assert result.baseline.count >= 1
+    assert result.regression_checks_skipped == 4
 
 
 def test_seed_traces_execute_before_mutants():

@@ -7,6 +7,7 @@ with capsys.
 import dataclasses
 import json
 import pathlib
+import shutil
 import sys
 
 import pytest
@@ -97,6 +98,8 @@ def test_bad_campaign_config_file(tmp_path, capsys):
         {"confirmation": {"relational_aggregate": "majoritty"}},
         ["not", "an", "object"],
         {"thresholds": {"min_baseline_samples": 0}},
+        {"confirmation": {"k": 0}},
+        {"confirmation": {"top_n": 0}},
     ],
 )
 def test_bad_config_sections_are_usage_errors(tmp_path, capsys, doc):
@@ -138,6 +141,48 @@ def test_replay_k_must_be_positive(tmp_path, capsys):
     assert main(["replay", "--trace", str(path), "--sim", "--k", "0"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["replay", "--top-n", "0"],
+        ["confirm", "--k", "0"],
+        ["confirm", "--top-n", "0"],
+        ["minimize", "--k", "0"],
+        ["minimize", "--predicate", "kind:nonsense"],
+    ],
+)
+def test_stage2_settings_that_cannot_work_are_usage_errors(tmp_path, capsys, argv):
+    # Under F3 the drift trace crashes, so each command would reach stage 2 or the minimizer.
+    path = write_trace(tmp_path, drift_trace())
+    assert main([*argv, "--trace", str(path), "--sim", "--fault", "F3"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+REMOVED_SETTINGS = {
+    "mutation_intensity": 0.05,
+    "confirmation.retry_budget": 2,
+    "confirmation.probe_count": 16,
+    "confirmation.probe_spacing_ms": 40,
+    "confirmation.regression_factor": 10.0,
+    "confirmation.recovery_factor": 2.0,
+}
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_SETTINGS))
+def test_a_config_json_with_a_removed_setting_is_refused_by_name(clean_campaign, tmp_path, capsys, key):
+    # These settings are constants now; a config.json written while they were
+    # settings still carries them, and running it must not silently drop one.
+    doc = json.loads((clean_campaign[1] / "config.json").read_text())
+    section, _, name = key.rpartition(".")
+    (doc[section] if section else doc)[name] = REMOVED_SETTINGS[key]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--sim", "--config", str(config), "--budget", "1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "bad campaign config" in err and key.rpartition(".")[2] in err
+
+
 # -- run ------------------------------------------------------------------------
 
 
@@ -160,6 +205,15 @@ def test_a_persisted_config_runs_again(clean_campaign, tmp_path, capsys):
     _, out = clean_campaign
     args = ["run", "--sim", "--config", str(out / "config.json"), "--budget", "1", "--out", str(tmp_path / "again")]
     assert main(args) == EXIT_OK
+
+
+def test_corpus_seed_flag_overrides_the_config_file_even_at_zero(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"corpus_seed": 5, "profiles": ["steady"]}))
+    for flags, expected in (([], 5), (["--corpus-seed", "0"], 0)):
+        out = tmp_path / f"out{expected}"
+        assert main(["run", "--sim", "--config", str(config), "--budget", "1", "--out", str(out), *flags]) == EXIT_OK
+        assert json.loads((out / "config.json").read_text())["corpus_seed"] == expected
 
 
 def test_run_with_findings_exits_one(tmp_path, capsys):
@@ -354,6 +408,25 @@ def test_report_lists_findings_and_their_first_iterations(tmp_path, capsys):
 def test_report_missing_directory(tmp_path, capsys):
     assert main(["report", "--campaign", str(tmp_path / "void")]) == EXIT_USAGE
     assert "incomplete campaign directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        ("summary.json", '{"iterations_run": 4, "suspicions'),
+        ("summary.json", "[4, 0]"),
+        ("findings/abc.json", "{not json"),
+        ("findings/abc.json", '"a string"'),
+        ("findings/abc.json", '{"fingerprint": "abc"}'),
+    ],
+)
+def test_report_on_an_unreadable_campaign_file_is_a_usage_error(clean_campaign, tmp_path, capsys, name, text):
+    copy = tmp_path / "campaign"
+    shutil.copytree(clean_campaign[1], copy)
+    (copy / name).write_text(text)
+    assert main(["report", "--campaign", str(copy)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unreadable campaign file {copy / name}") and err.count("\n") == 1
 
 
 def test_report_plot(clean_campaign, tmp_path, capsys):

@@ -209,13 +209,13 @@ def test_lifecycle_spurious_and_late_generation():
     assert [s.signature["subtype"] for s in spurious] == ["spurious-cancel"]
 
     late = lifecycle_check(
-        report_of([outcome("r", dispatched=0, ttft=2, total=40)], controls=(TraceEvent.cancel(5, "r"),)),
+        report_of([outcome("r", dispatched=0, ttft=2, total=40, aborted_ms=5)], controls=(TraceEvent.cancel(5, "r"),)),
     )
     assert [s.signature["subtype"] for s in late] == ["generation-past-cancel"]
 
     streaming = lifecycle_check(
         report_of(
-            [outcome("r", status="disconnected", total=4, stamps=(2, 30))],
+            [outcome("r", status="disconnected", total=4, stamps=(2, 30), aborted_ms=5)],
             controls=(TraceEvent.disconnect(5, "r"),),
         ),
     )
@@ -224,13 +224,35 @@ def test_lifecycle_spurious_and_late_generation():
 
 def test_lifecycle_honest_paths_are_quiet():
     honest_cancel = lifecycle_check(
-        report_of([outcome("r", status="cancelled", total=5, stamps=(2,))], controls=(TraceEvent.cancel(5, "r"),)),
+        report_of(
+            [outcome("r", status="cancelled", total=5, stamps=(2,), aborted_ms=5)],
+            controls=(TraceEvent.cancel(5, "r"),),
+        ),
     )
     assert honest_cancel == []
     fast_completion = lifecycle_check(
-        report_of([outcome("r", dispatched=0, ttft=2, total=6)], controls=(TraceEvent.cancel(50, "r"),)),
+        report_of([outcome("r", dispatched=0, ttft=2, total=6, aborted_ms=50)], controls=(TraceEvent.cancel(50, "r"),)),
     )
     assert fast_completion == []
+
+
+def test_lifecycle_times_a_control_from_when_it_reached_the_engine():
+    # A Disconnect at 5 ms that the engine only received at 1,017 ms (a stalled
+    # step held the clock): tokens stamped up to delivery plus the tolerance
+    # are not the engine's fault; one stamped after it still is.
+    tol = THRESHOLDS.lifecycle_tolerance_ms
+
+    def check(stamps, aborted_ms):
+        outcome_ = outcome("r", status="disconnected", total=stamps[-1], stamps=stamps, aborted_ms=aborted_ms)
+        return lifecycle_check(report_of([outcome_], controls=(TraceEvent.disconnect(5, "r"),)))
+
+    assert check((2, 1_017), 1_017) == []
+    assert check((2, 1_017 + tol), 1_017) == []
+    [late] = check((2, 1_017 + tol + 1), 1_017)
+    assert late.signature == {"subtype": "post-disconnect-streaming"}
+    assert late.evidence["control_offset_ms"] == 5 and late.evidence["aborted_ms"] == 1_017
+    # A control that never reached the engine (it crashed first) times nothing.
+    assert check((2, 30), None) == []
 
 
 # -- structural ------------------------------------------------------------------

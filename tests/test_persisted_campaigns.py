@@ -38,10 +38,10 @@ CASES = {
 }
 
 EXPECTED = {
-    "near-tie-dismissals": (26, "030d4f68c9b82793d901d645fe2bfc72b701cd128be13b7c6122251e7402d9c3"),
-    "f2-findings-duplicates": (29, "647d8b6c727449af33c0ca9ce9aa631ad7b43feb9bfbb4bd0fc23d20d630ce4c"),
-    "seeds-not-yet-run": (12, "07038b9ea8b20a79a242913e50026de93b2b120132c3f948878592ef1cc18b9c"),
-    "corpus-cap-evicts": (12, "cffa6982aab610e01b1a7ab4e42f0a2b49d98e1974cb15ddd51fe9ed1a5a8cbf"),
+    "near-tie-dismissals": (26, "aeda504b94ab1bd5878e0807ddca9a5756167d4c7ab73d7ab38febd2c2f78713"),
+    "f2-findings-duplicates": (29, "47da1edd0d861c341e1abf9e6fcaa45f89afad34dfdea0ef1269d3afef39beab"),
+    "seeds-not-yet-run": (12, "3c6158be4db148cb7408d9b3fdd78b6f66725ab473ea29a87bbcae6e7fd69d8b"),
+    "corpus-cap-evicts": (12, "6e2c8dd4a8030e83d5d6384a75d18d61d8bdc7f35cb66481746ae831be355c97"),
 }
 
 

@@ -1,10 +1,12 @@
 """Stage-2 verdicts, frozen per suspicion kind the simulator raises in process.
 
 Each case executes one scripted trace on a fresh simulator with a fault
-armed, takes the first suspicion of the named kind from ``full_sweep`` and
-confirms it, on the same engine or, for the one dismissal, on a clean one.  The verdict, the dismissal reason and a digest of the canonical
-evidence were recorded before the replay arms were merged into one; a change
-to how stage 2 confirms must leave them as they are.
+armed (or, for the lifecycle cases, on an engine that ignores aborts), takes
+the first suspicion of the named kind from ``full_sweep`` and confirms it, on
+the same engine or, for the one dismissal, on a clean one.  The verdict, the
+dismissal reason and a digest of the canonical evidence were recorded before
+the replay arms were merged into one; a change to how stage 2 confirms must
+leave them as they are.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ from tracefuzz.hashing import canonical_json
 from tracefuzz.oracles import BaselineStats, OracleThresholds, SuspicionKind, behavioral_check, full_sweep
 from tracefuzz.simulator.config import FaultFamily, FaultSpec, SimConfig
 from tracefuzz.simulator.endpoint import serve
+from tracefuzz.simulator.engine import SimCore
 from tracefuzz.trace import EventKind, PromptShape, RequestSpec, SamplingConfig, TimedTrace, TraceEvent
 from drift_schedules import drift_schedule
 
@@ -60,12 +63,16 @@ def _f3_trace():
 
 
 def _cancel_trace():
-    # Under F2 the first tick jumps the clock past the Cancel, and the
-    # one-token request completes before the Cancel is applied.
-    return TimedTrace(
-        "t~cancel",
-        (send("c", 0, mt=1), send("wide", 0, mt=8, n=8), TraceEvent(1, EventKind.CANCEL, target="c")),
-    )
+    # The Cancel reaches the engine at 1 ms; an engine that ignores it
+    # completes the request well past that.
+    return TimedTrace("t~cancel", (send("c", 0, mt=16), TraceEvent(1, EventKind.CANCEL, target="c")))
+
+
+class AbortIgnoringCore(SimCore):
+    """An engine that takes every Cancel and Disconnect and keeps generating: a real lifecycle fault."""
+
+    def cancel(self, rid: str, disconnect: bool = False) -> None:
+        pass
 
 
 def _warm_baseline(endpoint) -> BaselineStats:
@@ -79,12 +86,17 @@ def _warm_baseline(endpoint) -> BaselineStats:
 # case -> (kind, fault armed while raising, fault armed while confirming,
 #          request timeout, trace, warm a TTFT baseline first)
 F1, F2, F3 = FaultFamily.STALE_KV_REUSE, FaultFamily.ENGINE_STALL, FaultFamily.ADAPTER_DRIFT
+IGNORES_ABORTS = "ignores-aborts"  # the engine is an AbortIgnoringCore
 CASES = {
     "hash_conflict": (SuspicionKind.HASH_CONFLICT, F1, F1, 60_000, _f1_trace, False),
     "snapshot_divergence": (SuspicionKind.SNAPSHOT_DIVERGENCE, F1, F1, 60_000, _f1_trace, False),
-    "lifecycle_violation": (SuspicionKind.LIFECYCLE_VIOLATION, F2, F2, 60_000, _cancel_trace, False),
-    # Raised under F2, replayed on a clean engine: the one dismissal.
-    "lifecycle_violation-clean-replay": (SuspicionKind.LIFECYCLE_VIOLATION, F2, None, 60_000, _cancel_trace, False),
+    "lifecycle_violation": (
+        SuspicionKind.LIFECYCLE_VIOLATION, IGNORES_ABORTS, IGNORES_ABORTS, 60_000, _cancel_trace, False
+    ),
+    # Raised on an engine that ignores aborts, replayed on a clean one: the one dismissal.
+    "lifecycle_violation-clean-replay": (
+        SuspicionKind.LIFECYCLE_VIOLATION, IGNORES_ABORTS, None, 60_000, _cancel_trace, False
+    ),
     "ttft_regression": (
         SuspicionKind.TTFT_REGRESSION,
         F2,
@@ -127,10 +139,11 @@ def _verdict_row(outcome) -> tuple:
 
 
 def _endpoint(fault, timeout_ms):
-    faults = () if fault is None else (FaultSpec(family=fault),)
-    return EngineEndpoint(
-        kind=EngineKind.SIMULATOR, handle=serve(SimConfig(seed=1, faults=faults)), request_timeout_ms=timeout_ms
-    )
+    if fault is IGNORES_ABORTS:
+        handle = AbortIgnoringCore(SimConfig(seed=1))
+    else:
+        handle = serve(SimConfig(seed=1, faults=() if fault is None else (FaultSpec(family=fault),)))
+    return EngineEndpoint(kind=EngineKind.SIMULATOR, handle=handle, request_timeout_ms=timeout_ms)
 
 
 def confirm_case(case):

@@ -2,9 +2,11 @@
 virtual time and over HTTP in wall-clock time must give the same statuses,
 KV owners and non-timing suspicions, with no request thread dying on the way.
 
-Timing-based verdicts stay out of the equality: a stall, a TTFT regression
-and the lifecycle subtypes that compare wall-clock stamps against a control's
-offset.  F1-armed traces are not compared yet.
+A stall and a TTFT regression stay out of the equality: they compare
+wall-clock latency with virtual time.  Lifecycle verdicts are compared: both
+transports time a request's end and stamps against when its control reached
+the engine, and neither records anything of a request after that.  F1-armed
+traces are not compared yet.
 """
 
 import threading
@@ -29,15 +31,12 @@ TRACES = {
     ),
 }
 
-_TIMED_LIFECYCLE = ("generation-past-cancel", "generation-past-disconnect", "post-disconnect-streaming")
-
 
 def untimed_fingerprints(report) -> set[str]:
     return {
         s.fingerprint
         for s in full_sweep(report, BaselineStats())
         if s.kind not in (SuspicionKind.STALL, SuspicionKind.TTFT_REGRESSION)
-        and not (s.kind is SuspicionKind.LIFECYCLE_VIOLATION and s.signature["subtype"] in _TIMED_LIFECYCLE)
     }
 
 
