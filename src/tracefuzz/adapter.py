@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 from .trace import EventKind, RequestSpec, TimedTrace, parse_prompt, prompt_for, render_prompt
@@ -388,14 +389,14 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
             request_id=spec.request_id, status="server_error", dispatched_ms=offset, error="engine down before dispatch"
         )
 
-    kv_events = core.kv_events[first_kv_event:]
+    kv_events = tuple(islice(core.kv_events, first_kv_event, None))
     if epoch:
-        kv_events = [event._replace(ts_ms=event.ts_ms - epoch) for event in kv_events]
+        kv_events = tuple([event._replace(ts_ms=event.ts_ms - epoch) for event in kv_events])
     return ExecutionReport(
         trace=trace,
         corpus_seed=corpus_seed,
         outcomes=outcomes,
-        kv_events=tuple(kv_events),
+        kv_events=kv_events,
         crash_evidence=core.crash_evidence,
         wall_clock_span_ms=core.clock_ms - epoch,
         block_snapshots={rid: snap for rid, snap in core.snapshots.items() if rid in dispatched},

@@ -36,6 +36,9 @@ _FAULTS = {
     "adapter_drift": FaultFamily.ADAPTER_DRIFT,
 }
 
+# The pressure components `report --plot` stacks, as PressureScore.components() names them.
+PLOT_PARTS = ("burst", "multi_adapter", "kv_pressure", "shape_diversity")
+
 
 class UsageError(Exception):
     pass
@@ -282,11 +285,32 @@ def cmd_report(args) -> int:
         print(f"incomplete campaign directory: {root}", file=sys.stderr)
         return EXIT_USAGE
     summary = _read_object(summary_path)
+    series = summary.get("pressure_series", [])
+    rows_hold = isinstance(series, list) and all(
+        isinstance(row, dict) and _numeric(row.get("s_total")) and type(row.get("iteration")) is int
+        for row in series
+    )
+    _require(summary_path, "pressure_series", "a list of objects with numeric s_total and int iteration", rows_hold)
+    if args.plot:
+        plottable = all(
+            _numeric(row.get("best_so_far"))
+            and isinstance(row.get("components"), dict)
+            and all(_numeric(row["components"].get(part)) for part in PLOT_PARTS)
+            for row in series
+        )
+        _require(summary_path, "pressure_series", "plottable: a row lacks numeric best_so_far or components", plottable)
+    finding_iterations = summary.get("finding_iterations", {})
+    iterations_hold = isinstance(finding_iterations, dict) and all(type(i) is int for i in finding_iterations.values())
+    _require(summary_path, "finding_iterations", "an object of int iterations", iterations_hold)
     findings = []
     findings_dir = root / "findings"
     if findings_dir.is_dir():
         for path in sorted(findings_dir.glob("*.json")):
-            findings.append(_read_object(path, "kind", "fingerprint"))
+            doc = _read_object(path, "kind", "fingerprint")
+            for key in ("kind", "fingerprint"):
+                _require(path, key, "a string", isinstance(doc[key], str))
+            _require(path, "duplicates", "an int", type(doc.get("duplicates", 0)) is int)
+            findings.append(doc)
 
     if args.format == "json":
         doc = {"summary": summary, "findings": findings}
@@ -303,9 +327,8 @@ def cmd_report(args) -> int:
                 print(f"{doc['kind']:24} {repro:>13}  {doc['fingerprint']}")
         else:
             print("findings: none")
-        series = summary.get("pressure_series", [])
         if series:
-            finding_iters = set(summary.get("finding_iterations", {}).values())
+            finding_iters = set(finding_iterations.values())
             peak = max(series, key=lambda row: row["s_total"])
             print(f"pressure: {len(series)} iterations, peak s_total {peak['s_total']:.3f} at iteration {peak['iteration']}")
             if finding_iters:
@@ -329,6 +352,16 @@ def _read_object(path: Path, *keys: str) -> dict:
     return doc
 
 
+def _require(path: Path, field: str, what: str, holds: bool) -> None:
+    """A usage error naming the campaign file and its field unless the field ``holds`` to ``what``."""
+    if not holds:
+        raise UsageError(f"unreadable campaign file {path}: {field} is not {what}")
+
+
+def _numeric(value) -> bool:
+    return type(value) in (int, float)
+
+
 def _emit_plot(summary: dict, out: Path) -> None:
     series = summary.get("pressure_series", [])
     try:
@@ -340,12 +373,11 @@ def _emit_plot(summary: dict, out: Path) -> None:
         print("matplotlib not installed; skipping plot (series data is in summary.json)", file=sys.stderr)
         return
     xs = [row["iteration"] for row in series]
-    parts = ["burst", "multi_adapter", "kv_pressure", "shape_diversity"]
-    stacks = [[row["components"][p] for row in series] for p in parts]
+    stacks = [[row["components"][p] for row in series] for p in PLOT_PARTS]
     best = [row["best_so_far"] for row in series]
     fig, ax = plt.subplots(figsize=(8, 4))
     if xs:
-        ax.stackplot(xs, stacks, labels=parts, alpha=0.8)
+        ax.stackplot(xs, stacks, labels=PLOT_PARTS, alpha=0.8)
         ax.plot(xs, best, color="black", linewidth=1.2, label="highest so far")
     ax.set_xlabel("iteration")
     ax.set_ylabel("pressure score")

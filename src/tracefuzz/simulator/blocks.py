@@ -3,6 +3,12 @@
 Completed requests leave their sealed blocks resident but unpinned, so cache
 occupancy persists after completion; that is what makes filler-then-burst
 schedules build real memory pressure.
+
+Blocks come and go in runs.  One call allocates a run of a chain's new
+blocks, adopts the cached blocks of a prompt's leading hashes, or releases a
+chain.  What stays per block is what the order of blocks decides: once the
+free list runs dry, each further block of a run evicts the least recently
+released block before it is sealed.
 """
 
 from __future__ import annotations
@@ -34,33 +40,60 @@ class BlockManager:
     def occupancy(self) -> float:
         return len(self.blocks) / self.total
 
-    def lookup(self, content_hash: int) -> int | None:
-        return self._hash_index.get(content_hash)
+    def allocate_run(self, owner: str, adapter: str, hashes) -> tuple[list[int], list, list[KvBlock]]:
+        """A new block per hash, sealed under it unless None: (block ids, their hashes, evicted blocks).
 
-    def allocate_run(self, owner: str, adapter: str, hashes) -> list[tuple[KvBlock | None, KvBlock | None]]:
-        """(new block, evicted LRU block or None) per hash, each block sealed under its hash unless None.
-
-        The run ends with (None, None) at the first block nothing can be evicted for; ``hashes`` is not
-        read past it.  Each block is sealed before the next eviction: when a victim carries a hash of the
-        run, that order decides which id the hash index keeps.
+        The free list is taken first; the blocks evicted make room, in order,
+        for the last of the run.  The run stops short at the first block
+        nothing can be evicted for, and ``hashes`` is not read past that
+        block.  Each block is sealed before the next eviction: when a victim
+        carries a hash of the run, that order decides which id the hash index
+        keeps.
         """
-        run = []
-        free, lru, index = self._free, self._lru, self._hash_index
+        free, blocks, index = self._free, self.blocks, self._hash_index
+        ids, sealed, victims = [], [], []
         for content_hash in hashes:
-            victim = None
-            if not free:
-                if not lru:
-                    run.append((None, None))
-                    break
-                victim = self.drop(next(iter(lru)))
-            block_id = free.popleft()
-            block = self.blocks[block_id] = KvBlock(block_id, owner, adapter, content_hash)
+            if free:
+                block_id = free.popleft()
+            elif self._lru:
+                victims.append(self.drop(next(iter(self._lru))))
+                block_id = free.popleft()
+            else:
+                break
+            blocks[block_id] = KvBlock(block_id, owner, adapter, content_hash)
             if content_hash is not None:
                 # First writer wins; duplicate content computed concurrently
                 # stays live under its own id but is not hash-addressable.
                 index.setdefault(content_hash, block_id)
-            run.append((block, victim))
-        return run
+            ids.append(block_id)
+            sealed.append(content_hash)
+        return ids, sealed, victims
+
+    def adopt(self, hashes) -> tuple[list[int], list[int]]:
+        """Pin the cached blocks of the leading ``hashes``: (their ids, their hashes).
+
+        The run stops at the first hash not indexed; ``hashes`` is not read past it.
+        """
+        index, blocks, lru = self._hash_index, self.blocks, self._lru
+        ids, adopted = [], []
+        for content_hash in hashes:
+            block_id = index.get(content_hash)
+            if block_id is None:
+                break
+            blocks[block_id].ref_count += 1
+            lru.pop(block_id, None)
+            ids.append(block_id)
+            adopted.append(content_hash)
+        return ids, adopted
+
+    def release(self, block_ids) -> None:
+        """Unpin a run of blocks; those no request holds any more join the LRU in run order."""
+        blocks, lru = self.blocks, self._lru
+        for block_id in block_ids:
+            block = blocks[block_id]
+            block.ref_count -= 1
+            if block.ref_count <= 0:
+                lru[block_id] = None
 
     def seal(self, block_id: int, content_hash: int) -> None:
         self.blocks[block_id].content_hash = content_hash
@@ -69,12 +102,6 @@ class BlockManager:
     def pin(self, block_id: int) -> None:
         self.blocks[block_id].ref_count += 1
         self._lru.pop(block_id, None)
-
-    def unpin(self, block_id: int) -> None:
-        block = self.blocks[block_id]
-        block.ref_count -= 1
-        if block.ref_count <= 0:
-            self._lru[block_id] = None
 
     def drop(self, block_id: int) -> KvBlock:
         """Remove a block and return its id to the free list; the caller emits its free or evict event."""

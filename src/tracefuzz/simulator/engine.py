@@ -19,6 +19,15 @@ The memo is derived from the config and pure inputs alone, so reset() keeps
 it.  It lives on the core, not in a module cache, because its entries grow
 in place while a request decodes: cores serving in parallel must not share
 them, and a core's own users are already serialized (SimHttpServer.lock).
+
+KV blocks are handled a run at a time.  A prefill chunk's full prompt blocks
+are allocated as one run, and a decode block as a run of one; an admission
+adopts the cached blocks of its prompt's leading hashes as one run, up to the
+first miss, and after a stale grab the blocks past it the same way; a
+completed request releases each chain as one run.  Each run's alloc and
+prefix_hit events are built in one pass over its block ids.  What stays per
+block: the evicting tail of a run (each eviction is emitted before the
+allocation it makes room for) and the blocks a teardown frees.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice, repeat
 
 from ..adapter import KvEvent
 from ..hashing import stable_u64
@@ -55,6 +65,14 @@ PROMPT_MEMO_SIZE = 128
 DECODE_MEMO_STREAMS = 256
 DECODE_MEMO_POSITIONS = 64
 DECODE_MEMO_LOGPROBS = 8
+
+# A run's events are built as tuple.__new__(KvEvent, fields) over the run:
+# real KvEvent instances, without a Python-level __new__ call per block.
+# Infinite repeats hold no per-run state, so every run shares these.
+_NEW = tuple.__new__
+_KV_EVENT = repeat(KvEvent)
+_ALLOC = repeat("alloc")
+_PREFIX_HIT = repeat("prefix_hit")
 
 
 @lru_cache(maxsize=PROMPT_MEMO_SIZE)
@@ -176,6 +194,9 @@ class SimCore:
         if adapter not in self.config.adapters:
             return f"unknown adapter {adapter!r}"
         prompt = tuple(prompt)
+        if not prompt:
+            # Prefill computes at least the final prompt token.
+            return "empty prompt"
         n_completions = max(1, n_completions)
         # Stream 0 holds the prompt and its decode tokens, every other stream
         # its decode tokens.  A request that cannot fit an empty pool would be
@@ -375,51 +396,51 @@ class SimCore:
 
         # Prefix-cache walk over full leading blocks of the prompt.  The final
         # prompt token is always computed, never served from cache, so at
-        # least one prefill step remains for every admitted request.
-        pos = 0
-        contaminated_at: int | None = None
-        contaminated_span: tuple[int, ...] | None = None
-        while pos + block <= len(req.prompt) - 1:
-            next_hash = self._block_hash(req, chain0, len(chain0.blocks), req.prompt[pos : pos + block])
-            hit = self.blocks.lookup(next_hash)
-            if hit is not None:
-                self.blocks.pin(hit)
-                chain0.blocks.append(hit)
-                chain0.hashes.append(next_hash)
-                chain0.chain_hash = next_hash
-                pos += block
-                self._emit("prefix_hit", hit, next_hash, req.rid, req.adapter)
-                continue
-            grabbed = self._maybe_stale_grab(req, len(chain0.blocks))
-            if grabbed is not None:
-                grab_block, grab_hash = grabbed
-                self.blocks.pin(grab_block)
-                chain0.blocks.append(grab_block)
-                chain0.hashes.append(grab_hash)
-                chain0.chain_hash = grab_hash if grab_hash is not None else next_hash
-                req.contaminated = True
-                contaminated_at = pos
-                contaminated_span = tuple(
-                    stable_u64("stale", self.config.seed, self.tick, len(self._admitted_this_tick), j)
-                    % cfg.vocab_size
-                    for j in range(block)
-                )
-                self._emit("reuse", grab_block, grab_hash, req.rid, req.adapter)
-                pos += block
-                continue
-            break
+        # least one prefill step remains for every admitted request.  Up to
+        # the first miss the hits are adopted as one run.
+        limit = (len(req.prompt) - 1) // block
+        self._adopt(req, chain0, islice(req.block_hashes, limit))
+        pos = len(chain0.blocks) * block
+        effective = None  # the prompt as a stale grab leaves it
+        grabbed = self._maybe_stale_grab(req, len(chain0.blocks)) if len(chain0.blocks) < limit else None
+        if grabbed is not None:
+            grab_block, grab_hash = grabbed
+            self.blocks.pin(grab_block)
+            chain0.chain_hash = grab_hash if grab_hash is not None else req.block_hashes[len(chain0.blocks)]
+            chain0.blocks.append(grab_block)
+            chain0.hashes.append(grab_hash)
+            req.contaminated = True
+            contaminated_span = tuple(
+                stable_u64("stale", self.config.seed, self.tick, len(self._admitted_this_tick), j) % cfg.vocab_size
+                for j in range(block)
+            )
+            effective = req.prompt[:pos] + contaminated_span + req.prompt[pos + block :]
+            self._emit("reuse", grab_block, grab_hash, req.rid, req.adapter)
+            pos += block
+            # The grab changes every later hash: they are hashed one at a time, up to the first miss.
+            count = limit - len(chain0.blocks)
+            self._adopt(req, chain0, chained_hashes(chain0.chain_hash, req.adapter, block, req.prompt, pos, count))
+            pos = len(chain0.blocks) * block
         req.prefill_pos = pos
 
-        if contaminated_span is not None:
-            effective = req.prompt[:contaminated_at] + contaminated_span + req.prompt[contaminated_at + block :]
         for c in range(req.n_completions):
             digest = init_digest(cfg.seed, req.request_seed, req.adapter, c)
-            if contaminated_span is None:
+            if effective is None:
                 req.digests.append(prompt_digest(digest, req.prompt))
             else:
                 req.digests.append(stable_u64("prompt", digest, *effective))
             req.outputs.append([])
             req.records.append([])
+
+    def _adopt(self, req: SimRequest, chain: _Chain, hashes) -> None:
+        """Append the cached blocks of the leading ``hashes`` to the chain as one run, up to the first miss."""
+        ids, adopted = self.blocks.adopt(hashes)
+        if ids:
+            chain.blocks += ids
+            chain.hashes += adopted
+            chain.chain_hash = adopted[-1]
+            self.kv_events += map(_NEW, _KV_EVENT, zip(repeat(self.clock_ms), _PREFIX_HIT, ids, adopted,
+                                                       repeat(req.rid), repeat(req.adapter)))
 
     def _maybe_stale_grab(self, req: SimRequest, index: int):
         """Stale-KV fault: adopt a co-scheduled neighbour's block unverified."""
@@ -456,7 +477,7 @@ class SimCore:
         while pos < end:
             if chain0.fill == 0 and end - pos >= cfg.block_size_tokens:
                 count = (end - pos) // cfg.block_size_tokens  # every full block left in the chunk, in one run
-                if not self._allocate_blocks(req, chain0, self._run_hashes(req, chain0, pos, count)):
+                if not self._allocate_blocks(req, chain0, self._run_hashes(req, chain0, pos, count), count):
                     return 0  # preempted
                 pos += count * cfg.block_size_tokens
             else:
@@ -518,7 +539,7 @@ class SimCore:
         return steps
 
     def _append_token(self, req: SimRequest, chain: _Chain, token: int) -> bool:
-        if chain.fill == 0 and not self._allocate_blocks(req, chain, (None,)):
+        if chain.fill == 0 and not self._allocate_blocks(req, chain, (None,), 1):
             return False
         chain.buffer.append(token)
         chain.fill += 1
@@ -531,25 +552,36 @@ class SimCore:
             chain.buffer = []
         return True
 
-    def _allocate_blocks(self, req: SimRequest, chain: _Chain, hashes) -> bool:
-        """Append a new block per hash to the chain, sealed under it unless None; False if ``req`` was preempted.
+    def _allocate_blocks(self, req: SimRequest, chain: _Chain, hashes, count: int) -> bool:
+        """Append ``count`` new blocks to the chain, sealed under ``hashes`` unless None, as one run.
 
-        Each block's eviction is emitted before its allocation.  A decode block is the run ``(None,)``.
+        False if ``req`` was preempted.  Each block's eviction is emitted before its allocation.  A decode
+        block is the run ``(None,)``.
         """
         ts, rid, adapter = self.clock_ms, req.rid, req.adapter
-        emit = self.kv_events.append
-        for block, victim in self.blocks.allocate_run(rid, adapter, hashes):
-            if victim is not None:
-                self._evictions_this_tick += 1
-                emit(KvEvent(ts, "evict", victim.block_id, victim.content_hash, victim.owner_request_id, victim.adapter))
-            if block is None:
-                self._preempt(req)
-                return False
-            chain.blocks.append(block.block_id)
-            chain.hashes.append(block.content_hash)
-            emit(KvEvent(ts, "alloc", block.block_id, block.content_hash, rid, adapter))
-        if block.content_hash is not None:
-            chain.chain_hash = block.content_hash
+        ids, sealed, victims = self.blocks.allocate_run(rid, adapter, hashes)
+        chain.blocks += ids
+        chain.hashes += sealed
+        kv_events = self.kv_events
+        if victims:
+            # The free blocks come first; each block after them evicted one.
+            self._evictions_this_tick += len(victims)
+            allocs = map(_NEW, _KV_EVENT, zip(repeat(ts), _ALLOC, ids, sealed, repeat(rid), repeat(adapter)))
+            kv_events += islice(allocs, len(ids) - len(victims))
+            for victim, alloc in zip(victims, allocs):
+                kv_events.append(KvEvent(ts, "evict", victim.block_id, victim.content_hash, victim.owner_request_id,
+                                         victim.adapter))
+                kv_events.append(alloc)
+        elif len(ids) == 1:
+            # Most runs are one decode block, and one event costs less than setting up a pass.
+            kv_events.append(_NEW(KvEvent, (ts, "alloc", ids[0], sealed[0], rid, adapter)))
+        else:
+            kv_events += map(_NEW, _KV_EVENT, zip(repeat(ts), _ALLOC, ids, sealed, repeat(rid), repeat(adapter)))
+        if len(ids) < count:
+            self._preempt(req)
+            return False
+        if sealed[-1] is not None:
+            chain.chain_hash = sealed[-1]
         return True
 
     def _run_hashes(self, req: SimRequest, chain: _Chain, pos: int, count: int):
@@ -586,15 +618,23 @@ class SimCore:
         self.waiting.insert(0, req)
 
     def _release_blocks(self, req: SimRequest, teardown: bool) -> None:
-        """Unpin every block the request's chains hold; teardown frees those it allocated and alone holds."""
+        """Unpin every block the request's chains hold, each chain as one run.
+
+        Teardown goes block by block: it frees the blocks the request allocated and alone holds.
+        """
+        if not teardown:
+            for chain in req.chains:
+                self.blocks.release(chain.blocks)
+            return
+        blocks = self.blocks.blocks
         for chain in req.chains:
             for block_id in chain.blocks:
-                block = self.blocks.blocks[block_id]
-                if teardown and block.owner_request_id == req.rid and block.ref_count == 1:
+                block = blocks[block_id]
+                if block.owner_request_id == req.rid and block.ref_count == 1:
                     self.blocks.drop(block_id)
                     self._emit("free", block_id, block.content_hash, req.rid, req.adapter)
                 else:
-                    self.blocks.unpin(block_id)
+                    self.blocks.release((block_id,))
 
     def _finish(self, req: SimRequest, status: str, teardown: bool) -> None:
         # Built once and shared by every report that holds it; nothing mutates a snapshot.

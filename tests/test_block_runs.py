@@ -1,35 +1,56 @@
 """Run allocation against block-at-a-time allocation.
 
-``BlockAtATimeCore`` keeps the simulator as it allocated before prefill
-blocks were allocated in runs: ``_advance_prefill``, ``_append_token`` and
-``_allocate_block`` verbatim, over a block manager with the one-block
-``allocate`` verbatim.  ``RunCore`` is ``SimCore`` with probes, and repeats
-every client call on a block-at-a-time twin.  The rules of ``BlockMachine``
+``BlockAtATimeCore`` keeps the simulator as it handled KV blocks before they
+were handled in runs: ``_advance_prefill``, ``_append_token`` and
+``_allocate_block`` as they were before prefill blocks were allocated in
+runs, and ``_init_request`` and ``_release_blocks`` as they were before
+prefix hits were adopted and chains released as runs, all verbatim, over a
+block manager with ``lookup`` and the one-block ``allocate`` and ``unpin``
+verbatim and no run methods.
+``RunCore`` is ``SimCore`` with probes, and repeats every client call on a
+block-at-a-time twin.  The rules of ``BlockMachine``
 (tests/test_block_invariants.py) drive the pair through submit, same-tick
 bursts, cancel, disconnect, expire, advance and reset, clean and with F1 and
 F3 armed.  After every rule both cores must hold the same KV events,
 snapshots, outputs, logprob records, statuses, eviction count, block tables
 and block-manager state.  Each arm asserts the paths it reached: F1 stale
 grabs and the runs hashed after them, preemption inside a run, prefill
-chunks that end mid-block, ``n > 1`` and evictions inside a run.
+chunks that end mid-block, ``n > 1``, evictions inside a run, runs split
+across free and evicted blocks and prefix hits adopted as one run.
 
-One fixed schedule reaches what random schedules rarely do: a run evicts the
-indexed twin of one of its own earlier blocks, so sealing every block of a run
-after its evictions would leave a different hash index.
+Three fixed schedules reach what random schedules on small pools do not: a
+run evicts the indexed twin of one of its own earlier blocks, so sealing
+every block of a run after its evictions would leave a different hash index;
+4096-token prompts with eight completions on the default 2048-block pool,
+the scale of the benchmark's fillers; and a stale grab followed by prefix
+hits past it.  A fourth counts the block hashes of a run after a stale grab
+that is cut short.
 """
+
+from collections import Counter
 
 from hypothesis.stateful import invariant, run_state_machine_as_test
 
-from test_block_invariants import ARM_BUDGET, ARMS, BlockMachine
+import tracefuzz.simulator.engine as engine
+from test_block_invariants import ARM_BUDGET, ARMS, BlockMachine, tokens
+from tracefuzz.hashing import stable_u64
 from tracefuzz.simulator.blocks import BlockManager, KvBlock
-from tracefuzz.simulator.engine import DECODE, PREFILL, SimCore
+from tracefuzz.simulator.config import SimConfig
+from tracefuzz.simulator.decode import init_digest
+from tracefuzz.simulator.engine import DECODE, PREFILL, SimCore, SimRequest, _Chain, prompt_block_hashes, prompt_digest
 
 # What every arm must reach, beyond the KV paths BlockMachine itself notes.
-RUN_PATHS = {"eviction inside a run", "preempt inside a run", "chunk ends mid-block", "n > 1"}
+RUN_PATHS = {
+    "eviction inside a run", "preempt inside a run", "chunk ends mid-block", "n > 1",
+    "run split across free and evicted blocks", "prefix hits adopted as one run",
+}
 
 
 class BlockAtATimeManager(BlockManager):
-    """The block manager as it allocated one block per call."""
+    """The block manager as it looked up, allocated and unpinned one block per call."""
+
+    def lookup(self, content_hash: int) -> int | None:
+        return self._hash_index.get(content_hash)
 
     def allocate(self, owner: str, adapter: str) -> tuple[int | None, KvBlock | None]:
         """Returns (block_id, evicted LRU block or None); block_id None when nothing is evictable."""
@@ -42,12 +63,24 @@ class BlockAtATimeManager(BlockManager):
         self.blocks[block_id] = KvBlock(block_id, owner, adapter)
         return block_id, victim
 
+    def unpin(self, block_id: int) -> None:
+        block = self.blocks[block_id]
+        block.ref_count -= 1
+        if block.ref_count <= 0:
+            self._lru[block_id] = None
+
     def allocate_run(self, owner, adapter, hashes):
         raise AssertionError("the block-at-a-time core allocates one block per call")
 
+    def adopt(self, hashes):
+        raise AssertionError("the block-at-a-time core pins one prefix hit per call")
+
+    def release(self, block_ids):
+        raise AssertionError("the block-at-a-time core unpins one block per call")
+
 
 class BlockAtATimeCore(SimCore):
-    """The core as it allocated before runs; the three methods below are verbatim."""
+    """The core as it handled blocks before runs; the five methods below are verbatim."""
 
     def reset(self) -> None:
         super().reset()
@@ -110,6 +143,72 @@ class BlockAtATimeCore(SimCore):
         self._emit("alloc", block_id, sealed, req.rid, req.adapter)
         return True
 
+    def _init_request(self, req: SimRequest) -> None:
+        cfg = self.config
+        block = cfg.block_size_tokens
+        req.chains = [_Chain() for _ in range(req.n_completions)]
+        chain0 = req.chains[0]
+        req.block_hashes = prompt_block_hashes(req.adapter, block, req.prompt)
+
+        # Prefix-cache walk over full leading blocks of the prompt.  The final
+        # prompt token is always computed, never served from cache, so at
+        # least one prefill step remains for every admitted request.
+        pos = 0
+        contaminated_at: int | None = None
+        contaminated_span: tuple[int, ...] | None = None
+        while pos + block <= len(req.prompt) - 1:
+            next_hash = self._block_hash(req, chain0, len(chain0.blocks), req.prompt[pos : pos + block])
+            hit = self.blocks.lookup(next_hash)
+            if hit is not None:
+                self.blocks.pin(hit)
+                chain0.blocks.append(hit)
+                chain0.hashes.append(next_hash)
+                chain0.chain_hash = next_hash
+                pos += block
+                self._emit("prefix_hit", hit, next_hash, req.rid, req.adapter)
+                continue
+            grabbed = self._maybe_stale_grab(req, len(chain0.blocks))
+            if grabbed is not None:
+                grab_block, grab_hash = grabbed
+                self.blocks.pin(grab_block)
+                chain0.blocks.append(grab_block)
+                chain0.hashes.append(grab_hash)
+                chain0.chain_hash = grab_hash if grab_hash is not None else next_hash
+                req.contaminated = True
+                contaminated_at = pos
+                contaminated_span = tuple(
+                    stable_u64("stale", self.config.seed, self.tick, len(self._admitted_this_tick), j)
+                    % cfg.vocab_size
+                    for j in range(block)
+                )
+                self._emit("reuse", grab_block, grab_hash, req.rid, req.adapter)
+                pos += block
+                continue
+            break
+        req.prefill_pos = pos
+
+        if contaminated_span is not None:
+            effective = req.prompt[:contaminated_at] + contaminated_span + req.prompt[contaminated_at + block :]
+        for c in range(req.n_completions):
+            digest = init_digest(cfg.seed, req.request_seed, req.adapter, c)
+            if contaminated_span is None:
+                req.digests.append(prompt_digest(digest, req.prompt))
+            else:
+                req.digests.append(stable_u64("prompt", digest, *effective))
+            req.outputs.append([])
+            req.records.append([])
+
+    def _release_blocks(self, req: SimRequest, teardown: bool) -> None:
+        """Unpin every block the request's chains hold; teardown frees those it allocated and alone holds."""
+        for chain in req.chains:
+            for block_id in chain.blocks:
+                block = self.blocks.blocks[block_id]
+                if teardown and block.owner_request_id == req.rid and block.ref_count == 1:
+                    self.blocks.drop(block_id)
+                    self._emit("free", block_id, block.content_hash, req.rid, req.adapter)
+                else:
+                    self.blocks.unpin(block_id)
+
 
 class ProbedManager(BlockManager):
     """The run allocator, noting the run paths it takes into ``reached``."""
@@ -117,15 +216,30 @@ class ProbedManager(BlockManager):
     reached: set
 
     def allocate_run(self, owner, adapter, hashes):
-        run = super().allocate_run(owner, adapter, hashes)
-        if len(run) > 1:
-            if run[-1] == (None, None):
-                self.reached.add("preempt inside a run")
-            if any(victim is not None for _, victim in run):
-                self.reached.add("eviction inside a run")
-        for p, (_, victim) in enumerate(run):
-            if victim is not None and victim.content_hash in {block.content_hash for block, _ in run[:p]}:
+        read = []
+
+        def reading():
+            for content_hash in hashes:
+                read.append(content_hash)
+                yield content_hash
+
+        ids, sealed, victims = run = super().allocate_run(owner, adapter, reading())
+        if len(read) > len(ids) >= 1:
+            self.reached.add("preempt inside a run")
+        if len(read) > 1 and victims:
+            self.reached.add("eviction inside a run")
+        if len(ids) > len(victims) > 0:
+            self.reached.add("run split across free and evicted blocks")
+        first_evicting = len(ids) - len(victims)
+        for k, victim in enumerate(victims):
+            if victim.content_hash in set(sealed[: first_evicting + k]):
                 self.reached.add("victim hashed like an earlier block of its run")
+        return run
+
+    def adopt(self, hashes):
+        ids, adopted = run = super().adopt(hashes)
+        if len(ids) > 1:
+            self.reached.add("prefix hits adopted as one run")
         return run
 
 
@@ -230,3 +344,113 @@ def test_a_run_may_evict_the_indexed_twin_of_its_own_block():
     machine.cores_agree()
     machine.accounting_holds()
     assert "victim hashed like an earlier block of its run" in machine.reached
+
+
+def test_runs_match_blocks_at_benchmark_scale():
+    # 4096-token prompts with eight completions on the default 2048-block
+    # pool, as the benchmark's fillers run: six fill the pool with cached
+    # blocks, a prompt sharing 3000 tokens with the first adopts its cached
+    # prefix as one run and allocates from its first miss on, two more runs
+    # split across the last free blocks and evicted ones, and a burst of
+    # eight cannot fit and preempts inside runs.
+    reached = set()
+    core = RunCore(SimConfig(seed=3), reached)
+
+    def submit(rid, prompt):
+        assert core.submit(rid, prompt, "BASE", 20, 8, 0, None, core.clock_ms) is None
+        assert state_of(core) == state_of(core.twin)
+
+    def advance(ms):
+        core.advance_to(core.clock_ms + ms)
+        assert state_of(core) == state_of(core.twin)
+
+    for k in range(6):
+        submit(f"fill{k}", tokens(k, 4096))
+    advance(60)
+    submit("hit", tokens(0, 3000) + tokens(9, 1096))
+    advance(40)
+    submit("split0", tokens(10, 4096))
+    submit("split1", tokens(11, 4096))
+    advance(60)
+    for k in range(8):
+        submit(f"burst{k}", tokens(20 + k, 4096))
+    advance(400)
+
+    kinds = [event.kind for event in core.kv_events if event.owner_request_id == "hit"]
+    assert kinds[:188] == ["prefix_hit"] * 187 + ["alloc"]
+    assert all(req.status == "completed" for req in core.requests.values())
+    assert {"prefix hits adopted as one run", "run split across free and evicted blocks",
+            "eviction inside a run", "preempt inside a run"} <= reached
+
+
+def test_the_prefix_hits_past_a_stale_grab_are_adopted_as_one_run():
+    # T and R share blocks 0, 2 and 3 but not 1, and are admitted on a tick
+    # that evicts: R hits block 0, grabs T's block 1, and then hashes its own
+    # block 2 after T's block 1, which is T's block 2, so it hits twice more.
+    config = SimConfig(block_size_tokens=4, total_kv_blocks=8, max_batch_tokens=24, chunked_prefill_limit=24,
+                       adapters=("BASE",), near_tie_gap=0.05, seed=7, faults=ARMS["f1"])
+    core = RunCore(config, set())
+
+    def submit(rid, prompt):
+        assert core.submit(rid, prompt, "BASE", 1, 1, 0, None, core.clock_ms) is None
+        assert state_of(core) == state_of(core.twin)
+
+    def advance(ms):
+        core.advance_to(core.clock_ms + ms)
+        assert state_of(core) == state_of(core.twin)
+
+    submit("fill", tokens(5, 12))
+    advance(100)
+    submit("T", tokens(1, 4) + [9] * 4 + tokens(3, 8) + [1])
+    submit("R", tokens(1, 4) + tokens(2, 4) + tokens(3, 8) + [2])
+    advance(100)
+
+    kinds = [event.kind for event in core.kv_events if event.owner_request_id == "R"]
+    assert kinds[:5] == ["prefix_hit", "reuse", "prefix_hit", "prefix_hit", "alloc"]
+    assert core.requests["R"].contaminated
+
+
+class CutRunCore(SimCore):
+    """Notes (blocks in the run, blocks allocated, "blk" hashes taken) of each stream-0 run after a
+    stale grab that is preempted inside the run; ``hashed`` counts the engine's hashes by tag."""
+
+    def __init__(self, config, hashed: Counter):
+        self.hashed = hashed
+        self.cut_runs = []
+        super().__init__(config)
+
+    def _allocate_blocks(self, req, chain, hashes, count):
+        if not (req.contaminated and chain is req.chains[0]):
+            return super()._allocate_blocks(req, chain, hashes, count)
+        hashed, held = self.hashed["blk"], len(chain.blocks)
+        if super()._allocate_blocks(req, chain, hashes, count):
+            return True
+        if len(chain.blocks) > held:
+            self.cut_runs.append((count, len(chain.blocks) - held, self.hashed["blk"] - hashed))
+        return False
+
+
+def test_a_run_cut_short_after_a_stale_grab_hashes_nothing_past_its_end(monkeypatch):
+    hashed = Counter()
+
+    def counting(tag, *args):
+        hashed[tag] += 1
+        return stable_u64(tag, *args)
+
+    monkeypatch.setattr(engine, "stable_u64", counting)
+    machine = type("CutRunMachine", (BlockMachine,), {"faults": ARMS["f1"], "reached": set(),
+                                                       "new_core": lambda self, config: CutRunCore(config, hashed)})()
+    machine.start(kv_blocks=8, prefill_limit=24)
+    # Found by searching random bursts: a contaminated request's prompt run is preempted after its first block.
+    for prefix_len, members, then_ms in (
+        (8, [(1, 6, 2), (5, 3, 2), (1, 4, 1), (1, 5, 2)], 2),
+        (12, [(14, 3, 1), (4, 1, 2), (4, 5, 1), (12, 6, 2)], 4),
+    ):
+        machine.burst(tag=0, prefix_len=prefix_len, adapter="BASE", members=members, then_ms=then_ms)
+    machine.advance(ms=150)
+    machine.accounting_holds()
+
+    cut_runs = machine.core.cut_runs
+    assert any(count > allocated + 1 for count, allocated, _ in cut_runs), "no run was cut short before its last block"
+    # Every block allocated was hashed, and so was the one nothing could be evicted for; none after it.
+    assert all(hashes == allocated + 1 for _, allocated, hashes in cut_runs)

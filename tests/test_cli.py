@@ -15,7 +15,7 @@ import pytest
 from tracefuzz import campaign, cli
 from tracefuzz.adapter import EndpointUnavailable, EngineEndpoint, EngineKind, UnsupportedOperation, execute
 from tracefuzz.campaign import PROFILE_STEADY, CampaignConfig, run_campaign
-from tracefuzz.cli import EXIT_ENDPOINT, EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main
+from tracefuzz.cli import EXIT_ENDPOINT, EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, PLOT_PARTS, main
 from tracefuzz.trace import PromptShape, RequestSpec, SamplingConfig, TimedTrace, TraceEvent, deserialize, serialize
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
@@ -427,6 +427,66 @@ def test_report_on_an_unreadable_campaign_file_is_a_usage_error(clean_campaign, 
     assert main(["report", "--campaign", str(copy)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith(f"error: unreadable campaign file {copy / name}") and err.count("\n") == 1
+
+
+FINDING = {"fingerprint": "abc", "kind": "stall", "duplicates": 0}
+
+
+@pytest.mark.parametrize(
+    "name,field,value",
+    [
+        ("summary.json", "pressure_series", 5),
+        ("summary.json", "pressure_series", [5]),
+        ("summary.json", "pressure_series", [{"iteration": 0, "s_total": "high"}]),
+        ("summary.json", "pressure_series", [{"iteration": 0.5, "s_total": 1.0}]),
+        ("summary.json", "finding_iterations", [3]),
+        ("summary.json", "finding_iterations", {"abc": "3"}),
+        ("findings/abc.json", "duplicates", "2"),
+        ("findings/abc.json", "kind", 7),
+        ("findings/abc.json", "fingerprint", None),
+    ],
+)
+def test_report_on_a_field_of_the_wrong_type_is_a_usage_error(clean_campaign, tmp_path, capsys, name, field, value):
+    copy = tmp_path / "campaign"
+    shutil.copytree(clean_campaign[1], copy)
+    (copy / "findings").mkdir(exist_ok=True)
+    (copy / "findings/abc.json").write_text(json.dumps(FINDING))
+    doc = json.loads((copy / name).read_text())
+    (copy / name).write_text(json.dumps({**doc, field: value}))
+    assert main(["report", "--campaign", str(copy)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unreadable campaign file {copy / name}: {field} is not ") and err.count("\n") == 1
+
+
+def test_report_reads_a_well_typed_finding(clean_campaign, tmp_path, capsys):
+    copy = tmp_path / "campaign"
+    shutil.copytree(clean_campaign[1], copy)
+    (copy / "findings").mkdir(exist_ok=True)
+    (copy / "findings/abc.json").write_text(json.dumps(FINDING))
+    assert main(["report", "--campaign", str(copy)]) == EXIT_OK
+    assert f"{'stall':24} {1:>13}  abc" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"iteration": 0, "s_total": 1.0, "best_so_far": 1.0},
+        {"iteration": 0, "s_total": 1.0, "best_so_far": 1.0, "components": {"burst": 1.0}},
+        {"iteration": 0, "s_total": 1.0, "components": dict.fromkeys(PLOT_PARTS, 0.25)},
+    ],
+)
+def test_report_plot_on_a_row_it_cannot_plot_is_a_usage_error(clean_campaign, tmp_path, capsys, row):
+    copy = tmp_path / "campaign"
+    shutil.copytree(clean_campaign[1], copy)
+    path = copy / "summary.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "pressure_series": [row]}))
+    assert main(["report", "--campaign", str(copy)]) == EXIT_OK  # the table needs neither field
+    capsys.readouterr()
+    assert main(["report", "--campaign", str(copy), "--plot", str(tmp_path / "p.png")]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unreadable campaign file {path}: pressure_series is not plottable")
+    assert captured.err.count("\n") == 1
 
 
 def test_report_plot(clean_campaign, tmp_path, capsys):

@@ -26,7 +26,8 @@ F1 = (FaultSpec(FaultFamily.STALE_KV_REUSE, occupancy_threshold=0.3),)
 class DirectCore(SimCore):
     """The core as it hashed before the memos: every block and digest hashed directly.
 
-    ``_init_request`` is the memo-free version, verbatim.
+    ``_init_request`` is the memo-free version, verbatim but for reading the
+    hash index directly where it called ``BlockManager.lookup``, now gone.
     """
 
     def _block_hash(self, req, chain, index, span) -> int:
@@ -51,7 +52,7 @@ class DirectCore(SimCore):
         while pos + block <= len(req.prompt) - 1:
             span = req.prompt[pos : pos + block]
             next_hash = stable_u64("blk", chain_hash, req.adapter, *span)
-            hit = self.blocks.lookup(next_hash)
+            hit = self.blocks._hash_index.get(next_hash)
             if hit is not None:
                 self.blocks.pin(hit)
                 chain0.blocks.append(hit)
@@ -113,9 +114,12 @@ class ProbedCore(SimCore):
             self.reached["prompt run after a grab"] += 1
         return super()._run_hashes(req, chain, pos, count)
 
+    def _adopt(self, req, chain, hashes) -> None:
+        if req.contaminated:
+            self.reached["prefix walk after a grab"] += 1
+        super()._adopt(req, chain, hashes)
+
     def _block_hash(self, req, chain, index, span) -> int:
-        if req.contaminated and chain is req.chains[0] and index < len(req.block_hashes):
-            self.reached["prompt block after a grab"] += 1
         if chain.fill and chain is req.chains[0] and index < len(req.block_hashes):
             self.reached["prompt block sealed by token"] += 1
         return super()._block_hash(req, chain, index, span)
@@ -226,7 +230,7 @@ def test_every_override_names_a_simcore_method():
 def test_the_examples_reach_every_path():
     grab = ProbedCore(config_for(10, 64, True))
     play(grab, STALE_GRAB)
-    assert grab.reached["stale grab"] and grab.reached["prompt block after a grab"]
+    assert grab.reached["stale grab"] and grab.reached["prefix walk after a grab"]
     assert grab.reached["prompt run after a grab"]
     assert any(event.kind == "reuse" and event.block_hash is not None for event in grab.kv_events)
     preempt = ProbedCore(config_for(10, 20, False))

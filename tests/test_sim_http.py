@@ -119,6 +119,8 @@ def test_completion_bodies_the_engine_cannot_take_are_refused():
         {"prompt": words, "model": 3},
         {"prompt": "not token words"},
         {"prompt": [1, "2"]},
+        {"prompt": ""},
+        {"prompt": []},
         ["not", "an", "object"],
     ]
     try:
