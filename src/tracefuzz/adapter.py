@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
-from .trace import EventKind, RequestSpec, TimedTrace, parse_prompt, prompt_for, render_prompt
+from .trace import EventKind, RequestSpec, TimedTrace, group_key, parse_prompt, prompt_for, render_prompt
 
 LOG = logging.getLogger(__name__)
 
@@ -199,6 +199,19 @@ class ExecutionReport:
     def kv_ledger(self) -> KvLedger:
         """Built on first use, so reports nothing inspects never walk their stream."""
         return KvLedger.of(self.kv_events or ())
+
+    @cached_property
+    def snapshot_groups(self) -> dict[str, list[tuple[str, list]]]:
+        """Group key -> (request id, block-hash sequence) of each completed request, in request-id order."""
+        groups: dict[str, list[tuple[str, list]]] = {}
+        for rid in sorted(self.block_snapshots):
+            spec, outcome = self.request_index.get(rid), self.outcomes.get(rid)
+            if spec is None or outcome is None or outcome.status != "completed":
+                continue
+            key = group_key(spec)
+            if key is not None:
+                groups.setdefault(key, []).append((rid, [entry[1] for entry in self.block_snapshots[rid]]))
+        return groups
 
 
 @dataclass

@@ -28,6 +28,7 @@ from .mutation import (
 from .oracles import (
     BaselineStats,
     OracleThresholds,
+    decade,
     extract_group_snapshots,
     full_sweep,
     ttft_gate_open,
@@ -140,12 +141,7 @@ def novelty(report, seen: set[str]) -> set[str]:
     statuses = sorted({o.status for o in report.outcomes.values()})
     if statuses:
         markers.add("status:" + "+".join(statuses))
-    ttft_decades = set()
-    for outcome in report.outcomes.values():
-        if outcome.ttft_ms is not None:
-            ttft_decades.add(math.floor(math.log10(max(outcome.ttft_ms, 1))))
-    for decade in ttft_decades:
-        markers.add(f"ttft-decade:{decade}")
+    markers.update(f"ttft-decade:{decade(o.ttft_ms)}" for o in report.outcomes.values() if o.ttft_ms is not None)
     ledger = report.kv_ledger
     markers.add(f"kv-peak:2^{ledger.peak_held.bit_length()}")
     markers.update(f"kv-kind:{kind}" for kind in ledger.kinds)

@@ -16,8 +16,8 @@ from pathlib import Path
 
 from .adapter import EndpointUnavailable, EngineEndpoint, EngineKind, UnsupportedOperation, execute, reset_server
 from .campaign import CampaignConfig, minimize, run_campaign
-from .confirmation import ConfirmationConfig, Finding, confirm_suspicion, first_difference, replay
-from .oracles import BaselineStats, OracleThresholds, SuspicionKind, full_sweep
+from .confirmation import ConfirmationConfig, Finding, confirm_suspicion, replay
+from .oracles import BaselineStats, OracleThresholds, SuspicionKind, first_difference, full_sweep
 from .simulator.config import FaultFamily, FaultSpec, SimConfig
 from .simulator.endpoint import serve
 from .trace import TraceFormatError, deserialize, serialize

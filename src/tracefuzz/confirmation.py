@@ -39,6 +39,7 @@ from .oracles import (
     OracleThresholds,
     Suspicion,
     SuspicionKind,
+    first_difference,
     full_sweep,
     structural_forensics,  # noqa: F401
 )
@@ -64,16 +65,6 @@ class RelationalVerdict:
     delta: float | None = None
     in_top_n: bool | None = None
     note: str | None = None
-
-
-def first_difference(y, y2) -> int | None:
-    """Index of the first disagreement; None only when both are identical."""
-    for i in range(min(len(y), len(y2))):
-        if y[i] != y2[i]:
-            return i
-    if len(y) == len(y2):
-        return None
-    return min(len(y), len(y2))
 
 
 def confirm_relational(original, reference, reference_ladders, top_n: int, epsilon: float) -> RelationalVerdict:
@@ -366,10 +357,9 @@ def latency_probe_trace(tag: str, start_ms: int = 0) -> TimedTrace:
 
 
 def _probe_p50(report) -> float | None:
-    ttfts = sorted(o.ttft_ms for o in report.outcomes.values() if o.status == "completed" and o.ttft_ms is not None)
-    if not ttfts:
-        return None
-    return float(ttfts[(len(ttfts) - 1) // 2])
+    probes = BaselineStats()
+    probes.add_report(report)
+    return probes.p50 if probes.count else None
 
 
 def _regression_window(suspicion) -> tuple[int, int]:

@@ -68,6 +68,8 @@ DEFAULT_PALETTE = MutationPalette()
 
 # Decode tokens of every seed filler: fillers are there to fill the KV pool.
 FILLER_MAX_TOKENS = 2
+# How far the timing operator jitters offsets: this fraction of a second, either way.
+JITTER_INTENSITY = 0.05
 
 
 @dataclass(frozen=True)
@@ -212,9 +214,9 @@ def timing_collapse(trace: TimedTrace, rng_seed: int, factor: float | None = Non
     )
 
 
-def mutate_timing(trace: TimedTrace, rng_seed: int, intensity: float = 0.05) -> TimedTrace:
+def mutate_timing(trace: TimedTrace, rng_seed: int) -> TimedTrace:
     if random.Random(rng_seed ^ 0x5F).random() < 0.5:
-        return timing_jitter(trace, rng_seed, intensity)
+        return timing_jitter(trace, rng_seed, JITTER_INTENSITY)
     return timing_collapse(trace, rng_seed)
 
 
@@ -417,7 +419,6 @@ def mutate(
     telemetry=None,
     partner_telemetry=None,
     weights: dict | None = None,
-    intensity: float = 0.05,
 ) -> TimedTrace:
     """Apply one weighted-random operator; splice classes need a partner."""
     rng = random.Random(rng_seed ^ 0xA5A5)
@@ -435,7 +436,7 @@ def mutate(
             chosen = g
             break
     if chosen == "timing":
-        return mutate_timing(trace, rng_seed, intensity)
+        return mutate_timing(trace, rng_seed)
     if chosen == "event":
         return mutate_events(trace, rng_seed)
     if chosen == "splice":

@@ -16,7 +16,7 @@ from enum import Enum
 from itertools import islice, repeat
 from operator import itemgetter
 
-from .hashing import canonical_json, fingerprint
+from .hashing import fingerprint
 from .trace import EventKind, prompt_for
 
 
@@ -128,8 +128,19 @@ def _merge(suspicions: list[Suspicion]) -> list[Suspicion]:
     return list(out.values())
 
 
-def _decade(value: float) -> int:
+def decade(value: float) -> int:
+    """The power of ten a value sits in; values below 1 count as 1."""
     return int(math.floor(math.log10(max(value, 1.0))))
+
+
+def first_difference(y, y2) -> int | None:
+    """Index of the first disagreement; None only when both are identical."""
+    for i in range(min(len(y), len(y2))):
+        if y[i] != y2[i]:
+            return i
+    if len(y) == len(y2):
+        return None
+    return min(len(y), len(y2))
 
 
 # --------------------------------------------------------------------------
@@ -149,7 +160,8 @@ def behavioral_check(report, baseline: BaselineStats, thresholds: OracleThreshol
         suspicions.append(Suspicion.create(SuspicionKind.CRASH, report.trace_id, signature, evidence))
 
     vocab = report.engine_info.get("vocab_size")
-    regression_ready = ttft_gate_open(report, baseline, thresholds)
+    # The baseline median is read once per report, and only when the gate lets the TTFT check judge it.
+    p50 = baseline.p50 if ttft_gate_open(report, baseline, thresholds) else 0.0
     for rid in sorted(report.outcomes):
         outcome = report.outcomes[rid]
         spec = report.request_index.get(rid)
@@ -162,24 +174,22 @@ def behavioral_check(report, baseline: BaselineStats, thresholds: OracleThreshol
                     {"request_ids": [rid], "dispatched_ms": outcome.dispatched_ms},
                 )
             )
-        if regression_ready and outcome.ttft_ms is not None:
-            p50 = baseline.p50
-            if p50 > 0 and outcome.ttft_ms >= thresholds.ttft_regression_factor * p50:
-                ratio = outcome.ttft_ms / p50
-                suspicions.append(
-                    Suspicion.create(
-                        SuspicionKind.TTFT_REGRESSION,
-                        report.trace_id,
-                        {"ratio_decade": _decade(ratio)},
-                        {
-                            "request_ids": [rid],
-                            "ttft_ms": outcome.ttft_ms,
-                            "dispatched_ms": outcome.dispatched_ms,
-                            "baseline_p50_ms": p50,
-                            "ratio": ratio,
-                        },
-                    )
+        if p50 > 0 and outcome.ttft_ms is not None and outcome.ttft_ms >= thresholds.ttft_regression_factor * p50:
+            ratio = outcome.ttft_ms / p50
+            suspicions.append(
+                Suspicion.create(
+                    SuspicionKind.TTFT_REGRESSION,
+                    report.trace_id,
+                    {"ratio_decade": decade(ratio)},
+                    {
+                        "request_ids": [rid],
+                        "ttft_ms": outcome.ttft_ms,
+                        "dispatched_ms": outcome.dispatched_ms,
+                        "baseline_p50_ms": p50,
+                        "ratio": ratio,
+                    },
                 )
+            )
         if outcome.status == "completed":
             subtype = None
             if any(len(stream) == 0 for stream in outcome.output_tokens) or not outcome.output_tokens:
@@ -252,7 +262,7 @@ def detect_stall(report, stall_window_ms: int) -> Suspicion | None:
     return Suspicion.create(
         SuspicionKind.STALL,
         report.trace_id,
-        {"gap_decade": _decade(gap)},
+        {"gap_decade": decade(gap)},
         {"gap_ms": gap, "window": [a, b]},
     )
 
@@ -292,40 +302,9 @@ def lifecycle_check(report, thresholds: OracleThresholds | None = None) -> list[
 # Stage 3: structural forensics over the KV stream and block snapshots
 
 
-def group_key(spec) -> str | None:
-    """Snapshot comparability: identical prompt content and decode settings."""
-    if spec.prompt_family_id is None:
-        return None
-    return canonical_json(
-        [
-            spec.prompt_family_id,
-            spec.shape.prefix_len,
-            spec.shape.prompt_len,
-            spec.adapter,
-            spec.sampling.max_tokens,
-            spec.sampling.n_completions,
-            spec.sampling.seed,
-            spec.sampling.temperature,
-        ]
-    )
-
-
-def _snapshot_groups(report) -> dict[str, list[tuple[str, list]]]:
-    """Completed requests' block-hash sequences by snapshot group, members in request-id order."""
-    groups: dict[str, list[tuple[str, list]]] = {}
-    for rid in sorted(report.block_snapshots):
-        spec = report.request_index.get(rid)
-        if spec is None or report.outcomes.get(rid) is None or report.outcomes[rid].status != "completed":
-            continue
-        key = group_key(spec)
-        if key is not None:
-            groups.setdefault(key, []).append((rid, [entry[1] for entry in report.block_snapshots[rid]]))
-    return groups
-
-
 def extract_group_snapshots(report) -> dict[str, list]:
     """Canonical per-group block-hash sequences for the cross-run store: each group's first member."""
-    return {key: members[0][1] for key, members in _snapshot_groups(report).items()}
+    return {key: members[0][1] for key, members in report.snapshot_groups.items()}
 
 
 def structural_forensics(report, prior_snapshots: dict | None = None) -> list[Suspicion]:
@@ -387,9 +366,7 @@ def structural_forensics(report, prior_snapshots: dict | None = None) -> list[Su
 
     # Matched groups must show identical block-hash sequences, both within a
     # report and against snapshots recorded by earlier runs.
-    groups = _snapshot_groups(report)
-    for key in sorted(groups):
-        members = groups[key]
+    for key, members in sorted(report.snapshot_groups.items()):
         spec = report.request_index[members[0][0]]
         reference_rid, reference = members[0]
         for rid, hashes in members[1:]:
@@ -415,12 +392,11 @@ def structural_forensics(report, prior_snapshots: dict | None = None) -> list[Su
 
 
 def _snapshot_signature(scope: str, spec, expected: list, got: list) -> dict:
-    diverge = next((i for i, (a, b) in enumerate(zip(expected, got)) if a != b), min(len(expected), len(got)))
     return {
         "scope": scope,
         "shape": [spec.shape.prefix_len, spec.shape.prompt_len],
         "adapter": spec.adapter,
-        "diverge_index": diverge,
+        "diverge_index": first_difference(expected, got),
     }
 
 

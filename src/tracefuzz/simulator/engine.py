@@ -462,6 +462,9 @@ class SimCore:
             mine = req.chains[0]
             if len(mine.blocks) < index or table.blocks[index - 1] != mine.blocks[index - 1]:
                 continue
+            if table.blocks[index] not in self.blocks.blocks:
+                # A trigger that completed this tick keeps its table after a later run evicted the block.
+                continue
             return table.blocks[index], table.hashes[index]
         return None
 

@@ -21,15 +21,15 @@ class TelemetrySummary:
     inflight_windows: tuple[int, ...]
 
     def peak_alloc_window(self) -> tuple[int, int] | None:
-        if not self.alloc_windows or max(self.alloc_windows) == 0:
-            return None
-        i = self.alloc_windows.index(max(self.alloc_windows))
-        return (i * self.window_ms, (i + 1) * self.window_ms)
+        return self._peak_window(self.alloc_windows)
 
     def peak_inflight_window(self) -> tuple[int, int] | None:
-        if not self.inflight_windows or max(self.inflight_windows) == 0:
+        return self._peak_window(self.inflight_windows)
+
+    def _peak_window(self, counts: tuple[int, ...]) -> tuple[int, int] | None:
+        if not counts or max(counts) == 0:
             return None
-        i = self.inflight_windows.index(max(self.inflight_windows))
+        i = counts.index(max(counts))
         return (i * self.window_ms, (i + 1) * self.window_ms)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 
-from .hashing import stable_u64, stable_u64_tails
+from .hashing import canonical_json, stable_u64, stable_u64_tails
 
 DEFAULT_ADAPTER = "BASE"
 
@@ -82,6 +82,24 @@ class RequestSpec:
     def prompt_identity(self) -> str:
         """Identity that pins prompt content; falls back to the request id."""
         return self.prompt_family_id if self.prompt_family_id is not None else self.request_id
+
+
+def group_key(spec: RequestSpec) -> str | None:
+    """Snapshot comparability: identical prompt content and decode settings."""
+    if spec.prompt_family_id is None:
+        return None
+    return canonical_json(
+        [
+            spec.prompt_family_id,
+            spec.shape.prefix_len,
+            spec.shape.prompt_len,
+            spec.adapter,
+            spec.sampling.max_tokens,
+            spec.sampling.n_completions,
+            spec.sampling.seed,
+            spec.sampling.temperature,
+        ]
+    )
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ every block of a run after its evictions would leave a different hash index;
 4096-token prompts with eight completions on the default 2048-block pool,
 the scale of the benchmark's fillers; and a stale grab followed by prefix
 hits past it.  A fourth counts the block hashes of a run after a stale grab
-that is cut short.
+that is cut short, and a fifth offers a stale grab a block evicted on the
+same tick.
 """
 
 from collections import Counter
@@ -454,3 +455,17 @@ def test_a_run_cut_short_after_a_stale_grab_hashes_nothing_past_its_end(monkeypa
     assert any(count > allocated + 1 for count, allocated, _ in cut_runs), "no run was cut short before its last block"
     # Every block allocated was hashed, and so was the one nothing could be evicted for; none after it.
     assert all(hashes == allocated + 1 for _, allocated, hashes in cut_runs)
+
+
+def test_a_stale_grab_never_adopts_a_block_evicted_on_the_same_tick():
+    # Found by searching random bursts: trigger r2 completes on the tick it is
+    # admitted and keeps its table [2, 5], r3's run evicts block 5, and r4,
+    # which shares block 2, would then grab and pin the freed block 5.
+    machine = type("StaleGrabMachine", (RunMachine,), {"faults": ARMS["f1"], "reached": set()})()
+    machine.start(kv_blocks=8, prefill_limit=12)
+    machine.burst(tag=0, prefix_len=8, adapter="lora_a", members=[(12, 6, 1), (6, 3, 2)], then_ms=7)
+    machine.burst(tag=0, prefix_len=4, adapter="BASE", members=[(3, 1, 1), (4, 3, 2), (13, 4, 2)], then_ms=5)
+    machine.advance(ms=150)
+    machine.cores_agree()
+    machine.accounting_holds()
+    assert all(req.status == "completed" for req in machine.core.requests.values())

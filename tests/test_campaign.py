@@ -5,11 +5,12 @@ import dataclasses
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tracefuzz import campaign
+from tracefuzz import adapter, campaign
 from tracefuzz.adapter import EngineEndpoint, EngineKind
 from tracefuzz.campaign import (
     PROFILE_LORA_MIX,
@@ -31,7 +32,7 @@ from tracefuzz.oracles import OracleThresholds, SuspicionKind
 from tracefuzz.simulator.config import FaultFamily, SimConfig
 from tracefuzz.simulator.endpoint import serve
 from tracefuzz.telemetry import TelemetrySummary
-from tracefuzz.trace import EventKind, PromptShape, RequestSpec, SamplingConfig, TimedTrace, TraceEvent, repair
+from tracefuzz.trace import EventKind, PromptShape, RequestSpec, SamplingConfig, TimedTrace, TraceEvent, group_key, repair
 
 from test_oracles import outcome, report_of
 
@@ -299,6 +300,20 @@ def test_campaign_tracks_baseline_and_gating():
     assert result.regression_checks_skipped >= 1
     best = [b for _, _, b in result.pressure_series]
     assert best == sorted(best)  # best-so-far is monotone
+
+
+def test_a_clean_iteration_keys_each_request_once(monkeypatch):
+    keyed = Counter()
+
+    def counting(spec):
+        keyed[spec.request_id] += 1
+        return group_key(spec)
+
+    monkeypatch.setattr(adapter, "group_key", counting)
+    result = run_campaign(steady_config(iterations=1), sim_endpoint())
+    # Forensics and the cross-run snapshot store both read the report's groups.
+    assert result.suspicions_raised == 0 and keyed
+    assert set(keyed.values()) == {1}
 
 
 def test_campaign_time_budget_stops_early():

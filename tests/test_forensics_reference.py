@@ -14,7 +14,7 @@ from dataclasses import replace
 from hypothesis import example, given, settings, strategies as st
 
 from tracefuzz.adapter import KV_EVENT_KINDS, EngineEndpoint, EngineKind, ExecutionReport, KvEvent, KvLedger, execute
-from tracefuzz.oracles import Suspicion, SuspicionKind, _merge, _snapshot_groups, _snapshot_signature, structural_forensics
+from tracefuzz.oracles import Suspicion, SuspicionKind, _merge, _snapshot_signature, structural_forensics
 from tracefuzz.simulator.endpoint import serve
 from tracefuzz.trace import PromptShape, RequestSpec, SamplingConfig, TimedTrace, TraceEvent, prompt_for
 
@@ -64,7 +64,7 @@ def reference_forensics(report, prior_snapshots=None):
                     {"request_ids": rids, "block_hash": block_hash},
                 )
             )
-    groups = _snapshot_groups(report)
+    groups = report.snapshot_groups
     for key in sorted(groups):
         members = groups[key]
         spec = report.request_index[members[0][0]]

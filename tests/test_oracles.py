@@ -10,13 +10,12 @@ from tracefuzz.oracles import (
     detect_stall,
     extract_group_snapshots,
     full_sweep,
-    group_key,
     lifecycle_check,
     structural_forensics,
 )
 from tracefuzz.simulator.config import FaultFamily, SimConfig
 from tracefuzz.simulator.endpoint import serve
-from tracefuzz.trace import PromptShape, RequestSpec, SamplingConfig, TimedTrace, TraceEvent
+from tracefuzz.trace import PromptShape, RequestSpec, SamplingConfig, TimedTrace, TraceEvent, group_key
 
 THRESHOLDS = OracleThresholds()
 
@@ -118,6 +117,19 @@ def test_regression_fingerprint_buckets_by_decade():
     hundred_x = behavioral_check(report_of([outcome("c", ttft=250)]), base, THRESHOLDS)[0]
     assert ten_x.fingerprint == also_ten_x.fingerprint
     assert ten_x.fingerprint != hundred_x.fingerprint
+
+
+def test_a_report_reads_the_baseline_median_once(monkeypatch):
+    base = warmed_baseline()
+    reads = []
+    quantile = BaselineStats.quantile
+    monkeypatch.setattr(BaselineStats, "quantile", lambda self, q: reads.append(q) or quantile(self, q))
+    many = report_of([outcome(f"r{i:02d}", ttft=2 + i) for i in range(40)])
+    sus = behavioral_check(many, base, THRESHOLDS)
+    assert reads == [0.5]
+    assert [s.kind for s in sus] == [SuspicionKind.TTFT_REGRESSION]
+    assert sus[0].evidence["request_ids"] == [f"r{i:02d}" for i in range(18, 40)]
+    assert behavioral_check(many, BaselineStats(), THRESHOLDS) == [] and reads == [0.5]  # a shut gate reads none
 
 
 def test_corrupted_output_subtypes():
