@@ -21,13 +21,17 @@ in place while a request decodes: cores serving in parallel must not share
 them, and a core's own users are already serialized (SimHttpServer.lock).
 
 KV blocks are handled a run at a time.  A prefill chunk's full prompt blocks
-are allocated as one run, and a decode block as a run of one; an admission
-adopts the cached blocks of its prompt's leading hashes as one run, up to the
-first miss, and after a stale grab the blocks past it the same way; a
-completed request releases each chain as one run.  Each run's alloc and
-prefix_hit events are built in one pass over its block ids.  What stays per
-block: the evicting tail of a run (each eviction is emitted before the
-allocation it makes room for) and the blocks a teardown frees.
+are allocated as one run; a run of one block, which every decode block is,
+takes a direct path that builds no lists.  An admission adopts the cached
+blocks of its prompt's leading hashes as one run, up to the first miss, and
+after a stale grab the blocks past it the same way; a completed request
+releases each chain as one run.  Each run's alloc and prefix_hit events are
+built in one pass over its block ids.  What stays per block: the evicting
+tail of a run (each eviction is emitted before the allocation it makes room
+for) and the blocks a teardown frees.  The pool (blocks.py) holds a block as
+one slot of per-field lists indexed by its id, so a teardown and a stale
+grab's liveness test read a block's owner and ref count from those lists.  A
+core keeps one pool, and reset() clears it in place.
 """
 
 from __future__ import annotations
@@ -148,13 +152,15 @@ class SimCore:
         self._f2 = config.fault(FaultFamily.ENGINE_STALL)
         self._f3 = config.fault(FaultFamily.ADAPTER_DRIFT)
         self._decode_memo: dict[tuple, list] = {}
+        self.blocks = BlockManager(config.total_kv_blocks)
         self.reset()
 
     def reset(self) -> None:
-        """Restore a fresh engine in place, crashed or not; the decode mode and decode memo are kept."""
+        """Restore a fresh engine in place, crashed or not; the decode mode and decode memo are kept,
+        and the KV pool is cleared in place."""
         self.clock_ms = 0
         self.tick = 0
-        self.blocks = BlockManager(self.config.total_kv_blocks)
+        self.blocks.clear()
         self.waiting: list[SimRequest] = []
         self.running: list[SimRequest] = []
         self.requests: dict[str, SimRequest] = {}
@@ -462,7 +468,7 @@ class SimCore:
             mine = req.chains[0]
             if len(mine.blocks) < index or table.blocks[index - 1] != mine.blocks[index - 1]:
                 continue
-            if table.blocks[index] not in self.blocks.blocks:
+            if self.blocks.owner[table.blocks[index]] is None:
                 # A trigger that completed this tick keeps its table after a later run evicted the block.
                 continue
             return table.blocks[index], table.hashes[index]
@@ -542,7 +548,7 @@ class SimCore:
         return steps
 
     def _append_token(self, req: SimRequest, chain: _Chain, token: int) -> bool:
-        if chain.fill == 0 and not self._allocate_blocks(req, chain, (None,), 1):
+        if chain.fill == 0 and not self._allocate_block(req, chain, None):
             return False
         chain.buffer.append(token)
         chain.fill += 1
@@ -555,36 +561,53 @@ class SimCore:
             chain.buffer = []
         return True
 
-    def _allocate_blocks(self, req: SimRequest, chain: _Chain, hashes, count: int) -> bool:
-        """Append ``count`` new blocks to the chain, sealed under ``hashes`` unless None, as one run.
+    def _allocate_block(self, req: SimRequest, chain: _Chain, content_hash: int | None) -> bool:
+        """Append one new block to the chain, sealed under ``content_hash`` unless None; False if
+        ``req`` was preempted.  A block's eviction is emitted before its allocation."""
+        allocated = self.blocks.allocate((req.rid, req.adapter), content_hash)
+        if allocated is None:
+            self._preempt(req)
+            return False
+        block_id, victim = allocated
+        ts = self.clock_ms
+        if victim is not None:
+            self._evictions_this_tick += 1
+            victim_hash, (owner, adapter) = victim
+            self.kv_events.append(_NEW(KvEvent, (ts, "evict", block_id, victim_hash, owner, adapter)))
+        self.kv_events.append(_NEW(KvEvent, (ts, "alloc", block_id, content_hash, req.rid, req.adapter)))
+        chain.blocks.append(block_id)
+        chain.hashes.append(content_hash)
+        if content_hash is not None:
+            chain.chain_hash = content_hash
+        return True
 
-        False if ``req`` was preempted.  Each block's eviction is emitted before its allocation.  A decode
-        block is the run ``(None,)``.
+    def _allocate_blocks(self, req: SimRequest, chain: _Chain, hashes, count: int) -> bool:
+        """Append ``count`` new blocks to the chain, sealed under ``hashes``, as one run.
+
+        False if ``req`` was preempted.  Each block's eviction is emitted before its allocation.  A run
+        of one block, as most are, takes the one-block path.
         """
+        if count == 1:
+            return self._allocate_block(req, chain, next(iter(hashes)))
         ts, rid, adapter = self.clock_ms, req.rid, req.adapter
         ids, sealed, victims = self.blocks.allocate_run(rid, adapter, hashes)
         chain.blocks += ids
         chain.hashes += sealed
         kv_events = self.kv_events
+        allocs = map(_NEW, _KV_EVENT, zip(repeat(ts), _ALLOC, ids, sealed, repeat(rid), repeat(adapter)))
         if victims:
-            # The free blocks come first; each block after them evicted one.
+            # The free blocks come first; each block after them evicted the block of its id.
             self._evictions_this_tick += len(victims)
-            allocs = map(_NEW, _KV_EVENT, zip(repeat(ts), _ALLOC, ids, sealed, repeat(rid), repeat(adapter)))
             kv_events += islice(allocs, len(ids) - len(victims))
-            for victim, alloc in zip(victims, allocs):
-                kv_events.append(KvEvent(ts, "evict", victim.block_id, victim.content_hash, victim.owner_request_id,
-                                         victim.adapter))
+            for (victim_hash, (owner, victim_adapter)), alloc in zip(victims, allocs):
+                kv_events.append(_NEW(KvEvent, (ts, "evict", alloc.block_id, victim_hash, owner, victim_adapter)))
                 kv_events.append(alloc)
-        elif len(ids) == 1:
-            # Most runs are one decode block, and one event costs less than setting up a pass.
-            kv_events.append(_NEW(KvEvent, (ts, "alloc", ids[0], sealed[0], rid, adapter)))
         else:
-            kv_events += map(_NEW, _KV_EVENT, zip(repeat(ts), _ALLOC, ids, sealed, repeat(rid), repeat(adapter)))
+            kv_events += allocs
         if len(ids) < count:
             self._preempt(req)
             return False
-        if sealed[-1] is not None:
-            chain.chain_hash = sealed[-1]
+        chain.chain_hash = sealed[-1]
         return True
 
     def _run_hashes(self, req: SimRequest, chain: _Chain, pos: int, count: int):
@@ -625,19 +648,19 @@ class SimCore:
 
         Teardown goes block by block: it frees the blocks the request allocated and alone holds.
         """
+        manager = self.blocks
         if not teardown:
             for chain in req.chains:
-                self.blocks.release(chain.blocks)
+                manager.release(chain.blocks)
             return
-        blocks = self.blocks.blocks
+        owner, ref_count = manager.owner, manager.ref_count
         for chain in req.chains:
             for block_id in chain.blocks:
-                block = blocks[block_id]
-                if block.owner_request_id == req.rid and block.ref_count == 1:
-                    self.blocks.drop(block_id)
-                    self._emit("free", block_id, block.content_hash, req.rid, req.adapter)
+                if ref_count[block_id] == 1 and owner[block_id][0] == req.rid:
+                    content_hash, _ = manager.drop(block_id)
+                    self._emit("free", block_id, content_hash, req.rid, req.adapter)
                 else:
-                    self.blocks.release((block_id,))
+                    manager.release((block_id,))
 
     def _finish(self, req: SimRequest, status: str, teardown: bool) -> None:
         # Built once and shared by every report that holds it; nothing mutates a snapshot.

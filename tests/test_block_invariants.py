@@ -4,16 +4,19 @@ A Hypothesis ``RuleBasedStateMachine`` drives one ``SimCore`` through
 submit, same-tick bursts of shared-prefix prompts, cancel, disconnect,
 expire, advance and reset, on small pools: blocks of 4 tokens, 6 to 64 of
 them.  After every rule ``check_invariants`` holds the core to its block
-accounting.  Three arms run it: a clean engine, and engines with stale KV
-reuse (F1) and adapter drift (F3) armed at the low knobs of
-``test_idle_jump``.  F1 may break one rule only, the stream-0 prompt hashes
-of the requests it contaminates; the accounting holds under F1 and through
-F3 crashes.  Each arm asserts that it reached the KV paths the invariants
-speak about.
+accounting, read from the pool's per-slot lists.  Four arms run it: a clean
+engine, and engines with stale KV reuse (F1), an engine stall (F2) and
+adapter drift (F3) armed at low knobs.  F1 may break one rule only, the
+stream-0 prompt hashes of the requests it contaminates; the accounting holds
+under F1, through F2 stalls and through F3 crashes.  A core stops only
+through ``_crash`` with the signature planted for a fault armed on it, so
+only F3 crashes, and only F1 contaminates.  Each arm asserts that it reached
+the KV paths the invariants speak about.
 """
 
 from collections import Counter
 from functools import lru_cache
+from typing import NamedTuple
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule, run_state_machine_as_test
@@ -29,9 +32,12 @@ ABORTED = ("cancelled", "disconnected", "timeout")
 ARMS = {
     "clean": (),
     "f1": (FaultSpec(FaultFamily.STALE_KV_REUSE, occupancy_threshold=0.3),),
+    "f2": (FaultSpec(FaultFamily.ENGINE_STALL, n_completions_threshold=2, stall_ms=3),),
     "f3": (FaultSpec(FaultFamily.ADAPTER_DRIFT, occupancy_threshold=0.2, shape_mix_min=2,
                      adapter_mix_min=2, burst_min=2, crash_delay_ticks=2),),
 }
+# The crash signature each fault plants; a core with none of these armed never crashes.
+PLANTED_CRASHES = {FaultFamily.ADAPTER_DRIFT: "running-adapters-not-subset-loaded"}
 # What every arm must reach: each KV event kind the invariants account for, and preemption.
 REACHED_BY_ALL = {"alloc", "evict", "free", "prefix_hit", "preempt"}
 ARM_BUDGET = settings(max_examples=60, stateful_step_count=30, derandomize=True, database=None, deadline=None)
@@ -47,11 +53,33 @@ def prompt_hashes(adapter: str, prompt: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(hashes)
 
 
+class HeldBlock(NamedTuple):
+    owner_request_id: str
+    adapter: str
+    content_hash: int | None
+    ref_count: int
+
+
+def held_blocks(manager) -> dict[int, HeldBlock]:
+    """The pool's held slots, by block id."""
+    return {
+        block_id: HeldBlock(*owner, manager.content_hash[block_id], manager.ref_count[block_id])
+        for block_id, owner in enumerate(manager.owner)
+        if owner is not None
+    }
+
+
+def free_ids(manager) -> list[int]:
+    """The pool's free ids, in the order it hands them out: those never allocated, then those freed."""
+    return [*range(manager._unused, manager.total), *manager._free]
+
+
 def check_invariants(core: SimCore) -> None:
     """Assert the core's block accounting and request queues."""
     manager = core.blocks
-    live = manager.blocks
-    assert sorted([*live, *manager._free]) == list(range(manager.total)), "held and free must partition the pool"
+    live = held_blocks(manager)
+    assert sorted([*live, *free_ids(manager)]) == list(range(manager.total)), "held and free must partition the pool"
+    assert manager.occupancy == len(live) / manager.total, "occupancy must count the held blocks"
     for content_hash, block_id in manager._hash_index.items():
         assert block_id in live and live[block_id].content_hash == content_hash, "hash index names a stale block"
     assert set(manager._lru) == {bid for bid, block in live.items() if block.ref_count == 0}, "LRU != unpinned"
@@ -176,15 +204,22 @@ class BlockMachine(RuleBasedStateMachine):
             self.reached.add("preempt")
         if core.crashed:
             self.reached.add("crash")
+        if core.clock_ms != core.tick * core.config.tick_ms:
+            self.reached.add("stall")
         if any(req.contaminated and req.chains and not stream0_hashes_hold(req) for req in core.requests.values()):
             self.reached.add("contaminated prompt hashes")
 
     @invariant()
     def accounting_holds(self):
-        check_invariants(self.core)
-        if not self.faults:
-            assert not self.core.crashed
-            assert not any(req.contaminated for req in self.core.requests.values())
+        core = self.core
+        check_invariants(core)
+        families = {fault.family for fault in self.faults}
+        assert core.crashed == (core.crash_evidence is not None), "a core stops only through _crash"
+        if core.crashed:
+            planted = {PLANTED_CRASHES[family] for family in families & PLANTED_CRASHES.keys()}
+            assert core.crash_evidence["signature"] in planted, f"unplanted crash {core.crash_evidence}"
+        if FaultFamily.STALE_KV_REUSE not in families:
+            assert not any(req.contaminated for req in core.requests.values())
         self.note_reached()
 
 
@@ -201,6 +236,10 @@ def test_clean_engine_keeps_its_block_accounting():
 
 def test_stale_kv_reuse_breaks_only_the_contaminated_prompt_hashes():
     assert REACHED_BY_ALL | {"reuse", "contaminated prompt hashes"} <= run_arm("f1")
+
+
+def test_engine_stalls_keep_the_block_accounting():
+    assert REACHED_BY_ALL | {"stall"} <= run_arm("f2")
 
 
 def test_adapter_drift_crashes_keep_the_block_accounting():

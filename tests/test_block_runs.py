@@ -3,20 +3,24 @@
 ``BlockAtATimeCore`` keeps the simulator as it handled KV blocks before they
 were handled in runs: ``_advance_prefill``, ``_append_token`` and
 ``_allocate_block`` as they were before prefill blocks were allocated in
-runs, and ``_init_request`` and ``_release_blocks`` as they were before
-prefix hits were adopted and chains released as runs, all verbatim, over a
-block manager with ``lookup`` and the one-block ``allocate`` and ``unpin``
-verbatim and no run methods.
+runs, ``_init_request`` and ``_release_blocks`` as they were before prefix
+hits were adopted and chains released as runs, and ``_maybe_stale_grab`` as
+it was before the pool became per-slot lists, all verbatim.  Its block
+manager is a standalone verbatim copy of the one that kept a ``KvBlock`` per
+block in a dict, with ``lookup``, the one-block ``allocate`` and ``unpin``,
+no run methods, and a ``clear`` for the core's reset.
 ``RunCore`` is ``SimCore`` with probes, and repeats every client call on a
 block-at-a-time twin.  The rules of ``BlockMachine``
 (tests/test_block_invariants.py) drive the pair through submit, same-tick
 bursts, cancel, disconnect, expire, advance and reset, clean and with F1 and
 F3 armed.  After every rule both cores must hold the same KV events,
 snapshots, outputs, logprob records, statuses, eviction count, block tables
-and block-manager state.  Each arm asserts the paths it reached: F1 stale
-grabs and the runs hashed after them, preemption inside a run, prefill
-chunks that end mid-block, ``n > 1``, evictions inside a run, runs split
-across free and evicted blocks and prefix hits adopted as one run.
+and block-manager state: each held block's owner, adapter, hash and ref
+count, the free order, the LRU order and the hash index.  Each arm asserts
+the paths it reached: F1 stale grabs and the runs hashed after them,
+preemption inside a run, prefill chunks that end mid-block, ``n > 1``,
+evictions inside a run, runs split across free and evicted blocks and prefix
+hits adopted as one run.
 
 Three fixed schedules reach what random schedules on small pools do not: a
 run evicts the indexed twin of one of its own earlier blocks, so sealing
@@ -25,17 +29,20 @@ every block of a run after its evictions would leave a different hash index;
 the scale of the benchmark's fillers; and a stale grab followed by prefix
 hits past it.  A fourth counts the block hashes of a run after a stale grab
 that is cut short, and a fifth offers a stale grab a block evicted on the
-same tick.
+same tick.  The last two count the objects a run leaves alive, as the pool
+makes none per block, and check that a reset clears the pool in place.
 """
 
-from collections import Counter
+import gc
+from collections import Counter, OrderedDict, deque
+from dataclasses import dataclass, field
 
 from hypothesis.stateful import invariant, run_state_machine_as_test
 
 import tracefuzz.simulator.engine as engine
-from test_block_invariants import ARM_BUDGET, ARMS, BlockMachine, tokens
+from test_block_invariants import ARM_BUDGET, ARMS, BlockMachine, HeldBlock, free_ids, held_blocks, tokens
 from tracefuzz.hashing import stable_u64
-from tracefuzz.simulator.blocks import BlockManager, KvBlock
+from tracefuzz.simulator.blocks import BlockManager
 from tracefuzz.simulator.config import SimConfig
 from tracefuzz.simulator.decode import init_digest
 from tracefuzz.simulator.engine import DECODE, PREFILL, SimCore, SimRequest, _Chain, prompt_block_hashes, prompt_digest
@@ -47,8 +54,36 @@ RUN_PATHS = {
 }
 
 
-class BlockAtATimeManager(BlockManager):
-    """The block manager as it looked up, allocated and unpinned one block per call."""
+@dataclass(slots=True)
+class KvBlock:
+    block_id: int
+    owner_request_id: str
+    adapter: str
+    content_hash: int | None = None
+    ref_count: int = 1
+
+
+@dataclass
+class BlockAtATimeManager:
+    """The block manager as it kept a ``KvBlock`` per block in a dict, and looked up, allocated and
+    unpinned one block per call."""
+
+    total: int
+    blocks: dict[int, KvBlock] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self._free: deque[int] = deque(range(self.total))
+        self._hash_index: dict[int, int] = {}
+        self._lru: OrderedDict[int, None] = OrderedDict()  # unpinned resident blocks
+
+    @property
+    def occupancy(self) -> float:
+        return len(self.blocks) / self.total
+
+    def clear(self) -> None:
+        """Free every block, as the core's reset asks of its pool."""
+        self.blocks.clear()
+        self.__post_init__()
 
     def lookup(self, content_hash: int) -> int | None:
         return self._hash_index.get(content_hash)
@@ -70,22 +105,31 @@ class BlockAtATimeManager(BlockManager):
         if block.ref_count <= 0:
             self._lru[block_id] = None
 
-    def allocate_run(self, owner, adapter, hashes):
-        raise AssertionError("the block-at-a-time core allocates one block per call")
+    def seal(self, block_id: int, content_hash: int) -> None:
+        self.blocks[block_id].content_hash = content_hash
+        self._hash_index.setdefault(content_hash, block_id)
 
-    def adopt(self, hashes):
-        raise AssertionError("the block-at-a-time core pins one prefix hit per call")
+    def pin(self, block_id: int) -> None:
+        self.blocks[block_id].ref_count += 1
+        self._lru.pop(block_id, None)
 
-    def release(self, block_ids):
-        raise AssertionError("the block-at-a-time core unpins one block per call")
+    def drop(self, block_id: int) -> KvBlock:
+        """Remove a block and return its id to the free list; the caller emits its free or evict event."""
+        block = self.blocks.pop(block_id)
+        if self._hash_index.get(block.content_hash) == block_id:
+            del self._hash_index[block.content_hash]
+        self._lru.pop(block_id, None)
+        self._free.append(block_id)
+        return block
 
 
 class BlockAtATimeCore(SimCore):
-    """The core as it handled blocks before runs; the five methods below are verbatim."""
+    """The core as it handled blocks before runs, over the dict manager; the six methods after
+    ``__init__`` are verbatim."""
 
-    def reset(self) -> None:
-        super().reset()
-        self.blocks = BlockAtATimeManager(self.config.total_kv_blocks)
+    def __init__(self, config):
+        super().__init__(config)
+        self.blocks = BlockAtATimeManager(config.total_kv_blocks)
 
     def _advance_prefill(self, req, budget: int) -> int:
         cfg = self.config
@@ -199,6 +243,32 @@ class BlockAtATimeCore(SimCore):
             req.outputs.append([])
             req.records.append([])
 
+    def _maybe_stale_grab(self, req: SimRequest, index: int):
+        """Stale-KV fault: adopt a co-scheduled neighbour's block unverified."""
+        f1 = self._f1
+        if f1 is None or req.contaminated:
+            return None
+        if self.blocks.occupancy <= f1.occupancy_threshold or self._evictions_this_tick == 0:
+            return None
+        if index == 0:
+            # The race needs an agreed-upon chain head; a root block is always
+            # looked up against an empty chain and never grabbed.
+            return None
+        for trigger in self._admitted_this_tick:
+            if trigger.rid == req.rid or not trigger.chains:
+                continue
+            table = trigger.chains[0]
+            if len(table.blocks) <= index:
+                continue
+            mine = req.chains[0]
+            if len(mine.blocks) < index or table.blocks[index - 1] != mine.blocks[index - 1]:
+                continue
+            if table.blocks[index] not in self.blocks.blocks:
+                # A trigger that completed this tick keeps its table after a later run evicted the block.
+                continue
+            return table.blocks[index], table.hashes[index]
+        return None
+
     def _release_blocks(self, req: SimRequest, teardown: bool) -> None:
         """Unpin every block the request's chains hold; teardown frees those it allocated and alone holds."""
         for chain in req.chains:
@@ -232,8 +302,8 @@ class ProbedManager(BlockManager):
         if len(ids) > len(victims) > 0:
             self.reached.add("run split across free and evicted blocks")
         first_evicting = len(ids) - len(victims)
-        for k, victim in enumerate(victims):
-            if victim.content_hash in set(sealed[: first_evicting + k]):
+        for k, (victim_hash, _) in enumerate(victims):
+            if victim_hash in set(sealed[: first_evicting + k]):
                 self.reached.add("victim hashed like an earlier block of its run")
         return run
 
@@ -251,11 +321,11 @@ class RunCore(SimCore):
         self.reached = reached
         self.twin = BlockAtATimeCore(config)
         super().__init__(config)
+        self.blocks = ProbedManager(config.total_kv_blocks)
+        self.blocks.reached = reached
 
     def reset(self) -> None:
         super().reset()
-        self.blocks = ProbedManager(self.config.total_kv_blocks)
-        self.blocks.reached = self.reached
         self.twin.reset()
 
     def submit(self, *args, **kwargs):
@@ -292,8 +362,15 @@ class RunCore(SimCore):
 
 
 def state_of(core: SimCore) -> tuple:
-    """Everything a client or an oracle can see of the core, and its block-manager state."""
+    """Everything a client or an oracle can see of the core, and its block-manager state: each held
+    block as a ``HeldBlock``, the free order, the LRU order and the hash index."""
     manager = core.blocks
+    if isinstance(manager, BlockAtATimeManager):
+        held = {block_id: HeldBlock(block.owner_request_id, block.adapter, block.content_hash, block.ref_count)
+                for block_id, block in manager.blocks.items()}
+        free = list(manager._free)
+    else:
+        held, free = held_blocks(manager), free_ids(manager)
     requests = [
         (rid, req.state, req.status, req.prefill_pos, req.contaminated, req.finished_ms,
          req.outputs, req.records, req.token_stamps, req.digests,
@@ -303,7 +380,7 @@ def state_of(core: SimCore) -> tuple:
     return (
         core.clock_ms, core.tick, core.crashed, core.crash_evidence, core._evictions_this_tick,
         core.kv_events, core.snapshots, requests,
-        manager.blocks, list(manager._free), list(manager._lru), manager._hash_index,
+        held, free, list(manager._lru), manager._hash_index,
     )
 
 
@@ -469,3 +546,44 @@ def test_a_stale_grab_never_adopts_a_block_evicted_on_the_same_tick():
     machine.cores_agree()
     machine.accounting_holds()
     assert all(req.status == "completed" for req in machine.core.requests.values())
+
+
+def test_a_run_makes_no_object_per_block():
+    # With the collector off, len(gc.get_objects()) counts every container a call leaves alive.
+    def growth(size: int) -> tuple[int, int]:
+        manager = BlockManager(2 * size)
+        kept = []
+        before = len(gc.get_objects())
+        kept.append(manager.allocate_run("r", "BASE", range(1000, 1000 + size)))
+        allocated = len(gc.get_objects())
+        manager.release(kept[0][0])
+        kept.append(manager.allocate_run("s", "lora_a", range(2000, 2000 + size)))
+        return allocated - before, len(gc.get_objects()) - allocated
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        one, many = growth(1), growth(128)
+    finally:
+        if enabled:
+            gc.enable()
+    assert many == one
+    assert max(one) <= 8
+
+
+def test_a_reset_clears_the_pool_in_place():
+    # New per-slot lists on every reset would each be scanned by the next young-generation collection.
+    core = SimCore(SimConfig(block_size_tokens=4, total_kv_blocks=16, adapters=("BASE",)))
+    assert core.submit("r", tokens(1, 30), "BASE", 4, 2, 0, None, 0) is None
+    core.advance_to(20)
+    assert core.submit("s", tokens(2, 30), "BASE", 8, 1, 0, None, 20) is None
+    core.advance_to(22)
+    core.cancel("s")  # frees the blocks only it held
+    manager = core.blocks
+    lists = manager.owner, manager.content_hash, manager.ref_count
+    assert held_blocks(manager) and manager._free and manager._hash_index and manager._lru
+    core.reset()
+    assert core.blocks is manager
+    assert all(a is b for a, b in zip(lists, (manager.owner, manager.content_hash, manager.ref_count)))
+    assert held_blocks(manager) == {} and not manager._hash_index and not manager._lru
+    assert free_ids(manager) == list(range(16))
