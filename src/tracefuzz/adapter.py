@@ -3,6 +3,13 @@
 Two transports share one report shape: an in-process simulator driven in
 virtual time (bit-exact, used by campaigns and acceptance runs) and a
 wall-clock HTTP client for OpenAI-style completion endpoints.
+
+A report's KV state is a log of entries.  In-process it is the trace's slice
+of the simulator's log, where a KvRun stands for a run of blocks one request
+allocated or adopted at one time; over HTTP it is the engine's per-block
+stream, whose every KvEvent is a run of one.  The per-block events are built
+from the log only when something reads them; the ledger folds the log
+itself.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 from typing import NamedTuple
 
 from .trace import EventKind, RequestSpec, TimedTrace, group_key, parse_prompt, prompt_for, render_prompt
@@ -68,16 +75,76 @@ class KvEvent(NamedTuple):
         return KvEvent._make(doc.get(name) for name in KvEvent._fields)
 
 
+# A run's events are built as tuple.__new__(KvEvent, fields) over the run:
+# real KvEvent instances, without a Python-level __new__ call per block.
+_NEW = tuple.__new__
+_KV_EVENT = repeat(KvEvent)
+
+
+class KvRun(NamedTuple):
+    """One log entry for a run of blocks that one request allocated or adopted at one time.
+
+    ``kind`` is "alloc" or "prefix_hit", and the run holds at least one
+    block and no block twice.  ``evicted`` holds, for the last ``len(evicted)`` blocks of an
+    alloc run, the (hash, (owner, adapter)) of the block each one evicted;
+    its id is the id of the block allocated in its place.  The lists are
+    never changed once logged.
+    """
+
+    ts_ms: int
+    kind: str
+    block_ids: list
+    block_hashes: list
+    owner_request_id: str
+    adapter: str
+    evicted: list | tuple
+
+    def events(self) -> list[KvEvent]:
+        """The run's per-block events, each eviction before the allocation it makes room for."""
+        ts, kind, ids, hashes, owner, adapter, evicted = self
+        events = map(_NEW, _KV_EVENT, zip(repeat(ts), repeat(kind), ids, hashes, repeat(owner), repeat(adapter)))
+        if not evicted:
+            return list(events)
+        expanded = list(islice(events, len(ids) - len(evicted)))
+        for (victim_hash, (victim_owner, victim_adapter)), alloc in zip(evicted, events):
+            expanded.append(_NEW(KvEvent, (ts, "evict", alloc.block_id, victim_hash, victim_owner, victim_adapter)))
+            expanded.append(alloc)
+        return expanded
+
+
+def kv_events_of(log) -> list[KvEvent]:
+    """The per-block events of a KV log, in order; a KvEvent in the log is a run of one."""
+    events: list[KvEvent] = []
+    for entry in log:
+        if type(entry) is KvRun:
+            events += entry.events()
+        else:
+            events.append(entry)
+    return events
+
+
+def _alloc_event(entry, block: int) -> KvEvent:
+    """The alloc event of ``block`` in the log entry that last allocated it."""
+    if type(entry) is not KvRun:
+        return entry
+    block_hash = entry.block_hashes[entry.block_ids.index(block)]
+    return KvEvent(entry.ts_ms, "alloc", block, block_hash, entry.owner_request_id, entry.adapter)
+
+
 @dataclass(frozen=True)
 class KvLedger:
-    """What telemetry, novelty and the KV oracles read off one event stream.
+    """What telemetry, novelty and the KV oracles read off one KV log.
 
-    Built by a single pass in stream order; the held blocks, which only the
-    leak check reads, by a second pass on first read.  An alloc over a block
-    that is still live leaves both allocators holding it; a release drops
-    every holder; an adoption by a request other than the block's latest
-    allocator makes the block shared cache property, which no allocator
-    holds any more.
+    Built by a single fold over the log's entries, a KvEvent folding as a run
+    of one; the held blocks, which only the leak check reads, by a walk of
+    the per-block events on first read.  The fold gives what a walk of the
+    per-block events would: a run of n >= 2 blocks adds its kind to the kind
+    sequence twice, which leaves its kinds and bigrams as they were, and an
+    evicting tail adds (evict, alloc) for up to two of its blocks.  An alloc
+    over a block that is still live leaves both allocators holding it; a
+    release drops every holder; an adoption by a request other than the
+    block's latest allocator makes the block shared cache property, which no
+    allocator holds any more.
     """
 
     peak_held: int  # high-water mark of allocs minus releases
@@ -86,34 +153,52 @@ class KvLedger:
     alloc_ts: tuple
     last_ts_ms: int  # latest timestamp in the stream, 0 when empty
     cross_adapter: tuple  # (alloc event, adopting event) pairs whose adapters differ
-    events: tuple = field(repr=False)
+    log: tuple = field(repr=False)
 
     @staticmethod
-    def of(events) -> "KvLedger":
-        events = tuple(events)
+    def of(log) -> "KvLedger":
+        log = tuple(log)
         held = peak = last_ts = 0
         kinds: list[str] = []
         alloc_ts: list[int] = []
-        latest_alloc: dict[int, KvEvent] = {}  # block -> most recent alloc, until released
+        latest_alloc: dict = {}  # block -> the entry of its most recent alloc, until released
         cross_adapter = []
-        for event in events:
-            ts, kind, block, _, owner, adapter = event
-            kinds.append(kind)
+        for entry in log:
+            if type(entry) is KvRun:
+                ts, kind, ids, hashes, owner, adapter, evicted = entry
+            else:
+                ts, kind, block, block_hash, owner, adapter = entry
+                ids, hashes, evicted = (block,), (block_hash,), ()
             if ts > last_ts:
                 last_ts = ts
             if kind == "alloc":
-                held += 1
+                fresh = len(ids) - len(evicted)  # an evicting block releases one and allocates one
+                if fresh:
+                    kinds.append(kind)
+                    if fresh > 1:
+                        kinds.append(kind)
+                if evicted:
+                    kinds += ("evict", kind) * min(len(evicted), 2)
+                held += fresh
                 if held > peak:
                     peak = held
-                alloc_ts.append(ts)
-                latest_alloc[block] = event
-            elif kind in KV_RELEASE_KINDS:
-                held -= 1
-                latest_alloc.pop(block, None)
+                alloc_ts += (ts,) * len(ids)
+                for block in ids:
+                    latest_alloc[block] = entry
+                continue
+            kinds.append(kind)
+            if len(ids) > 1:
+                kinds.append(kind)
+            if kind in KV_RELEASE_KINDS:
+                held -= len(ids)
+                for block in ids:
+                    latest_alloc.pop(block, None)
             elif kind in KV_ADOPTION_KINDS:
-                alloc = latest_alloc.get(block)
-                if alloc is not None and alloc.adapter != adapter:
-                    cross_adapter.append((alloc, event))
+                for block, block_hash in zip(ids, hashes):
+                    alloc = latest_alloc.get(block)
+                    if alloc is not None and alloc.adapter != adapter:
+                        adopt = KvEvent(ts, kind, block, block_hash, owner, adapter)
+                        cross_adapter.append((_alloc_event(alloc, block), adopt))
         return KvLedger(
             peak_held=peak,
             kinds=frozenset(kinds),
@@ -121,15 +206,15 @@ class KvLedger:
             alloc_ts=tuple(alloc_ts),
             last_ts_ms=last_ts,
             cross_adapter=tuple(cross_adapter),
-            events=events,
+            log=log,
         )
 
     @cached_property
     def held_blocks(self) -> dict:
-        """Allocator -> frozenset of the block ids it still holds, walked from the stream on first read."""
+        """Allocator -> frozenset of the block ids it still holds, walked from the per-block events on first read."""
         latest_owner: dict[int, str] = {}  # block -> its most recent allocator, until released
         holders: dict[int, set[str]] = {}
-        for _, kind, block, _, owner, _ in self.events:
+        for _, kind, block, _, owner, _ in kv_events_of(self.log):
             if kind == "alloc":
                 latest_owner[block] = owner
                 holders.setdefault(block, set()).add(owner)
@@ -175,7 +260,7 @@ class ExecutionReport:
     trace: TimedTrace
     corpus_seed: int
     outcomes: dict[str, RequestOutcome]
-    kv_events: tuple | None = ()  # None when the engine serves no KV stream
+    kv_log: tuple | None = ()  # KvRun and KvEvent entries; None when the engine serves no KV stream
     crash_evidence: dict | None = None  # None unless the engine crashed
     wall_clock_span_ms: int = 0
     block_snapshots: dict = field(default_factory=dict)
@@ -196,9 +281,14 @@ class ExecutionReport:
         return self.trace.request_specs()
 
     @cached_property
+    def kv_events(self) -> tuple[KvEvent, ...] | None:
+        """The log's per-block events, built on first read; None when the engine serves no KV stream."""
+        return None if self.kv_log is None else tuple(kv_events_of(self.kv_log))
+
+    @cached_property
     def kv_ledger(self) -> KvLedger:
-        """Built on first use, so reports nothing inspects never walk their stream."""
-        return KvLedger.of(self.kv_events or ())
+        """Built on first use, so reports nothing inspects never walk their log."""
+        return KvLedger.of(self.kv_log or ())
 
     @cached_property
     def snapshot_groups(self) -> dict[str, list[tuple[str, list]]]:
@@ -331,7 +421,7 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
     # the clock at entry, as _execute_wall counts them from its own entry;
     # KV events and snapshots are this trace's own.
     epoch = core.clock_ms
-    first_kv_event = len(core.kv_events)
+    first_kv_entry = len(core.kv_log)
     info = core.config.engine_info()
     vocab = info["vocab_size"]
 
@@ -402,14 +492,14 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
             request_id=spec.request_id, status="server_error", dispatched_ms=offset, error="engine down before dispatch"
         )
 
-    kv_events = tuple(islice(core.kv_events, first_kv_event, None))
+    kv_log = tuple(islice(core.kv_log, first_kv_entry, None))
     if epoch:
-        kv_events = tuple([event._replace(ts_ms=event.ts_ms - epoch) for event in kv_events])
+        kv_log = tuple([entry._replace(ts_ms=entry.ts_ms - epoch) for entry in kv_log])
     return ExecutionReport(
         trace=trace,
         corpus_seed=corpus_seed,
         outcomes=outcomes,
-        kv_events=kv_events,
+        kv_log=kv_log,
         crash_evidence=core.crash_evidence,
         wall_clock_span_ms=core.clock_ms - epoch,
         block_snapshots={rid: snap for rid, snap in core.snapshots.items() if rid in dispatched},
@@ -560,13 +650,13 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
         if rid not in reported:
             reported[rid] = RequestOutcome(request_id=rid, status="timeout", dispatched_ms=event.offset_ms, error="no response")
 
-    kv_events = collect_kv_stream(endpoint, kv_since, kv_epoch_ms)
+    kv_log = collect_kv_stream(endpoint, kv_since, kv_epoch_ms)  # per-block events: each a run of one
     crashed = check_health(endpoint) is None
     return ExecutionReport(
         trace=trace,
         corpus_seed=corpus_seed,
         outcomes=reported,
-        kv_events=kv_events,
+        kv_log=kv_log,
         crash_evidence={"signature": "connection-lost"} if crashed else None,
         wall_clock_span_ms=span,
         engine_info=info,

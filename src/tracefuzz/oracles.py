@@ -214,7 +214,7 @@ def behavioral_check(report, baseline: BaselineStats, thresholds: OracleThreshol
 
 def _kv_leak_check(report, thresholds: OracleThresholds) -> list[Suspicion]:
     cancelled = {rid for rid, o in report.outcomes.items() if o.status in ("cancelled", "disconnected")}
-    if not cancelled or report.kv_events is None:
+    if not cancelled or report.kv_log is None:
         return []
     # A block another request adopted is shared cache property: outliving
     # its allocator is by design, not a leak.

@@ -20,18 +20,28 @@ it.  It lives on the core, not in a module cache, because its entries grow
 in place while a request decodes: cores serving in parallel must not share
 them, and a core's own users are already serialized (SimHttpServer.lock).
 
+An admission looks its prompt up once in a per-core memo keyed by the
+prompt object, which keeps the prompt's block hashes per adapter and its
+digest per completion's initial digest.  Each is read through the module
+memos, keyed by the whole prompt tuple, only the first time.  So a
+re-admitted or replayed prompt, the same tuple from trace's prompt cache, is
+not hashed as a dict key again.
+
 KV blocks are handled a run at a time.  A prefill chunk's full prompt blocks
 are allocated as one run; a run of one block, which every decode block is,
 takes a direct path that builds no lists.  An admission adopts the cached
 blocks of its prompt's leading hashes as one run, up to the first miss, and
 after a stale grab the blocks past it the same way; a completed request
-releases each chain as one run.  Each run's alloc and prefix_hit events are
-built in one pass over its block ids.  What stays per block: the evicting
-tail of a run (each eviction is emitted before the allocation it makes room
-for) and the blocks a teardown frees.  The pool (blocks.py) holds a block as
-one slot of per-field lists indexed by its id, so a teardown and a stale
-grab's liveness test read a block's owner and ref count from those lists.  A
-core keeps one pool, and reset() clears it in place.
+releases each chain as one run.  The KV log, ``kv_log``, holds one KvRun per
+multi-block alloc run (with the blocks its evicting tail evicted) and per
+prefix-hit run, and one KvEvent per other block: a one-block allocation and
+its eviction, a teardown's frees and a stale grab's reuse.  ``kv_events`` is
+the log's per-block view, in which each eviction comes before the
+allocation it makes room for; it is built only when read, and each read
+expands only the entries logged since the last one.  The pool (blocks.py)
+holds a block as one slot of per-field lists indexed by its id, so a
+teardown and a stale grab's liveness test read a block's owner and ref count
+from those lists.  A core keeps one pool, and reset() clears it in place.
 """
 
 from __future__ import annotations
@@ -40,9 +50,9 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import islice
 
-from ..adapter import KvEvent
+from ..adapter import KvEvent, KvRun, kv_events_of
 from ..hashing import stable_u64
 from .blocks import BlockManager
 from .config import FaultFamily, FaultSpec, SimConfig
@@ -70,13 +80,7 @@ DECODE_MEMO_STREAMS = 256
 DECODE_MEMO_POSITIONS = 64
 DECODE_MEMO_LOGPROBS = 8
 
-# A run's events are built as tuple.__new__(KvEvent, fields) over the run:
-# real KvEvent instances, without a Python-level __new__ call per block.
-# Infinite repeats hold no per-run state, so every run shares these.
-_NEW = tuple.__new__
-_KV_EVENT = repeat(KvEvent)
-_ALLOC = repeat("alloc")
-_PREFIX_HIT = repeat("prefix_hit")
+_NEW = tuple.__new__  # a log entry built without a Python-level __new__ call
 
 
 @lru_cache(maxsize=PROMPT_MEMO_SIZE)
@@ -100,6 +104,40 @@ def chained_hashes(chain_hash: int, adapter: str, block_size: int, prompt, pos: 
 def prompt_digest(digest: int, prompt: tuple[int, ...]) -> int:
     """A completion's context digest after an uncontaminated prompt."""
     return stable_u64("prompt", digest, *prompt)
+
+
+class _PromptMemo:
+    """What admissions derive from one prompt object on one core: its block hashes by adapter and its
+    digest by a completion's initial digest, read through the module memos the first time.
+
+    Looked up by the prompt's id, once per admission, so no admission hashes
+    the prompt tuple to find them again.  The memo holds the prompt, so its id
+    names no other object while the memo is kept.
+    """
+
+    __slots__ = ("prompt", "_block_hashes", "_digests")
+
+    def __init__(self, prompt: tuple[int, ...]):
+        self.prompt = prompt
+        self._block_hashes: dict[str, tuple[int, ...]] = {}
+        self._digests: dict[int, int] = {}  # at most PROMPT_MEMO_SIZE, the oldest dropped first
+
+    def block_hashes(self, adapter: str, block_size: int) -> tuple[int, ...]:
+        """prompt_block_hashes of the prompt; a core's block size never changes."""
+        hashes = self._block_hashes.get(adapter)
+        if hashes is None:
+            hashes = self._block_hashes[adapter] = prompt_block_hashes(adapter, block_size, self.prompt)
+        return hashes
+
+    def digest(self, digest: int) -> int:
+        """prompt_digest of the prompt after ``digest``."""
+        digests = self._digests
+        value = digests.get(digest)
+        if value is None:
+            if len(digests) >= PROMPT_MEMO_SIZE:
+                del digests[next(iter(digests))]
+            value = digests[digest] = prompt_digest(digest, self.prompt)
+        return value
 
 
 @dataclass
@@ -152,6 +190,7 @@ class SimCore:
         self._f2 = config.fault(FaultFamily.ENGINE_STALL)
         self._f3 = config.fault(FaultFamily.ADAPTER_DRIFT)
         self._decode_memo: dict[tuple, list] = {}
+        self._prompt_memo: dict[int, _PromptMemo] = {}  # by id(prompt)
         self.blocks = BlockManager(config.total_kv_blocks)
         self.reset()
 
@@ -166,7 +205,9 @@ class SimCore:
         self.requests: dict[str, SimRequest] = {}
         self.loaded_adapters: set[str] = {"BASE"}
         self.loading: dict[str, int] = {}  # adapter -> ready tick
-        self.kv_events: list[KvEvent] = []
+        self.kv_log: list[KvRun | KvEvent] = []
+        self._kv_events: list[KvEvent] = []  # the per-block view of the log's first _kv_expanded entries
+        self._kv_expanded = 0
         self.snapshots: dict[str, list] = {}
         self.crashed = False
         self.crash_evidence: dict | None = None
@@ -245,6 +286,15 @@ class SimCore:
 
     def in_flight(self) -> list[SimRequest]:
         return self.waiting + self.running
+
+    @property
+    def kv_events(self) -> list[KvEvent]:
+        """The log's per-block events; each read expands only the entries logged since the last one."""
+        log = self.kv_log
+        if self._kv_expanded < len(log):
+            self._kv_events += kv_events_of(islice(log, self._kv_expanded, None))
+            self._kv_expanded = len(log)
+        return self._kv_events
 
     # ------------------------------------------------------------------
     # Tick loop
@@ -398,7 +448,8 @@ class SimCore:
         block = cfg.block_size_tokens
         req.chains = [_Chain() for _ in range(req.n_completions)]
         chain0 = req.chains[0]
-        req.block_hashes = prompt_block_hashes(req.adapter, block, req.prompt)
+        memo = self._prompt_memo_of(req.prompt)
+        req.block_hashes = memo.block_hashes(req.adapter, block)
 
         # Prefix-cache walk over full leading blocks of the prompt.  The final
         # prompt token is always computed, never served from cache, so at
@@ -432,11 +483,23 @@ class SimCore:
         for c in range(req.n_completions):
             digest = init_digest(cfg.seed, req.request_seed, req.adapter, c)
             if effective is None:
-                req.digests.append(prompt_digest(digest, req.prompt))
+                req.digests.append(memo.digest(digest))
             else:
                 req.digests.append(stable_u64("prompt", digest, *effective))
             req.outputs.append([])
             req.records.append([])
+
+    def _prompt_memo_of(self, prompt: tuple[int, ...]) -> _PromptMemo:
+        """The core's memo of ``prompt``; when PROMPT_MEMO_SIZE prompts are kept, the least recently
+        admitted one is dropped first."""
+        memos = self._prompt_memo
+        memo = memos.pop(id(prompt), None)
+        if memo is None:
+            if len(memos) >= PROMPT_MEMO_SIZE:
+                del memos[next(iter(memos))]
+            memo = _PromptMemo(prompt)
+        memos[id(prompt)] = memo
+        return memo
 
     def _adopt(self, req: SimRequest, chain: _Chain, hashes) -> None:
         """Append the cached blocks of the leading ``hashes`` to the chain as one run, up to the first miss."""
@@ -445,8 +508,7 @@ class SimCore:
             chain.blocks += ids
             chain.hashes += adopted
             chain.chain_hash = adopted[-1]
-            self.kv_events += map(_NEW, _KV_EVENT, zip(repeat(self.clock_ms), _PREFIX_HIT, ids, adopted,
-                                                       repeat(req.rid), repeat(req.adapter)))
+            self.kv_log.append(_NEW(KvRun, (self.clock_ms, "prefix_hit", ids, adopted, req.rid, req.adapter, ())))
 
     def _maybe_stale_grab(self, req: SimRequest, index: int):
         """Stale-KV fault: adopt a co-scheduled neighbour's block unverified."""
@@ -563,7 +625,7 @@ class SimCore:
 
     def _allocate_block(self, req: SimRequest, chain: _Chain, content_hash: int | None) -> bool:
         """Append one new block to the chain, sealed under ``content_hash`` unless None; False if
-        ``req`` was preempted.  A block's eviction is emitted before its allocation."""
+        ``req`` was preempted.  A block's eviction is logged before its allocation."""
         allocated = self.blocks.allocate((req.rid, req.adapter), content_hash)
         if allocated is None:
             self._preempt(req)
@@ -573,8 +635,8 @@ class SimCore:
         if victim is not None:
             self._evictions_this_tick += 1
             victim_hash, (owner, adapter) = victim
-            self.kv_events.append(_NEW(KvEvent, (ts, "evict", block_id, victim_hash, owner, adapter)))
-        self.kv_events.append(_NEW(KvEvent, (ts, "alloc", block_id, content_hash, req.rid, req.adapter)))
+            self.kv_log.append(_NEW(KvEvent, (ts, "evict", block_id, victim_hash, owner, adapter)))
+        self.kv_log.append(_NEW(KvEvent, (ts, "alloc", block_id, content_hash, req.rid, req.adapter)))
         chain.blocks.append(block_id)
         chain.hashes.append(content_hash)
         if content_hash is not None:
@@ -582,28 +644,19 @@ class SimCore:
         return True
 
     def _allocate_blocks(self, req: SimRequest, chain: _Chain, hashes, count: int) -> bool:
-        """Append ``count`` new blocks to the chain, sealed under ``hashes``, as one run.
+        """Append ``count`` new blocks to the chain, sealed under ``hashes``, as one run, logged as one KvRun.
 
-        False if ``req`` was preempted.  Each block's eviction is emitted before its allocation.  A run
-        of one block, as most are, takes the one-block path.
+        False if ``req`` was preempted.  A run of one block, as most are, takes the one-block path.
         """
         if count == 1:
             return self._allocate_block(req, chain, next(iter(hashes)))
-        ts, rid, adapter = self.clock_ms, req.rid, req.adapter
-        ids, sealed, victims = self.blocks.allocate_run(rid, adapter, hashes)
-        chain.blocks += ids
-        chain.hashes += sealed
-        kv_events = self.kv_events
-        allocs = map(_NEW, _KV_EVENT, zip(repeat(ts), _ALLOC, ids, sealed, repeat(rid), repeat(adapter)))
-        if victims:
-            # The free blocks come first; each block after them evicted the block of its id.
+        ids, sealed, victims = self.blocks.allocate_run(req.rid, req.adapter, hashes)
+        if ids:
+            chain.blocks += ids
+            chain.hashes += sealed
+            # The free blocks come first; each of the last len(victims) blocks evicted the block of its id.
+            self.kv_log.append(_NEW(KvRun, (self.clock_ms, "alloc", ids, sealed, req.rid, req.adapter, victims)))
             self._evictions_this_tick += len(victims)
-            kv_events += islice(allocs, len(ids) - len(victims))
-            for (victim_hash, (owner, victim_adapter)), alloc in zip(victims, allocs):
-                kv_events.append(_NEW(KvEvent, (ts, "evict", alloc.block_id, victim_hash, owner, victim_adapter)))
-                kv_events.append(alloc)
-        else:
-            kv_events += allocs
         if len(ids) < count:
             self._preempt(req)
             return False
@@ -675,4 +728,4 @@ class SimCore:
             self.running.remove(req)
 
     def _emit(self, kind: str, block_id: int, block_hash, owner: str, adapter: str) -> None:
-        self.kv_events.append(KvEvent(self.clock_ms, kind, block_id, block_hash, owner, adapter))
+        self.kv_log.append(KvEvent(self.clock_ms, kind, block_id, block_hash, owner, adapter))

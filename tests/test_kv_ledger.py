@@ -215,7 +215,7 @@ def reports(draw):
         trace=sends(outcomes, [spec_of(o.request_id, adapter=draw(st.sampled_from(ADAPTERS))) for o in outcomes]),
         corpus_seed=0,
         outcomes={o.request_id: o for o in outcomes},
-        kv_events=draw(st.one_of(st.none(), kv_events.map(tuple))),  # None: the engine serves no stream
+        kv_log=draw(st.one_of(st.none(), kv_events.map(tuple))),  # None: the engine serves no stream
         wall_clock_span_ms=draw(st.integers(0, 3_000)),
         engine_info={"engine": "tracefuzz-sim", "vocab_size": 1024},
     )
@@ -227,7 +227,7 @@ def _report(events, statuses=("cancelled", "cancelled", "completed"), span=3_000
         trace=sends(outcomes, [spec_of(o.request_id) for o in outcomes]),
         corpus_seed=0,
         outcomes={o.request_id: o for o in outcomes},
-        kv_events=tuple(events),
+        kv_log=tuple(events),
         wall_clock_span_ms=span,
         engine_info={"engine": "tracefuzz-sim", "vocab_size": 1024},
     )

@@ -54,7 +54,7 @@ def report_of(outcomes, *, trace_id="t~synth", controls=(), kv_events=(), eviden
         trace=TimedTrace(trace_id, sends + tuple(controls)),
         corpus_seed=0,
         outcomes={o.request_id: o for o in outcomes},
-        kv_events=tuple(kv_events),
+        kv_log=tuple(kv_events),
         crash_evidence=evidence,
         wall_clock_span_ms=span if span is not None else max(ends),
         block_snapshots={},

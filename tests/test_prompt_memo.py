@@ -266,3 +266,26 @@ def test_memos_stay_within_their_bound():
         info = memo.cache_info()
         assert info.maxsize == PROMPT_MEMO_SIZE
         assert info.currsize == PROMPT_MEMO_SIZE
+
+
+def test_a_prompt_the_core_has_admitted_reads_no_module_memo():
+    # The module memos key by the whole prompt tuple, so each lookup hashes it;
+    # the core's own memo finds the same prompt object by its id.
+    tokens = tuple(prompt(11, 90))
+
+    def admit(core, rid, n):
+        assert core.submit(rid, tokens, "BASE", 2, n, 4, None, core.clock_ms) is None
+        core.advance_to(core.clock_ms + 50)
+        return core.requests[rid].digests, core.requests[rid].block_hashes
+
+    def lookups():
+        return sum(info.hits + info.misses for info in (prompt_block_hashes.cache_info(), prompt_digest.cache_info()))
+
+    core = SimCore(config_for(64, 64, False))
+    first = admit(core, "a", 3)
+    before = lookups()
+    core.reset()  # the memo is derived from the prompt alone, so a reset keeps it
+    assert admit(core, "b", 3) == first
+    assert lookups() == before
+    assert admit(core, "c", 1)[1] == first[1] and lookups() == before
+    assert admit(DirectCore(config_for(64, 64, False)), "d", 3)[0] == first[0]  # DirectCore hashes directly
