@@ -24,8 +24,14 @@ blake2b-64 over the concatenated encodings, read as a little-endian integer.
 These values are frozen: prompts, block hashes and token streams derive from
 them.
 
-The simulator's decode step hashes these same encodings, built with ``encode``
-and ``encode_int``, through ``u64`` without going through ``stable_u64``.
+The simulator hashes these same encodings through ``u64`` without going
+through ``stable_u64``.  Its decode step builds them with ``encode`` and
+``encode_int``.  Its block hashes and prompt digests encode a prompt once with
+``encode_parts``: a block hashes the encodings of its header, chain hash and
+adapter followed by its slice of the prompt's encoding (``encode_ints``, whose
+every part takes ``INT_WIDTH`` bytes), and a digest its header and digest
+followed by the whole encoding.  Prompt synthesis hashes a shared head once and each position's
+encoding after a copy of it (``stable_u64_positions``).
 """
 
 from __future__ import annotations
@@ -33,10 +39,11 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from itertools import chain, islice
 
 # Exact ints and strs are most parts (tokens, positions, 64-bit digests, tags
-# and adapter names), so stable_u64 encodes them inline rather than through
+# and adapter names), so encode_parts encodes them inline rather than through
 # encode: small non-negative ints come from a precomputed table.  The checks
 # are on the exact type, so bool, str-Enum and IntEnum parts always take
 # encode.
@@ -69,20 +76,38 @@ def encode(part: object) -> bytes:
     return tag + struct.pack("<I", len(body)) + body
 
 
-def stable_u64(*parts: object) -> int:
-    """Collision-resistant 64-bit digest of a heterogeneous tuple.
+INT_WIDTH = len(_INT_HEAD) + 17  # bytes in the encoding of any int part
 
-    Parts are length- and type-prefixed before hashing so that e.g.
-    ("ab", "c") and ("a", "bc") cannot collide.
-    """
-    data = b"".join([
+
+def encode_parts(parts: Iterable[object]) -> bytes:
+    """The concatenated encodings of ``parts``, whose ``u64`` is ``stable_u64(*parts)``."""
+    return b"".join([
         (_INT_TABLE[p] if 0 <= p < _INT_TABLE_SIZE else _INT_HEAD + p.to_bytes(17, "little", signed=True))
         if type(p) is int
         else b"s" + len(e := p.encode()).to_bytes(4, "little") + e if type(p) is str
         else encode(p)
         for p in parts
     ])
-    return u64(data)
+
+
+def encode_ints(parts: Sequence[object]) -> bytes | None:
+    """``encode_parts(parts)`` when every part is an int, so that part i's encoding is bytes
+    ``[i * INT_WIDTH, (i + 1) * INT_WIDTH)`` of it; None otherwise.
+
+    An encoding starts with its tag, and only an int's tag is ``i``, so the
+    tags sit at every INT_WIDTH-th byte exactly when every part is an int.
+    """
+    code = encode_parts(parts)
+    return code if code[::INT_WIDTH] == b"i" * len(parts) else None
+
+
+def stable_u64(*parts: object) -> int:
+    """Collision-resistant 64-bit digest of a heterogeneous tuple.
+
+    Parts are length- and type-prefixed before hashing so that e.g.
+    ("ab", "c") and ("a", "bc") cannot collide.
+    """
+    return u64(encode_parts(parts))
 
 
 def u64(data: bytes) -> int:
@@ -90,20 +115,22 @@ def u64(data: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
-def stable_u64_tails(head: tuple, tails: Iterable[object]) -> list[int]:
-    """``[stable_u64(*head, tail) for tail in tails]``, encoding and hashing ``head`` once.
+def stable_u64_positions(head: tuple, count: int, modulus: int) -> list[int]:
+    """``[stable_u64(*head, i) % modulus for i in range(count)]``, encoding and hashing ``head`` once.
 
-    blake2b is streaming: each tail's encoding is fed to a copy of the state
-    that has absorbed the head's, so the hashed bytes, and the values, are
-    stable_u64's.
+    blake2b is streaming: each position's encoding is fed to a copy of the
+    state that has absorbed the head's, so the hashed bytes, and the values,
+    are stable_u64's.
     """
-    state = hashlib.blake2b(b"".join(map(encode, head)), digest_size=8)
-    hashes = []
-    for tail in tails:
-        h = state.copy()
-        h.update(_INT_TABLE[tail] if type(tail) is int and 0 <= tail < _INT_TABLE_SIZE else encode(tail))
-        hashes.append(int.from_bytes(h.digest(), "little"))
-    return hashes
+    copy = hashlib.blake2b(encode_parts(head), digest_size=8).copy
+    from_bytes = int.from_bytes
+    values: list[int] = []
+    append = values.append
+    for code in chain(islice(_INT_TABLE, count), map(encode_int, range(_INT_TABLE_SIZE, count))):
+        h = copy()
+        h.update(code)
+        append(from_bytes(h.digest(), "little") % modulus)
+    return values
 
 
 def canonical_json(obj: object) -> str:

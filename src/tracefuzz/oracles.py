@@ -13,7 +13,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 
 from .hashing import fingerprint
@@ -323,32 +323,41 @@ def structural_forensics(report, prior_snapshots: dict | None = None) -> list[Su
             )
         )
 
-    # One content hash must never cover two different prompt spans.  Every
-    # claimed hash has at least one (span, adapter) variant, so some hash has
-    # two exactly when the distinct claims outnumber the distinct hashes, and
-    # only then are the claims of the conflicted hashes walked for evidence.
-    # Only full prompt blocks claim; an unsealed block's None is never one.
+    # One content hash must never cover two different prompt spans.  A hash
+    # that seals one block makes one claim, so only the hashes that repeat
+    # are claimed, and their blocks are picked in C.  A repeated hash has a
+    # second (span, adapter) variant exactly when the distinct claims
+    # outnumber the repeated hashes, and only then are the claims of the
+    # conflicted hashes walked for evidence.  Only full prompt blocks claim;
+    # an unsealed block's None is never one.
     prompts = {
         rid: prompt_for(report.request_index[rid], report.corpus_seed, vocab)
         for rid in sorted(report.block_snapshots)
         if rid in report.request_index
     }
-    distinct_claims, distinct_hashes = set(), set()
-    for rid, prompt in prompts.items():
-        spans = zip(*[iter(prompt)] * block_size)  # the prompt's full blocks, in order
-        hashes = tuple(islice(map(itemgetter(1), report.block_snapshots[rid]), len(prompt) // block_size))
-        distinct_hashes.update(hashes)
-        distinct_claims.update(zip(hashes, spans, repeat(report.request_index[rid].adapter)))
+    hashes = {
+        rid: list(islice(map(itemgetter(1), report.block_snapshots[rid]), len(prompt) // block_size))
+        for rid, prompt in prompts.items()
+    }
+    counts = Counter(chain.from_iterable(hashes.values()))
+    repeated = set(compress(counts, map((1).__lt__, counts.values())))
+    repeated.discard(None)
+    distinct_claims = set()
+    for rid, prompt in prompts.items() if repeated else ():
+        block_hashes = hashes[rid]
+        picked = list(map(repeated.__contains__, block_hashes))
+        spans = compress(zip(*[iter(prompt)] * block_size), picked)  # the picked full blocks, in order
+        distinct_claims.update(zip(compress(block_hashes, picked), spans, repeat(report.request_index[rid].adapter)))
     claims: dict[int, dict[tuple, list]] = {}
-    if len(distinct_claims) > len(distinct_hashes):
+    if len(distinct_claims) > len(repeated):
         variant_counts = Counter(map(itemgetter(0), distinct_claims))
-        conflicted = {block_hash for block_hash, n in variant_counts.items() if n > 1 and block_hash is not None}
+        conflicted = {block_hash for block_hash, n in variant_counts.items() if n > 1}
         for rid, prompt in prompts.items():
             adapter = report.request_index[rid].adapter
-            for index, (block_id, block_hash) in enumerate(report.block_snapshots[rid][: len(prompt) // block_size]):
-                if block_hash in conflicted:
-                    span = tuple(prompt[index * block_size : (index + 1) * block_size])
-                    claims.setdefault(block_hash, {}).setdefault((span, adapter), []).append((rid, index))
+            block_hashes = hashes[rid]
+            for index in compress(range(len(block_hashes)), map(conflicted.__contains__, block_hashes)):
+                span = tuple(prompt[index * block_size : (index + 1) * block_size])
+                claims.setdefault(block_hashes[index], {}).setdefault((span, adapter), []).append((rid, index))
     for block_hash in sorted(claims):
         variants = claims[block_hash]
         if len(variants) > 1:

@@ -53,7 +53,7 @@ from functools import lru_cache
 from itertools import islice
 
 from ..adapter import KvEvent, KvRun, kv_events_of
-from ..hashing import stable_u64
+from ..hashing import INT_WIDTH, encode, encode_int, encode_ints, encode_parts, stable_u64, u64
 from .blocks import BlockManager
 from .config import FaultFamily, FaultSpec, SimConfig
 from .decode import decode_step, init_digest
@@ -81,6 +81,13 @@ DECODE_MEMO_POSITIONS = 64
 DECODE_MEMO_LOGPROBS = 8
 
 _NEW = tuple.__new__  # a log entry built without a Python-level __new__ call
+_BLK, _PROMPT = encode("blk"), encode("prompt")
+
+
+def block_hash(chain_hash: int, adapter_code: bytes, span_code: bytes) -> int:
+    """The sealed hash of a full block after ``chain_hash``: ``stable_u64("blk", chain_hash, adapter, *span)``,
+    from the encodings of the adapter and of the span's tokens."""
+    return u64(_BLK + encode_int(chain_hash) + adapter_code + span_code)
 
 
 @lru_cache(maxsize=PROMPT_MEMO_SIZE)
@@ -89,21 +96,36 @@ def prompt_block_hashes(adapter: str, block_size: int, prompt: tuple[int, ...]) 
 
     They depend on nothing else until a stale grab contaminates the chain, so
     every admission of the prompt under this adapter and block size shares them.
+    The full blocks are encoded once, and each block hashes a slice of that.
     """
-    return tuple(chained_hashes(0, adapter, block_size, prompt, 0, len(prompt) // block_size))
+    count = len(prompt) // block_size
+    code = encode_ints(prompt[: count * block_size])
+    if code is None:  # some token is no int, so blocks differ in encoded length: encode each alone
+        return tuple(chained_hashes(0, adapter, block_size, prompt, 0, count))
+    adapter_code = encode(adapter)
+    width = block_size * INT_WIDTH
+    chain_hash, hashes = 0, []
+    for start in range(0, len(code), width):
+        chain_hash = block_hash(chain_hash, adapter_code, code[start : start + width])
+        hashes.append(chain_hash)
+    return tuple(hashes)
 
 
 def chained_hashes(chain_hash: int, adapter: str, block_size: int, prompt, pos: int, count: int):
-    """Lazily, the sealed hashes of ``count`` full blocks of ``prompt`` from ``pos`` on, after ``chain_hash``."""
+    """Lazily, the sealed hashes of ``count`` full blocks of ``prompt`` from ``pos`` on, after ``chain_hash``.
+
+    Each block is encoded as it is hashed, so a run that stops at a miss encodes no block past it.
+    """
+    adapter_code = encode(adapter)
     for start in range(pos, pos + count * block_size, block_size):
-        chain_hash = stable_u64("blk", chain_hash, adapter, *prompt[start : start + block_size])
+        chain_hash = block_hash(chain_hash, adapter_code, encode_parts(prompt[start : start + block_size]))
         yield chain_hash
 
 
 @lru_cache(maxsize=PROMPT_MEMO_SIZE)
 def prompt_digest(digest: int, prompt: tuple[int, ...]) -> int:
-    """A completion's context digest after an uncontaminated prompt."""
-    return stable_u64("prompt", digest, *prompt)
+    """A completion's context digest after an uncontaminated prompt: ``stable_u64("prompt", digest, *prompt)``."""
+    return u64(_PROMPT + encode_int(digest) + encode_parts(prompt))
 
 
 class _PromptMemo:
@@ -151,7 +173,7 @@ class _Chain:
     chain_hash: int = 0
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: waiting.remove(req) takes this request, comparing no fields
 class SimRequest:
     rid: str
     prompt: tuple[int, ...]
@@ -680,7 +702,7 @@ class SimCore:
         """
         if index < len(req.block_hashes) and not req.contaminated and chain is req.chains[0]:
             return req.block_hashes[index]
-        return stable_u64("blk", chain.chain_hash, req.adapter, *span)
+        return block_hash(chain.chain_hash, encode(req.adapter), encode_parts(span))
 
     def _preempt(self, req: SimRequest) -> None:
         """KV exhaustion: drop this request's state and requeue it for recompute."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 
-from .hashing import canonical_json, stable_u64, stable_u64_tails
+from .hashing import canonical_json, stable_u64, stable_u64_positions
 
 DEFAULT_ADAPTER = "BASE"
 
@@ -274,7 +274,7 @@ def synthesize_prompt(shape: PromptShape, identity: str, corpus_seed: int, vocab
         raise ValueError("vocab_size must be >= 2")
     tokens = [stable_u64(corpus_seed, "prefix", i) % vocab_size for i in range(shape.prefix_len)]
     head = (corpus_seed, "suffix", identity, shape.prefix_len, shape.prompt_len)
-    tokens += [h % vocab_size for h in stable_u64_tails(head, range(shape.prompt_len - shape.prefix_len))]
+    tokens += stable_u64_positions(head, shape.prompt_len - shape.prefix_len, vocab_size)
     return tuple(tokens)
 
 

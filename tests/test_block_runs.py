@@ -490,7 +490,7 @@ def test_the_prefix_hits_past_a_stale_grab_are_adopted_as_one_run():
 
 class CutRunCore(SimCore):
     """Notes (blocks in the run, blocks allocated, "blk" hashes taken) of each stream-0 run after a
-    stale grab that is preempted inside the run; ``hashed`` counts the engine's hashes by tag."""
+    stale grab that is preempted inside the run; ``hashed["blk"]`` counts the engine's block hashes."""
 
     def __init__(self, config, hashed: Counter):
         self.hashed = hashed
@@ -511,11 +511,12 @@ class CutRunCore(SimCore):
 def test_a_run_cut_short_after_a_stale_grab_hashes_nothing_past_its_end(monkeypatch):
     hashed = Counter()
 
-    def counting(tag, *args):
-        hashed[tag] += 1
-        return stable_u64(tag, *args)
+    def counting(*args):
+        hashed["blk"] += 1
+        return block_hash(*args)
 
-    monkeypatch.setattr(engine, "stable_u64", counting)
+    block_hash = engine.block_hash
+    monkeypatch.setattr(engine, "block_hash", counting)
     machine = type("CutRunMachine", (BlockMachine,), {"faults": ARMS["f1"], "reached": set(),
                                                        "new_core": lambda self, config: CutRunCore(config, hashed)})()
     machine.start(kv_blocks=8, prefill_limit=24)

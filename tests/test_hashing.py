@@ -13,7 +13,7 @@ from enum import IntEnum
 import pytest
 
 from tracefuzz import hashing
-from tracefuzz.hashing import stable_u64, stable_u64_tails
+from tracefuzz.hashing import encode_ints, encode_parts, stable_u64, stable_u64_positions
 from tracefuzz.trace import (
     PROMPT_CACHE_SIZE,
     EventKind,
@@ -125,11 +125,29 @@ def test_shared_head_hashes_equal_stable_u64():
     rng = random.Random(2025)
     for _ in range(3000):
         head = tuple(_random_part(rng) for _ in range(rng.randrange(6)))
-        tails = [_random_part(rng) for _ in range(rng.randrange(4))]
-        assert stable_u64_tails(head, tails) == [stable_u64(*head, tail) for tail in tails], (head, tails)
-    edges = [0, N - 1, N, -1, 2**64 - 1, -(2**63), True, False, EventKind.SEND, Level.LOW, "héllo ☃", b"\xff", None]
-    assert stable_u64_tails(("suffix", 2**70), edges) == [stable_u64("suffix", 2**70, tail) for tail in edges]
-    assert stable_u64_tails((), range(3)) == [stable_u64(j) for j in range(3)]
+        count, modulus = rng.randrange(6), rng.choice([2, 1024, 5000, 2**64 + 13])
+        expected = [stable_u64(*head, i) % modulus for i in range(count)]
+        assert stable_u64_positions(head, count, modulus) == expected, (head, count, modulus)
+    # Positions past the int table take the other encoding.
+    head = ("suffix", 2**70, True, "héllo ☃", None)
+    got = stable_u64_positions(head, N + 3, 2**64)
+    assert got[N - 2 :] == [stable_u64(*head, i) for i in range(N - 2, N + 3)]
+    assert stable_u64_positions((), 3, 7) == [stable_u64(j) % 7 for j in range(3)]
+    assert stable_u64_positions(head, 0, 7) == []
+
+
+def test_encode_ints_takes_only_int_parts():
+    ints = (0, N - 1, N, -1, 2**100, Level.LOW)
+    assert encode_ints(ints) == encode_parts(ints)
+    assert len(encode_ints(ints)) == hashing.INT_WIDTH * len(ints)
+    assert encode_ints(()) == b""
+    # A 17-byte string body encodes to INT_WIDTH bytes too; only the tags tell it from an int.
+    for parts in (("x" * 17,), (1, True), (1, 2, None), (b"y" * 17, 3)):
+        assert encode_ints(parts) is None, parts
+    rng = random.Random(2026)
+    for _ in range(500):
+        parts = tuple(_random_part(rng) for _ in range(rng.randrange(6)))
+        assert hashing.u64(encode_parts(parts)) == stable_u64(*parts), parts
 
 
 @pytest.mark.parametrize("too_big", [2**135, -(2**135) - 1, 2**200])

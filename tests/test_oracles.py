@@ -1,6 +1,9 @@
 """Behavioral, stall, lifecycle, and structural oracles over synthetic and
 real execution reports."""
 
+from collections import Counter
+
+from tracefuzz import oracles
 from tracefuzz.adapter import EngineEndpoint, EngineKind, ExecutionReport, KvEvent, RequestOutcome, execute
 from tracefuzz.oracles import (
     BaselineStats,
@@ -301,6 +304,36 @@ def test_structural_flags_stale_block_adoption():
 
     clean = _exec(_stale_trace(), SimConfig())
     assert structural_forensics(clean) == []
+
+
+def test_distinct_prompt_block_hashes_build_no_span_claim(monkeypatch):
+    # A hash that seals one block has one claim and cannot conflict, so no span of its prompt is read.
+    reads = Counter()
+
+    class CountedPrompt(tuple):
+        def __iter__(self):
+            reads["iter"] += 1
+            return super().__iter__()
+
+        def __getitem__(self, key):
+            reads["getitem"] += 1
+            return super().__getitem__(key)
+
+    prompt_for = oracles.prompt_for
+    monkeypatch.setattr(oracles, "prompt_for", lambda *args: CountedPrompt(prompt_for(*args)))
+
+    distinct = _exec(TimedTrace("t~distinct", tuple(_send(f"r{i}", i, f"fam-{i}", 64 + 16 * i) for i in range(4))),
+                     SimConfig(seed=6))
+    hashes = [h for snapshot in distinct.block_snapshots.values() for _, h in snapshot if h is not None]
+    assert len(hashes) >= 4 * 4 and len(set(hashes)) == len(hashes)
+    assert structural_forensics(distinct) == []
+    assert not reads
+
+    # Two requests sharing a 32-token prefix repeat its two block hashes, whose spans are read.
+    shared = _exec(TimedTrace("t~shared", (_send("a", 0, "fam-a", 64, prefix=32), _send("b", 1, "fam-b", 64, prefix=32))),
+                   SimConfig(seed=6))
+    assert structural_forensics(shared) == []
+    assert reads
 
 
 def test_snapshot_divergence_within_one_report():

@@ -7,7 +7,7 @@ import requests
 from drift_schedules import play_schedule, run_schedule
 from tracefuzz.simulator.config import FaultFamily, FaultSpec, SimConfig
 from tracefuzz.simulator.endpoint import serve
-from tracefuzz.simulator.engine import ALL_CONDITIONS, COND_LOAD_BURST
+from tracefuzz.simulator.engine import ALL_CONDITIONS, COND_LOAD_BURST, SimRequest
 from tracefuzz.simulator.http import serve_http
 
 
@@ -381,6 +381,17 @@ def test_logprobs_wider_than_the_vocabulary_are_refused():
     assert sim.requests == {}
     rec = run_one(sim, "full", prompt(16), logprobs=8)
     assert rec.status == "completed" and len(rec.records[0][0]) == 8
+
+
+def test_a_request_queue_removes_the_request_it_is_given():
+    # Requests compare by identity: remove() takes this request, not the first one with equal fields.
+    fields = dict(rid="r", prompt=tuple(prompt(64)), adapter="BASE", max_tokens=4, n_completions=1,
+                  request_seed=0, logprobs=None, salt=0)
+    first, second = SimRequest(**fields), SimRequest(**fields)
+    queue = [first, second]
+    queue.remove(second)
+    assert len(queue) == 1 and queue[0] is first
+    assert second not in queue
 
 
 def test_cancel_and_disconnect_statuses():
