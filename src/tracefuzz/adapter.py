@@ -4,12 +4,10 @@ Two transports share one report shape: an in-process simulator driven in
 virtual time (bit-exact, used by campaigns and acceptance runs) and a
 wall-clock HTTP client for OpenAI-style completion endpoints.
 
-A report's KV state is a log of entries.  In-process it is the trace's slice
-of the simulator's log, where a KvRun stands for a run of blocks one request
-allocated or adopted at one time; over HTTP it is the engine's per-block
-stream, whose every KvEvent is a run of one.  The per-block events are built
-from the log only when something reads them; the ledger folds the log
-itself.
+A report's KV state is a log of KvRun entries on both transports: in-process
+the trace's slice of the simulator's log, over HTTP the engine's per-block
+stream read as runs of one.  The ledger folds the runs; the per-block events
+are built from them only when something reads them.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 from .trace import EventKind, RequestSpec, TimedTrace, group_key, parse_prompt, prompt_for, render_prompt
@@ -82,22 +80,29 @@ _KV_EVENT = repeat(KvEvent)
 
 
 class KvRun(NamedTuple):
-    """One log entry for a run of blocks that one request allocated or adopted at one time.
+    """One KV log entry: a run of blocks that one request allocated, adopted or released at one time.
 
-    ``kind`` is "alloc" or "prefix_hit", and the run holds at least one
-    block and no block twice.  ``evicted`` holds, for the last ``len(evicted)`` blocks of an
-    alloc run, the (hash, (owner, adapter)) of the block each one evicted;
-    its id is the id of the block allocated in its place.  The lists are
-    never changed once logged.
+    ``kind`` is one of KV_EVENT_KINDS, and the run holds at least one block
+    and no block twice; each block reads as the event (ts_ms, kind, its id,
+    its hash, owner, adapter).  ``evicted`` is empty but on an "alloc" run,
+    where it holds, for the last ``len(evicted)`` blocks, the (hash, (owner,
+    adapter)) of the block each one evicted; its id is the id of the block
+    allocated in its place.  The sequences are never changed once logged.
     """
 
     ts_ms: int
     kind: str
-    block_ids: list
-    block_hashes: list
+    block_ids: list | tuple
+    block_hashes: list | tuple
     owner_request_id: str
     adapter: str
     evicted: list | tuple
+
+    @staticmethod
+    def of(event: KvEvent) -> "KvRun":
+        """The run of one that holds ``event``."""
+        ts, kind, block, block_hash, owner, adapter = event
+        return KvRun(ts, kind, (block,), (block_hash,), owner, adapter, ())
 
     def events(self) -> list[KvEvent]:
         """The run's per-block events, each eviction before the allocation it makes room for."""
@@ -113,33 +118,19 @@ class KvRun(NamedTuple):
 
 
 def kv_events_of(log) -> list[KvEvent]:
-    """The per-block events of a KV log, in order; a KvEvent in the log is a run of one."""
-    events: list[KvEvent] = []
-    for entry in log:
-        if type(entry) is KvRun:
-            events += entry.events()
-        else:
-            events.append(entry)
-    return events
-
-
-def _alloc_event(entry, block: int) -> KvEvent:
-    """The alloc event of ``block`` in the log entry that last allocated it."""
-    if type(entry) is not KvRun:
-        return entry
-    block_hash = entry.block_hashes[entry.block_ids.index(block)]
-    return KvEvent(entry.ts_ms, "alloc", block, block_hash, entry.owner_request_id, entry.adapter)
+    """The per-block events of a KV log, in order."""
+    return list(chain.from_iterable(map(KvRun.events, log)))
 
 
 @dataclass(frozen=True)
 class KvLedger:
     """What telemetry, novelty and the KV oracles read off one KV log.
 
-    Built by a single fold over the log's entries, a KvEvent folding as a run
-    of one; the held blocks, which only the leak check reads, by a walk of
-    the per-block events on first read.  The fold gives what a walk of the
-    per-block events would: a run of n >= 2 blocks adds its kind to the kind
-    sequence twice, which leaves its kinds and bigrams as they were, and an
+    Built by one fold over the log's runs, and the held blocks, which only the
+    leak check reads, by a second on first read.  Both give what a walk of
+    the per-block events would: a run's blocks are distinct, so each is held
+    or released alone; a run of n >= 2 blocks adds its kind to the kind
+    sequence twice, which leaves its kinds and bigrams as they were; and an
     evicting tail adds (evict, alloc) for up to two of its blocks.  An alloc
     over a block that is still live leaves both allocators holding it; a
     release drops every holder; an adoption by a request other than the
@@ -161,14 +152,10 @@ class KvLedger:
         held = peak = last_ts = 0
         kinds: list[str] = []
         alloc_ts: list[int] = []
-        latest_alloc: dict = {}  # block -> the entry of its most recent alloc, until released
+        latest_alloc: dict = {}  # block -> the run of its most recent alloc, until released
         cross_adapter = []
-        for entry in log:
-            if type(entry) is KvRun:
-                ts, kind, ids, hashes, owner, adapter, evicted = entry
-            else:
-                ts, kind, block, block_hash, owner, adapter = entry
-                ids, hashes, evicted = (block,), (block_hash,), ()
+        for run in log:
+            ts, kind, ids, hashes, owner, adapter, evicted = run
             if ts > last_ts:
                 last_ts = ts
             if kind == "alloc":
@@ -184,7 +171,7 @@ class KvLedger:
                     peak = held
                 alloc_ts += (ts,) * len(ids)
                 for block in ids:
-                    latest_alloc[block] = entry
+                    latest_alloc[block] = run
                 continue
             kinds.append(kind)
             if len(ids) > 1:
@@ -197,8 +184,9 @@ class KvLedger:
                 for block, block_hash in zip(ids, hashes):
                     alloc = latest_alloc.get(block)
                     if alloc is not None and alloc.adapter != adapter:
-                        adopt = KvEvent(ts, kind, block, block_hash, owner, adapter)
-                        cross_adapter.append((_alloc_event(alloc, block), adopt))
+                        alloc_hash = alloc.block_hashes[alloc.block_ids.index(block)]
+                        alloc_event = KvEvent(alloc.ts_ms, "alloc", block, alloc_hash, alloc.owner_request_id, alloc.adapter)
+                        cross_adapter.append((alloc_event, KvEvent(ts, kind, block, block_hash, owner, adapter)))
         return KvLedger(
             peak_held=peak,
             kinds=frozenset(kinds),
@@ -211,18 +199,24 @@ class KvLedger:
 
     @cached_property
     def held_blocks(self) -> dict:
-        """Allocator -> frozenset of the block ids it still holds, walked from the per-block events on first read."""
+        """Allocator -> frozenset of the block ids it still holds, folded from the log's runs on first read."""
         latest_owner: dict[int, str] = {}  # block -> its most recent allocator, until released
         holders: dict[int, set[str]] = {}
-        for _, kind, block, _, owner, _ in kv_events_of(self.log):
+        for _, kind, ids, _, owner, _, evicted in self.log:
             if kind == "alloc":
-                latest_owner[block] = owner
-                holders.setdefault(block, set()).add(owner)
+                for block in islice(ids, len(ids) - len(evicted), None):  # its eviction drops every holder
+                    holders.pop(block, None)
+                for block in ids:
+                    latest_owner[block] = owner
+                    holders.setdefault(block, set()).add(owner)
             elif kind in KV_RELEASE_KINDS:
-                latest_owner.pop(block, None)
-                holders.pop(block, None)
-            elif kind in KV_ADOPTION_KINDS and latest_owner.get(block, owner) != owner:
-                holders.pop(block, None)
+                for block in ids:
+                    latest_owner.pop(block, None)
+                    holders.pop(block, None)
+            elif kind in KV_ADOPTION_KINDS:
+                for block in ids:
+                    if latest_owner.get(block, owner) != owner:
+                        holders.pop(block, None)
         by_owner: dict[str, set[int]] = {}
         for block, owners in holders.items():
             for owner in owners:
@@ -260,8 +254,8 @@ class ExecutionReport:
     trace: TimedTrace
     corpus_seed: int
     outcomes: dict[str, RequestOutcome]
-    kv_log: tuple | None = ()  # KvRun and KvEvent entries; None when the engine serves no KV stream
-    crash_evidence: dict | None = None  # None unless the engine crashed
+    kv_log: tuple | None = ()  # KvRun entries; None when the engine serves no KV stream
+    crash_evidence: dict | None = None  # None unless the engine crashed; then it always holds a "signature"
     wall_clock_span_ms: int = 0
     block_snapshots: dict = field(default_factory=dict)
     engine_info: dict = field(default_factory=dict)
@@ -359,9 +353,10 @@ def reset_server(endpoint: EngineEndpoint) -> None:
     resp.raise_for_status()
 
 
-def collect_kv_stream(endpoint: EngineEndpoint, since, epoch_ms) -> tuple[KvEvent, ...] | None:
-    """The endpoint's KV events from index ``since`` on, restamped from its clock at ``epoch_ms``; None when it
-    serves none, when either value is not a non-negative int, or when a line is not an event from ``epoch_ms`` on."""
+def collect_kv_stream(endpoint: EngineEndpoint, since, epoch_ms) -> tuple[KvRun, ...] | None:
+    """The endpoint's KV events from index ``since`` on, each a run of one, restamped from its clock at
+    ``epoch_ms``; None when it serves none, when either value is not a non-negative int, or when a line is
+    not an event from ``epoch_ms`` on."""
     import requests
 
     if not all(type(value) is int and value >= 0 for value in (since, epoch_ms)):
@@ -376,7 +371,7 @@ def collect_kv_stream(endpoint: EngineEndpoint, since, epoch_ms) -> tuple[KvEven
         return None
     if any(event.ts_ms < epoch_ms for event in events):
         return None
-    return tuple(event._replace(ts_ms=event.ts_ms - epoch_ms) for event in events)
+    return tuple(KvRun.of(event._replace(ts_ms=event.ts_ms - epoch_ms)) for event in events)
 
 
 def engine_info(endpoint: EngineEndpoint) -> dict:
@@ -650,7 +645,7 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
         if rid not in reported:
             reported[rid] = RequestOutcome(request_id=rid, status="timeout", dispatched_ms=event.offset_ms, error="no response")
 
-    kv_log = collect_kv_stream(endpoint, kv_since, kv_epoch_ms)  # per-block events: each a run of one
+    kv_log = collect_kv_stream(endpoint, kv_since, kv_epoch_ms)
     crashed = check_health(endpoint) is None
     return ExecutionReport(
         trace=trace,

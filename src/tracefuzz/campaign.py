@@ -147,7 +147,7 @@ def novelty(report, seen: set[str]) -> set[str]:
     markers.update(f"kv-kind:{kind}" for kind in ledger.kinds)
     markers.update(f"kv-2gram:{a}>{b}" for a, b in ledger.bigrams)
     if report.server_crashed:
-        markers.add(f"crash:{report.crash_evidence.get('signature', 'unknown')}")
+        markers.add(f"crash:{report.crash_evidence['signature']}")
     return markers - seen
 
 

@@ -156,7 +156,7 @@ def behavioral_check(report, baseline: BaselineStats, thresholds: OracleThreshol
     suspicions: list[Suspicion] = []
     if report.server_crashed:
         evidence = dict(report.crash_evidence)
-        signature = {"signature": evidence.get("signature", "connection-lost")}
+        signature = {"signature": evidence["signature"]}
         suspicions.append(Suspicion.create(SuspicionKind.CRASH, report.trace_id, signature, evidence))
 
     vocab = report.engine_info.get("vocab_size")
@@ -226,12 +226,11 @@ def _kv_leak_check(report, thresholds: OracleThresholds) -> list[Suspicion]:
             continue
         if report.wall_clock_span_ms - report.outcomes[rid].end_ms < thresholds.kv_leak_grace_ms:
             continue  # still within the post-teardown grace window
-        spec = report.request_index.get(rid)
         out.append(
             Suspicion.create(
                 SuspicionKind.KV_LEAK,
                 report.trace_id,
-                {"adapter": spec.adapter if spec else "unknown"},
+                {"adapter": report.request_index[rid].adapter},
                 {"request_ids": [rid], "leaked_blocks": sorted(leaked)},
             )
         )

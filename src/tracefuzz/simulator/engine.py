@@ -32,16 +32,15 @@ are allocated as one run; a run of one block, which every decode block is,
 takes a direct path that builds no lists.  An admission adopts the cached
 blocks of its prompt's leading hashes as one run, up to the first miss, and
 after a stale grab the blocks past it the same way; a completed request
-releases each chain as one run.  The KV log, ``kv_log``, holds one KvRun per
-multi-block alloc run (with the blocks its evicting tail evicted) and per
-prefix-hit run, and one KvEvent per other block: a one-block allocation and
-its eviction, a teardown's frees and a stale grab's reuse.  ``kv_events`` is
-the log's per-block view, in which each eviction comes before the
-allocation it makes room for; it is built only when read, and each read
-expands only the entries logged since the last one.  The pool (blocks.py)
-holds a block as one slot of per-field lists indexed by its id, so a
-teardown and a stale grab's liveness test read a block's owner and ref count
-from those lists.  A core keeps one pool, and reset() clears it in place.
+releases each chain as one run.  Every entry of the KV log, ``kv_log``, is a
+KvRun: an alloc run with the blocks its evicting tail evicted, a prefix-hit
+run, a teardown's frees, and a stale grab's reuse as a run of one.  The log's
+per-block view, ``kv_events``, puts each eviction before the allocation it
+makes room for; it is built only when read, and each read expands only the
+entries logged since the last one.  The pool (blocks.py) holds a block as
+one slot of per-field lists indexed by its id, so a teardown and a stale
+grab's liveness test read a block's owner and ref count from those lists.
+A core keeps one pool, and reset() clears it in place.
 """
 
 from __future__ import annotations
@@ -227,7 +226,7 @@ class SimCore:
         self.requests: dict[str, SimRequest] = {}
         self.loaded_adapters: set[str] = {"BASE"}
         self.loading: dict[str, int] = {}  # adapter -> ready tick
-        self.kv_log: list[KvRun | KvEvent] = []
+        self.kv_log: list[KvRun] = []
         self._kv_events: list[KvEvent] = []  # the per-block view of the log's first _kv_expanded entries
         self._kv_expanded = 0
         self.snapshots: dict[str, list] = {}
@@ -266,7 +265,12 @@ class SimCore:
         if not prompt:
             # Prefill computes at least the final prompt token.
             return "empty prompt"
-        n_completions = max(1, n_completions)
+        if max_tokens < 1:
+            return f"max_tokens must be at least 1, got {max_tokens}"
+        if n_completions < 1:
+            return f"n must be at least 1, got {n_completions}"
+        if logprobs is not None and logprobs < 0:
+            return f"logprobs must not be negative, got {logprobs}"
         # Stream 0 holds the prompt and its decode tokens, every other stream
         # its decode tokens.  A request that cannot fit an empty pool would be
         # preempted and re-admitted forever.
@@ -494,7 +498,7 @@ class SimCore:
                 for j in range(block)
             )
             effective = req.prompt[:pos] + contaminated_span + req.prompt[pos + block :]
-            self._emit("reuse", grab_block, grab_hash, req.rid, req.adapter)
+            self.kv_log.append(_NEW(KvRun, (self.clock_ms, "reuse", (grab_block,), (grab_hash,), req.rid, req.adapter, ())))
             pos += block
             # The grab changes every later hash: they are hashed one at a time, up to the first miss.
             count = limit - len(chain0.blocks)
@@ -647,18 +651,17 @@ class SimCore:
 
     def _allocate_block(self, req: SimRequest, chain: _Chain, content_hash: int | None) -> bool:
         """Append one new block to the chain, sealed under ``content_hash`` unless None; False if
-        ``req`` was preempted.  A block's eviction is logged before its allocation."""
+        ``req`` was preempted.  The block is logged as an alloc run of one, with the block it evicted."""
         allocated = self.blocks.allocate((req.rid, req.adapter), content_hash)
         if allocated is None:
             self._preempt(req)
             return False
         block_id, victim = allocated
-        ts = self.clock_ms
+        evicted = ()
         if victim is not None:
             self._evictions_this_tick += 1
-            victim_hash, (owner, adapter) = victim
-            self.kv_log.append(_NEW(KvEvent, (ts, "evict", block_id, victim_hash, owner, adapter)))
-        self.kv_log.append(_NEW(KvEvent, (ts, "alloc", block_id, content_hash, req.rid, req.adapter)))
+            evicted = (victim,)
+        self.kv_log.append(_NEW(KvRun, (self.clock_ms, "alloc", (block_id,), (content_hash,), req.rid, req.adapter, evicted)))
         chain.blocks.append(block_id)
         chain.hashes.append(content_hash)
         if content_hash is not None:
@@ -721,7 +724,8 @@ class SimCore:
     def _release_blocks(self, req: SimRequest, teardown: bool) -> None:
         """Unpin every block the request's chains hold, each chain as one run.
 
-        Teardown goes block by block: it frees the blocks the request allocated and alone holds.
+        Teardown goes block by block: it frees the blocks the request allocated and alone holds,
+        logged as one free run in the order they were freed.
         """
         manager = self.blocks
         if not teardown:
@@ -729,13 +733,16 @@ class SimCore:
                 manager.release(chain.blocks)
             return
         owner, ref_count = manager.owner, manager.ref_count
+        freed, freed_hashes = [], []
         for chain in req.chains:
             for block_id in chain.blocks:
                 if ref_count[block_id] == 1 and owner[block_id][0] == req.rid:
-                    content_hash, _ = manager.drop(block_id)
-                    self._emit("free", block_id, content_hash, req.rid, req.adapter)
+                    freed.append(block_id)
+                    freed_hashes.append(manager.drop(block_id)[0])
                 else:
                     manager.release((block_id,))
+        if freed:
+            self.kv_log.append(_NEW(KvRun, (self.clock_ms, "free", freed, freed_hashes, req.rid, req.adapter, ())))
 
     def _finish(self, req: SimRequest, status: str, teardown: bool) -> None:
         # Built once and shared by every report that holds it; nothing mutates a snapshot.
@@ -748,6 +755,3 @@ class SimCore:
             self.waiting.remove(req)
         if req in self.running:
             self.running.remove(req)
-
-    def _emit(self, kind: str, block_id: int, block_hash, owner: str, adapter: str) -> None:
-        self.kv_log.append(KvEvent(self.clock_ms, kind, block_id, block_hash, owner, adapter))

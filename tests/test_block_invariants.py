@@ -4,7 +4,9 @@ A Hypothesis ``RuleBasedStateMachine`` drives one ``SimCore`` through
 submit, same-tick bursts of shared-prefix prompts, cancel, disconnect,
 expire, advance and reset, on small pools: blocks of 4 tokens, 6 to 64 of
 them.  After every rule ``check_invariants`` holds the core to its block
-accounting, read from the pool's per-slot lists.  Four arms run it: a clean
+accounting, read from the pool's per-slot lists, and to its KV log: no run
+lists a block twice, and the runs fold to the held blocks the per-block
+events do.  Four arms run it: a clean
 engine, and engines with stale KV reuse (F1), an engine stall (F2) and
 adapter drift (F3) armed at low knobs.  F1 may break one rule only, the
 stream-0 prompt hashes of the requests it contaminates; the accounting holds
@@ -21,7 +23,7 @@ from typing import NamedTuple
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule, run_state_machine_as_test
 
-from tracefuzz.adapter import KvLedger
+from tracefuzz.adapter import KvLedger, KvRun
 from tracefuzz.hashing import stable_u64
 from tracefuzz.simulator.config import FaultFamily, FaultSpec, SimConfig
 from tracefuzz.simulator.engine import WAITING, SimCore
@@ -91,9 +93,11 @@ def check_invariants(core: SimCore) -> None:
     queued = [req.rid for req in core.waiting + core.running]
     assert sorted(queued) == sorted(req.rid for req in unfinished), "queues must hold exactly the unfinished requests"
 
+    assert all(len(set(run.block_ids)) == len(run.block_ids) for run in core.kv_log), "a run lists a block twice"
     aborted = [rid for rid, req in core.requests.items() if req.status in ABORTED]
     if aborted:
-        held = KvLedger.of(core.kv_events).held_blocks
+        held = KvLedger.of(map(KvRun.of, core.kv_events)).held_blocks
+        assert KvLedger.of(core.kv_log).held_blocks == held, "the fold over the runs must hold what the events do"
         for rid in aborted:
             assert not held.get(rid), f"{core.requests[rid].status} request {rid} still holds {sorted(held[rid])}"
     for req in core.requests.values():

@@ -41,6 +41,7 @@ from hypothesis.stateful import invariant, run_state_machine_as_test
 
 import tracefuzz.simulator.engine as engine
 from test_block_invariants import ARM_BUDGET, ARMS, BlockMachine, HeldBlock, free_ids, held_blocks, tokens
+from tracefuzz.adapter import KvEvent, KvRun
 from tracefuzz.hashing import stable_u64
 from tracefuzz.simulator.blocks import BlockManager
 from tracefuzz.simulator.config import SimConfig
@@ -125,7 +126,7 @@ class BlockAtATimeManager:
 
 class BlockAtATimeCore(SimCore):
     """The core as it handled blocks before runs, over the dict manager; the six methods after
-    ``__init__`` are verbatim."""
+    ``__init__`` are verbatim, and ``_emit`` logs each block's event as a run of one."""
 
     def __init__(self, config):
         super().__init__(config)
@@ -279,6 +280,10 @@ class BlockAtATimeCore(SimCore):
                     self._emit("free", block_id, block.content_hash, req.rid, req.adapter)
                 else:
                     self.blocks.unpin(block_id)
+
+    def _emit(self, kind: str, block_id: int, block_hash, owner: str, adapter: str) -> None:
+        """Log one block's event, as a run of one."""
+        self.kv_log.append(KvRun.of(KvEvent(self.clock_ms, kind, block_id, block_hash, owner, adapter)))
 
 
 class ProbedManager(BlockManager):

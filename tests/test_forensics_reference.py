@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from hypothesis import example, given, settings, strategies as st
 
-from tracefuzz.adapter import KV_EVENT_KINDS, EngineEndpoint, EngineKind, ExecutionReport, KvEvent, KvLedger, execute
+from tracefuzz.adapter import KV_EVENT_KINDS, EngineEndpoint, EngineKind, ExecutionReport, KvEvent, KvLedger, KvRun, execute
 from tracefuzz.oracles import Suspicion, SuspicionKind, _merge, _snapshot_signature, structural_forensics
 from tracefuzz.simulator.endpoint import serve
 from tracefuzz.trace import PromptShape, RequestSpec, SamplingConfig, TimedTrace, TraceEvent, prompt_for
@@ -236,7 +236,7 @@ def test_ledger_matches_the_reference_pass(events):
     # The held blocks are walked on first read, from the stream as it stood
     # when the ledger was built, however the caller's list grew since.
     stream = list(events)
-    ledger = KvLedger.of(stream)
+    ledger = KvLedger.of(map(KvRun.of, stream))
     stream.append(kv_event(99, "free", 0, "a", "BASE", None))
     assert ledger_fields(ledger) == reference_ledger(events)
 

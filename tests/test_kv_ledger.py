@@ -10,7 +10,7 @@ import math
 
 from hypothesis import example, given, settings, strategies as st
 
-from tracefuzz.adapter import KV_EVENT_KINDS, ExecutionReport, KvEvent, KvLedger
+from tracefuzz.adapter import KV_EVENT_KINDS, ExecutionReport, KvEvent, KvLedger, KvRun
 from tracefuzz.campaign import novelty
 from tracefuzz.oracles import OracleThresholds, Suspicion, SuspicionKind, _kv_leak_check, _merge, structural_forensics
 from tracefuzz.telemetry import TelemetrySummary, compute_telemetry
@@ -215,7 +215,7 @@ def reports(draw):
         trace=sends(outcomes, [spec_of(o.request_id, adapter=draw(st.sampled_from(ADAPTERS))) for o in outcomes]),
         corpus_seed=0,
         outcomes={o.request_id: o for o in outcomes},
-        kv_log=draw(st.one_of(st.none(), kv_events.map(tuple))),  # None: the engine serves no stream
+        kv_log=draw(st.one_of(st.none(), kv_events.map(lambda events: tuple(map(KvRun.of, events))))),  # None: the engine serves no stream
         wall_clock_span_ms=draw(st.integers(0, 3_000)),
         engine_info={"engine": "tracefuzz-sim", "vocab_size": 1024},
     )
@@ -227,7 +227,7 @@ def _report(events, statuses=("cancelled", "cancelled", "completed"), span=3_000
         trace=sends(outcomes, [spec_of(o.request_id) for o in outcomes]),
         corpus_seed=0,
         outcomes={o.request_id: o for o in outcomes},
-        kv_log=tuple(events),
+        kv_log=tuple(map(KvRun.of, events)),
         wall_clock_span_ms=span,
         engine_info={"engine": "tracefuzz-sim", "vocab_size": 1024},
     )
@@ -251,28 +251,28 @@ def test_ledger_consumers_match_the_reference_walks(report, window_ms, grace_ms)
 
 def test_realloc_of_a_live_block_leaves_both_allocators_holding_it():
     events = [ev(1, "alloc", 0, "a"), ev(2, "alloc", 0, "b")]
-    assert KvLedger.of(events).held_blocks == {"a": frozenset({0}), "b": frozenset({0})}
-    assert KvLedger.of(events + [ev(3, "evict", 0, "b")]).held_blocks == {}
+    assert KvLedger.of(map(KvRun.of, events)).held_blocks == {"a": frozenset({0}), "b": frozenset({0})}
+    assert KvLedger.of(map(KvRun.of, events + [ev(3, "evict", 0, "b")])).held_blocks == {}
     # The latest allocator re-reading its block adopts nothing; anyone else does.
-    assert KvLedger.of(events + [ev(3, "prefix_hit", 0, "b")]).held_blocks == {"a": frozenset({0}), "b": frozenset({0})}
-    assert KvLedger.of(events + [ev(3, "prefix_hit", 0, "a")]).held_blocks == {}
+    assert KvLedger.of(map(KvRun.of, events + [ev(3, "prefix_hit", 0, "b")])).held_blocks == {"a": frozenset({0}), "b": frozenset({0})}
+    assert KvLedger.of(map(KvRun.of, events + [ev(3, "prefix_hit", 0, "a")])).held_blocks == {}
 
 
 def test_release_of_an_unknown_block_only_moves_the_counter():
-    ledger = KvLedger.of([ev(1, "free", 9, "a"), ev(2, "alloc", 1, "a"), ev(3, "alloc", 2, "a")])
+    ledger = KvLedger.of(map(KvRun.of, [ev(1, "free", 9, "a"), ev(2, "alloc", 1, "a"), ev(3, "alloc", 2, "a")]))
     assert ledger.peak_held == 1  # the stray free left the counter at -1
     assert ledger.held_blocks == {"a": frozenset({1, 2})}
 
 
 def test_self_adoption_is_not_an_adoption_but_can_cross_adapters():
-    ledger = KvLedger.of([ev(1, "alloc", 4, "a", "BASE"), ev(2, "reuse", 4, "a", "lora_a")])
+    ledger = KvLedger.of(map(KvRun.of, [ev(1, "alloc", 4, "a", "BASE"), ev(2, "reuse", 4, "a", "lora_a")]))
     assert ledger.held_blocks == {"a": frozenset({4})}
     ((alloc, adopt),) = ledger.cross_adapter
     assert (alloc.ts_ms, adopt.ts_ms) == (1, 2)
 
 
 def test_hit_on_a_block_with_no_known_allocator_is_ignored():
-    ledger = KvLedger.of([ev(1, "prefix_hit", 7, "c", "lora_a"), ev(2, "alloc", 7, "a")])
+    ledger = KvLedger.of(map(KvRun.of, [ev(1, "prefix_hit", 7, "c", "lora_a"), ev(2, "alloc", 7, "a")]))
     assert ledger.cross_adapter == ()
     assert ledger.held_blocks == {"a": frozenset({7})}
     assert ledger.kinds == {"prefix_hit", "alloc"}
@@ -280,7 +280,7 @@ def test_hit_on_a_block_with_no_known_allocator_is_ignored():
 
 
 def test_ledger_reads_unsorted_timestamps_as_given():
-    ledger = KvLedger.of([ev(900, "alloc", 0, "a"), ev(30, "alloc", 1, "a"), ev(400, "free", 0, "a")])
+    ledger = KvLedger.of(map(KvRun.of, [ev(900, "alloc", 0, "a"), ev(30, "alloc", 1, "a"), ev(400, "free", 0, "a")]))
     assert ledger.alloc_ts == (900, 30)
     assert ledger.last_ts_ms == 900
     assert KvLedger.of([]).last_ts_ms == 0

@@ -4,7 +4,7 @@ real execution reports."""
 from collections import Counter
 
 from tracefuzz import oracles
-from tracefuzz.adapter import EngineEndpoint, EngineKind, ExecutionReport, KvEvent, RequestOutcome, execute
+from tracefuzz.adapter import EngineEndpoint, EngineKind, ExecutionReport, KvEvent, KvRun, RequestOutcome, execute
 from tracefuzz.oracles import (
     BaselineStats,
     OracleThresholds,
@@ -57,7 +57,7 @@ def report_of(outcomes, *, trace_id="t~synth", controls=(), kv_events=(), eviden
         trace=TimedTrace(trace_id, sends + tuple(controls)),
         corpus_seed=0,
         outcomes={o.request_id: o for o in outcomes},
-        kv_log=tuple(kv_events),
+        kv_log=tuple(map(KvRun.of, kv_events)),
         crash_evidence=evidence,
         wall_clock_span_ms=span if span is not None else max(ends),
         block_snapshots={},

@@ -15,6 +15,7 @@ from collections import Counter
 
 from hypothesis import example, given, settings, strategies as st
 
+from tracefuzz.adapter import KvEvent, KvRun
 from tracefuzz.hashing import stable_u64
 from tracefuzz.simulator.config import FaultFamily, FaultSpec, SimConfig
 from tracefuzz.simulator.decode import init_digest
@@ -23,7 +24,14 @@ from tracefuzz.simulator.engine import PROMPT_MEMO_SIZE, SimCore, _Chain, prompt
 F1 = (FaultSpec(FaultFamily.STALE_KV_REUSE, occupancy_threshold=0.3),)
 
 
-class DirectCore(SimCore):
+class PerBlockLog:
+    """``_emit``, with which the memo-free walk logs each block's event, as a run of one."""
+
+    def _emit(self, kind: str, block_id: int, block_hash, owner: str, adapter: str) -> None:
+        self.kv_log.append(KvRun.of(KvEvent(self.clock_ms, kind, block_id, block_hash, owner, adapter)))
+
+
+class DirectCore(PerBlockLog, SimCore):
     """The core as it hashed before the memos: every block and digest hashed directly.
 
     ``_init_request`` is the memo-free version, verbatim but for reading the

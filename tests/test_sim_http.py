@@ -117,6 +117,10 @@ def test_completion_bodies_the_engine_cannot_take_are_refused():
         {"prompt": words, "logprobs": "9"},
         {"prompt": words, "seed": 1.5},
         {"prompt": words, "model": 3},
+        {"prompt": words, "max_tokens": 0},  # settings no trace can express: no token, no stream, no ladder
+        {"prompt": words, "max_tokens": -5},
+        {"prompt": words, "n": 0},
+        {"prompt": words, "logprobs": -3},
         {"prompt": "not token words"},
         {"prompt": [1, "2"]},
         {"prompt": ""},

@@ -383,6 +383,19 @@ def test_logprobs_wider_than_the_vocabulary_are_refused():
     assert rec.status == "completed" and len(rec.records[0][0]) == 8
 
 
+@pytest.mark.parametrize("max_tokens, n, logprobs, refused", [
+    (0, 1, None, "max_tokens"), (-5, 1, None, "max_tokens"), (2, 0, None, "n "), (2, -1, None, "n "),
+    (2, 1, -3, "logprobs"),
+])
+def test_completion_settings_no_trace_can_express_are_refused(max_tokens, n, logprobs, refused):
+    # No token, no stream and a negative ladder width are refused, not clamped or served.
+    sim = serve(SimConfig())
+    err = sim.submit("r", prompt(16), "BASE", max_tokens, n, 0, logprobs, 0)
+    assert err is not None and err.startswith(refused)
+    assert sim.requests == {} and sim.waiting == []
+    assert run_one(sim, "ok", prompt(16), max_tokens=1, logprobs=0).records == [[]]
+
+
 def test_a_request_queue_removes_the_request_it_is_given():
     # Requests compare by identity: remove() takes this request, not the first one with equal fields.
     fields = dict(rid="r", prompt=tuple(prompt(64)), adapter="BASE", max_tokens=4, n_completions=1,
