@@ -107,6 +107,12 @@ class KvRun(NamedTuple):
     def events(self) -> list[KvEvent]:
         """The run's per-block events, each eviction before the allocation it makes room for."""
         ts, kind, ids, hashes, owner, adapter, evicted = self
+        if len(ids) == 1:  # most runs: built directly, without the iterators a longer run pays for
+            event = _NEW(KvEvent, (ts, kind, ids[0], hashes[0], owner, adapter))
+            if not evicted:
+                return [event]
+            ((victim_hash, (victim_owner, victim_adapter)),) = evicted
+            return [_NEW(KvEvent, (ts, "evict", ids[0], victim_hash, victim_owner, victim_adapter)), event]
         events = map(_NEW, _KV_EVENT, zip(repeat(ts), repeat(kind), ids, hashes, repeat(owner), repeat(adapter)))
         if not evicted:
             return list(events)
@@ -454,7 +460,8 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
             aborted.setdefault(event.target, core.clock_ms - epoch)
         # Wait events are pure schedule spacing; nothing to dispatch.
 
-    # Drain: run until every dispatched request is terminal or times out.
+    # Drain: run until every dispatched request is terminal or times out, a
+    # quiet stretch at a time but never past the tick of the next deadline.
     timeout = endpoint.request_timeout_ms
     while not core.crashed:
         in_flight = core.in_flight()
@@ -463,7 +470,7 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
             core.expire(rid)
         if len(overdue) == len(in_flight):
             break
-        core.step()
+        core.advance(min(dispatched.get(req.rid, 0) for req in in_flight if not req.done) + timeout)
 
     for rid, sent_at in dispatched.items():
         req = core.requests[rid]

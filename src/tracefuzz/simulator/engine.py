@@ -1,9 +1,15 @@
 """Continuous-batching scheduler core with injectable serving faults.
 
 Virtual time only: one step() call advances the clock by tick_ms (plus any
-injected engine-loop descheduling), and advance_to() skips idle stretches in
-one move.  All state transitions are pure functions of the submission
-sequence and the config, so identical schedules replay bit-identically.
+injected engine-loop descheduling).  advance() runs the next tick, or the
+quiet stretch that starts there in one move: ticks in which every running
+request only decodes, with nothing waiting or loading, no block opened or
+sealed and no request finishing.  Each completion then reads its next
+tokens from the decode memo as one slice, and an idle stretch is the case
+with nothing running.  advance_to() and the adapter's drain both advance a
+stretch at a time.  All state transitions are pure functions of the
+submission sequence and the config, so identical schedules replay
+bit-identically.
 
 Decode steps are memoized per core.  A completion's stream is fixed by its
 context digest after the prompt (a stale grab's contaminated digest
@@ -326,42 +332,45 @@ class SimCore:
     # Tick loop
 
     def advance_to(self, clock_ms) -> None:
-        """Run ticks until the clock reaches ``clock_ms`` or the engine crashes.
-
-        While nothing is waiting, running or loading and no drift crash is
-        pending, a tick can stall, load, admit or emit nothing and leaves the
-        engine idle, so every later tick repeats its drift mask and invariant
-        check.  Such an idle stretch steps its first tick and jumps the rest.
-        A non-int clock or tick keeps stepping: repeated float additions are
-        not one multiplication.
-        """
-        tick_ms = self.config.tick_ms
+        """Run ticks until the clock reaches ``clock_ms`` or the engine crashes, each quiet stretch in one move."""
         while self.clock_ms < clock_ms and not self.crashed:
-            idle = not (self.waiting or self.running or self.loading) and self._drift_fire_tick is None
+            self.advance(clock_ms)
+
+    def advance(self, clock_ms) -> None:
+        """Run the next tick, or the quiet stretch that starts here up to the first tick that reaches ``clock_ms``.
+
+        A quiet tick only decodes: nothing is waiting or loading, no drift
+        crash is pending, the scheduler invariant holds, and each running
+        request decodes a token per completion within the batch budget, opens
+        and seals no block and does not reach max_tokens.  Over such a stretch
+        the in-flight set, the stall, the pool and so the drift mask stay as
+        they are, so every tick repeats the first one's stall, mask and
+        invariant check, and each completion's tokens are the next slice of
+        its stream.  An idle stretch is the case with nothing running.  A
+        non-int clock or tick keeps stepping: repeated float additions are not
+        one multiplication.
+        """
+        ticks = self._quiet_ticks(clock_ms)
+        if ticks > 0:
+            self._run_quiet(ticks)
+        else:
             self.step()
-            exact = type(self.clock_ms) is int and type(tick_ms) is int
-            if idle and exact and not self.crashed and self.clock_ms < clock_ms:
-                ticks = -((self.clock_ms - math.ceil(clock_ms)) // tick_ms)
-                self.clock_ms += ticks * tick_ms
-                self.tick += ticks
 
     def step(self) -> None:
         if self.crashed:
             return
         cfg = self.config
-        if self._f2 is not None and any(
-            r.n_completions >= self._f2.n_completions_threshold for r in self.in_flight()
-        ):
-            # Engine loop descheduled: wall time passes, no request progresses.
-            self.clock_ms += self._f2.stall_ms
+        if self._f2 is not None:
+            self.clock_ms += self._stall_ms()
         self.clock_ms += cfg.tick_ms
         self.tick += 1
         self._evictions_this_tick = 0
         self._admitted_this_tick = []
 
-        for adapter in [a for a, ready in self.loading.items() if self.tick >= ready]:
-            del self.loading[adapter]
-            self.loaded_adapters.add(adapter)
+        if self.loading:
+            for adapter in [a for a, ready in self.loading.items() if self.tick >= ready]:
+                del self.loading[adapter]
+                self.loaded_adapters.add(adapter)
 
         if self._f3 is not None:
             self._evaluate_drift_conditions(self._f3)
@@ -376,11 +385,69 @@ class SimCore:
         budget = cfg.max_batch_tokens
         budget = self._decode_phase(budget)
         budget = self._prefill_phase(budget)
-        self._admission_phase(budget)
-        self._check_scheduler_invariants()
+        if self.waiting:
+            self._admission_phase(budget)
+        # In a drift window the buggy path has disabled its own check.
+        if self._drift_fire_tick is None and not self._invariant_holds():
+            self._crash("scheduler-invariant", "internal scheduler invariant violated outside a drift window")
+
+    def _quiet_ticks(self, clock_ms) -> int:
+        """How many ticks from here are quiet, up to the first that reaches ``clock_ms``; at most 0 if the next is not."""
+        if self.waiting or self.loading or self._drift_fire_tick is not None:
+            return 0
+        cfg = self.config
+        last = cfg.block_size_tokens - 1  # a token at this fill seals the block
+        ticks, cost = math.inf, 0
+        for req in self.running:
+            if req.state != DECODE:
+                return 0
+            cost += req.n_completions
+            ticks = min(ticks, req.max_tokens - 1 - len(req.outputs[0]))
+            for chain in req.chains:
+                if not chain.fill:  # the next token opens a block
+                    return 0
+                ticks = min(ticks, last - chain.fill)
+        tick_ms = cfg.tick_ms + self._stall_ms()
+        if ticks <= 0 or cost > cfg.max_batch_tokens or type(self.clock_ms) is not int or type(tick_ms) is not int:
+            return 0
+        return min(ticks, -((self.clock_ms - math.ceil(clock_ms)) // tick_ms)) if self._invariant_holds() else 0
+
+    def _run_quiet(self, ticks: int) -> None:
+        """Run ``ticks`` quiet ticks in one move, leaving the state that as many step() calls would leave."""
+        tick_ms = self.config.tick_ms + self._stall_ms()
+        if self._f3 is not None:
+            self._evaluate_drift_conditions(self._f3)  # with nothing loading, the mask cannot fire
+        start = self.clock_ms
+        self.clock_ms += ticks * tick_ms
+        self.tick += ticks
+        self._evictions_this_tick = 0
+        self._admitted_this_tick = []
+        if not self.running:
+            return
+        stamps = list(range(start + tick_ms, self.clock_ms + 1, tick_ms))  # one int per tick, shared by every request
+        for req in self.running:
+            stamped = len(req.token_stamps) - len(req.outputs[0])  # a recompute re-decodes stamped positions
+            for c in range(req.n_completions):
+                tokens, records, digests = zip(*self._next_steps(req, c, ticks))
+                req.outputs[c] += tokens
+                if req.logprobs:
+                    req.records[c] += records
+                req.digests[c] = digests[-1]
+                chain = req.chains[c]
+                chain.buffer += tokens
+                chain.fill += ticks
+            req.token_stamps += stamps[stamped:] if stamped > 0 else stamps
 
     # ------------------------------------------------------------------
     # Fault machinery
+
+    def _stall_ms(self) -> int:
+        """The engine-stall fault's descheduling before the next tick: while a wide request is in flight, wall
+        time passes and no request progresses."""
+        f2 = self._f2
+        if f2 is not None and any(r.n_completions >= f2.n_completions_threshold for r in self.in_flight()):
+            return f2.stall_ms
+        return 0
 
     def _evaluate_drift_conditions(self, knobs: FaultSpec) -> None:
         inflight = self.in_flight()
@@ -409,13 +476,10 @@ class SimCore:
         self.crashed = True
         self.crash_evidence = {"signature": signature, "message": message, "tick": self.tick, "clock_ms": self.clock_ms}
 
-    def _check_scheduler_invariants(self) -> None:
-        if self._drift_fire_tick is not None:
-            return  # drift window: the buggy path has disabled its own check
+    def _invariant_holds(self) -> bool:
         running_adapters = {r.adapter for r in self.running}
         loras = running_adapters - {"BASE"}
-        if not running_adapters <= self.loaded_adapters or len(loras) > self.config.max_loras_per_batch:
-            self._crash("scheduler-invariant", "internal scheduler invariant violated outside a drift window")
+        return running_adapters <= self.loaded_adapters and len(loras) <= self.config.max_loras_per_batch
 
     # ------------------------------------------------------------------
     # Phases
@@ -589,21 +653,8 @@ class SimCore:
         return budget
 
     def _decode_step(self, req: SimRequest) -> None:
-        cfg = self.config
         for c in range(req.n_completions):
-            position = len(req.outputs[c])
-            if position == 0:
-                req.steps.append(self._stream_steps(req, c))
-            steps = req.steps[c]
-            if position < len(steps):
-                token, record, req.digests[c] = steps[position]
-            else:
-                width = max(req.logprobs or 0, 2)
-                token, ladder, req.digests[c] = decode_step(req.digests[c], position, req.salt,
-                                                            cfg.vocab_size, width, cfg.logprob_spread, cfg.near_tie_gap)
-                record = ladder[: req.logprobs] if req.logprobs else None
-                if position < DECODE_MEMO_POSITIONS:
-                    steps.append((token, record, req.digests[c]))
+            token, record, req.digests[c] = self._next_steps(req, c, 1)[0]
             req.outputs[c].append(token)
             if record is not None:
                 req.records[c].append(record)
@@ -615,6 +666,30 @@ class SimCore:
                 req.token_stamps.append(self.clock_ms)
         if all(len(out) >= req.max_tokens for out in req.outputs):
             self._finish(req, "completed", teardown=False)
+
+    def _next_steps(self, req: SimRequest, c: int, count: int) -> list:
+        """Completion ``c``'s next ``count`` decode steps, each (token, record, digest after it).
+
+        What the stream's memo entry holds is read as one slice; the steps past
+        it decode directly, and those below DECODE_MEMO_POSITIONS are memoized.
+        """
+        position = len(req.outputs[c])
+        if position == 0:
+            req.steps.append(self._stream_steps(req, c))
+        steps = req.steps[c]
+        got = steps[position : position + count]
+        if len(got) < count:
+            cfg = self.config
+            width = max(req.logprobs or 0, 2)
+            digest = got[-1][2] if got else req.digests[c]
+            for position in range(position + len(got), position + count):
+                token, ladder, digest = decode_step(digest, position, req.salt,
+                                                    cfg.vocab_size, width, cfg.logprob_spread, cfg.near_tie_gap)
+                step = (token, ladder[: req.logprobs] if req.logprobs else None, digest)
+                if position < DECODE_MEMO_POSITIONS:
+                    steps.append(step)
+                got.append(step)
+        return got
 
     def _stream_steps(self, req: SimRequest, c: int) -> list:
         """The memo entry of completion ``c``'s stream, read before its first token; new ones start empty.

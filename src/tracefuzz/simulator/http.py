@@ -220,7 +220,7 @@ class SimHttpServer:
     def _sync(self) -> None:
         """Run the core up to the wall time since start or the last reset.
 
-        An idle stretch passes in one step.  A fault that inflates the
+        A quiet stretch, idle or decode-only, passes in one move.  A fault that inflates the
         virtual clock (engine stall) leaves it ahead of wall time, so nothing
         runs until wall time catches up: exactly the latency a client should
         feel.  While requests are in flight their streams sync every tick.

@@ -345,9 +345,9 @@ class RunCore(SimCore):
         self.twin.expire(rid)
         super().expire(rid)
 
-    def advance_to(self, clock_ms) -> None:
-        self.twin.advance_to(clock_ms)
-        super().advance_to(clock_ms)
+    def advance(self, clock_ms) -> None:
+        self.twin.advance(clock_ms)
+        super().advance(clock_ms)
 
     def _init_request(self, req) -> None:
         super()._init_request(req)

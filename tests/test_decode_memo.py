@@ -1,15 +1,16 @@
 """The decode memo in ``SimCore`` against direct decoding.
 
-``DirectDecodeCore`` keeps the memo-free ``_decode_step`` verbatim and calls
-``decode_step`` at every position.  The random schedules of
-``test_prompt_memo`` drive it and the memoized core alike, three rounds on
-one core with a reset between them, so later rounds read streams the earlier
-ones memoized.  Every round must leave the same KV events, snapshots,
-outputs, logprob records, token stamps and statuses.  The schedules reach
-near-tie salts with and without canonical decoding, engines without a tie
-gap (where the salt keys as 0), logprobs of None, 1, 2 and wider than the
-memo keeps, ``n > 1``, preemption with recompute under a new salt and F1
-stale grabs (contaminated digests).
+``DirectDecodeCore`` keeps the memo-free ``_decode_step`` verbatim, steps
+every tick and calls ``decode_step`` at every position, so the comparison
+covers the memo reads of the memoized core's quiet stretches too.  The
+random schedules of ``test_prompt_memo`` drive it and the memoized core
+alike, three rounds on one core with a reset between them, so later rounds
+read streams the earlier ones memoized.  Every round must leave the same KV
+events, snapshots, outputs, logprob records, token stamps and statuses.  The
+schedules reach near-tie salts with and without canonical decoding, engines
+without a tie gap (where the salt keys as 0), logprobs of None, 1, 2 and
+wider than the memo keeps, ``n > 1``, preemption with recompute under a new
+salt and F1 stale grabs (contaminated digests).
 """
 
 from collections import Counter
@@ -23,7 +24,11 @@ from tracefuzz.simulator.engine import DECODE_MEMO_LOGPROBS, DECODE_MEMO_POSITIO
 
 
 class DirectDecodeCore(SimCore):
-    """The core as it decoded before the memo: ``_decode_step`` is the memo-free version, verbatim."""
+    """The core as it decoded before the memo: ``_decode_step`` is the memo-free version, verbatim, and
+    ``advance`` steps every tick, so no quiet stretch reads the memo."""
+
+    def advance(self, clock_ms) -> None:
+        self.step()
 
     def _decode_step(self, req) -> None:
         cfg = self.config

@@ -51,13 +51,13 @@ def test_an_idle_server_does_not_step():
 
     try:
         with server.lock:
-            server.core.step = step  # an instance attribute: advance_to's self.step() finds it
+            server.core.step = step  # an instance attribute: advance's self.step() finds it
         time.sleep(1.0)
-        assert steps[0] == 0
+        assert steps[0] == 0 and server.core.tick == 0
         assert requests.get(server.base_url + "/health", timeout=5).status_code == 200
     finally:
         server.stop()
-    assert steps[0] == 1  # the idle second passes in one step and one jump
+    assert steps[0] == 0  # the idle second is a quiet stretch: it passes in one move, stepping no tick
     assert server.core.clock_ms >= 1_000
 
 
