@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import chain, islice, repeat
 from typing import NamedTuple
 
-from .trace import EventKind, RequestSpec, TimedTrace, group_key, parse_prompt, prompt_for, render_prompt
+from .trace import DEFAULT_VOCAB_SIZE, EventKind, RequestSpec, TimedTrace, group_key, parse_prompt, prompt_for, render_prompt
 
 LOG = logging.getLogger(__name__)
 
@@ -148,22 +148,19 @@ class KvLedger:
     kinds: frozenset
     bigrams: frozenset  # (kind, next kind) pairs in stream order
     alloc_ts: tuple
-    last_ts_ms: int  # latest timestamp in the stream, 0 when empty
     cross_adapter: tuple  # (alloc event, adopting event) pairs whose adapters differ
     log: tuple = field(repr=False)
 
     @staticmethod
     def of(log) -> "KvLedger":
         log = tuple(log)
-        held = peak = last_ts = 0
+        held = peak = 0
         kinds: list[str] = []
         alloc_ts: list[int] = []
         latest_alloc: dict = {}  # block -> the run of its most recent alloc, until released
         cross_adapter = []
         for run in log:
             ts, kind, ids, hashes, owner, adapter, evicted = run
-            if ts > last_ts:
-                last_ts = ts
             if kind == "alloc":
                 fresh = len(ids) - len(evicted)  # an evicting block releases one and allocates one
                 if fresh:
@@ -198,7 +195,6 @@ class KvLedger:
             kinds=frozenset(kinds),
             bigrams=frozenset(zip(kinds, kinds[1:])),
             alloc_ts=tuple(alloc_ts),
-            last_ts_ms=last_ts,
             cross_adapter=tuple(cross_adapter),
             log=log,
         )
@@ -238,7 +234,7 @@ class RequestOutcome:
     total_ms: int | None = None
     output_tokens: tuple = ()  # one token tuple per completion stream
     logprob_records: tuple | None = None  # per stream, per position: ((token, logprob), ...)
-    token_stamps: tuple = ()  # absolute ms of stream-0 token arrivals
+    token_stamps: tuple = ()  # arrival of each stream-0 token, in ms from the execution's epoch like dispatched_ms
     error: str | None = None
     aborted_ms: int | None = None  # when its first Cancel or Disconnect reached the engine; None if none did
 
@@ -518,7 +514,7 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
 
     base = endpoint.base_url.rstrip("/")
     info = engine_info(endpoint)
-    vocab = info.get("vocab_size", 1024)
+    vocab = info.get("vocab_size", DEFAULT_VOCAB_SIZE)
     # Every execution sets the decode mode, so a pinned replay leaves no pin
     # behind for the next one; an engine without the control cannot be pinned.
     resp = requests.post(base + "/control/decode_mode", json={"canonical": canonical_decode}, timeout=5)

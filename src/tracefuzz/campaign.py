@@ -33,16 +33,10 @@ from .oracles import (
     full_sweep,
     ttft_gate_open,
 )
-from .telemetry import TelemetrySummary, compute_telemetry
+from .telemetry import PressureScore, compute_telemetry
 from .trace import PromptShape, TimedTrace, repair, serialize
 
 log = logging.getLogger(__name__)
-
-# Normalizers: the counter value at which each component contributes 1.0.
-_SEND_NORM = 20
-_ADAPTER_NORM = 6
-_KV_NORM = 1500
-_SHAPE_NORM = 6
 
 DEFAULT_SELECTION_WEIGHTS = {
     "novelty": 0.40,
@@ -52,54 +46,6 @@ DEFAULT_SELECTION_WEIGHTS = {
 }
 
 
-@dataclass(frozen=True)
-class PressureScore:
-    n_send: int
-    n_adapter: int
-    n_kv: int
-    n_shape: int
-
-    def __post_init__(self) -> None:
-        for name in ("n_send", "n_adapter", "n_kv", "n_shape"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-    @staticmethod
-    def of(telemetry: TelemetrySummary) -> "PressureScore":
-        return PressureScore(
-            n_send=telemetry.peak_inflight,
-            n_adapter=telemetry.distinct_adapters,
-            n_kv=telemetry.peak_kv_held,
-            n_shape=telemetry.distinct_prompt_lens,
-        )
-
-    @property
-    def s_total(self) -> float:
-        burst, multi_adapter, kv_pressure, shape_diversity = self.components().values()
-        # Left to right, not sum(), which compensates on Python >= 3.12 and could move the last digit.
-        return burst + multi_adapter + kv_pressure + shape_diversity
-
-    def components(self) -> dict[str, float]:
-        return {
-            "burst": self.n_send / _SEND_NORM,
-            "multi_adapter": self.n_adapter / _ADAPTER_NORM,
-            "kv_pressure": self.n_kv / _KV_NORM,
-            "shape_diversity": self.n_shape / _SHAPE_NORM,
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "s_total": self.s_total,
-            "components": self.components(),
-            "counters": {
-                "n_send": self.n_send,
-                "n_adapter": self.n_adapter,
-                "n_kv": self.n_kv,
-                "n_shape": self.n_shape,
-            },
-        }
-
-
 # --------------------------------------------------------------------------
 # Corpus
 
@@ -107,7 +53,7 @@ class PressureScore:
 @dataclass
 class CorpusEntry:
     trace: TimedTrace
-    telemetry: TelemetrySummary | None = None  # set once the trace has run
+    pressure: PressureScore | None = None  # set once the trace has run
     markers: frozenset[str] = frozenset()
     suspicion_count: int = 0
     added_iteration: int = 0
@@ -122,11 +68,7 @@ class CorpusEntry:
 
     @property
     def executed(self) -> bool:
-        return self.telemetry is not None
-
-    @property
-    def pressure(self) -> PressureScore | None:
-        return None if self.telemetry is None else PressureScore.of(self.telemetry)
+        return self.pressure is not None
 
 
 def novelty(report, seen: set[str]) -> set[str]:
@@ -406,8 +348,8 @@ def _next_trace(
         parent.trace,
         iter_seed,
         partner=partner.trace if partner is not None else None,
-        telemetry=parent.telemetry,
-        partner_telemetry=partner.telemetry if partner is not None else None,
+        telemetry=parent.pressure,
+        partner_telemetry=partner.pressure if partner is not None else None,
         weights=config.mutation_weights,
     )
 
@@ -460,8 +402,7 @@ def run_campaign(config: CampaignConfig, endpoint, out_dir: Path | str | None = 
 
         result.executed_trace_ids.append(trace.trace_id)
         result.trace_store[trace.trace_id] = trace
-        telemetry = compute_telemetry(report)
-        pressure = PressureScore.of(telemetry)
+        pressure = compute_telemetry(report)
         best_pressure = max(best_pressure, pressure.s_total)
         result.pressure_series.append((iteration, pressure, best_pressure))
 
@@ -483,7 +424,7 @@ def run_campaign(config: CampaignConfig, endpoint, out_dir: Path | str | None = 
 
         entry = CorpusEntry(
             trace=trace,
-            telemetry=telemetry,
+            pressure=pressure,
             markers=frozenset(fresh),
             suspicion_count=len(suspicions),
             added_iteration=iteration,
@@ -540,11 +481,8 @@ def persist_campaign(result: CampaignResult, out_dir: Path) -> None:
 
     lines = ["iteration,burst,multi_adapter,kv_pressure,shape_diversity,s_total,best_so_far"]
     for i, score, best in result.pressure_series:
-        c = score.components()
-        lines.append(
-            f"{i},{c['burst']:.6f},{c['multi_adapter']:.6f},{c['kv_pressure']:.6f},"
-            f"{c['shape_diversity']:.6f},{score.s_total:.6f},{best:.6f}"
-        )
+        values = (*score.components().values(), score.s_total, best)
+        lines.append(f"{i}," + ",".join(f"{value:.6f}" for value in values))
     (out_dir / "pressure.csv").write_text("\n".join(lines) + "\n")
 
     for fp in sorted(result.findings):

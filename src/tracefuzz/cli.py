@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from itertools import zip_longest
 from pathlib import Path
 
 from .adapter import EndpointUnavailable, EngineEndpoint, EngineKind, UnsupportedOperation, execute, reset_server
@@ -178,11 +179,12 @@ def cmd_replay(args) -> int:
             if out is None or out.status != ref_out.status:
                 divergences.append(f"{rid}: status {ref_out.status} vs {out.status if out else 'missing'}")
                 continue
-            ref_tokens = ref_out.output_tokens[0] if ref_out.output_tokens else ()
-            tokens = out.output_tokens[0] if out.output_tokens else ()
-            pos = first_difference(ref_tokens, tokens)
-            if pos is not None:
-                divergences.append(f"{rid}: first difference at position {pos}")
+            streams = zip_longest(ref_out.output_tokens, out.output_tokens, fillvalue=())  # a missing stream is empty
+            for stream, (ref_tokens, tokens) in enumerate(streams):
+                pos = first_difference(ref_tokens, tokens)
+                if pos is not None:
+                    where = rid if stream == 0 else f"{rid} stream {stream}"
+                    divergences.append(f"{where}: first difference at position {pos}")
         if divergences:
             print(f"replay {i}: " + "; ".join(divergences))
         else:

@@ -380,8 +380,8 @@ def directed_splice(
     rng_seed: int = 0,
 ) -> TimedTrace:
     """Place warm's peak cache-population phase strictly before pressure's burst."""
-    warm_window = warm_telemetry.peak_alloc_window() if warm_telemetry is not None else None
-    pressure_window = pressure_telemetry.peak_inflight_window() if pressure_telemetry is not None else None
+    warm_window = warm_telemetry.peak_alloc_window if warm_telemetry is not None else None
+    pressure_window = pressure_telemetry.peak_inflight_window if pressure_telemetry is not None else None
     if warm_window is None or pressure_window is None:
         child = splice(warm, pressure, rng_seed)
         lineage = dict(child.metadata["lineage"])

@@ -17,7 +17,7 @@ from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 
 from .hashing import fingerprint
-from .trace import EventKind, prompt_for
+from .trace import DEFAULT_BLOCK_SIZE_TOKENS, DEFAULT_VOCAB_SIZE, EventKind, prompt_for
 
 
 class SuspicionKind(str, Enum):
@@ -308,8 +308,8 @@ def extract_group_snapshots(report) -> dict[str, list]:
 
 def structural_forensics(report, prior_snapshots: dict | None = None) -> list[Suspicion]:
     suspicions: list[Suspicion] = []
-    block_size = report.engine_info.get("block_size_tokens", 16)
-    vocab = report.engine_info.get("vocab_size", 1024)
+    block_size = report.engine_info.get("block_size_tokens", DEFAULT_BLOCK_SIZE_TOKENS)
+    vocab = report.engine_info.get("vocab_size", DEFAULT_VOCAB_SIZE)
 
     # Every reuse/prefix_hit whose adapter differs from the block's latest allocation.
     for alloc, adopt in report.kv_ledger.cross_adapter:

@@ -1,55 +1,91 @@
-"""Per-execution telemetry summaries derived from reports.
+"""The pressure record of one execution: how hard its trace leaned on the engine.
 
-Feeds the pressure score, corpus retention, and the directed splice operator
-(which needs to know where a parent's cache-population and scheduler-pressure
-peaks sit on the timeline).
+Corpus eviction weighs its four counters through `s_total`; the directed
+splice reads its two peak windows to put one parent's cache-population phase
+before the other parent's scheduler-pressure burst.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+
+# The length of the timeline windows the two peaks are reported in.
+WINDOW_MS = 1000
+
+_COUNTERS = ("n_send", "n_adapter", "n_kv", "n_shape")
+# Normalizers: the counter value at which each component contributes 1.0.
+_SEND_NORM = 20
+_ADAPTER_NORM = 6
+_KV_NORM = 1500
+_SHAPE_NORM = 6
 
 
 @dataclass(frozen=True)
-class TelemetrySummary:
-    peak_inflight: int
-    distinct_adapters: int
-    peak_kv_held: int
-    distinct_prompt_lens: int
-    window_ms: int
-    alloc_windows: tuple[int, ...]
-    inflight_windows: tuple[int, ...]
+class PressureScore:
+    n_send: int  # peak number of requests in flight at once
+    n_adapter: int  # distinct adapters among the requests the engine did not fail
+    n_kv: int  # peak KV blocks held
+    n_shape: int  # distinct prompt lengths
+    # (start_ms, end_ms) of the earliest window with the most KV allocations, and of the
+    # earliest window the most requests overlap; None when that most is 0.
+    peak_alloc_window: tuple[int, int] | None = None
+    peak_inflight_window: tuple[int, int] | None = None
 
-    def peak_alloc_window(self) -> tuple[int, int] | None:
-        return self._peak_window(self.alloc_windows)
+    def __post_init__(self) -> None:
+        for name in _COUNTERS:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
-    def peak_inflight_window(self) -> tuple[int, int] | None:
-        return self._peak_window(self.inflight_windows)
+    @property
+    def s_total(self) -> float:
+        burst, multi_adapter, kv_pressure, shape_diversity = self.components().values()
+        # Left to right, not sum(), which compensates on Python >= 3.12 and could move the last digit.
+        return burst + multi_adapter + kv_pressure + shape_diversity
 
-    def _peak_window(self, counts: tuple[int, ...]) -> tuple[int, int] | None:
-        if not counts or max(counts) == 0:
-            return None
-        i = counts.index(max(counts))
-        return (i * self.window_ms, (i + 1) * self.window_ms)
+    def components(self) -> dict[str, float]:
+        return {
+            "burst": self.n_send / _SEND_NORM,
+            "multi_adapter": self.n_adapter / _ADAPTER_NORM,
+            "kv_pressure": self.n_kv / _KV_NORM,
+            "shape_diversity": self.n_shape / _SHAPE_NORM,
+        }
+
+    def to_dict(self) -> dict:
+        return {
+            "s_total": self.s_total,
+            "components": self.components(),
+            "counters": {name: getattr(self, name) for name in _COUNTERS},
+        }
 
 
-def compute_telemetry(report, window_ms: int = 1000) -> TelemetrySummary:
-    intervals: list[tuple[int, int]] = []
+def _earliest_peak(counts: Counter) -> tuple[int, int] | None:
+    """(start_ms, end_ms) of the earliest window holding the highest count; None when none holds any."""
+    most = max(counts.values(), default=0)
+    if not most:
+        return None
+    index = min(w for w, n in counts.items() if n == most)
+    return (index * WINDOW_MS, (index + 1) * WINDOW_MS)
+
+
+def compute_telemetry(report) -> PressureScore:
     adapters: set[str] = set()
     prompt_lens: set[int] = set()
+    edges: list[tuple[int, int]] = []
+    inflight: Counter = Counter()  # window index -> requests overlapping it
     for rid, outcome in report.outcomes.items():
         spec = report.request_index.get(rid)
         if spec is not None:
             prompt_lens.add(spec.shape.prompt_len)
             if outcome.status != "server_error":
                 adapters.add(spec.adapter)
-        intervals.append((outcome.dispatched_ms, outcome.end_ms))
+        start, end = outcome.dispatched_ms, outcome.end_ms
+        edges += ((start, 1), (end, -1))
+        # [start, end) overlaps windows start // W through ceil(end / W) - 1.
+        for w in range(start // WINDOW_MS, -(-end // WINDOW_MS)):
+            inflight[w] += 1
 
     # Peak concurrency by sweep line over dispatch/termination edges.
-    edges: list[tuple[int, int]] = []
-    for start, end in intervals:
-        edges.append((start, 1))
-        edges.append((end, -1))
     edges.sort()
     peak_inflight = depth = 0
     for _, delta in edges:
@@ -57,22 +93,14 @@ def compute_telemetry(report, window_ms: int = 1000) -> TelemetrySummary:
         peak_inflight = max(peak_inflight, depth)
 
     ledger = report.kv_ledger
-    span = max([report.wall_clock_span_ms, ledger.last_ts_ms] + [end for _, end in intervals])
-    n_windows = span // window_ms + 1
-    alloc_windows = [0] * n_windows
-    for ts in ledger.alloc_ts:
-        alloc_windows[ts // window_ms] += 1
-    inflight_windows = [0] * n_windows
-    for w in range(n_windows):
-        w0, w1 = w * window_ms, (w + 1) * window_ms
-        inflight_windows[w] = sum(1 for start, end in intervals if start < w1 and end > w0)
-
-    return TelemetrySummary(
-        peak_inflight=peak_inflight,
-        distinct_adapters=len(adapters),
-        peak_kv_held=ledger.peak_held,
-        distinct_prompt_lens=len(prompt_lens),
-        window_ms=window_ms,
-        alloc_windows=tuple(alloc_windows),
-        inflight_windows=tuple(inflight_windows),
+    allocs: Counter = Counter()  # window index -> allocations in it
+    for ts, n in Counter(ledger.alloc_ts).items():  # a run's blocks share one stamp
+        allocs[ts // WINDOW_MS] += n
+    return PressureScore(
+        n_send=peak_inflight,
+        n_adapter=len(adapters),
+        n_kv=ledger.peak_held,
+        n_shape=len(prompt_lens),
+        peak_alloc_window=_earliest_peak(allocs),
+        peak_inflight_window=_earliest_peak(inflight),
     )

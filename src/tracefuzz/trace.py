@@ -253,6 +253,11 @@ def repair(trace: TimedTrace) -> TimedTrace:
 # --------------------------------------------------------------------------
 # Prompt synthesis
 
+# The geometry assumed for an engine that reports none: prompts sent to it are
+# synthesized, and re-synthesized by forensics, over this vocabulary.
+DEFAULT_VOCAB_SIZE = 1024
+DEFAULT_BLOCK_SIZE_TOKENS = 16
+
 # Distinct (shape, identity, corpus_seed, vocab_size) keys kept; a campaign
 # sees a few dozen, while a long run's mutations keep minting new identities.
 # Typed keys, because stable_u64 tells 1 from True.
@@ -260,7 +265,7 @@ PROMPT_CACHE_SIZE = 128
 
 
 @lru_cache(maxsize=PROMPT_CACHE_SIZE, typed=True)
-def synthesize_prompt(shape: PromptShape, identity: str, corpus_seed: int, vocab_size: int = 1024) -> tuple[int, ...]:
+def synthesize_prompt(shape: PromptShape, identity: str, corpus_seed: int, vocab_size: int = DEFAULT_VOCAB_SIZE) -> tuple[int, ...]:
     """Deterministic prompt token ids for a shape and identity.
 
     The first ``prefix_len`` tokens depend only on the corpus seed and the
@@ -278,7 +283,7 @@ def synthesize_prompt(shape: PromptShape, identity: str, corpus_seed: int, vocab
     return tuple(tokens)
 
 
-def prompt_for(spec: RequestSpec, corpus_seed: int, vocab_size: int = 1024) -> tuple[int, ...]:
+def prompt_for(spec: RequestSpec, corpus_seed: int, vocab_size: int = DEFAULT_VOCAB_SIZE) -> tuple[int, ...]:
     return synthesize_prompt(spec.shape, spec.prompt_identity, corpus_seed, vocab_size)
 
 

@@ -219,7 +219,7 @@ def test_a_report_holds_only_its_own_trace_kv_state():
     assert {e.owner_request_id for e in late.kv_events} == {"b"}
     assert all(0 <= e.ts_ms <= late.wall_clock_span_ms for e in late.kv_events)
     assert set(late.block_snapshots) == {"b"}
-    assert len(compute_telemetry(late).alloc_windows) == 1
+    assert compute_telemetry(late).peak_alloc_window == (0, 1000)
 
     reset_server(ep)
     fresh = execute(TimedTrace("t~b", (send("b", 0),)), ep)

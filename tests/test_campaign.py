@@ -31,7 +31,6 @@ from tracefuzz.mutation import DEFAULT_MUTATION_WEIGHTS, generate_seed
 from tracefuzz.oracles import OracleThresholds, SuspicionKind
 from tracefuzz.simulator.config import FaultFamily, SimConfig
 from tracefuzz.simulator.endpoint import serve
-from tracefuzz.telemetry import TelemetrySummary
 from tracefuzz.trace import EventKind, PromptShape, RequestSpec, SamplingConfig, TimedTrace, TraceEvent, group_key, repair
 
 from test_oracles import outcome, report_of
@@ -42,14 +41,13 @@ def sim_endpoint(seed=0, **cfg):
 
 
 def telemetry_of(send=10, adapters=3, kv=750, shapes=3):
-    return TelemetrySummary(
-        peak_inflight=send,
-        distinct_adapters=adapters,
-        peak_kv_held=kv,
-        distinct_prompt_lens=shapes,
-        window_ms=1000,
-        alloc_windows=(kv,),
-        inflight_windows=(send,),
+    return PressureScore(
+        n_send=send,
+        n_adapter=adapters,
+        n_kv=kv,
+        n_shape=shapes,
+        peak_alloc_window=(0, 1000),
+        peak_inflight_window=(0, 1000),
     )
 
 
@@ -70,13 +68,15 @@ def test_pressure_score_rejects_negative_counters():
 
 def test_pressure_score_reads_telemetry():
     tele = telemetry_of(send=40, adapters=6, kv=3000, shapes=12)
-    from_tele = PressureScore.of(tele)
-    assert (from_tele.n_send, from_tele.n_adapter, from_tele.n_kv, from_tele.n_shape) == (40, 6, 3000, 12)
-    assert from_tele.s_total == pytest.approx(2.0 + 1.0 + 2.0 + 2.0)
+    assert tele.s_total == pytest.approx(2.0 + 1.0 + 2.0 + 2.0)
+    # Only the counters are persisted; the windows feed the directed splice alone.
+    assert tele.to_dict()["counters"] == {"n_send": 40, "n_adapter": 6, "n_kv": 3000, "n_shape": 12}
 
     trace = TimedTrace("t~view", ())
-    assert CorpusEntry(trace, telemetry=tele).pressure == from_tele
-    assert CorpusEntry(trace).pressure is None  # not run yet
+    entry = CorpusEntry(trace, pressure=tele)
+    assert entry.executed and entry.pressure is tele
+    unrun = CorpusEntry(trace)
+    assert not unrun.executed and unrun.pressure is None
 
 
 # -- novelty markers ------------------------------------------------------------

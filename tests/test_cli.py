@@ -285,6 +285,32 @@ def test_replay_prints_each_divergence(monkeypatch, tmp_path, capsys):
     assert "2/3 identical" in out
 
 
+def test_replay_compares_every_completion_stream(monkeypatch, tmp_path, capsys):
+    real_replay = cli.replay
+
+    def diverging_replay(trace, endpoint, **kwargs):
+        reports = real_replay(trace, endpoint, **kwargs)
+        outcomes = reports[1].outcomes
+        first, second = outcomes["a"].output_tokens
+        flipped = second[:2] + (second[2] + 1,) + second[3:]
+        outcomes["a"] = dataclasses.replace(outcomes["a"], output_tokens=(first, flipped))
+        return reports
+
+    monkeypatch.setattr(cli, "replay", diverging_replay)
+    spec = RequestSpec(
+        request_id="a",
+        shape=PromptShape(0, 16),
+        sampling=SamplingConfig(max_tokens=4, temperature=0.0, seed=0, n_completions=2),
+        prompt_family_id="fam-a",
+    )
+    path = write_trace(tmp_path, TimedTrace("t~rep", (TraceEvent.send(0, spec),)))
+    assert main(["replay", "--trace", str(path), "--sim", "--k", "3"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "replay 2: a stream 1: first difference at position 2" in out
+    assert "replay 3: identical to replay 1" in out
+    assert "2/3 identical" in out
+
+
 def test_confirm_clean_trace(tmp_path, capsys):
     path = write_trace(tmp_path, TimedTrace("t~ok", (send("a", 0),)))
     assert main(["confirm", "--trace", str(path), "--sim"]) == EXIT_OK

@@ -92,13 +92,12 @@ def reference_forensics(report, prior_snapshots=None):
 
 
 def reference_ledger(events) -> dict:
-    held = peak = last_ts = 0
+    held = peak = 0
     kinds, alloc_ts, cross_adapter = [], [], []
     latest_alloc, holders = {}, {}
     for event in events:
         ts, kind, block, _, owner, adapter = event
         kinds.append(kind)
-        last_ts = max(last_ts, ts)
         if kind == "alloc":
             held += 1
             peak = max(peak, held)
@@ -125,7 +124,6 @@ def reference_ledger(events) -> dict:
         "kinds": frozenset(kinds),
         "bigrams": frozenset(zip(kinds, kinds[1:])),
         "alloc_ts": tuple(alloc_ts),
-        "last_ts_ms": last_ts,
         "held_blocks": {owner: frozenset(blocks) for owner, blocks in by_owner.items()},
         "cross_adapter": tuple(cross_adapter),
     }

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from tracefuzz.adapter import KV_EVENT_KINDS, ExecutionReport, KvEvent, KvLedger, KvRun
 from tracefuzz.campaign import novelty
 from tracefuzz.oracles import OracleThresholds, Suspicion, SuspicionKind, _kv_leak_check, _merge, structural_forensics
-from tracefuzz.telemetry import TelemetrySummary, compute_telemetry
+from tracefuzz.telemetry import WINDOW_MS, PressureScore, compute_telemetry
 
 from tracefuzz.trace import TimedTrace, TraceEvent
 
@@ -22,7 +22,7 @@ from test_oracles import outcome, spec_of
 # -- reference walks ---------------------------------------------------------------
 
 
-def reference_telemetry(report, window_ms=1000):
+def reference_telemetry(report):
     intervals = []
     adapters = set()
     prompt_lens = set()
@@ -59,24 +59,29 @@ def reference_telemetry(report, window_ms=1000):
         + [e.ts_ms for e in report.kv_events or ()],
         default=0,
     )
-    n_windows = span // window_ms + 1
+    n_windows = span // WINDOW_MS + 1
     alloc_windows = [0] * n_windows
     for event in report.kv_events or ():
         if event.kind == "alloc":
-            alloc_windows[event.ts_ms // window_ms] += 1
+            alloc_windows[event.ts_ms // WINDOW_MS] += 1
     inflight_windows = [0] * n_windows
     for w in range(n_windows):
-        w0, w1 = w * window_ms, (w + 1) * window_ms
+        w0, w1 = w * WINDOW_MS, (w + 1) * WINDOW_MS
         inflight_windows[w] = sum(1 for start, end in intervals if start < w1 and end > w0)
 
-    return TelemetrySummary(
-        peak_inflight=peak_inflight,
-        distinct_adapters=len(adapters),
-        peak_kv_held=peak_held,
-        distinct_prompt_lens=len(prompt_lens),
-        window_ms=window_ms,
-        alloc_windows=tuple(alloc_windows),
-        inflight_windows=tuple(inflight_windows),
+    def peak_window(counts):
+        if max(counts) == 0:
+            return None
+        i = counts.index(max(counts))
+        return (i * WINDOW_MS, (i + 1) * WINDOW_MS)
+
+    return PressureScore(
+        n_send=peak_inflight,
+        n_adapter=len(adapters),
+        n_kv=peak_held,
+        n_shape=len(prompt_lens),
+        peak_alloc_window=peak_window(alloc_windows),
+        peak_inflight_window=peak_window(inflight_windows),
     )
 
 
@@ -207,9 +212,10 @@ def sends(outcomes, specs):
 def reports(draw):
     outcomes = []
     for rid in OWNERS[:3]:
-        total = draw(st.one_of(st.none(), st.integers(0, 300)))
+        # Spread over the first three telemetry windows, so the peak in-flight window moves.
+        total = draw(st.one_of(st.none(), st.integers(0, 1_500)))
         outcomes.append(
-            outcome(rid, status=draw(st.sampled_from(STATUSES)), dispatched=draw(st.integers(0, 100)), total=total)
+            outcome(rid, status=draw(st.sampled_from(STATUSES)), dispatched=draw(st.integers(0, 2_500)), total=total)
         )
     return ExecutionReport(
         trace=sends(outcomes, [spec_of(o.request_id, adapter=draw(st.sampled_from(ADAPTERS))) for o in outcomes]),
@@ -221,8 +227,12 @@ def reports(draw):
     )
 
 
-def _report(events, statuses=("cancelled", "cancelled", "completed"), span=3_000):
-    outcomes = [outcome(rid, status=status) for rid, status in zip(OWNERS, statuses)]
+def _report(events, statuses=("cancelled", "cancelled", "completed"), span=3_000, times=((0, 6),) * 3):
+    """Requests a, b and c with the given statuses and (dispatch, total) times, over the given KV events."""
+    outcomes = [
+        outcome(rid, status=status, dispatched=start, total=total)
+        for rid, status, (start, total) in zip(OWNERS, statuses, times)
+    ]
     return ExecutionReport(
         trace=sends(outcomes, [spec_of(o.request_id) for o in outcomes]),
         corpus_seed=0,
@@ -234,12 +244,19 @@ def _report(events, statuses=("cancelled", "cancelled", "completed"), span=3_000
 
 
 @settings(max_examples=400, deadline=None)
-@given(reports(), st.sampled_from((250, 1000)), st.integers(0, 3_000))
-@example(_report([ev(5, "alloc", 0, "a"), ev(6, "alloc", 0, "b"), ev(2_000, "prefix_hit", 0, "b")]), 1000, 0)
-@example(_report([ev(9, "free", 3, "a"), ev(1, "alloc", 3, "a"), ev(4, "reuse", 7, "c", "lora_a")]), 250, 0)
-def test_ledger_consumers_match_the_reference_walks(report, window_ms, grace_ms):
+@given(reports(), st.integers(0, 3_000))
+@example(_report([ev(5, "alloc", 0, "a"), ev(6, "alloc", 0, "b"), ev(2_000, "prefix_hit", 0, "b")]), 0)
+@example(_report([ev(9, "free", 3, "a"), ev(1, "alloc", 3, "a"), ev(4, "reuse", 7, "c", "lora_a")]), 0)
+# Window edges: requests that end exactly at 2 x WINDOW_MS stay out of the third window.
+@example(_report([], times=((1_000, 1_000), (1_500, 500), (2_000, 10))), 0)
+# Zero-length requests overlap no window on an edge, and their own window inside one.
+@example(_report([], times=((1_500, 100), (2_000, 0), (2_000, 0))), 0)
+@example(_report([], times=((1_500, 100), (2_500, 0), (2_500, 0))), 0)
+# Two windows tied on allocations, the later one first in the stream: the earlier window wins.
+@example(_report([ev(2_100, "alloc", 0, "a"), ev(2_200, "alloc", 1, "a"), ev(1_100, "alloc", 2, "b"), ev(1_200, "alloc", 3, "b")]), 0)
+def test_ledger_consumers_match_the_reference_walks(report, grace_ms):
     thresholds = OracleThresholds(kv_leak_grace_ms=grace_ms)
-    assert compute_telemetry(report, window_ms) == reference_telemetry(report, window_ms)
+    assert compute_telemetry(report) == reference_telemetry(report)
     assert novelty(report, set()) == reference_novelty(report, set())
     assert novelty(report, {"kv-kind:alloc"}) == reference_novelty(report, {"kv-kind:alloc"})
     assert _kv_leak_check(report, thresholds) == reference_leak_check(report, thresholds)
@@ -282,8 +299,6 @@ def test_hit_on_a_block_with_no_known_allocator_is_ignored():
 def test_ledger_reads_unsorted_timestamps_as_given():
     ledger = KvLedger.of(map(KvRun.of, [ev(900, "alloc", 0, "a"), ev(30, "alloc", 1, "a"), ev(400, "free", 0, "a")]))
     assert ledger.alloc_ts == (900, 30)
-    assert ledger.last_ts_ms == 900
-    assert KvLedger.of([]).last_ts_ms == 0
 
 
 def test_report_builds_its_ledger_once_and_only_on_demand():

@@ -3,14 +3,17 @@ operators must be deterministic in their seed, and the seed generator
 must honour its profile recipe."""
 
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
+from tracefuzz.adapter import EngineEndpoint, EngineKind, execute
 from tracefuzz.campaign import DEFAULT_PROFILES, PROFILE_CHURN, PROFILE_PREFIX_SHARE, PROFILE_STEADY
 from tracefuzz.mutation import (
     DEFAULT_MUTATION_WEIGHTS,
     DEFAULT_PALETTE,
     FILLER_MAX_TOKENS,
+    SPLICE_GAP_MS,
     SeedProfile,
     directed_splice,
     generate_seed,
@@ -21,7 +24,10 @@ from tracefuzz.mutation import (
     timing_collapse,
     timing_jitter,
 )
-from tracefuzz.trace import EventKind, PromptShape, validate
+from tracefuzz.simulator.config import SimConfig
+from tracefuzz.simulator.endpoint import serve
+from tracefuzz.telemetry import compute_telemetry
+from tracefuzz.trace import EventKind, PromptShape, RequestSpec, SamplingConfig, TraceEvent, repair, validate
 
 
 def seed_trace(profile=PROFILE_STEADY, rng_seed=0):
@@ -142,6 +148,30 @@ def test_directed_splice_falls_back_without_telemetry():
     lineage = child.metadata["lineage"]
     assert lineage["op"] == "DirectedSplice"
     assert lineage.get("fallback") == "undirected-fallback"
+
+
+def test_directed_splice_puts_the_pressure_burst_after_the_warm_peak():
+    warm = seed_trace(PROFILE_PREFIX_SHARE, 1)
+    burst = seed_trace(PROFILE_CHURN, 2)
+    # One lone request at 0, then the burst 1.5 s in: the pressure peak is the second window.
+    lone = TraceEvent.send(0, RequestSpec("lone", PromptShape(0, 16), SamplingConfig(max_tokens=2, temperature=0.0, seed=0)))
+    pressure = repair(burst.with_events((lone,) + tuple(replace(e, offset_ms=e.offset_ms + 1_500) for e in burst.events)))
+    warm_rec, pressure_rec = (
+        compute_telemetry(execute(trace, EngineEndpoint(kind=EngineKind.SIMULATOR, handle=serve(SimConfig(seed=0)))))
+        for trace in (warm, pressure)
+    )
+    assert pressure_rec.peak_inflight_window == (1_000, 2_000)
+
+    child = directed_splice(warm, pressure, warm_rec, pressure_rec, 9)
+    assert validate(child).ok
+    lineage = child.metadata["lineage"]
+    assert "fallback" not in lineage
+    assert lineage["warm_window"] == list(warm_rec.peak_alloc_window)
+    assert lineage["pressure_window"] == list(pressure_rec.peak_inflight_window)
+    # The pressure parent's events are the ones renamed with ~b; Waits carry no id.
+    from_pressure = [e for e in child.events if (e.spec.request_id if e.spec else e.target or "").endswith("~b")]
+    assert len(from_pressure) == sum(1 for e in pressure.events if e.offset_ms >= 1_000 and e.kind is not EventKind.WAIT)
+    assert all(e.offset_ms >= warm_rec.peak_alloc_window[1] + SPLICE_GAP_MS for e in from_pressure)
 
 
 def test_mutate_dispatcher_without_partner_never_splices():
