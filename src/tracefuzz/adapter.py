@@ -17,6 +17,7 @@ import logging
 import queue
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -147,7 +148,7 @@ class KvLedger:
     peak_held: int  # high-water mark of allocs minus releases
     kinds: frozenset
     bigrams: frozenset  # (kind, next kind) pairs in stream order
-    alloc_ts: tuple
+    alloc_counts: Counter  # stamp -> blocks allocated at it, stamps in the order the log first gives them
     cross_adapter: tuple  # (alloc event, adopting event) pairs whose adapters differ
     log: tuple = field(repr=False)
 
@@ -156,7 +157,7 @@ class KvLedger:
         log = tuple(log)
         held = peak = 0
         kinds: list[str] = []
-        alloc_ts: list[int] = []
+        alloc_counts: Counter = Counter()
         latest_alloc: dict = {}  # block -> the run of its most recent alloc, until released
         cross_adapter = []
         for run in log:
@@ -172,7 +173,7 @@ class KvLedger:
                 held += fresh
                 if held > peak:
                     peak = held
-                alloc_ts += (ts,) * len(ids)
+                alloc_counts[ts] += len(ids)
                 for block in ids:
                     latest_alloc[block] = run
                 continue
@@ -194,7 +195,7 @@ class KvLedger:
             peak_held=peak,
             kinds=frozenset(kinds),
             bigrams=frozenset(zip(kinds, kinds[1:])),
-            alloc_ts=tuple(alloc_ts),
+            alloc_counts=alloc_counts,
             cross_adapter=tuple(cross_adapter),
             log=log,
         )
@@ -482,7 +483,7 @@ def _execute_virtual(trace, endpoint, corpus_seed, canonical_decode) -> Executio
             total_ms=None if req.finished_ms is None else req.finished_ms - sent_at,
             output_tokens=tuple(tuple(s) for s in req.outputs),
             logprob_records=tuple(tuple(s) for s in req.records) if req.logprobs else None,
-            token_stamps=tuple(stamp - epoch for stamp in req.token_stamps),
+            token_stamps=tuple([stamp - epoch for stamp in req.token_stamps] if epoch else req.token_stamps),
             aborted_ms=aborted.get(rid),
         )
     for spec, offset in undispatched:

@@ -25,13 +25,16 @@ These values are frozen: prompts, block hashes and token streams derive from
 them.
 
 The simulator hashes these same encodings through ``u64`` without going
-through ``stable_u64``.  Its decode step builds them with ``encode`` and
-``encode_int``.  Its block hashes and prompt digests encode a prompt once with
-``encode_parts``: a block hashes the encodings of its header, chain hash and
-adapter followed by its slice of the prompt's encoding (``encode_ints``, whose
-every part takes ``INT_WIDTH`` bytes), and a digest its header and digest
-followed by the whole encoding.  Prompt synthesis hashes a shared head once and each position's
-encoding after a copy of it (``stable_u64_positions``).
+through ``stable_u64``.  ``u64`` feeds its bytes to a copy of one pre-built
+empty blake2b-64 state, which costs less than building a state from its
+parameters and hashes the same bytes.  The decode runs build their encodings
+with ``encode`` and ``encode_int``.  The simulator's block hashes and prompt
+digests encode a prompt once with ``encode_parts``: a block hashes the
+encodings of its header, chain hash and adapter followed by its slice of the
+prompt's encoding (``encode_ints``, whose every part takes ``INT_WIDTH``
+bytes), and a digest its header and digest followed by the whole encoding.
+Prompt synthesis hashes a shared head once and each position's encoding
+after a copy of it (``stable_u64_positions``).
 """
 
 from __future__ import annotations
@@ -110,9 +113,18 @@ def stable_u64(*parts: object) -> int:
     return u64(encode_parts(parts))
 
 
+_EMPTY_STATE = hashlib.blake2b(digest_size=8)  # copied by every u64 call, never updated itself
+
+
 def u64(data: bytes) -> int:
-    """The blake2b-64 of ``data`` as a little-endian integer: ``stable_u64`` of the parts it encodes."""
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+    """The blake2b-64 of ``data`` as a little-endian integer: ``stable_u64`` of the parts it encodes.
+
+    A copy of a pre-built empty state absorbs ``data``: cheaper than building
+    the state from its parameters, and the hashed bytes are the same.
+    """
+    h = _EMPTY_STATE.copy()
+    h.update(data)
+    return int.from_bytes(h.digest(), "little")
 
 
 def stable_u64_positions(head: tuple, count: int, modulus: int) -> list[int]:

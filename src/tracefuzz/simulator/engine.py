@@ -21,6 +21,12 @@ stream again reads its steps back instead of hashing them.  At most
 DECODE_MEMO_STREAMS streams are kept, the least recently admitted dropped
 first, and at most DECODE_MEMO_POSITIONS positions each; later tokens, and
 streams asking for more than DECODE_MEMO_LOGPROBS logprobs, decode directly.
+What the memo lacks decodes as one run per stretch (decode.decode_run),
+which hashes only what the stream reads: each position's first candidate
+and next context digest; its flip only with a tie gap and a non-zero salt;
+the runner-up and later candidates only when the flip fires or logprobs are
+asked for; and the top logprob only when they are.  A tick's decode step
+reads a memoized position directly.
 The memo is derived from the config and pure inputs alone, so reset() keeps
 it.  It lives on the core, not in a module cache, because its entries grow
 in place while a request decodes: cores serving in parallel must not share
@@ -61,7 +67,7 @@ from ..adapter import KvEvent, KvRun, kv_events_of
 from ..hashing import INT_WIDTH, encode, encode_int, encode_ints, encode_parts, stable_u64, u64
 from .blocks import BlockManager
 from .config import FaultFamily, FaultSpec, SimConfig
-from .decode import decode_step, init_digest
+from .decode import decode_run, init_digest
 
 WAITING = "waiting"
 PREFILL = "prefill"
@@ -654,7 +660,12 @@ class SimCore:
 
     def _decode_step(self, req: SimRequest) -> None:
         for c in range(req.n_completions):
-            token, record, req.digests[c] = self._next_steps(req, c, 1)[0]
+            steps = self._stream(req, c)
+            position = len(req.outputs[c])
+            if position < len(steps):
+                token, record, req.digests[c] = steps[position]
+            else:
+                token, record, req.digests[c] = self._decode(req, steps, req.digests[c], position, 1)[0]
             req.outputs[c].append(token)
             if record is not None:
                 req.records[c].append(record)
@@ -670,26 +681,32 @@ class SimCore:
     def _next_steps(self, req: SimRequest, c: int, count: int) -> list:
         """Completion ``c``'s next ``count`` decode steps, each (token, record, digest after it).
 
-        What the stream's memo entry holds is read as one slice; the steps past
-        it decode directly, and those below DECODE_MEMO_POSITIONS are memoized.
+        What the stream's memo entry holds is read as one slice, and the steps
+        past it decode as one run.
         """
+        steps = self._stream(req, c)
         position = len(req.outputs[c])
-        if position == 0:
-            req.steps.append(self._stream_steps(req, c))
-        steps = req.steps[c]
         got = steps[position : position + count]
         if len(got) < count:
-            cfg = self.config
-            width = max(req.logprobs or 0, 2)
             digest = got[-1][2] if got else req.digests[c]
-            for position in range(position + len(got), position + count):
-                token, ladder, digest = decode_step(digest, position, req.salt,
-                                                    cfg.vocab_size, width, cfg.logprob_spread, cfg.near_tie_gap)
-                step = (token, ladder[: req.logprobs] if req.logprobs else None, digest)
-                if position < DECODE_MEMO_POSITIONS:
-                    steps.append(step)
-                got.append(step)
+            got += self._decode(req, steps, digest, position + len(got), count - len(got))
         return got
+
+    def _decode(self, req: SimRequest, steps: list, digest: int, position: int, count: int) -> list:
+        """``count`` steps decoded as one run after ``digest`` from ``position`` on, past the end of the
+        stream's memo entry ``steps``; those below DECODE_MEMO_POSITIONS are memoized."""
+        cfg = self.config
+        decoded = decode_run(digest, position, count, req.salt, cfg.vocab_size, cfg.logprob_spread,
+                             cfg.near_tie_gap, req.logprobs)
+        if position < DECODE_MEMO_POSITIONS:
+            steps += decoded[: DECODE_MEMO_POSITIONS - position]
+        return decoded
+
+    def _stream(self, req: SimRequest, c: int) -> list:
+        """Completion ``c``'s memo entry, looked up before its first token."""
+        if not req.outputs[c]:
+            req.steps.append(self._stream_steps(req, c))
+        return req.steps[c]
 
     def _stream_steps(self, req: SimRequest, c: int) -> list:
         """The memo entry of completion ``c``'s stream, read before its first token; new ones start empty.

@@ -94,7 +94,7 @@ def compute_telemetry(report) -> PressureScore:
 
     ledger = report.kv_ledger
     allocs: Counter = Counter()  # window index -> allocations in it
-    for ts, n in Counter(ledger.alloc_ts).items():  # a run's blocks share one stamp
+    for ts, n in ledger.alloc_counts.items():
         allocs[ts // WINDOW_MS] += n
     return PressureScore(
         n_send=peak_inflight,

@@ -1,8 +1,9 @@
 """The decode memo in ``SimCore`` against direct decoding.
 
-``DirectDecodeCore`` keeps the memo-free ``_decode_step`` verbatim, steps
-every tick and calls ``decode_step`` at every position, so the comparison
-covers the memo reads of the memoized core's quiet stretches too.  The
+``DirectDecodeCore`` keeps the memo-free ``_decode_step``, steps every tick
+and decodes every position through ``reference_step``, the full ``stable_u64``
+composition of ``test_decode_step``, so the comparison covers the memo reads
+of the memoized core's quiet stretches and its decode runs too.  The
 random schedules of ``test_prompt_memo`` drive it and the memoized core
 alike, three rounds on one core with a reset between them, so later rounds
 read streams the earlier ones memoized.  Every round must leave the same KV
@@ -17,15 +18,15 @@ from collections import Counter
 
 from hypothesis import example, given, settings, strategies as st
 
+from test_decode_step import reference_step
 from test_prompt_memo import F1, PREEMPTION, STALE_GRAB, aborts, advances, finished, play
 from tracefuzz.simulator.config import SimConfig
-from tracefuzz.simulator.decode import decode_step
 from tracefuzz.simulator.engine import DECODE_MEMO_LOGPROBS, DECODE_MEMO_POSITIONS, DECODE_MEMO_STREAMS, SimCore
 
 
 class DirectDecodeCore(SimCore):
-    """The core as it decoded before the memo: ``_decode_step`` is the memo-free version, verbatim, and
-    ``advance`` steps every tick, so no quiet stretch reads the memo."""
+    """The core as it decoded before the memo: ``_decode_step`` is the memo-free version, each position
+    decoded by the reference composition, and ``advance`` steps every tick, so no quiet stretch reads the memo."""
 
     def advance(self, clock_ms) -> None:
         self.step()
@@ -34,8 +35,8 @@ class DirectDecodeCore(SimCore):
         cfg = self.config
         width = max(req.logprobs or 0, 2)
         for c in range(req.n_completions):
-            token, ladder, req.digests[c] = decode_step(req.digests[c], len(req.outputs[c]), req.salt,
-                                                        cfg.vocab_size, width, cfg.logprob_spread, cfg.near_tie_gap)
+            token, ladder, req.digests[c] = reference_step(req.digests[c], len(req.outputs[c]), req.salt,
+                                                           cfg.vocab_size, width, cfg.logprob_spread, cfg.near_tie_gap)
             req.outputs[c].append(token)
             if req.logprobs:
                 req.records[c].append(ladder[: req.logprobs])

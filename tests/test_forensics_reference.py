@@ -9,6 +9,7 @@ the request index and snapshots longer than the prompt; the seeded reports
 are the frozen KV stream set's real executions.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 from hypothesis import example, given, settings, strategies as st
@@ -123,7 +124,7 @@ def reference_ledger(events) -> dict:
         "peak_held": peak,
         "kinds": frozenset(kinds),
         "bigrams": frozenset(zip(kinds, kinds[1:])),
-        "alloc_ts": tuple(alloc_ts),
+        "alloc_counts": Counter(alloc_ts),  # the ledger counts the walk's stamps
         "held_blocks": {owner: frozenset(blocks) for owner, blocks in by_owner.items()},
         "cross_adapter": tuple(cross_adapter),
     }
