@@ -24,7 +24,8 @@ from functools import cached_property
 from itertools import chain, islice, repeat
 from typing import NamedTuple
 
-from .trace import DEFAULT_VOCAB_SIZE, EventKind, RequestSpec, TimedTrace, group_key, parse_prompt, prompt_for, render_prompt
+from .trace import (DEFAULT_VOCAB_SIZE, EventKind, RequestSpec, TimedTrace, group_key, parse_prompt, prompt_for,
+                    render_prompt, token_word, word_token)
 
 LOG = logging.getLogger(__name__)
 
@@ -231,6 +232,8 @@ class KvLedger:
 class RequestOutcome:
     request_id: str
     status: str  # completed | cancelled | disconnected | timeout | server_error
+    # When the request left, in ms from the execution's epoch: in-process its Send's offset, over HTTP
+    # when its thread posted it, which is later than the offset by the thread's lateness.
     dispatched_ms: int
     total_ms: int | None = None
     output_tokens: tuple = ()  # one token tuple per completion stream
@@ -332,6 +335,47 @@ def completion_body(spec: RequestSpec, corpus_seed: int, vocab_size: int) -> dic
     return body
 
 
+def completion_chunk(index: int, position: int, tokens, ladders) -> bytes:
+    """One server-sent event of a completion stream: choice ``index``'s tokens from ``position`` on.
+
+    The chunk is an OpenAI completions stream chunk with one choice, whose
+    ``text`` holds the token words.  With ``ladders`` (one ((token, logprob),
+    ...) per token, the token's own entry first, no token twice) it also
+    carries OpenAI ``logprobs``; each ladder is a ``top_logprobs`` object
+    keyed by token word in ladder order.
+    """
+    words = [token_word(tok) for tok in tokens]
+    choice: dict = {"index": index, "text": (" " if position else "") + " ".join(words)}
+    if ladders is not None:
+        choice["logprobs"] = {
+            "tokens": words,
+            "token_logprobs": [ladder[0][1] for ladder in ladders],
+            "top_logprobs": [{token_word(tok): lp for tok, lp in ladder} for ladder in ladders],
+        }
+    return b"data: " + json.dumps({"choices": [choice]}).encode("utf-8") + b"\n\n"
+
+
+def read_completion_chunk(payload: bytes) -> tuple[int, tuple[int, ...], tuple | None]:
+    """(choice index, tokens, ladders or None) of one stream chunk's JSON, as completion_chunk wrote them.
+
+    A chunk without ``index`` is choice 0, and one without ``logprobs`` has
+    no ladders.  Raises for a chunk that is not one: JSONDecodeError,
+    IndexError for no choice, ValueError for a bad index, word or ladder.
+    """
+    choice = json.loads(payload)["choices"][0]
+    index = choice.get("index", 0)
+    if type(index) is not int or index < 0:
+        raise ValueError(f"bad choice index {index!r}")
+    tokens = parse_prompt(choice.get("text", ""))
+    logprobs = choice.get("logprobs")
+    if logprobs is None:
+        return index, tokens, None
+    ladders = tuple(tuple((word_token(word), lp) for word, lp in top.items()) for top in logprobs["top_logprobs"])
+    if len(ladders) != len(tokens) or any(type(lp) not in (int, float) for ladder in ladders for _, lp in ladder):
+        raise ValueError("logprobs do not give one ladder of numbers per token")
+    return index, tokens, ladders
+
+
 def execute(
     trace: TimedTrace,
     endpoint: EngineEndpoint,
@@ -390,21 +434,28 @@ def engine_info(endpoint: EngineEndpoint) -> dict:
     return info if all(type(size) is int and size > 0 for size in sizes) else {}
 
 
-def check_health(endpoint: EngineEndpoint) -> dict | None:
-    """The endpoint's /health document ({} unless a JSON object), or None when the endpoint is not healthy."""
+def check_health(endpoint: EngineEndpoint) -> tuple[bool, dict]:
+    """Whether the endpoint answers /health with a 200, and its /health document ({} unless a JSON object)."""
     import requests
 
     try:
         resp = requests.get(endpoint.base_url.rstrip("/") + "/health", timeout=5)
     except requests.RequestException:
-        return None
-    if resp.status_code != 200:
-        return None
+        return False, {}
     try:
         doc = resp.json()
     except ValueError:
         doc = {}
-    return doc if isinstance(doc, dict) else {}
+    return resp.status_code == 200, doc if isinstance(doc, dict) else {}
+
+
+def _crash_evidence(health: dict) -> dict:
+    """An unhealthy engine's crash evidence: its /health ``crash_evidence`` when that names a string
+    signature, else a lost connection."""
+    evidence = health.get("crash_evidence")
+    if isinstance(evidence, dict) and type(evidence.get("signature")) is str:
+        return evidence
+    return {"signature": "connection-lost"}
 
 
 # --------------------------------------------------------------------------
@@ -527,8 +578,8 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
     # every stamp, while dispatch counts from the epoch after it, so the read
     # makes no Send late.
     origin = time.monotonic()
-    health = check_health(endpoint)
-    if health is None:
+    healthy, health = check_health(endpoint)
+    if not healthy:
         raise EndpointUnavailable(f"no healthy endpoint at {base}")
     kv_since, kv_epoch_ms = health.get("kv_events", 0), health.get("clock_ms", 0)
 
@@ -537,10 +588,12 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
     lock = threading.Lock()
     dispatch_errors: list[int] = []
 
-    def run_request(rid: str, body: dict, intended_ms: int, gate: threading.Event) -> None:
+    def run_request(rid: str, body: dict, gate: threading.Event) -> None:
         gate.wait()
         started = time.monotonic()
-        tokens: list[int] = []
+        dispatched_ms = int((started - epoch) * 1000)
+        streams: list[list[int]] = [[] for _ in range(body["n"])]
+        ladders: list[list] | None = [[] for _ in streams] if body.get("logprobs") else None
         stamps: list[int] = []
         status, error, ended = "server_error", "stream ended before [DONE]", None
         try:
@@ -558,17 +611,20 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
                     if not raw or not raw.startswith(b"data: "):
                         continue
                     payload = raw[len(b"data: ") :]
-                    text = None if payload == b"[DONE]" else json.loads(payload)["choices"][0].get("text", "")
+                    chunk = None if payload == b"[DONE]" else read_completion_chunk(payload)
                     now = time.monotonic()
                     with lock:
                         if rid in aborted:
                             break  # the abort's mark ends what we record: the rest was buffered before our close
-                        if text is None:
+                        if chunk is None:
                             status, error, ended = "completed", None, now
                             break
-                        for tok in parse_prompt(text):
-                            tokens.append(tok)
-                            stamps.append(int((now - started) * 1000) + intended_ms)
+                        index, tokens, records = chunk
+                        streams[index] += tokens
+                        if ladders is not None:
+                            ladders[index] += records or ()
+                        if index == 0:
+                            stamps += [dispatched_ms + int((now - started) * 1000)] * len(tokens)
         except requests.exceptions.Timeout:
             status, error = "timeout", "client-side timeout"
         except Exception as exc:  # the thread's boundary: every Send gets one outcome
@@ -581,9 +637,10 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
         outcome = RequestOutcome(
             request_id=rid,
             status=status,
-            dispatched_ms=intended_ms,
+            dispatched_ms=dispatched_ms,
             total_ms=int(((ended or time.monotonic()) - started) * 1000),
-            output_tokens=(tuple(tokens),),
+            output_tokens=tuple(map(tuple, streams)),
+            logprob_records=None if ladders is None else tuple(map(tuple, ladders)),
             token_stamps=tuple(stamps),
             error=error,
             aborted_ms=aborted_ms,
@@ -612,7 +669,7 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
         if event.kind is EventKind.SEND:
             gates[index] = threading.Event()
             body = completion_body(event.spec, corpus_seed, vocab)
-            args = (event.spec.request_id, body, event.offset_ms, gates[index])
+            args = (event.spec.request_id, body, gates[index])
             threads.append(threading.Thread(target=run_request, args=args, daemon=True))
     for t in [threading.Thread(target=closer, daemon=True), *threads]:
         t.start()
@@ -650,13 +707,13 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
             reported[rid] = RequestOutcome(request_id=rid, status="timeout", dispatched_ms=event.offset_ms, error="no response")
 
     kv_log = collect_kv_stream(endpoint, kv_since, kv_epoch_ms)
-    crashed = check_health(endpoint) is None
+    healthy, health = check_health(endpoint)
     return ExecutionReport(
         trace=trace,
         corpus_seed=corpus_seed,
         outcomes=reported,
         kv_log=kv_log,
-        crash_evidence={"signature": "connection-lost"} if crashed else None,
+        crash_evidence=None if healthy else _crash_evidence(health),
         wall_clock_span_ms=span,
         engine_info=info,
         schedule_degraded=bool(dispatch_errors),

@@ -8,8 +8,18 @@ Every handler that reads or changes the core first catches its virtual clock
 up with wall time, so F2-style descheduling shows up as real streaming
 latency, and a server nobody talks to runs no ticks.  A crash kills in-flight
 completion streams abruptly (connection loss) but leaves the control plane up:
-/health reports 503 until /control/reset revives the engine, standing in for
-the external supervisor a real deployment would have.
+/health reports 503, with the core's crash evidence, until /control/reset
+revives the engine, standing in for the external supervisor a real deployment
+would have.
+
+A completion streams every choice: each poll writes, for each stream, the
+positions decoded since its cursor as one chunk (``adapter.completion_chunk``)
+with the stream's index and, when the request asked for logprobs, their
+ladders.  Known limit: a streamed position is never sent again.  A request
+preempted on a near-tie engine is re-admitted with a new salt and can
+re-decode different tokens at positions already streamed, so its client then
+holds tokens the engine's final outputs no longer have.  Without a tie gap a
+recompute decodes the same tokens.
 """
 
 from __future__ import annotations
@@ -20,7 +30,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
-from ..trace import parse_prompt, token_word
+from ..adapter import completion_chunk
+from ..trace import parse_prompt
 from .config import SimConfig
 from .engine import SimCore
 
@@ -56,6 +67,8 @@ class SimHttpServer:
                         server._sync()
                         core, ok = server.core, not server.core.crashed
                         doc = {"status": "ok" if ok else "crashed", "kv_events": len(core.kv_events), "clock_ms": core.clock_ms}
+                        if not ok:
+                            doc["crash_evidence"] = core.crash_evidence
                     self._json(200 if ok else 503, doc)
                 elif url.path == "/control/info":
                     self._json(200, server.config.engine_info())
@@ -140,39 +153,33 @@ class SimHttpServer:
                     return
                 self._stream(rid, generation)
 
-            def _poll(self, rid: str, generation: int):
-                """One locked snapshot: (alive, outputs, done)."""
-                with server.lock:
-                    server._sync()
-                    if server.generation != generation or server.core.crashed:
-                        return False, [], True
-                    req = server.core.requests.get(rid)
-                    if req is None:
-                        return False, [], True
-                    outs = [list(stream) for stream in req.outputs]
-                    return True, outs, req.status is not None
-
             def _stream(self, rid: str, generation: int) -> None:
                 self.send_response(200)
                 self.send_header("Content-Type", "text/event-stream")
                 self.send_header("Cache-Control", "no-cache")
                 self.send_header("Connection", "close")
                 self.end_headers()
-                sent = 0
+                sent: dict[int, int] = {}  # stream index -> the positions already written
                 try:
                     while not server._stop.is_set():
-                        alive, outs, done = self._poll(rid, generation)
-                        if not alive:
-                            # Crash or reset: drop the connection mid-stream.
-                            self.close_connection = True
-                            return
-                        stream0 = outs[0] if outs else []
-                        while sent < len(stream0):
-                            word = token_word(stream0[sent])
-                            chunk = {"choices": [{"index": 0, "text": (" " if sent else "") + word}]}
-                            self.wfile.write(f"data: {json.dumps(chunk)}\n\n".encode("utf-8"))
+                        with server.lock:
+                            server._sync()
+                            req = server.core.requests.get(rid)
+                            if server.generation != generation or server.core.crashed or req is None:
+                                # Crash or reset: drop the connection mid-stream.
+                                self.close_connection = True
+                                return
+                            chunks = []
+                            for index, stream in enumerate(req.outputs):
+                                start = sent.get(index, 0)
+                                if start < len(stream):
+                                    ladders = req.records[index][start:] if req.logprobs else None
+                                    chunks.append(completion_chunk(index, start, stream[start:], ladders))
+                                    sent[index] = len(stream)
+                            done = req.status is not None
+                        if chunks:
+                            self.wfile.write(b"".join(chunks))
                             self.wfile.flush()
-                            sent += 1
                         if done:
                             self.wfile.write(b"data: [DONE]\n\n")
                             self.wfile.flush()

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 import requests
+from hypothesis import given, settings, strategies as st
 
 import tracefuzz.adapter as adapter_module
 from tracefuzz.adapter import (
@@ -15,7 +16,9 @@ from tracefuzz.adapter import (
     EngineKind,
     KvEvent,
     completion_body,
+    completion_chunk,
     execute,
+    read_completion_chunk,
     reset_server,
 )
 from tracefuzz.simulator.config import FaultFamily, SimConfig
@@ -28,7 +31,9 @@ from tracefuzz.trace import (
     SamplingConfig,
     TimedTrace,
     TraceEvent,
+    parse_prompt,
 )
+from tracefuzz.trace import _MAX_RENDERABLE
 
 
 def endpoint_for(config=None):
@@ -352,6 +357,9 @@ def test_hung_streams_share_one_join_deadline(monkeypatch):
         ([b'data: {"choices": [{"text": ""}]}'], "server_error", "stream ended before [DONE]"),
         ([b'data: {"choices": [{"te'], "server_error", "JSONDecodeError: "),
         ([b'data: {"choices": []}'], "server_error", "IndexError: "),
+        # A chunk for a choice the request did not ask for, or with an index that is not one.
+        ([b'data: {"choices": [{"index": 1, "text": ""}]}', b"data: [DONE]"], "server_error", "IndexError: "),
+        ([b'data: {"choices": [{"index": -1, "text": ""}]}', b"data: [DONE]"], "server_error", "ValueError: "),
     ],
 )
 def test_a_stream_nobody_aborted_completes_only_with_done(monkeypatch, lines, status, error):
@@ -439,6 +447,104 @@ def test_a_kv_line_that_is_not_an_event_leaves_the_kv_stream_unsupported(monkeyp
     health = {"kv_events": 0, "clock_ms": 5}
     assert _execute_on_stub(monkeypatch, health=health).kv_events == (KvEvent(4, "alloc", 3, None, "q", "BASE"),)
     assert _execute_on_stub(monkeypatch, health=health, kv_text=f"{_KV_LINE}\n{line}\n").kv_events is None
+
+
+def test_a_late_request_thread_counts_its_dispatch_from_the_epoch(monkeypatch):
+    # Each request thread wakes 100 ms after its Send's offset.  Its dispatch is
+    # when it posted, so the lateness reads as dispatched_ms minus the offset;
+    # its stamps and end count from the same epoch, so its TTFT leaves it out.
+    real_wait = threading.Event.wait
+
+    def late_wait(self, timeout=None):
+        woke = real_wait(self, timeout)
+        if threading.current_thread() is not threading.main_thread():  # a request thread's gate
+            time.sleep(0.1)
+        return woke
+
+    lines = [completion_chunk(0, 0, (5, 6), None).rstrip(b"\n"), b"data: [DONE]"]
+    monkeypatch.setattr(threading.Event, "wait", late_wait)
+    monkeypatch.setattr(requests, "post", lambda url, **kwargs: _Reply(200, lines=lines))
+    monkeypatch.setattr(requests, "get", lambda url, **kwargs: _Reply(404 if url.endswith("/kv_events") else 200, {}))
+    report = execute(TimedTrace("t~late", (send("s", 0), send("t", 20))), EngineEndpoint(kind=EngineKind.OPENAI, base_url="http://stub"))
+    for rid, offset in (("s", 0), ("t", 20)):
+        outcome = report.outcomes[rid]
+        assert outcome.status == "completed" and outcome.output_tokens == ((5, 6),)
+        assert outcome.dispatched_ms - offset >= 100
+        assert outcome.dispatched_ms <= outcome.token_stamps[0] <= outcome.end_ms <= report.wall_clock_span_ms
+        assert outcome.ttft_ms < 100
+    assert report.schedule_degraded is False  # the dispatch loop itself ran on time
+
+
+@pytest.mark.parametrize(
+    "doc, evidence",
+    [
+        ({"status": "crashed", "crash_evidence": {"signature": "oom", "tick": 3}}, {"signature": "oom", "tick": 3}),
+        ({"status": "crashed"}, {"signature": "connection-lost"}),
+        ({"crash_evidence": {"signature": 7}}, {"signature": "connection-lost"}),
+        ({"crash_evidence": "oom"}, {"signature": "connection-lost"}),
+        ([], {"signature": "connection-lost"}),
+        (None, {"signature": "connection-lost"}),  # /health no longer answers at all
+    ],
+)
+def test_a_crashed_engine_is_filed_under_its_own_crash_evidence(monkeypatch, doc, evidence):
+    healths = []
+
+    def get(url, **kwargs):
+        if url.endswith("/kv_events"):
+            return _Reply(404)
+        if not url.endswith("/health"):
+            return _Reply(200, {"vocab_size": 1024})
+        healths.append(url)
+        if len(healths) == 1:
+            return _Reply(200, {"kv_events": 0, "clock_ms": 0})
+        if doc is None:
+            raise requests.ConnectionError("refused")
+        return _Reply(503, doc)
+
+    monkeypatch.setattr(requests, "post", lambda url, **kwargs: _Reply(200, lines=[b"data: [DONE]"]))
+    monkeypatch.setattr(requests, "get", get)
+    report = execute(TimedTrace("t~crash", (send("p", 0),)), EngineEndpoint(kind=EngineKind.OPENAI, base_url="http://stub"))
+    assert len(healths) == 2
+    assert report.crash_evidence == evidence
+
+
+# -- Completion stream chunks ----------------------------------------------------
+
+_LADDER = st.lists(
+    st.tuples(st.integers(0, _MAX_RENDERABLE - 1), st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=6, unique_by=lambda entry: entry[0],
+).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(index=st.integers(0, 64), position=st.integers(0, 4096), ladders=st.lists(_LADDER, max_size=8),
+       with_ladders=st.booleans())
+def test_a_written_chunk_reads_back_exactly(index, position, ladders, with_ladders):
+    tokens = tuple(ladder[0][0] for ladder in ladders)
+    event = completion_chunk(index, position, tokens, tuple(ladders) if with_ladders else None)
+    assert event.startswith(b"data: ") and event.endswith(b"\n\n")
+    assert read_completion_chunk(event[len(b"data: "):-2]) == (index, tokens, tuple(ladders) if with_ladders else None)
+
+
+def test_a_real_engine_chunk_reads_as_stream_zero_with_no_ladder():
+    # What an OpenAI-style engine streams for n=1 without logprobs: no index, no logprobs, and a text of
+    # several words, with the fields the reader does not use.
+    payload = (b'{"id": "cmpl-7", "object": "text_completion", "created": 1, "model": "BASE", '
+               b'"choices": [{"text": " bigu bofa bumy", "finish_reason": null}]}')
+    assert read_completion_chunk(payload) == (0, parse_prompt("bigu bofa bumy"), None)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b'{"choices": [{"index": true, "text": ""}]}', b'{"choices": [{"index": "0", "text": ""}]}',
+     b'{"choices": [{"text": "bigu", "logprobs": {"top_logprobs": []}}]}',
+     b'{"choices": [{"text": "bigu", "logprobs": {"top_logprobs": [{"bigu": "-0.5"}]}}]}',
+     b'{"choices": [{"text": "bigu", "logprobs": {"top_logprobs": [{"zzzz": -0.5}]}}]}'],
+    ids=["bool-index", "string-index", "ladder-per-token", "string-logprob", "not-a-word"],
+)
+def test_a_chunk_that_is_not_one_is_refused(payload):
+    with pytest.raises(ValueError):
+        read_completion_chunk(payload)
 
 
 # -- HTTP request bodies --------------------------------------------------------
