@@ -28,11 +28,14 @@ The simulator hashes these same encodings through ``u64`` without going
 through ``stable_u64``.  ``u64`` feeds its bytes to a copy of one pre-built
 empty blake2b-64 state, which costs less than building a state from its
 parameters and hashes the same bytes.  The decode runs build their encodings
-with ``encode`` and ``encode_int``.  The simulator's block hashes and prompt
-digests encode a prompt once with ``encode_parts``: a block hashes the
-encodings of its header, chain hash and adapter followed by its slice of the
-prompt's encoding (``encode_ints``, whose every part takes ``INT_WIDTH``
-bytes), and a digest its header and digest followed by the whole encoding.
+with ``encode`` and ``encode_int``.  The simulator's block hashes encode a
+prompt's full blocks once per adapter, and each block hashes the encodings
+of its header, chain hash and adapter followed by its slice of that encoding
+(``encode_ints``, whose every part takes ``INT_WIDTH`` bytes).  A prompt
+digest encodes the whole prompt with ``encode_parts`` once per initial
+digest it is taken after, behind the encodings of its header and that
+digest.  So a prompt is encoded once per adapter it is admitted under and
+once per new digest, not once.
 Prompt synthesis hashes a shared head once and each position's encoding
 after a copy of it (``stable_u64_positions``).
 """

@@ -117,15 +117,25 @@ class BlockManager:
             _drain(map(self.content_hash.__setitem__, reused, islice(sealed, len(ids), None)))
             _drain(map(self.ref_count.__setitem__, reused, repeat(1)))
             ids += reused
-        _drain(map(self._hash_index.setdefault, sealed, ids))
+        index = self._hash_index
+        _drain(map(index.setdefault, sealed, ids))
+        # Left over only once no id is free: each block takes the id of the LRU head it evicts.
+        owners, content_hashes, ref_count, lru = self.owner, self.content_hash, self.ref_count, self._lru
         victims = []
-        for content_hash in hashes:  # left over only once no id is free
-            allocated = self.allocate(pair, content_hash)
-            if allocated is None:
+        for content_hash in hashes:
+            if not lru:
                 break
-            ids.append(allocated[0])
+            block_id = lru.popitem(last=False)[0]
+            victim_hash = content_hashes[block_id]
+            victims.append((victim_hash, owners[block_id]))
+            if index.get(victim_hash) == block_id:
+                del index[victim_hash]
+            owners[block_id] = pair
+            content_hashes[block_id] = content_hash
+            ref_count[block_id] = 1
+            index.setdefault(content_hash, block_id)
+            ids.append(block_id)
             sealed.append(content_hash)
-            victims.append(allocated[1])
         return ids, sealed, victims
 
     def adopt(self, hashes) -> tuple[list[int], list[int]]:

@@ -11,6 +11,20 @@ stretch at a time.  All state transitions are pure functions of the
 submission sequence and the config, so identical schedules replay
 bit-identically.
 
+The determinism contract: what a core reports for an execution from a fresh
+state depends only on its config, the trace, the corpus seed, the decode
+mode and the request timeout.  The memos below change what a run costs,
+never what it reports, and a SimCore subclass must keep it that way.  The
+in-process transport (adapter._execute_virtual) leans on it.  A core keeps,
+in ``last_run``, the inputs and report of the last execution that started
+on it while ``fresh``: tick 0, no request, not crashed and no run owed.  On
+a fresh core the same trace object with the same corpus seed, decode mode
+and timeout is served a copy of that report, and the engine does not run.
+The served run leaves the core at reset and owes its state
+(``last_run.owed``): the next execution without a reset() in between first
+runs it for real and drops its report, so it starts from the state the run
+would have left.  reset() drops what is owed and keeps the last run.
+
 Decode steps are memoized per core.  A completion's stream is fixed by its
 context digest after the prompt (a stale grab's contaminated digest
 included), its salt and its logprobs; vocabulary, spread and tie gap come
@@ -63,7 +77,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
 
-from ..adapter import KvEvent, KvRun, kv_events_of
+from ..adapter import ExecutionReport, KvEvent, KvRun, kv_events_of
 from ..hashing import INT_WIDTH, encode, encode_int, encode_ints, encode_parts, stable_u64, u64
 from .blocks import BlockManager
 from .config import FaultFamily, FaultSpec, SimConfig
@@ -184,6 +198,16 @@ class _Chain:
     chain_hash: int = 0
 
 
+@dataclass(slots=True)
+class LastRun:
+    """The last execution the adapter started on a fresh core: its inputs (trace, corpus seed, canonical
+    decode, request timeout) and its report, and whether a served copy of it left the core owing its state."""
+
+    inputs: tuple | None = None
+    report: ExecutionReport | None = None
+    owed: bool = False
+
+
 @dataclass(eq=False)  # compared by identity: waiting.remove(req) takes this request, comparing no fields
 class SimRequest:
     rid: str
@@ -225,11 +249,16 @@ class SimCore:
         self._decode_memo: dict[tuple, list] = {}
         self._prompt_memo: dict[int, _PromptMemo] = {}  # by id(prompt)
         self.blocks = BlockManager(config.total_kv_blocks)
+        # The kept run and its owed flag share one attribute: CPython 3.11 keeps at most 29 of a class's
+        # instance attributes inline, SimCore has 29, and a 30th moves every core's attributes into a
+        # dict, which slowed short-near-tie by about 3 %.
+        self.last_run = LastRun()
         self.reset()
 
     def reset(self) -> None:
-        """Restore a fresh engine in place, crashed or not; the decode mode and decode memo are kept,
-        and the KV pool is cleared in place."""
+        """Restore a fresh engine in place, crashed or not; the decode mode, the decode memo and the last
+        run are kept, an owed run is dropped, and the KV pool is cleared in place."""
+        self.last_run.owed = False
         self.clock_ms = 0
         self.tick = 0
         self.blocks.clear()
@@ -324,6 +353,11 @@ class SimCore:
 
     def in_flight(self) -> list[SimRequest]:
         return self.waiting + self.running
+
+    @property
+    def fresh(self) -> bool:
+        """Whether the core is as reset() leaves it: tick 0, no request, not crashed and no run owed."""
+        return not self.tick and not self.requests and not self.crashed and not self.last_run.owed
 
     @property
     def kv_events(self) -> list[KvEvent]:

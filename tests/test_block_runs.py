@@ -24,7 +24,8 @@ hits adopted as one run.
 
 Three fixed schedules reach what random schedules on small pools do not: a
 run evicts the indexed twin of one of its own earlier blocks, so sealing
-every block of a run after its evictions would leave a different hash index;
+every block of a run after its evictions would leave a different hash index
+(a three-block pool checks the same order inside an evicting tail);
 4096-token prompts with eight completions on the default 2048-block pool,
 the scale of the benchmark's fillers; and a stale grab followed by prefix
 hits past it.  A fourth counts the block hashes of a run after a stale grab
@@ -427,6 +428,20 @@ def test_a_run_may_evict_the_indexed_twin_of_its_own_block():
     machine.cores_agree()
     machine.accounting_holds()
     assert "victim hashed like an earlier block of its run" in machine.reached
+
+
+def test_an_evicting_tail_seals_each_block_before_its_next_eviction():
+    # Every block of the second run evicts the LRU head; its first block is
+    # hashed like the third victim, which is still indexed when the block is
+    # sealed, so the index keeps the victim's id until that eviction drops it.
+    manager = BlockManager(3)
+    ids, _, _ = manager.allocate_run("old", "BASE", [10, 11, 12])
+    manager.release(ids)
+    ids, sealed, victims = manager.allocate_run("new", "BASE", [12, 13, 14])
+    assert (ids, sealed) == ([0, 1, 2], [12, 13, 14])
+    assert victims == [(10, ("old", "BASE")), (11, ("old", "BASE")), (12, ("old", "BASE"))]
+    assert manager._hash_index == {13: 1, 14: 2}
+    assert not manager._lru and not manager._free
 
 
 def test_runs_match_blocks_at_benchmark_scale():
