@@ -231,7 +231,7 @@ class KvLedger:
 @dataclass
 class RequestOutcome:
     request_id: str
-    status: str  # completed | cancelled | disconnected | timeout | server_error
+    status: str  # completed | cancelled | disconnected | timeout | server_error, by request_outcome's rule
     # When the request left, in ms from the execution's epoch: in-process its Send's offset, over HTTP
     # when its thread posted it, which is later than the offset by the thread's lateness.
     dispatched_ms: int
@@ -251,6 +251,30 @@ class RequestOutcome:
     def end_ms(self) -> int:
         """When the request ended on the trace's clock; its dispatch when it never reported a total."""
         return self.dispatched_ms + (self.total_ms or 0)
+
+
+def request_outcome(request_id: str, dispatched_ms: int, refusal: str | None = None, end: tuple | None = None,
+                    control: EventKind | None = None, deadline: str = "no response", **record) -> RequestOutcome:
+    """A Send's outcome, by the one rule for a request's end: the only place a RequestOutcome is built.
+
+    1. A ``refusal`` stands, whatever the client did next: a ``submit`` error in-process (a Send to an engine
+       already down is refused without one), a non-200 reply over HTTP, whose ``error`` string is the reason.
+       The outcome is ``server_error`` with only the engine's reason and the dispatch time: no total, no tokens.
+    2. Otherwise an ``end`` that the client heard from the engine, (status, error), stands: in-process always
+       the engine's own status or a crash mid-request; over HTTP a ``[DONE]`` or a broken stream that the
+       request's thread saw before its first Cancel or Disconnect was marked.
+    3. Otherwise the client's first Cancel or Disconnect, ``control``, decides (``cancelled`` or
+       ``disconnected``), then the client's deadline (``timeout``, with ``deadline`` as its error).  A Send
+       that no thread answered is ``timeout``, "no response".
+
+    ``record`` holds the rest of what the client saw: total_ms, the streams, their ladders, stamps, aborted_ms.
+    """
+    if refusal is not None:
+        end, record = ("server_error", refusal), {}
+    elif end is None and control is not None:
+        end = ("cancelled" if control is EventKind.CANCEL else "disconnected"), None
+    status, error = end or ("timeout", deadline)
+    return RequestOutcome(request_id, status, dispatched_ms, error=error, **record)
 
 
 @dataclass
@@ -427,10 +451,10 @@ def engine_info(endpoint: EngineEndpoint) -> dict:
 
     try:
         resp = requests.get(endpoint.base_url.rstrip("/") + "/control/info", timeout=5)
-        info = resp.json() if resp.status_code == 200 else {}
-    except (requests.RequestException, ValueError):
+    except requests.RequestException:
         return {}
-    sizes = [info.get(key, 1) for key in ("vocab_size", "block_size_tokens")] if isinstance(info, dict) else [0]
+    info = _json_object(resp) if resp.status_code == 200 else {}
+    sizes = [info.get(key, 1) for key in ("vocab_size", "block_size_tokens")]
     return info if all(type(size) is int and size > 0 for size in sizes) else {}
 
 
@@ -442,11 +466,16 @@ def check_health(endpoint: EngineEndpoint) -> tuple[bool, dict]:
         resp = requests.get(endpoint.base_url.rstrip("/") + "/health", timeout=5)
     except requests.RequestException:
         return False, {}
+    return resp.status_code == 200, _json_object(resp)
+
+
+def _json_object(resp) -> dict:
+    """A reply's JSON object; {} for a body that is not one."""
     try:
         doc = resp.json()
     except ValueError:
-        doc = {}
-    return resp.status_code == 200, doc if isinstance(doc, dict) else {}
+        return {}
+    return doc if isinstance(doc, dict) else {}
 
 
 def _crash_evidence(health: dict) -> dict:
@@ -500,33 +529,24 @@ def _run_virtual(core, trace, corpus_seed, canonical_decode, timeout) -> Executi
     info = core.config.engine_info()
     vocab = info["vocab_size"]
 
-    outcomes: dict[str, RequestOutcome] = {}
+    refused: dict[str, str] = {}  # rid -> why the engine refused its Send
     dispatched: dict[str, int] = {}  # rid -> core clock at dispatch
     aborted: dict[str, int] = {}  # rid -> when its first control ran, from the epoch
-    undispatched: list[tuple[RequestSpec, int]] = []
     for event in trace.events:
         core.advance_to(epoch + event.offset_ms)  # returns at once on a crashed engine
         if core.crashed:
             if event.kind is EventKind.SEND:
-                undispatched.append((event.spec, event.offset_ms))
+                refused[event.spec.request_id] = "engine down before dispatch"
             continue
         if event.kind is EventKind.SEND:
             spec = event.spec
             tokens = prompt_for(spec, corpus_seed, vocab)
-            err = core.submit(
-                rid=spec.request_id,
-                prompt=tokens,
-                adapter=spec.adapter,
-                max_tokens=spec.sampling.max_tokens,
-                n_completions=spec.sampling.n_completions,
-                request_seed=spec.sampling.seed,
-                logprobs=spec.sampling.logprobs,
-                dispatched_ms=epoch + event.offset_ms,
-            )
+            sampling = spec.sampling
+            err = core.submit(rid=spec.request_id, prompt=tokens, adapter=spec.adapter, max_tokens=sampling.max_tokens,
+                              n_completions=sampling.n_completions, request_seed=sampling.seed,
+                              logprobs=sampling.logprobs, dispatched_ms=epoch + event.offset_ms)
             if err is not None:
-                outcomes[spec.request_id] = RequestOutcome(
-                    request_id=spec.request_id, status="server_error", dispatched_ms=event.offset_ms, error=err
-                )
+                refused[spec.request_id] = err
             else:
                 dispatched[spec.request_id] = epoch + event.offset_ms
         elif event.kind in (EventKind.CANCEL, EventKind.DISCONNECT):
@@ -545,42 +565,30 @@ def _run_virtual(core, trace, corpus_seed, canonical_decode, timeout) -> Executi
             break
         core.advance(min(dispatched.get(req.rid, 0) for req in in_flight if not req.done) + timeout)
 
-    for rid, sent_at in dispatched.items():
+    outcomes: dict[str, RequestOutcome] = {}
+    for event in trace.send_events():
+        rid = event.spec.request_id
+        sent_at = dispatched.get(rid)
+        if sent_at is None:
+            outcomes[rid] = request_outcome(rid, event.offset_ms, refusal=refused[rid])
+            continue
         req = core.requests[rid]
         if req.status is None:  # still in flight at crash time
-            outcomes[rid] = RequestOutcome(
-                request_id=rid, status="server_error", dispatched_ms=sent_at - epoch, error="engine crashed mid-request"
-            )
+            outcomes[rid] = request_outcome(rid, sent_at - epoch, end=("server_error", "engine crashed mid-request"))
             continue
-        outcomes[rid] = RequestOutcome(
-            request_id=rid,
-            status=req.status,
-            dispatched_ms=sent_at - epoch,
+        outcomes[rid] = request_outcome(
+            rid, sent_at - epoch, end=(req.status, None), aborted_ms=aborted.get(rid),
             total_ms=None if req.finished_ms is None else req.finished_ms - sent_at,
             output_tokens=tuple(tuple(s) for s in req.outputs),
             logprob_records=tuple(tuple(s) for s in req.records) if req.logprobs else None,
             token_stamps=tuple([stamp - epoch for stamp in req.token_stamps] if epoch else req.token_stamps),
-            aborted_ms=aborted.get(rid),
-        )
-    for spec, offset in undispatched:
-        outcomes[spec.request_id] = RequestOutcome(
-            request_id=spec.request_id, status="server_error", dispatched_ms=offset, error="engine down before dispatch"
         )
 
     kv_log = tuple(islice(core.kv_log, first_kv_entry, None))
     if epoch:
         kv_log = tuple([entry._replace(ts_ms=entry.ts_ms - epoch) for entry in kv_log])
-    return ExecutionReport(
-        trace=trace,
-        corpus_seed=corpus_seed,
-        outcomes=outcomes,
-        kv_log=kv_log,
-        crash_evidence=core.crash_evidence,
-        wall_clock_span_ms=core.clock_ms - epoch,
-        block_snapshots={rid: snap for rid, snap in core.snapshots.items() if rid in dispatched},
-        engine_info=info,
-        schedule_degraded=False,
-    )
+    snapshots = {rid: snap for rid, snap in core.snapshots.items() if rid in dispatched}
+    return ExecutionReport(trace, corpus_seed, outcomes, kv_log, core.crash_evidence, core.clock_ms - epoch, snapshots, info)
 
 
 # --------------------------------------------------------------------------
@@ -598,20 +606,22 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
     if resp.status_code != 404:
         resp.raise_for_status()
     # The stream length and server clock just before the epoch, when the
-    # engine gives them: the report holds its own KV events, stamped from the
-    # clock read.  The span counts from just before that read, so it covers
-    # every stamp, while dispatch counts from the epoch after it, so the read
-    # makes no Send late.
+    # engine gives them: the report holds its own KV events, stamped from that
+    # clock plus the time from its reply to the epoch, which the engine's
+    # clock ran through too.  The span counts from just before the read, so it
+    # covers every stamp, while dispatch counts from the epoch after it, so
+    # the read makes no Send late.
     origin = time.monotonic()
     healthy, health = check_health(endpoint)
+    arrived = time.monotonic()
     if not healthy:
         raise EndpointUnavailable(f"no healthy endpoint at {base}")
     kv_since, kv_epoch_ms = health.get("kv_events", 0), health.get("clock_ms", 0)
 
-    outcomes: dict[str, RequestOutcome] = {}
+    seen: dict[str, dict] = {}  # rid -> request_outcome's arguments from what its thread saw, but its control
     live: dict[str, requests.Response] = {}
     lock = threading.Lock()
-    dispatch_errors: list[int] = []
+    late = False  # whether the dispatch loop ran an event later than SCHEDULE_TOLERANCE_MS
 
     def run_request(rid: str, body: dict, gate: threading.Event) -> None:
         gate.wait()
@@ -620,59 +630,54 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
         streams: list[list[int]] = [[] for _ in range(body["n"])]
         ladders: list[list] | None = [[] for _ in streams] if body.get("logprobs") else None
         stamps: list[int] = []
-        status, error, ended = "server_error", "stream ended before [DONE]", None
+        refusal = end = ended = None  # end stays None past a timeout and past the abort's mark
         try:
             resp = requests.post(base + "/v1/completions", json=body, headers={"X-Request-Id": rid},
                                  stream=True, timeout=endpoint.request_timeout_ms / 1000)
-            with lock:
-                live[rid] = resp
-                aborted_early = rid in aborted  # its abort fired before the response arrived
-            if aborted_early:
-                resp.close()
-            elif resp.status_code != 200:
-                error = f"http {resp.status_code}"
+            if resp.status_code != 200:
+                reason = _json_object(resp).get("error")
+                refusal = reason if isinstance(reason, str) else f"http {resp.status_code}"
             else:
-                for raw in resp.iter_lines():
-                    if not raw or not raw.startswith(b"data: "):
-                        continue
-                    payload = raw[len(b"data: ") :]
-                    chunk = None if payload == b"[DONE]" else read_completion_chunk(payload)
-                    now = time.monotonic()
-                    with lock:
-                        if rid in aborted:
-                            break  # the abort's mark ends what we record: the rest was buffered before our close
-                        if chunk is None:
-                            status, error, ended = "completed", None, now
-                            break
-                        index, tokens, records = chunk
-                        streams[index] += tokens
-                        if ladders is not None:
-                            ladders[index] += records or ()
-                        if index == 0:
-                            stamps += [dispatched_ms + int((now - started) * 1000)] * len(tokens)
+                with lock:
+                    live[rid] = resp
+                    aborted_early = rid in aborted  # its abort fired before the response arrived
+                if aborted_early:
+                    resp.close()
+                else:
+                    # chunk_size=None reads each chunk of the stream as it arrives, not 512 bytes at a time.
+                    for raw in resp.iter_lines(chunk_size=None):
+                        if not raw or not raw.startswith(b"data: "):
+                            continue
+                        payload = raw[len(b"data: ") :]
+                        chunk = None if payload == b"[DONE]" else read_completion_chunk(payload)
+                        now = time.monotonic()
+                        with lock:
+                            if rid in aborted:
+                                break  # the abort's mark ends what we record: the rest was buffered before our close
+                            if chunk is None:
+                                end, ended = ("completed", None), now
+                                break
+                            index, tokens, records = chunk
+                            streams[index] += tokens
+                            if ladders is not None:
+                                ladders[index] += records or ()
+                            if index == 0:
+                                stamps += [dispatched_ms + int((now - started) * 1000)] * len(tokens)
+                    else:
+                        end = ("server_error", "stream ended before [DONE]")
         except requests.exceptions.Timeout:
-            status, error = "timeout", "client-side timeout"
+            pass
         except Exception as exc:  # the thread's boundary: every Send gets one outcome
             LOG.debug("request %s ended by an error", rid, exc_info=True)
-            status, error = "server_error", f"{type(exc).__name__}: {exc}"
-        control, aborted_ms = aborted.get(rid, (None, None))
-        if status != "completed" and control is not None:
-            # Closed from our side, however that surfaced: an error, a truncated chunk, an early end.
-            status, error = ("cancelled" if control is EventKind.CANCEL else "disconnected"), None
-        outcome = RequestOutcome(
-            request_id=rid,
-            status=status,
-            dispatched_ms=dispatched_ms,
-            total_ms=int(((ended or time.monotonic()) - started) * 1000),
-            output_tokens=tuple(map(tuple, streams)),
-            logprob_records=None if ladders is None else tuple(map(tuple, ladders)),
-            token_stamps=tuple(stamps),
-            error=error,
-            aborted_ms=aborted_ms,
-        )
+            end = ("server_error", f"{type(exc).__name__}: {exc}")
+        total_ms = int(((ended or time.monotonic()) - started) * 1000)
         with lock:
             live.pop(rid, None)
-            outcomes[rid] = outcome
+            if ended is None and rid in aborted:
+                end = None  # the stream broke after the abort's mark: closed from our side
+            seen[rid] = dict(dispatched_ms=dispatched_ms, refusal=refusal, end=end, total_ms=total_ms,
+                             output_tokens=tuple(map(tuple, streams)), token_stamps=tuple(stamps),
+                             logprob_records=None if ladders is None else tuple(map(tuple, ladders)))
 
     closing: queue.SimpleQueue = queue.SimpleQueue()
 
@@ -699,14 +704,14 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
     for t in [threading.Thread(target=closer, daemon=True), *threads]:
         t.start()
     epoch = time.monotonic()
+    if "clock_ms" in health and type(kv_epoch_ms) is int:  # the engine's clock at the epoch, estimated from below
+        kv_epoch_ms += int((epoch - arrived) * 1000)
     for index, event in enumerate(trace.events):
         target = epoch + event.offset_ms / 1000.0
         delay = target - time.monotonic()
         if delay > 0:
             time.sleep(delay)
-        lateness = int((time.monotonic() - target) * 1000)
-        if lateness > SCHEDULE_TOLERANCE_MS:
-            dispatch_errors.append(lateness)
+        late |= int((time.monotonic() - target) * 1000) > SCHEDULE_TOLERANCE_MS
         if event.kind is EventKind.SEND:
             gates[index].set()
         elif event.kind in (EventKind.CANCEL, EventKind.DISCONNECT):
@@ -723,23 +728,20 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
         t.join(timeout=max(0.0, deadline - time.monotonic()))
     span = int((time.monotonic() - origin) * 1000)
     # A thread that outlived its join may still finish; it writes into the
-    # shared dict, never into the report's copy.
+    # shared dict, never into the report.
     with lock:
-        reported = dict(outcomes)
+        answered = dict(seen)
+    outcomes: dict[str, RequestOutcome] = {}
     for event in trace.send_events():
         rid = event.spec.request_id
-        if rid not in reported:
-            reported[rid] = RequestOutcome(request_id=rid, status="timeout", dispatched_ms=event.offset_ms, error="no response")
+        if rid not in answered:
+            outcomes[rid] = request_outcome(rid, event.offset_ms)
+            continue
+        control, aborted_ms = aborted.get(rid, (None, None))
+        outcomes[rid] = request_outcome(rid, control=control, aborted_ms=aborted_ms, deadline="client-side timeout",
+                                        **answered[rid])
 
     kv_log = collect_kv_stream(endpoint, kv_since, kv_epoch_ms)
     healthy, health = check_health(endpoint)
-    return ExecutionReport(
-        trace=trace,
-        corpus_seed=corpus_seed,
-        outcomes=reported,
-        kv_log=kv_log,
-        crash_evidence=None if healthy else _crash_evidence(health),
-        wall_clock_span_ms=span,
-        engine_info=info,
-        schedule_degraded=bool(dispatch_errors),
-    )
+    return ExecutionReport(trace, corpus_seed, outcomes, kv_log, None if healthy else _crash_evidence(health), span,
+                           engine_info=info, schedule_degraded=late)

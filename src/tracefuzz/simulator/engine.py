@@ -62,11 +62,10 @@ releases each chain as one run.  Every entry of the KV log, ``kv_log``, is a
 KvRun: an alloc run with the blocks its evicting tail evicted, a prefix-hit
 run, a teardown's frees, and a stale grab's reuse as a run of one.  The log's
 per-block view, ``kv_events``, puts each eviction before the allocation it
-makes room for; it is built only when read, and each read expands only the
-entries logged since the last one.  The pool (blocks.py) holds a block as
-one slot of per-field lists indexed by its id, so a teardown and a stale
-grab's liveness test read a block's owner and ref count from those lists.
-A core keeps one pool, and reset() clears it in place.
+makes room for; each read expands the whole log.  The pool (blocks.py)
+holds a block as one slot of per-field lists indexed by its id, so a
+teardown and a stale grab's liveness test read a block's owner and ref count
+from those lists.  A core keeps one pool, and reset() clears it in place.
 """
 
 from __future__ import annotations
@@ -250,7 +249,7 @@ class SimCore:
         self._prompt_memo: dict[int, _PromptMemo] = {}  # by id(prompt)
         self.blocks = BlockManager(config.total_kv_blocks)
         # The kept run and its owed flag share one attribute: CPython 3.11 keeps at most 29 of a class's
-        # instance attributes inline, SimCore has 29, and a 30th moves every core's attributes into a
+        # instance attributes inline, SimCore has 27, and a 30th moves every core's attributes into a
         # dict, which slowed short-near-tie by about 3 %.
         self.last_run = LastRun()
         self.reset()
@@ -268,8 +267,6 @@ class SimCore:
         self.loaded_adapters: set[str] = {"BASE"}
         self.loading: dict[str, int] = {}  # adapter -> ready tick
         self.kv_log: list[KvRun] = []
-        self._kv_events: list[KvEvent] = []  # the per-block view of the log's first _kv_expanded entries
-        self._kv_expanded = 0
         self.snapshots: dict[str, list] = {}
         self.crashed = False
         self.crash_evidence: dict | None = None
@@ -361,12 +358,8 @@ class SimCore:
 
     @property
     def kv_events(self) -> list[KvEvent]:
-        """The log's per-block events; each read expands only the entries logged since the last one."""
-        log = self.kv_log
-        if self._kv_expanded < len(log):
-            self._kv_events += kv_events_of(islice(log, self._kv_expanded, None))
-            self._kv_expanded = len(log)
-        return self._kv_events
+        """The log's per-block events; each read expands the whole log."""
+        return kv_events_of(self.kv_log)
 
     # ------------------------------------------------------------------
     # Tick loop

@@ -12,14 +12,18 @@ completion streams abruptly (connection loss) but leaves the control plane up:
 revives the engine, standing in for the external supervisor a real deployment
 would have.
 
-A completion streams every choice: each poll writes, for each stream, the
-positions decoded since its cursor as one chunk (``adapter.completion_chunk``)
-with the stream's index and, when the request asked for logprobs, their
-ladders.  Known limit: a streamed position is never sent again.  A request
-preempted on a near-tie engine is re-admitted with a new salt and can
-re-decode different tokens at positions already streamed, so its client then
-holds tokens the engine's final outputs no longer have.  Without a tie gap a
-recompute decodes the same tokens.
+A completion streams every choice with ``Transfer-Encoding: chunked``, as
+uvicorn-served engines do: each poll sends one HTTP chunk, which a client
+reads as soon as it arrives, holding, for each stream, the positions decoded
+since its cursor as one event (``adapter.completion_chunk``) with the
+stream's index and, when the request asked for logprobs, their ladders.  A
+crash or reset cuts the body before its closing chunk.  /kv_events expands
+the core's KV log per block when asked.  A client that goes away is a closed
+client, not a server error.  Known limit: a streamed position is never sent
+again.  A request preempted on a near-tie engine is re-admitted with a new
+salt and can re-decode different tokens at positions already streamed, so its
+client then holds tokens the engine's final outputs no longer have.  Without
+a tie gap a recompute decodes the same tokens.
 """
 
 from __future__ import annotations
@@ -52,10 +56,18 @@ class SimHttpServer:
             def log_message(self, fmt, *args):
                 pass
 
+            def handle(self):
+                try:
+                    super().handle()
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # the client went away: a closed client, not a server error
+
             def _json(self, code: int, doc: dict) -> None:
-                body = json.dumps(doc).encode("utf-8")
+                self._reply(code, json.dumps(doc).encode("utf-8"), "application/json")
+
+            def _reply(self, code: int, body: bytes, kind: str) -> None:
                 self.send_response(code)
-                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Type", kind)
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
@@ -80,12 +92,7 @@ class SimHttpServer:
                     with server.lock:
                         server._sync()
                         lines = [e.to_json_line() for e in server.core.kv_events[since:]]
-                    body = ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
-                    self.send_response(200)
-                    self.send_header("Content-Type", "application/x-ndjson")
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
+                    self._reply(200, "".join(line + "\n" for line in lines).encode("utf-8"), "application/x-ndjson")
                 else:
                     self._json(404, {"error": "no such path"})
 
@@ -138,16 +145,10 @@ class SimHttpServer:
                     while not rid or rid in server.core.requests:  # none sent, or used since the last reset
                         server._rid_counter += 1
                         rid = f"h~{server._rid_counter:06d}"
-                    err = server.core.submit(
-                        rid=rid,
-                        prompt=tokens,
-                        adapter=doc.get("model", "BASE"),
-                        max_tokens=doc.get("max_tokens", 16),
-                        n_completions=doc.get("n", 1),
-                        request_seed=doc.get("seed"),
-                        logprobs=doc.get("logprobs"),
-                        dispatched_ms=server.core.clock_ms,
-                    )
+                    err = server.core.submit(rid=rid, prompt=tokens, adapter=doc.get("model", "BASE"),
+                                             max_tokens=doc.get("max_tokens", 16), n_completions=doc.get("n", 1),
+                                             request_seed=doc.get("seed"), logprobs=doc.get("logprobs"),
+                                             dispatched_ms=server.core.clock_ms)
                 if err is not None:
                     self._json(400, {"error": err})
                     return
@@ -157,6 +158,7 @@ class SimHttpServer:
                 self.send_response(200)
                 self.send_header("Content-Type", "text/event-stream")
                 self.send_header("Cache-Control", "no-cache")
+                self.send_header("Transfer-Encoding", "chunked")
                 self.send_header("Connection", "close")
                 self.end_headers()
                 sent: dict[int, int] = {}  # stream index -> the positions already written
@@ -166,9 +168,7 @@ class SimHttpServer:
                             server._sync()
                             req = server.core.requests.get(rid)
                             if server.generation != generation or server.core.crashed or req is None:
-                                # Crash or reset: drop the connection mid-stream.
-                                self.close_connection = True
-                                return
+                                return  # crash or reset: drop the connection mid-stream
                             chunks = []
                             for index, stream in enumerate(req.outputs):
                                 start = sent.get(index, 0)
@@ -177,12 +177,13 @@ class SimHttpServer:
                                     chunks.append(completion_chunk(index, start, stream[start:], ladders))
                                     sent[index] = len(stream)
                             done = req.status is not None
-                        if chunks:
-                            self.wfile.write(b"".join(chunks))
+                            if done:
+                                chunks.append(b"data: [DONE]\n\n")
+                        if chunks:  # one HTTP chunk, and after [DONE] the empty one that ends the body
+                            body = b"".join(chunks)
+                            self.wfile.write(b"%x\r\n%s\r\n%s" % (len(body), body, b"0\r\n\r\n" if done else b""))
                             self.wfile.flush()
                         if done:
-                            self.wfile.write(b"data: [DONE]\n\n")
-                            self.wfile.flush()
                             return
                         time.sleep(server.config.tick_ms / 1000.0)
                 except (BrokenPipeError, ConnectionResetError):

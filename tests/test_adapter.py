@@ -19,6 +19,7 @@ from tracefuzz.adapter import (
     completion_chunk,
     execute,
     read_completion_chunk,
+    request_outcome,
     reset_server,
 )
 from tracefuzz.simulator.config import FaultFamily, SimConfig
@@ -256,6 +257,27 @@ def test_unavailable_endpoint_raises():
         execute(TimedTrace("t~down", (send("x", 0),)), ep)
 
 
+@pytest.mark.parametrize(
+    "facts, expected",
+    [
+        # A refusal stands over an end and a control, and keeps nothing else the client saw.
+        ({"refusal": "unknown adapter 'x'", "end": ("completed", None), "control": EventKind.CANCEL, "total_ms": 5,
+          "output_tokens": ((1,),)}, ("server_error", "unknown adapter 'x'", None, ())),
+        # An end the client heard stands over a later control.
+        ({"end": ("server_error", "stream ended before [DONE]"), "control": EventKind.CANCEL, "total_ms": 5},
+         ("server_error", "stream ended before [DONE]", 5, ())),
+        # Without one, the first control decides, then the client's deadline.
+        ({"control": EventKind.DISCONNECT, "deadline": "client-side timeout", "total_ms": 5}, ("disconnected", None, 5, ())),
+        ({"deadline": "client-side timeout", "total_ms": 5}, ("timeout", "client-side timeout", 5, ())),
+        ({}, ("timeout", "no response", None, ())),  # no thread answered
+    ],
+)
+def test_a_requests_end_follows_one_rule(facts, expected):
+    outcome = request_outcome("r", 3, **facts)
+    assert outcome.dispatched_ms == 3
+    assert (outcome.status, outcome.error, outcome.total_ms, outcome.output_tokens) == expected
+
+
 # -- HTTP transport ------------------------------------------------------------
 
 
@@ -266,7 +288,7 @@ class _Reply:
     def json(self):
         return self._doc
 
-    def iter_lines(self):
+    def iter_lines(self, chunk_size=512):
         yield from self._lines
 
     def raise_for_status(self):
@@ -403,7 +425,11 @@ _KV_LINE = '{"adapter": "BASE", "block_hash": null, "block_id": 3, "kind": "allo
 
 
 def _execute_on_stub(monkeypatch, info=_Reply(200, {"vocab_size": 1024}), health=None, kv_text=_KV_LINE + "\n"):
-    """One Send over a stub engine with the given /control/info reply, /health body and /kv_events text."""
+    """One Send over a stub engine with the given /control/info reply, /health body and /kv_events text.
+
+    The stub's KV stamps do not move with time, so neither does the adapter's clock: no time passes between
+    the /health read and the epoch, and the stream is restamped from the /health clock alone.
+    """
     def get(url, **kwargs):
         if url.endswith("/kv_events"):
             return SimpleNamespace(status_code=200, text=kv_text, raise_for_status=lambda: None)
@@ -413,6 +439,7 @@ def _execute_on_stub(monkeypatch, info=_Reply(200, {"vocab_size": 1024}), health
 
     monkeypatch.setattr(requests, "post", lambda url, **kwargs: _Reply(200, lines=[b"data: [DONE]"]))
     monkeypatch.setattr(requests, "get", get)
+    monkeypatch.setattr(adapter_module, "time", SimpleNamespace(monotonic=lambda: 0.0, sleep=time.sleep))
     report = execute(TimedTrace("t~odd", (send("p", 0),)), EngineEndpoint(kind=EngineKind.OPENAI, base_url="http://stub"))
     assert report.outcomes["p"].status == "completed"
     return report

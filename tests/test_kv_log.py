@@ -147,20 +147,14 @@ def test_an_execution_makes_no_object_per_block():
     assert 0 <= full - one <= 4  # a run's entry and its lists against one event
 
 
-def test_core_kv_events_expand_each_entry_once():
+def test_core_kv_events_are_the_log_expanded():
     core = serve(SimConfig(seed=2))
     endpoint = EngineEndpoint(EngineKind.SIMULATOR, handle=core)
     execute(TimedTrace("t~one", (send("a", 0, plen=100, mt=3), send("b", 0, plen=100, mt=3))), endpoint)
     assert any(type(entry) is KvRun for entry in core.kv_log)
-    first, expected = core.kv_events, kv_events_of(core.kv_log)
-    assert first == expected and core._kv_expanded == len(core.kv_log)
-    expand, KvRun.events = KvRun.events, None  # a second read that expanded a run would fail
-    try:
-        assert core.kv_events is first and first == expected
-    finally:
-        KvRun.events = expand
+    assert core.kv_events == kv_events_of(core.kv_log)
     execute(TimedTrace("t~two", (send("c", 0, plen=100, mt=3),)), endpoint)
-    assert core.kv_events is first and first == kv_events_of(core.kv_log)
+    assert core.kv_events == kv_events_of(core.kv_log)
 
 
 def test_the_server_serves_the_per_block_expansion():

@@ -4,6 +4,8 @@ reports over it."""
 
 import http.client
 import json
+import socket
+import struct
 import sys
 import threading
 import time
@@ -11,7 +13,7 @@ import time
 import requests
 
 from test_adapter import send
-from tracefuzz.adapter import EngineEndpoint, EngineKind, execute
+from tracefuzz.adapter import SCHEDULE_TOLERANCE_MS, EngineEndpoint, EngineKind, execute, reset_server
 from tracefuzz.oracles import lifecycle_check
 from tracefuzz.simulator.config import SimConfig
 from tracefuzz.simulator.endpoint import serve
@@ -262,7 +264,7 @@ def test_lines_read_after_an_abort_record_no_tokens(monkeypatch):
         def __init__(self):
             self.closed = threading.Event()
 
-        def iter_lines(self):
+        def iter_lines(self, chunk_size=512):
             yield line(render_prompt([1]))
             yield line(" " + render_prompt([2]))
             assert self.closed.wait(5)
@@ -327,3 +329,62 @@ def test_kv_owners_over_http_are_the_trace_request_ids():
     owners = {event.owner_request_id for event in report.kv_events}
     assert owners == {event.owner_request_id for event in in_process.kv_events} == {"a", "d"}
     assert sorted(server.core.requests) == ["a", "d", "h~000001"]
+
+
+def test_each_streamed_event_is_read_when_it_arrives():
+    # The server sends each poll's events as one HTTP chunk and the client
+    # reads each chunk as it arrives, so a solo Send's 40 tokens are stamped
+    # over most of its decode, not in a few 512-byte reads.
+    server = serve_http(SimConfig(seed=3))
+    try:
+        report = execute(TimedTrace("t~solo", (send("s", 0, plen=32, mt=40),)),
+                         EngineEndpoint(kind=EngineKind.OPENAI, base_url=server.base_url))
+    finally:
+        server.stop()
+    outcome = report.outcomes["s"]
+    assert outcome.status == "completed" and len(outcome.token_stamps) == 40
+    assert len(set(outcome.token_stamps)) >= 20
+
+
+def test_kv_stamps_count_from_the_epoch_however_many_threads_start():
+    # Starting a thread per Send takes time between the /health read and the
+    # epoch.  KV stamps count from the engine's clock at the epoch all the
+    # same, so a lone first request's first alloc keeps its distance from its
+    # dispatch when 100 later Sends follow it.  A busy host only ever adds to
+    # that distance, so each case takes its least over three runs.
+    server = serve_http(SimConfig(seed=3))
+    endpoint = EngineEndpoint(kind=EngineKind.OPENAI, base_url=server.base_url)
+
+    def first_alloc_gap(later):
+        trace = TimedTrace("t~kv-clock", (send("r0", 0, plen=32, mt=4), *(send(f"x{i}", 200, plen=16, mt=2) for i in range(later))))
+        gaps = []
+        for _ in range(3):
+            reset_server(endpoint)
+            report = execute(trace, endpoint)
+            first = min(e.ts_ms for e in report.kv_events if e.owner_request_id == "r0" and e.kind == "alloc")
+            gaps.append(first - report.outcomes["r0"].dispatched_ms)
+        return min(gaps)
+
+    try:
+        lone, crowded = first_alloc_gap(0), first_alloc_gap(100)
+    finally:
+        server.stop()
+    assert abs(crowded - lone) <= SCHEDULE_TOLERANCE_MS, (lone, crowded)
+
+
+def test_a_client_that_went_away_leaves_no_traceback(capfd):
+    # A refused Send cancelled at once, and a client that resets its
+    # connection mid-request: the server treats both as a closed client.
+    server = serve_http(SimConfig(seed=3))
+    endpoint = EngineEndpoint(kind=EngineKind.OPENAI, base_url=server.base_url)
+    try:
+        for offset in (0, 1, 2):
+            trace = TimedTrace("t~refused", (send("r", 0, adapter="nope"), TraceEvent.cancel(offset, "r")))
+            assert execute(trace, endpoint).outcomes["r"].status == "server_error"
+        with socket.create_connection(server.httpd.server_address[:2]) as sock:
+            sock.sendall(b"GET /health HTTP/1.1\r\nHost: sim\r\n\r\n")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))  # close with a reset
+        time.sleep(0.3)  # the handler threads finish
+    finally:
+        server.stop()
+    assert capfd.readouterr().err == ""

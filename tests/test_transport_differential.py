@@ -6,7 +6,9 @@ execution's one clock and no request thread dying on the way.
 A stall and a TTFT regression stay out of the equality: they compare
 wall-clock latency with virtual time.  Lifecycle verdicts are compared: both
 transports time a request's end and stamps against when its control reached
-the engine, and neither records anything of a request after that.  Streams
+the engine, and neither records anything of a request after that.  Both end
+a request by adapter.request_outcome's one rule: a refusal stands over a
+later Cancel, and a crash the client heard of stands over a later Cancel.  Streams
 are compared on an engine with no tie gap, whose tokens do not depend on
 admission order.  F1-armed traces are not compared yet.
 """
@@ -113,13 +115,24 @@ def test_both_transports_report_a_clean_engine_alike(monkeypatch, name):
 def test_a_crash_has_one_fingerprint_on_both_transports(monkeypatch):
     uncaught = []
     monkeypatch.setattr(threading, "excepthook", uncaught.append)
-    trace = TimedTrace("t~crash", (send("a", 0, plen=32, mt=200), send("boom", 20), send("late", 40)))
+    # The Cancel comes after the crash: an end the client heard from the engine stands.
+    trace = TimedTrace("t~crash", (send("a", 0, plen=32, mt=200), send("boom", 20), send("late", 40), TraceEvent.cancel(60, "a")))
     reports = both_transports(trace, SimConfig(seed=3), lambda endpoint: execute(trace, endpoint), CrashOnSubmitCore)
     for report in reports:
         assert report.crash_evidence["signature"] == "running-adapters-not-subset-loaded"
         assert {rid: outcome.status for rid, outcome in report.outcomes.items()} == dict.fromkeys(("a", "boom", "late"), "server_error")
     expected, got = map(observed, reports)
     assert got == expected
+    assert uncaught == []
+
+
+def test_a_refusal_stands_over_a_cancel_at_its_own_offset(monkeypatch):
+    uncaught = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
+    trace = TimedTrace("t~refused", (send("r", 0, adapter="nope"), TraceEvent.cancel(0, "r")))
+    reports = both_transports(trace, SimConfig(seed=3), lambda endpoint: execute(trace, endpoint))
+    ended = [(report.outcomes["r"].status, report.outcomes["r"].error, report.outcomes["r"].total_ms) for report in reports]
+    assert ended == [("server_error", "unknown adapter 'nope'", None)] * 2
     assert uncaught == []
 
 
