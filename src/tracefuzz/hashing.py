@@ -28,14 +28,14 @@ The simulator hashes these same encodings through ``u64`` without going
 through ``stable_u64``.  ``u64`` feeds its bytes to a copy of one pre-built
 empty blake2b-64 state, which costs less than building a state from its
 parameters and hashes the same bytes.  The decode runs build their encodings
-with ``encode`` and ``encode_int``.  The simulator's block hashes encode a
-prompt's full blocks once per adapter, and each block hashes the encodings
-of its header, chain hash and adapter followed by its slice of that encoding
-(``encode_ints``, whose every part takes ``INT_WIDTH`` bytes).  A prompt
-digest encodes the whole prompt with ``encode_parts`` once per initial
-digest it is taken after, behind the encodings of its header and that
-digest.  So a prompt is encoded once per adapter it is admitted under and
-once per new digest, not once.
+with ``encode`` and ``encode_int``.  An admission that lacks any of its
+prompt's block hashes or digests encodes the whole prompt once
+(``encode_ints``, whose every part takes ``INT_WIDTH`` bytes) and derives
+all of them from that one encoding: each full block hashes the encodings
+of its header, chain hash and adapter followed by its slice of it, and each
+digest feeds a blake2b-64 state the encodings of its header and initial
+digest and then all of it, so the encoding is not copied.  The encoding is
+dropped when the admission ends.
 Prompt synthesis hashes a shared head once and each position's encoding
 after a copy of it (``stable_u64_positions``).
 """

@@ -13,7 +13,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice
 from operator import itemgetter
 
 from .hashing import fingerprint
@@ -322,41 +322,43 @@ def structural_forensics(report, prior_snapshots: dict | None = None) -> list[Su
             )
         )
 
-    # One content hash must never cover two different prompt spans.  A hash
-    # that seals one block makes one claim, so only the hashes that repeat
-    # are claimed, and their blocks are picked in C.  A repeated hash has a
-    # second (span, adapter) variant exactly when the distinct claims
-    # outnumber the repeated hashes, and only then are the claims of the
-    # conflicted hashes walked for evidence.  Only full prompt blocks claim;
+    # One content hash must never cover two different prompt spans.  Requests
+    # with equal prompt content, adapter and chain of full-prompt-block
+    # hashes make equal claims, so hashes are counted and claimed once per
+    # distinct chain.  A hash that seals one block makes one claim, so only
+    # the hashes that repeat are claimed.  A repeated hash has a second
+    # (span, adapter) variant exactly when the distinct claims outnumber the
+    # repeated hashes, and only then is every request's claim on a
+    # conflicted hash walked for evidence.  Only full prompt blocks claim;
     # an unsealed block's None is never one.
-    prompts = {
-        rid: prompt_for(report.request_index[rid], report.corpus_seed, vocab)
-        for rid in sorted(report.block_snapshots)
-        if rid in report.request_index
-    }
+    specs = report.request_index
     hashes = {
-        rid: list(islice(map(itemgetter(1), report.block_snapshots[rid]), len(prompt) // block_size))
-        for rid, prompt in prompts.items()
+        rid: tuple(islice(map(itemgetter(1), report.block_snapshots[rid]), specs[rid].shape.prompt_len // block_size))
+        for rid in sorted(report.block_snapshots)
+        if rid in specs
     }
-    counts = Counter(chain.from_iterable(hashes.values()))
+    chains = {}  # one spec per distinct (shape, identity, adapter, hash chain): its requests claim alike
+    for rid, block_hashes in hashes.items():
+        spec = specs[rid]
+        chains[spec.shape, spec.prompt_identity, spec.adapter, block_hashes] = spec
+    counts = Counter(chain.from_iterable(key[3] for key in chains))
     repeated = set(compress(counts, map((1).__lt__, counts.values())))
     repeated.discard(None)
     distinct_claims = set()
-    for rid, prompt in prompts.items() if repeated else ():
-        block_hashes = hashes[rid]
-        picked = list(map(repeated.__contains__, block_hashes))
-        spans = compress(zip(*[iter(prompt)] * block_size), picked)  # the picked full blocks, in order
-        distinct_claims.update(zip(compress(block_hashes, picked), spans, repeat(report.request_index[rid].adapter)))
+    for (_, _, adapter, block_hashes), spec in chains.items() if repeated else ():
+        prompt = prompt_for(spec, report.corpus_seed, vocab)
+        for index in compress(range(len(block_hashes)), map(repeated.__contains__, block_hashes)):
+            distinct_claims.add((block_hashes[index], prompt[index * block_size : (index + 1) * block_size], adapter))
     claims: dict[int, dict[tuple, list]] = {}
     if len(distinct_claims) > len(repeated):
         variant_counts = Counter(map(itemgetter(0), distinct_claims))
         conflicted = {block_hash for block_hash, n in variant_counts.items() if n > 1}
-        for rid, prompt in prompts.items():
-            adapter = report.request_index[rid].adapter
-            block_hashes = hashes[rid]
+        for rid, block_hashes in hashes.items():
+            spec = specs[rid]
+            prompt = prompt_for(spec, report.corpus_seed, vocab)
             for index in compress(range(len(block_hashes)), map(conflicted.__contains__, block_hashes)):
-                span = tuple(prompt[index * block_size : (index + 1) * block_size])
-                claims.setdefault(block_hashes[index], {}).setdefault((span, adapter), []).append((rid, index))
+                span = prompt[index * block_size : (index + 1) * block_size]
+                claims.setdefault(block_hashes[index], {}).setdefault((span, spec.adapter), []).append((rid, index))
     for block_hash in sorted(claims):
         variants = claims[block_hash]
         if len(variants) > 1:

@@ -48,10 +48,11 @@ them, and a core's own users are already serialized (SimHttpServer.lock).
 
 An admission looks its prompt up once in a per-core memo keyed by the
 prompt object, which keeps the prompt's block hashes per adapter and its
-digest per completion's initial digest.  Each is read through the module
-memos, keyed by the whole prompt tuple, only the first time.  So a
-re-admitted or replayed prompt, the same tuple from trace's prompt cache, is
-not hashed as a dict key again.
+digest per completion's initial digest, derived from one encoding of the
+prompt that the admission drops at its end.  So a re-admitted or replayed
+prompt, the same tuple from trace's prompt cache, is neither hashed as a
+dict key nor encoded again.  ``prompt_block_hashes`` and ``prompt_digest``
+give the same values, memoized by content, to callers without a core.
 
 KV blocks are handled a run at a time.  A prefill chunk's full prompt blocks
 are allocated as one run; a run of one block, which every decode block is,
@@ -70,6 +71,7 @@ from those lists.  A core keeps one pool, and reset() clears it in place.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -116,23 +118,9 @@ def block_hash(chain_hash: int, adapter_code: bytes, span_code: bytes) -> int:
 
 @lru_cache(maxsize=PROMPT_MEMO_SIZE)
 def prompt_block_hashes(adapter: str, block_size: int, prompt: tuple[int, ...]) -> tuple[int, ...]:
-    """The chained hashes of the prompt's full blocks, as stream 0 seals them.
-
-    They depend on nothing else until a stale grab contaminates the chain, so
-    every admission of the prompt under this adapter and block size shares them.
-    The full blocks are encoded once, and each block hashes a slice of that.
-    """
-    count = len(prompt) // block_size
-    code = encode_ints(prompt[: count * block_size])
-    if code is None:  # some token is no int, so blocks differ in encoded length: encode each alone
-        return tuple(chained_hashes(0, adapter, block_size, prompt, 0, count))
-    adapter_code = encode(adapter)
-    width = block_size * INT_WIDTH
-    chain_hash, hashes = 0, []
-    for start in range(0, len(code), width):
-        chain_hash = block_hash(chain_hash, adapter_code, code[start : start + width])
-        hashes.append(chain_hash)
-    return tuple(hashes)
+    """The chained hashes of the prompt's full blocks, as stream 0 seals them: ``_PromptMemo.block_hashes``
+    of a memo of its own, memoized by the prompt's content for callers without a core."""
+    return _PromptMemo(prompt).block_hashes(adapter, block_size)
 
 
 def chained_hashes(chain_hash: int, adapter: str, block_size: int, prompt, pos: int, count: int):
@@ -148,41 +136,65 @@ def chained_hashes(chain_hash: int, adapter: str, block_size: int, prompt, pos: 
 
 @lru_cache(maxsize=PROMPT_MEMO_SIZE)
 def prompt_digest(digest: int, prompt: tuple[int, ...]) -> int:
-    """A completion's context digest after an uncontaminated prompt: ``stable_u64("prompt", digest, *prompt)``."""
-    return u64(_PROMPT + encode_int(digest) + encode_parts(prompt))
+    """A completion's context digest after an uncontaminated prompt, ``stable_u64("prompt", digest, *prompt)``:
+    ``_PromptMemo.digest`` of a memo of its own, memoized by the prompt's content for callers without a core."""
+    return _PromptMemo(prompt).digest(digest)
 
 
 class _PromptMemo:
     """What admissions derive from one prompt object on one core: its block hashes by adapter and its
-    digest by a completion's initial digest, read through the module memos the first time.
+    digest by a completion's initial digest.
 
     Looked up by the prompt's id, once per admission, so no admission hashes
-    the prompt tuple to find them again.  The memo holds the prompt, so its id
-    names no other object while the memo is kept.
+    the prompt tuple to find them.  The memo holds the prompt, so its id names
+    no other object while the memo is kept.  What an admission lacks is
+    derived from one encoding of the whole prompt (``encode_ints``), made at
+    its first miss and dropped when the admission ends, so a kept memo holds
+    no encoding: each full block hashes its slice of it, and each digest all
+    of it behind the digest's header.
     """
 
-    __slots__ = ("prompt", "_block_hashes", "_digests")
+    __slots__ = ("prompt", "code", "_block_hashes", "_digests")
 
     def __init__(self, prompt: tuple[int, ...]):
         self.prompt = prompt
+        self.code: bytes | None = None  # encode_ints of the prompt while an admission derives from it
         self._block_hashes: dict[str, tuple[int, ...]] = {}
         self._digests: dict[int, int] = {}  # at most PROMPT_MEMO_SIZE, the oldest dropped first
 
+    def encoding(self) -> bytes | None:
+        """The admission's encode_ints of the prompt, made on first use."""
+        if self.code is None:
+            self.code = encode_ints(self.prompt)
+        return self.code
+
     def block_hashes(self, adapter: str, block_size: int) -> tuple[int, ...]:
-        """prompt_block_hashes of the prompt; a core's block size never changes."""
+        """The chained hashes of the prompt's full blocks under ``adapter``; a core's block size never changes."""
         hashes = self._block_hashes.get(adapter)
         if hashes is None:
-            hashes = self._block_hashes[adapter] = prompt_block_hashes(adapter, block_size, self.prompt)
+            code, count = self.encoding(), len(self.prompt) // block_size
+            if code is None:  # some token is no int, so blocks differ in encoded length: encode each alone
+                hashes = tuple(chained_hashes(0, adapter, block_size, self.prompt, 0, count))
+            else:
+                adapter_code, width, chain_hash, hashes = encode(adapter), block_size * INT_WIDTH, 0, []
+                for start in range(0, count * width, width):
+                    chain_hash = block_hash(chain_hash, adapter_code, code[start : start + width])
+                    hashes.append(chain_hash)
+                hashes = tuple(hashes)
+            self._block_hashes[adapter] = hashes
         return hashes
 
     def digest(self, digest: int) -> int:
-        """prompt_digest of the prompt after ``digest``."""
+        """The context digest after the prompt and ``digest``: ``stable_u64("prompt", digest, *prompt)``."""
         digests = self._digests
         value = digests.get(digest)
         if value is None:
             if len(digests) >= PROMPT_MEMO_SIZE:
                 del digests[next(iter(digests))]
-            value = digests[digest] = prompt_digest(digest, self.prompt)
+            # Fed in two parts, so no copy of the encoding is made; encode_parts when some token is no int.
+            h = hashlib.blake2b(_PROMPT + encode_int(digest), digest_size=8)
+            h.update(self.encoding() or encode_parts(self.prompt))
+            value = digests[digest] = int.from_bytes(h.digest(), "little")
         return value
 
 
@@ -217,7 +229,7 @@ class SimRequest:
     request_seed: int
     logprobs: int | None
     salt: int
-    block_hashes: tuple[int, ...] = ()  # prompt_block_hashes, looked up at admission
+    block_hashes: tuple[int, ...] = ()  # the prompt memo's block hashes, looked up at admission
     state: str = WAITING
     prefill_pos: int = 0
     admitted_tick: int | None = None
@@ -611,6 +623,7 @@ class SimCore:
                 req.digests.append(stable_u64("prompt", digest, *effective))
             req.outputs.append([])
             req.records.append([])
+        memo.code = None
 
     def _prompt_memo_of(self, prompt: tuple[int, ...]) -> _PromptMemo:
         """The core's memo of ``prompt``; when PROMPT_MEMO_SIZE prompts are kept, the least recently

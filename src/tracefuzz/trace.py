@@ -277,7 +277,7 @@ def synthesize_prompt(shape: PromptShape, identity: str, corpus_seed: int, vocab
     """
     if vocab_size < 2:
         raise ValueError("vocab_size must be >= 2")
-    tokens = [stable_u64(corpus_seed, "prefix", i) % vocab_size for i in range(shape.prefix_len)]
+    tokens = stable_u64_positions((corpus_seed, "prefix"), shape.prefix_len, vocab_size)
     head = (corpus_seed, "suffix", identity, shape.prefix_len, shape.prompt_len)
     tokens += stable_u64_positions(head, shape.prompt_len - shape.prefix_len, vocab_size)
     return tuple(tokens)

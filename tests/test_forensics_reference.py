@@ -190,11 +190,36 @@ def _shared_hash_report(adapters, identities):
     )
 
 
+def _family_report(adapters, chains):
+    """Requests of one family and shape, one per adapter, whose snapshots carry the given hash chains."""
+    specs = {
+        rid: RequestSpec(rid, PromptShape(0, 8), SamplingConfig(max_tokens=4, seed=0), "fam", adapter)
+        for rid, adapter in zip(("a", "b", "c"), adapters)
+    }
+    return ExecutionReport(
+        trace=sends(specs),
+        corpus_seed=0,
+        outcomes={rid: outcome(rid) for rid in specs},
+        block_snapshots={rid: list(enumerate(hashes)) for rid, hashes in zip(specs, chains)},
+        engine_info={"block_size_tokens": 4, "vocab_size": 1024},
+    )
+
+
+# Three requests that claim as one distinct chain; the same three with a
+# second span's hash in one chain; one family under two adapters.
+DUPLICATES = _family_report(("BASE", "BASE", "BASE"), [(7, 9)] * 3)
+HIDDEN_CONFLICT = _family_report(("BASE", "BASE", "BASE"), [(7, 9), (7, 9), (7, 7)])
+TWO_ADAPTERS = _family_report(("BASE", "BASE", "lora_a"), [(7, 9)] * 3)
+
+
 @settings(max_examples=300, deadline=None)
 @given(forensic_reports(), st.sampled_from((0, 1)))
 @example(_shared_hash_report(("BASE", "BASE"), ("x", "y")), 0)  # one hash over two spans
 @example(_shared_hash_report(("BASE", "lora_a"), ("x", "x")), 0)  # one span under two adapters
 @example(_shared_hash_report(("BASE", "BASE"), ("x", "x")), 0)  # one span, one adapter: no conflict
+@example(DUPLICATES, 0)  # equal requests: one distinct chain, no conflict
+@example(HIDDEN_CONFLICT, 0)  # a conflict among duplicates
+@example(TWO_ADAPTERS, 0)  # one family, one chain, two adapters
 def test_forensics_matches_the_reference_claims_walk(report, corpus_seed):
     report = replace(report, corpus_seed=corpus_seed)
     assert structural_forensics(report) == reference_forensics(report)
@@ -206,6 +231,21 @@ def test_shared_hash_examples_conflict_as_expected():
         for pair in ((("BASE", "BASE"), ("x", "y")), (("BASE", "lora_a"), ("x", "x")), (("BASE", "BASE"), ("x", "x")))
     }
     assert list(kinds.values()) == [{SuspicionKind.HASH_CONFLICT}, {SuspicionKind.HASH_CONFLICT}, set()]
+
+
+def test_duplicate_chain_examples_conflict_as_expected():
+    # The evidence names every request of a conflicted hash, duplicates included.
+    def conflicts(report):
+        return [s for s in structural_forensics(report) if s.kind is SuspicionKind.HASH_CONFLICT]
+
+    assert structural_forensics(DUPLICATES) == []
+    (hidden,) = conflicts(HIDDEN_CONFLICT)
+    assert hidden.evidence == {"request_ids": ["a", "b", "c"], "block_hash": 7}
+    assert hidden.signature == {"block_indexes": [0, 1], "adapters": ["BASE"]}
+    adapters = conflicts(TWO_ADAPTERS)
+    assert [s.evidence["block_hash"] for s in adapters] == [7, 9]
+    assert all(s.evidence["request_ids"] == ["a", "b", "c"] and s.signature["adapters"] == ["BASE", "lora_a"]
+               for s in adapters)
 
 
 # -- generated streams ---------------------------------------------------------------

@@ -19,6 +19,7 @@ from tracefuzz.adapter import KvEvent, KvRun
 from tracefuzz.hashing import stable_u64
 from tracefuzz.simulator.config import FaultFamily, FaultSpec, SimConfig
 from tracefuzz.simulator.decode import init_digest
+from tracefuzz.simulator import engine
 from tracefuzz.simulator.engine import PROMPT_MEMO_SIZE, SimCore, _Chain, prompt_block_hashes, prompt_digest
 
 F1 = (FaultSpec(FaultFamily.STALE_KV_REUSE, occupancy_threshold=0.3),)
@@ -297,3 +298,38 @@ def test_a_prompt_the_core_has_admitted_reads_no_module_memo():
     assert lookups() == before
     assert admit(core, "c", 1)[1] == first[1] and lookups() == before
     assert admit(DirectCore(config_for(64, 64, False)), "d", 3)[0] == first[0]  # DirectCore hashes directly
+
+
+def test_an_admission_encodes_its_prompt_once(monkeypatch):
+    # A fresh core derives the block hashes and all eight digests from one
+    # encoding of the prompt, and its memo keeps none once the admission ends.
+    tokens = tuple(prompt(23, 2_100))
+    encodings = []
+
+    def counted(encoder):
+        def wrapper(parts):
+            if len(parts) > 16:  # longer than a block: an encoding for the prompt itself
+                encodings.append(encoder.__name__)
+            return encoder(parts)
+
+        return wrapper
+
+    monkeypatch.setattr(engine, "encode_ints", counted(engine.encode_ints))
+    monkeypatch.setattr(engine, "encode_parts", counted(engine.encode_parts))
+    core = SimCore(SimConfig(seed=13))
+    assert core.submit("a", tokens, "BASE", 2, 8, 4, None, 0) is None
+    core.advance_to(50)
+    req = core.requests["a"]
+    assert req.status == "completed" and len(req.digests) == 8
+    assert encodings == ["encode_ints"]
+    memo = core._prompt_memo[id(tokens)]
+    assert memo.code is None
+
+    chain_hash, hashes = 0, []
+    for pos in range(0, len(tokens) - 15, 16):
+        chain_hash = stable_u64("blk", chain_hash, "BASE", *tokens[pos : pos + 16])
+        hashes.append(chain_hash)
+    assert req.block_hashes == tuple(hashes)
+    digests = [init_digest(13, 4, "BASE", c) for c in range(8)]
+    assert list(map(memo.digest, digests)) == [stable_u64("prompt", digest, *tokens) for digest in digests]
+    assert encodings == ["encode_ints"]  # the digests above were read back, not derived again
