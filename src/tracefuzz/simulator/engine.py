@@ -51,8 +51,7 @@ prompt object, which keeps the prompt's block hashes per adapter and its
 digest per completion's initial digest, derived from one encoding of the
 prompt that the admission drops at its end.  So a re-admitted or replayed
 prompt, the same tuple from trace's prompt cache, is neither hashed as a
-dict key nor encoded again.  ``prompt_block_hashes`` and ``prompt_digest``
-give the same values, memoized by content, to callers without a core.
+dict key nor encoded again.
 
 KV blocks are handled a run at a time.  A prefill chunk's full prompt blocks
 are allocated as one run; a run of one block, which every decode block is,
@@ -176,7 +175,8 @@ class _PromptMemo:
             if code is None:  # some token is no int, so blocks differ in encoded length: encode each alone
                 hashes = tuple(chained_hashes(0, adapter, block_size, self.prompt, 0, count))
             else:
-                adapter_code, width, chain_hash, hashes = encode(adapter), block_size * INT_WIDTH, 0, []
+                adapter_code, width = encode(adapter), block_size * INT_WIDTH
+                chain_hash, hashes = 0, []
                 for start in range(0, count * width, width):
                     chain_hash = block_hash(chain_hash, adapter_code, code[start : start + width])
                     hashes.append(chain_hash)
