@@ -315,6 +315,13 @@ class ExecutionReport:
         return KvLedger.of(self.kv_log or ())
 
     @cached_property
+    def intervals(self) -> tuple[tuple[int, int | None, int], ...]:
+        """(dispatch, first stream-0 token or None, end) of each outcome in outcome order, in ms from the
+        execution's epoch; built on first read, for telemetry, novelty and stall detection."""
+        return tuple((o.dispatched_ms, o.token_stamps[0] if o.token_stamps else None, o.end_ms)
+                     for o in self.outcomes.values())
+
+    @cached_property
     def snapshot_groups(self) -> dict[str, list[tuple[str, list]]]:
         """Group key -> (request id, block-hash sequence) of each completed request, in request-id order."""
         groups: dict[str, list[tuple[str, list]]] = {}

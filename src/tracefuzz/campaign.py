@@ -14,7 +14,7 @@ import logging
 import math
 import random
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .adapter import EndpointUnavailable, execute, reset_server
@@ -57,6 +57,13 @@ class CorpusEntry:
     markers: frozenset[str] = frozenset()
     suspicion_count: int = 0
     added_iteration: int = 0
+    # The selection weight's terms that do not change with age, fixed when the entry is made.
+    novelty_term: float = field(init=False, repr=False, compare=False)
+    suspicion_term: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.novelty_term = min(1.0, len(self.markers) / 3)
+        self.suspicion_term = min(1.0, float(self.suspicion_count))
 
     @property
     def entry_id(self) -> str:
@@ -83,7 +90,7 @@ def novelty(report, seen: set[str]) -> set[str]:
     statuses = sorted({o.status for o in report.outcomes.values()})
     if statuses:
         markers.add("status:" + "+".join(statuses))
-    markers.update(f"ttft-decade:{decade(o.ttft_ms)}" for o in report.outcomes.values() if o.ttft_ms is not None)
+    markers.update(f"ttft-decade:{decade(first - start)}" for start, first, _ in report.intervals if first is not None)
     ledger = report.kv_ledger
     markers.add(f"kv-peak:2^{ledger.peak_held.bit_length()}")
     markers.update(f"kv-kind:{kind}" for kind in ledger.kinds)
@@ -93,17 +100,23 @@ def novelty(report, seen: set[str]) -> set[str]:
     return markers - seen
 
 
-def _selection_weight(entry: CorpusEntry, weights: dict, iteration: int) -> float:
-    age = max(0, iteration - entry.added_iteration)
-    nov = min(1.0, len(entry.markers) / 3) * 0.5 ** (age / 64.0)
-    susp = min(1.0, float(entry.suspicion_count))
-    return weights["novelty"] * nov + weights["suspicion"] * susp
+def _selection_weights(corpus: list[CorpusEntry], weights: dict, iteration: int) -> list[float]:
+    """Each entry's selection weight: its novelty, halved every 64 iterations of age, plus its suspicion."""
+    novelty_w, suspicion_w = weights["novelty"], weights["suspicion"]
+    return [
+        novelty_w * (e.novelty_term * 0.5 ** (max(0, iteration - e.added_iteration) / 64.0))
+        + suspicion_w * e.suspicion_term
+        for e in corpus
+    ]
 
 
-def _retention_weight(entry: CorpusEntry, weights: dict, iteration: int) -> float:
-    """The selection weight plus the entry's pressure, which eviction alone weighs."""
-    pres = 0.0 if entry.pressure is None else min(1.0, entry.pressure.s_total / 4.0)
-    return _selection_weight(entry, weights, iteration) + weights["pressure"] * pres
+def _draw(corpus: list[CorpusEntry], table: list[float], rng: random.Random, weights: dict) -> CorpusEntry:
+    """One draw from a selection table (the cumulative selection weights) with an epsilon-uniform floor."""
+    if len(corpus) == 1:
+        return corpus[0]
+    if rng.random() < weights.get("floor", 0.0) or table[-1] <= 0.0:
+        return rng.choice(corpus)
+    return rng.choices(corpus, cum_weights=table)[0]
 
 
 def select_seed(
@@ -116,15 +129,8 @@ def select_seed(
     """Weighted draw over the corpus with an epsilon-uniform floor."""
     if not corpus:
         raise ValueError("select_seed needs a non-empty corpus")
-    if len(corpus) == 1:
-        return corpus[0]
     weights = weights or DEFAULT_SELECTION_WEIGHTS
-    if rng.random() < weights.get("floor", 0.0):
-        return rng.choice(corpus)
-    scored = [_selection_weight(e, weights, iteration) for e in corpus]
-    if sum(scored) <= 0.0:
-        return rng.choice(corpus)
-    return rng.choices(corpus, weights=scored, k=1)[0]
+    return _draw(corpus, list(itertools.accumulate(_selection_weights(corpus, weights, iteration))), rng, weights)
 
 
 # --------------------------------------------------------------------------
@@ -317,13 +323,17 @@ def bootstrap_corpus(config: CampaignConfig) -> list[CorpusEntry]:
 
 def _evict_to_cap(corpus: list[CorpusEntry], cap: int, weights: dict, iteration: int) -> None:
     # Entries with suspicion history are immune; among the rest, drop the
-    # lowest-scoring until at cap (or only immune entries remain).
+    # lowest-scoring until at cap (or only immune entries remain).  An entry
+    # scores its selection weight plus its pressure, which eviction alone weighs.
     while len(corpus) > cap:
         candidates = [e for e in corpus if e.suspicion_count == 0]
         if not candidates:
             return
-        worst = min(candidates, key=lambda e: (_retention_weight(e, weights, iteration), e.entry_id))
-        corpus.remove(worst)
+        scores = _selection_weights(candidates, weights, iteration)
+        for i, e in enumerate(candidates):
+            scores[i] += weights["pressure"] * (0.0 if e.pressure is None else min(1.0, e.pressure.s_total / 4.0))
+        worst = min(range(len(candidates)), key=lambda i: (scores[i], candidates[i].entry_id))
+        corpus.remove(candidates[worst])
 
 
 def _next_trace(
@@ -332,18 +342,19 @@ def _next_trace(
     """The first seed not yet run, with its corpus index, or else a fresh mutant (index None).
 
     The rng draws in a fixed order: the iteration seed, then the parent, then
-    the partner only when the corpus has more than one entry.
+    the partner only when the corpus has more than one entry.  Both draw from
+    one selection table.
     """
     iter_seed = rng.randrange(1 << 62)
-    pending = next((i for i, entry in enumerate(corpus) if not entry.executed), None)
-    if pending is not None:
+    # Seeds not yet run sit only in the bootstrap corpus, which takes no mutant until every seed has run.
+    if not corpus[-1].executed:
+        pending = next(i for i, entry in enumerate(corpus) if not entry.executed)
         return pending, corpus[pending].trace
 
-    def pick() -> CorpusEntry:
-        return select_seed(corpus, rng, config.selection_weights, iteration=iteration)
-
-    parent = pick()
-    partner = pick() if len(corpus) > 1 else None
+    weights = config.selection_weights
+    table = list(itertools.accumulate(_selection_weights(corpus, weights, iteration)))
+    parent = _draw(corpus, table, rng, weights)
+    partner = _draw(corpus, table, rng, weights) if len(corpus) > 1 else None
     return None, mutate(
         parent.trace,
         iter_seed,
@@ -579,7 +590,7 @@ def minimize(trace: TimedTrace, reproduce_predicate, k: int = 3, log_sink: list 
             if delta <= 0:
                 continue
             moved = [
-                replace(e, offset_ms=e.offset_ms - delta) if e.offset_ms >= offsets[i] else e
+                e.at(e.offset_ms - delta) if e.offset_ms >= offsets[i] else e
                 for e in current.events
             ]
             candidate = build(moved)

@@ -129,8 +129,8 @@ def pin_trace(trace: TimedTrace, top_n: int) -> TimedTrace:
     events = []
     for event in trace.events:
         if event.kind is EventKind.SEND:
-            spec = replace(event.spec, sampling=_pinned_sampling(event.spec.sampling, top_n))
-            events.append(replace(event, spec=spec))
+            spec = event.spec.varied(sampling=_pinned_sampling(event.spec.sampling, top_n))
+            events.append(TraceEvent.send(event.offset_ms, spec))
         else:
             events.append(event)
     return trace.with_events(tuple(events))
@@ -255,7 +255,7 @@ def _tally(flags, config) -> tuple[dict, bool]:
 
 def solo_probe_trace(spec: RequestSpec, top_n: int) -> TimedTrace:
     """A one-request trace reproducing spec's prompt and decode settings."""
-    probe = replace(spec, sampling=_pinned_sampling(spec.sampling, top_n))
+    probe = spec.varied(sampling=_pinned_sampling(spec.sampling, top_n))
     return TimedTrace(trace_id=f"solo~{spec.request_id}", events=(TraceEvent.send(0, probe),))
 
 
@@ -386,10 +386,26 @@ def _confirm_timing(suspicion, report, endpoint, config, thresholds):
         trace_id=trace.trace_id + "~timing",
     )
 
+    # The recovery probe runs with no reset on the engine the first replay left behind.  The other
+    # replays run the first one's pinned trace after it, each on a reset engine, so in-process they
+    # are served copies of the first and run nothing.
+    replays = replay(injected, endpoint, 1, config.top_n, corpus_seed)
+    recovery_p50 = None
+    recovered = False
+    if not replays[0].server_crashed:
+        try:
+            probes = latency_probe_trace("recovery", RECOVERY_SETTLE_MS)
+            recovery_report = execute(probes, endpoint, corpus_seed, canonical_decode=True)
+            recovery_p50 = _probe_p50(recovery_report)
+            recovered = recovery_p50 is not None and recovery_p50 <= RECOVERY_FACTOR * floor
+        except (EndpointUnavailable, OSError):
+            pass
+    replays += [_run_isolated(replays[0].trace, endpoint, corpus_seed) for _ in range(config.k - 1)]
+
     flags = []
     amplification = 0.0
     suspect_rids = suspicion.evidence.get("request_ids", [])
-    for replayed in replay(injected, endpoint, config.k, config.top_n, corpus_seed):
+    for replayed in replays:
         probe_outcome = replayed.outcomes.get(probe_spec.request_id)
         probe_ttft = probe_outcome.ttft_ms if probe_outcome else None
         flags.append(probe_ttft is not None and probe_ttft >= thresholds.ttft_regression_factor * floor)
@@ -399,18 +415,6 @@ def _confirm_timing(suspicion, report, endpoint, config, thresholds):
                 amplification = max(amplification, outcome.ttft_ms / floor)
         if probe_ttft is not None:
             amplification = max(amplification, probe_ttft / floor)
-
-    recovery_p50 = None
-    recovered = False
-    if not replayed.server_crashed:  # the last of k >= 1 replays
-        try:
-            # No reset: the probe runs on the engine the last replay left behind.
-            probes = latency_probe_trace("recovery", RECOVERY_SETTLE_MS)
-            recovery_report = execute(probes, endpoint, corpus_seed, canonical_decode=True)
-            recovery_p50 = _probe_p50(recovery_report)
-            recovered = recovery_p50 is not None and recovery_p50 <= RECOVERY_FACTOR * floor
-        except (EndpointUnavailable, OSError):
-            pass
 
     tally, confirmed = _tally(flags, config)
     evidence = {

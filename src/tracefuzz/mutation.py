@@ -10,7 +10,7 @@ burst.  Every operator ends in repair(), so outputs always validate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .hashing import stable_u64
@@ -182,7 +182,7 @@ def _clamp_controls(events) -> list[TraceEvent]:
     out = []
     for e in events:
         if e.kind in (EventKind.CANCEL, EventKind.DISCONNECT) and e.target in sends:
-            out.append(replace(e, offset_ms=max(e.offset_ms, sends[e.target])))
+            out.append(e.at(max(e.offset_ms, sends[e.target])))
         else:
             out.append(e)
     return out
@@ -192,7 +192,7 @@ def timing_jitter(trace: TimedTrace, rng_seed: int, intensity: float) -> TimedTr
     rng = random.Random(rng_seed)
     magnitude = int(round(max(0.0, min(1.0, intensity)) * 1000))
     moved = [
-        replace(e, offset_ms=max(0, e.offset_ms + rng.randint(-magnitude, magnitude))) if magnitude else e
+        e.at(max(0, e.offset_ms + rng.randint(-magnitude, magnitude))) if magnitude else e
         for e in trace.events
     ]
     return _finish(
@@ -206,7 +206,7 @@ def timing_collapse(trace: TimedTrace, rng_seed: int, factor: float | None = Non
     rng = random.Random(rng_seed)
     if factor is None:
         factor = rng.choice((0.0, 0.0, 0.25, 0.5))
-    moved = [replace(e, offset_ms=int(e.offset_ms * factor)) for e in trace.events]
+    moved = [e.at(int(e.offset_ms * factor)) for e in trace.events]
     return _finish(
         _clamp_controls(moved),
         trace_id=_child_id(trace.trace_id, "collapse", rng_seed),
@@ -293,16 +293,13 @@ def _modify(trace, rng) -> list[TraceEvent]:
     # comparisons attributable, the second keeps replays meaningful.
     which = rng.choice(("shape", "adapter", "max_tokens", "n_completions", "logprobs"))
     if which == "shape":
-        spec = replace(spec, shape=rng.choice(DEFAULT_PALETTE.shapes))
+        spec = spec.varied(shape=rng.choice(DEFAULT_PALETTE.shapes))
     elif which == "adapter":
-        spec = replace(spec, adapter=rng.choice(DEFAULT_PALETTE.adapters))
-    elif which == "max_tokens":
-        spec = replace(spec, sampling=replace(spec.sampling, max_tokens=rng.choice(DEFAULT_PALETTE.max_tokens)))
-    elif which == "n_completions":
-        spec = replace(spec, sampling=replace(spec.sampling, n_completions=rng.choice(DEFAULT_PALETTE.n_completions)))
-    else:
-        spec = replace(spec, sampling=replace(spec.sampling, logprobs=rng.choice(DEFAULT_PALETTE.logprobs)))
-    events[i] = replace(events[i], spec=spec)
+        spec = spec.varied(adapter=rng.choice(DEFAULT_PALETTE.adapters))
+    else:  # a sampling field, drawn from the palette pool of the same name
+        sampling = SamplingConfig(**{**vars(spec.sampling), which: rng.choice(getattr(DEFAULT_PALETTE, which))})
+        spec = spec.varied(sampling=sampling)
+    events[i] = TraceEvent.send(events[i].offset_ms, spec)
     return events
 
 
@@ -330,9 +327,9 @@ def _rename_requests(events, rename: dict[str, str]) -> list[TraceEvent]:
     out = []
     for e in events:
         if e.kind is EventKind.SEND and e.spec.request_id in rename:
-            out.append(replace(e, spec=replace(e.spec, request_id=rename[e.spec.request_id])))
+            out.append(TraceEvent.send(e.offset_ms, e.spec.varied(request_id=rename[e.spec.request_id])))
         elif e.target in rename:
-            out.append(replace(e, target=rename[e.target]))
+            out.append(TraceEvent(e.offset_ms, e.kind, target=rename[e.target]))
         else:
             out.append(e)
     return out
@@ -342,7 +339,7 @@ def _join_segments(prefix, suffix, shift: int, a_ids, b_ids) -> list[TraceEvent]
     collisions = a_ids & b_ids
     prefix = _rename_requests(list(prefix), {rid: f"{rid}~a" for rid in collisions})
     suffix = _rename_requests(list(suffix), {rid: f"{rid}~b" for rid in b_ids})
-    rebased = [replace(e, offset_ms=max(0, e.offset_ms + shift)) for e in suffix]
+    rebased = [e.at(max(0, e.offset_ms + shift)) for e in suffix]
     return prefix + rebased
 
 

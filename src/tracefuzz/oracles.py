@@ -196,7 +196,7 @@ def behavioral_check(report, baseline: BaselineStats, thresholds: OracleThreshol
                 subtype = "empty-body"
             elif spec is not None and any(len(stream) > spec.sampling.max_tokens for stream in outcome.output_tokens):
                 subtype = "overflow"
-            elif vocab is not None and any(t < 0 or t >= vocab for stream in outcome.output_tokens for t in stream):
+            elif vocab is not None and any(min(stream) < 0 or max(stream) >= vocab for stream in outcome.output_tokens):
                 subtype = "undecodable"
             if subtype is not None:
                 suspicions.append(
@@ -241,18 +241,18 @@ def detect_stall(report, stall_window_ms: int) -> Suspicion | None:
     """A stall is a window with in-flight work, a live server, and zero token progress."""
     if report.schedule_degraded:
         return None
-    progress = sorted(stamp for o in report.outcomes.values() for stamp in o.token_stamps)
-    intervals = [(o.dispatched_ms, o.end_ms) for o in report.outcomes.values()]
+    intervals = report.intervals
     if not intervals:
         return None
-    span_end = max(end for _, end in intervals)
+    progress = sorted(chain.from_iterable(o.token_stamps for o in report.outcomes.values()))
+    span_end = max(end for _, _, end in intervals)
     checkpoints = [0] + progress + [span_end]
     worst: tuple[int, int, int] | None = None
     for a, b in zip(checkpoints, checkpoints[1:]):
         gap = b - a
         if gap < stall_window_ms:
             continue
-        covered = any(start <= a and end >= b for start, end in intervals)
+        covered = any(start <= a and end >= b for start, _, end in intervals)
         if covered and (worst is None or gap > worst[0]):
             worst = (gap, a, b)
     if worst is None:

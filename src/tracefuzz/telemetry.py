@@ -73,13 +73,12 @@ def compute_telemetry(report) -> PressureScore:
     prompt_lens: set[int] = set()
     edges: list[tuple[int, int]] = []
     inflight: Counter = Counter()  # window index -> requests overlapping it
-    for rid, outcome in report.outcomes.items():
+    for (rid, outcome), (start, _, end) in zip(report.outcomes.items(), report.intervals):
         spec = report.request_index.get(rid)
         if spec is not None:
             prompt_lens.add(spec.shape.prompt_len)
             if outcome.status != "server_error":
                 adapters.add(spec.adapter)
-        start, end = outcome.dispatched_ms, outcome.end_ms
         edges += ((start, 1), (end, -1))
         # [start, end) overlaps windows start // W through ceil(end / W) - 1.
         for w in range(start // WINDOW_MS, -(-end // WINDOW_MS)):

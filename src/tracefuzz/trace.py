@@ -10,9 +10,10 @@ prompt bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import attrgetter
 
 from .hashing import canonical_json, stable_u64, stable_u64_positions
 
@@ -30,6 +31,10 @@ class EventKind(str, Enum):
     CANCEL = "Cancel"
     DISCONNECT = "Disconnect"
     WAIT = "Wait"
+
+    def __init__(self, value: str) -> None:
+        # At equal offsets a Send dispatches before control events that may name it.
+        self.rank = int(value in ("Cancel", "Disconnect"))
 
 
 class TraceFormatError(ValueError):
@@ -83,23 +88,25 @@ class RequestSpec:
         """Identity that pins prompt content; falls back to the request id."""
         return self.prompt_family_id if self.prompt_family_id is not None else self.request_id
 
+    def varied(self, request_id=None, shape=None, sampling=None, adapter=None) -> "RequestSpec":
+        """This spec with each given field in place of its own, built by the constructor."""
+        return RequestSpec(self.request_id if request_id is None else request_id,
+                           self.shape if shape is None else shape,
+                           self.sampling if sampling is None else sampling,
+                           self.prompt_family_id, self.adapter if adapter is None else adapter, self.stream)
+
+    @cached_property
+    def _group_key(self) -> str | None:
+        if self.prompt_family_id is None:
+            return None
+        shape, sampling = self.shape, self.sampling
+        return canonical_json([self.prompt_family_id, shape.prefix_len, shape.prompt_len, self.adapter,
+                               sampling.max_tokens, sampling.n_completions, sampling.seed, sampling.temperature])
+
 
 def group_key(spec: RequestSpec) -> str | None:
-    """Snapshot comparability: identical prompt content and decode settings."""
-    if spec.prompt_family_id is None:
-        return None
-    return canonical_json(
-        [
-            spec.prompt_family_id,
-            spec.shape.prefix_len,
-            spec.shape.prompt_len,
-            spec.adapter,
-            spec.sampling.max_tokens,
-            spec.sampling.n_completions,
-            spec.sampling.seed,
-            spec.sampling.temperature,
-        ]
-    )
+    """Snapshot comparability: identical prompt content and decode settings; encoded once per spec object."""
+    return spec._group_key
 
 
 @dataclass(frozen=True)
@@ -134,15 +141,14 @@ class TraceEvent:
     def wait(offset_ms: int, duration_ms: int) -> "TraceEvent":
         return TraceEvent(offset_ms, EventKind.WAIT, duration_ms=duration_ms)
 
-
-def _kind_rank(event: TraceEvent) -> int:
-    # At equal offsets a Send dispatches before control events that may name it.
-    return 0 if event.kind in (EventKind.SEND, EventKind.WAIT) else 1
+    def at(self, offset_ms: int) -> "TraceEvent":
+        """This event at another offset, built by the constructor."""
+        return TraceEvent(offset_ms, self.kind, self.spec, self.target, self.duration_ms)
 
 
 def ordered(events) -> tuple[TraceEvent, ...]:
     """Canonical stable ordering: by offset, Sends before controls at ties."""
-    return tuple(sorted(events, key=lambda e: (e.offset_ms, _kind_rank(e))))
+    return tuple(sorted(events, key=attrgetter("offset_ms", "kind.rank")))
 
 
 @dataclass(frozen=True)
@@ -228,14 +234,14 @@ def repair(trace: TimedTrace) -> TimedTrace:
     seen: set[str] = set()
     for event in trace.events:
         if event.offset_ms < 0:
-            event = replace(event, offset_ms=0)
+            event = event.at(0)
         if event.kind is EventKind.SEND:
             rid = event.spec.request_id
             if rid in seen:
                 n = 2
                 while f"{rid}~{n}" in seen:
                     n += 1
-                event = replace(event, spec=replace(event.spec, request_id=f"{rid}~{n}"))
+                event = TraceEvent.send(event.offset_ms, event.spec.varied(request_id=f"{rid}~{n}"))
             seen.add(event.spec.request_id)
         events.append(event)
 

@@ -8,7 +8,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tracefuzz import adapter, campaign
 from tracefuzz.adapter import EngineEndpoint, EngineKind
@@ -27,7 +27,7 @@ from tracefuzz.campaign import (
 )
 from tracefuzz.confirmation import ConfirmationConfig, majority_confirm, majority_threshold
 from tracefuzz.hashing import stable_u64
-from tracefuzz.mutation import DEFAULT_MUTATION_WEIGHTS, generate_seed
+from tracefuzz.mutation import DEFAULT_MUTATION_WEIGHTS, generate_seed, mutate
 from tracefuzz.oracles import OracleThresholds, SuspicionKind
 from tracefuzz.simulator.config import FaultFamily, SimConfig
 from tracefuzz.simulator.endpoint import serve
@@ -153,6 +153,85 @@ def test_novelty_weight_decays_with_age():
     ]
     # both decayed equally here; this only checks decay does not explode
     assert all(d in (young, old) for d in draws)
+
+
+def reference_weight(entry, weights, iteration):
+    """An entry's selection weight as it was computed per draw before selection tables."""
+    age = max(0, iteration - entry.added_iteration)
+    nov = min(1.0, len(entry.markers) / 3) * 0.5 ** (age / 64.0)
+    susp = min(1.0, float(entry.suspicion_count))
+    return weights["novelty"] * nov + weights["suspicion"] * susp
+
+
+def reference_select(corpus, rng, weights, iteration):
+    """One draw as select_seed made it before selection tables: weights per entry, then rng.choices over them."""
+    if len(corpus) == 1:
+        return corpus[0]
+    if rng.random() < weights.get("floor", 0.0):
+        return rng.choice(corpus)
+    scored = [reference_weight(e, weights, iteration) for e in corpus]
+    if sum(scored) <= 0.0:
+        return rng.choice(corpus)
+    return rng.choices(corpus, weights=scored, k=1)[0]
+
+
+SELECTION_TABLES = st.one_of(
+    st.sampled_from([
+        dict(campaign.DEFAULT_SELECTION_WEIGHTS),
+        {"novelty": 0.0, "suspicion": 0.0, "pressure": 1.0, "floor": 0.0},  # every weight zero
+        {"novelty": 0.0, "suspicion": 0.0, "pressure": 0.0, "floor": 1.0},
+    ]),
+    st.tuples(*[st.integers(0, 20)] * 4).filter(any).map(
+        lambda parts: {name: n / sum(parts) for name, n in zip(("novelty", "suspicion", "pressure", "floor"), parts)}
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    weights=SELECTION_TABLES,
+    # (markers, suspicions, added iteration) per entry
+    rows=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 2000)), min_size=1, max_size=12),
+    iteration=st.integers(0, 2000),
+    rng_seed=st.integers(0, 2**32),
+)
+@example(weights={"novelty": 0.0, "suspicion": 0.0, "pressure": 1.0, "floor": 0.0},  # a total weight of zero
+         rows=[(3, 1, 0), (0, 0, 5)], iteration=9, rng_seed=1)
+@example(weights={"novelty": 0.0, "suspicion": 0.0, "pressure": 0.0, "floor": 1.0}, rows=[(3, 1, 0), (2, 0, 5)],
+         iteration=9, rng_seed=2)
+@example(weights=dict(campaign.DEFAULT_SELECTION_WEIGHTS), rows=[(1, 0, 0)], iteration=3, rng_seed=3)  # one entry
+@example(weights=dict(campaign.DEFAULT_SELECTION_WEIGHTS), rows=[(3, 0, 0), (2, 0, 700), (1, 1, 1900)],
+         iteration=2000, rng_seed=4)  # ages past 640
+def test_one_selection_table_draws_what_per_draw_weights_drew(weights, rows, iteration, rng_seed):
+    corpus = []
+    for i, (markers, suspicions, added) in enumerate(rows):
+        made = entry(f"t~{i}", markers={f"m{j}" for j in range(markers)}, suspicions=suspicions,
+                     added=min(added, iteration))
+        made.pressure = telemetry_of()
+        corpus.append(made)
+    config = CampaignConfig(selection_weights=weights)
+    # Bit for bit, in the same float order.
+    assert campaign._selection_weights(corpus, weights, iteration) == [
+        reference_weight(e, weights, iteration) for e in corpus]
+
+    # The loop's draw: the iteration seed, then parent and partner from one table, then the mutant.
+    reference_rng = random.Random(rng_seed)
+    iter_seed = reference_rng.randrange(1 << 62)
+    parent = reference_select(corpus, reference_rng, weights, iteration)
+    partner = reference_select(corpus, reference_rng, weights, iteration) if len(corpus) > 1 else None
+    expected = mutate(parent.trace, iter_seed, partner=partner and partner.trace, telemetry=parent.pressure,
+                      partner_telemetry=partner and partner.pressure, weights=config.mutation_weights)
+    rng = random.Random(rng_seed)
+    pending, child = campaign._next_trace(corpus, config, rng, iteration)
+    assert pending is None and child == expected
+    assert rng.getstate() == reference_rng.getstate()
+
+    # select_seed draws through the same table.
+    reference_rng, rng = random.Random(rng_seed), random.Random(rng_seed)
+    for _ in range(3):
+        assert select_seed(corpus, rng, weights, iteration=iteration) is reference_select(
+            corpus, reference_rng, weights, iteration)
+    assert rng.getstate() == reference_rng.getstate()
 
 
 def test_eviction_spares_suspicious_entries():

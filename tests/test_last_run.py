@@ -264,7 +264,7 @@ def test_a_replay_arm_runs_its_trace_once(real_runs):
     assert fields(reports[0]) == fields(reports[1]) == fields(reports[2])
 
 
-def test_a_timing_arm_runs_its_replayed_trace_once_more_for_the_recovery_probe(real_runs):
+def test_a_timing_arm_runs_its_replayed_trace_once_with_the_recovery_probe_after_it(real_runs):
     # The frozen ttft_regression case: a wide request stalls the engine past the probe's TTFT.
     endpoint = endpoint_for(FaultFamily.ENGINE_STALL)
     trace = TimedTrace("t~stall", (send("wide", 0, mt=8, n=12), send("probe", 2)))
@@ -275,4 +275,4 @@ def test_a_timing_arm_runs_its_replayed_trace_once_more_for_the_recovery_probe(r
     real_runs.clear()
     outcome = confirm_suspicion(suspicion, report, endpoint, ConfirmationConfig(k=3))
     assert isinstance(outcome, Finding)
-    assert real_runs == ["probe~baseline", "t~stall~timing", "t~stall~timing", "probe~recovery"]
+    assert real_runs == ["probe~baseline", "t~stall~timing", "probe~recovery"]
