@@ -63,11 +63,32 @@ class Suspicion:
         return Suspicion(
             kind=kind,
             trace_id=trace_id,
-            fingerprint=fingerprint(kind.value, signature),
+            fingerprint=_fingerprint(kind.value, signature),
             signature=signature,
             evidence=evidence,
             severity_hint=_SEVERITY[kind],
         )
+
+
+# Distinct (kind, signature) fingerprints kept per process; a campaign judges a few dozen.
+FINGERPRINT_MEMO_SIZE = 1024
+_fingerprints: dict[tuple[str, str], str] = {}  # (kind, repr(signature)) -> fingerprint, the oldest dropped first
+
+
+def _fingerprint(kind: str, signature: dict) -> str:
+    """``fingerprint(kind, signature)``, hashed once per distinct kind and signature repr.
+
+    Equal reprs of JSON-able values give equal canonical JSON, so a hit is
+    exact; a repr that differs for equal JSON (a tuple for a list, another
+    key order) only misses.
+    """
+    key = (kind, repr(signature))
+    value = _fingerprints.get(key)
+    if value is None:
+        if len(_fingerprints) >= FINGERPRINT_MEMO_SIZE:
+            del _fingerprints[next(iter(_fingerprints))]
+        value = _fingerprints[key] = fingerprint(kind, signature)
+    return value
 
 
 @dataclass
@@ -213,19 +234,21 @@ def behavioral_check(report, baseline: BaselineStats, thresholds: OracleThreshol
 
 
 def _kv_leak_check(report, thresholds: OracleThresholds) -> list[Suspicion]:
-    cancelled = {rid for rid, o in report.outcomes.items() if o.status in ("cancelled", "disconnected")}
-    if not cancelled or report.kv_log is None:
+    # Only an aborted request past the post-teardown grace window can leak, so
+    # the ledger's held blocks are folded only when one is.
+    span, grace = report.wall_clock_span_ms, thresholds.kv_leak_grace_ms
+    late = [rid for rid, o in sorted(report.outcomes.items())
+            if o.status in ("cancelled", "disconnected") and span - o.end_ms >= grace]
+    if not late or report.kv_log is None:
         return []
     # A block another request adopted is shared cache property: outliving
     # its allocator is by design, not a leak.
     held = report.kv_ledger.held_blocks
     out = []
-    for rid in sorted(cancelled):
+    for rid in late:
         leaked = held.get(rid)
         if not leaked:
             continue
-        if report.wall_clock_span_ms - report.outcomes[rid].end_ms < thresholds.kv_leak_grace_ms:
-            continue  # still within the post-teardown grace window
         out.append(
             Suspicion.create(
                 SuspicionKind.KV_LEAK,
@@ -242,7 +265,8 @@ def detect_stall(report, stall_window_ms: int) -> Suspicion | None:
     if report.schedule_degraded:
         return None
     intervals = report.intervals
-    if not intervals:
+    # A stalled gap of at least the window lies inside one interval, which is then at least as long.
+    if not any(end - start >= stall_window_ms for start, _, end in intervals):
         return None
     progress = sorted(chain.from_iterable(o.token_stamps for o in report.outcomes.values()))
     span_end = max(end for _, _, end in intervals)

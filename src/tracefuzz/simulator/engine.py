@@ -74,7 +74,6 @@ import hashlib
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import islice
 
 from ..adapter import ExecutionReport, KvEvent, KvRun, kv_events_of
@@ -95,9 +94,9 @@ COND_ADAPTER_MIX = 4
 COND_LOAD_BURST = 8
 ALL_CONDITIONS = COND_OCCUPANCY | COND_SHAPE_MIX | COND_ADAPTER_MIX | COND_LOAD_BURST
 
-# Distinct keys kept by each prompt memo below; a campaign step sees a few
-# dozen.  The prompts they hold are mostly the very tuples
-# trace.PROMPT_CACHE_SIZE already keeps.
+# Prompts kept by each core's prompt memo, and digests by each prompt's
+# memo; a campaign step sees a few dozen.  The prompts they hold are mostly
+# the very tuples trace.PROMPT_CACHE_SIZE already keeps.
 PROMPT_MEMO_SIZE = 128
 # Streams, positions per stream and logprobs per position kept by each
 # core's decode memo.  The mutation palettes ask for at most 32 tokens and 5 logprobs.
@@ -115,13 +114,6 @@ def block_hash(chain_hash: int, adapter_code: bytes, span_code: bytes) -> int:
     return u64(_BLK + encode_int(chain_hash) + adapter_code + span_code)
 
 
-@lru_cache(maxsize=PROMPT_MEMO_SIZE)
-def prompt_block_hashes(adapter: str, block_size: int, prompt: tuple[int, ...]) -> tuple[int, ...]:
-    """The chained hashes of the prompt's full blocks, as stream 0 seals them: ``_PromptMemo.block_hashes``
-    of a memo of its own, memoized by the prompt's content for callers without a core."""
-    return _PromptMemo(prompt).block_hashes(adapter, block_size)
-
-
 def chained_hashes(chain_hash: int, adapter: str, block_size: int, prompt, pos: int, count: int):
     """Lazily, the sealed hashes of ``count`` full blocks of ``prompt`` from ``pos`` on, after ``chain_hash``.
 
@@ -131,13 +123,6 @@ def chained_hashes(chain_hash: int, adapter: str, block_size: int, prompt, pos: 
     for start in range(pos, pos + count * block_size, block_size):
         chain_hash = block_hash(chain_hash, adapter_code, encode_parts(prompt[start : start + block_size]))
         yield chain_hash
-
-
-@lru_cache(maxsize=PROMPT_MEMO_SIZE)
-def prompt_digest(digest: int, prompt: tuple[int, ...]) -> int:
-    """A completion's context digest after an uncontaminated prompt, ``stable_u64("prompt", digest, *prompt)``:
-    ``_PromptMemo.digest`` of a memo of its own, memoized by the prompt's content for callers without a core."""
-    return _PromptMemo(prompt).digest(digest)
 
 
 class _PromptMemo:

@@ -5,10 +5,12 @@ were handled in runs: ``_advance_prefill``, ``_append_token`` and
 ``_allocate_block`` as they were before prefill blocks were allocated in
 runs, ``_init_request`` and ``_release_blocks`` as they were before prefix
 hits were adopted and chains released as runs, and ``_maybe_stale_grab`` as
-it was before the pool became per-slot lists, all verbatim.  Its block
-manager is a standalone verbatim copy of the one that kept a ``KvBlock`` per
-block in a dict, with ``lookup``, the one-block ``allocate`` and ``unpin``,
-no run methods, and a ``clear`` for the core's reset.
+it was before the pool became per-slot lists, all verbatim but for the
+prompt's block hashes and digests, derived from their ``stable_u64``
+definitions.  Its block manager is a standalone verbatim copy of the one
+that kept a ``KvBlock`` per block in a dict, with ``lookup``, the one-block
+``allocate`` and ``unpin``, no run methods, and a ``clear`` for the core's
+reset.
 ``RunCore`` is ``SimCore`` with probes, and repeats every client call on a
 block-at-a-time twin.  The rules of ``BlockMachine``
 (tests/test_block_invariants.py) drive the pair through submit, same-tick
@@ -47,7 +49,7 @@ from tracefuzz.hashing import stable_u64
 from tracefuzz.simulator.blocks import BlockManager
 from tracefuzz.simulator.config import SimConfig
 from tracefuzz.simulator.decode import init_digest
-from tracefuzz.simulator.engine import DECODE, PREFILL, SimCore, SimRequest, _Chain, prompt_block_hashes, prompt_digest
+from tracefuzz.simulator.engine import DECODE, PREFILL, SimCore, SimRequest, _Chain
 
 # What every arm must reach, beyond the KV paths BlockMachine itself notes.
 RUN_PATHS = {
@@ -125,9 +127,19 @@ class BlockAtATimeManager:
         return block
 
 
+def stable_chain(adapter: str, block: int, prompt) -> tuple[int, ...]:
+    """The chained hashes of the prompt's full blocks, each its ``stable_u64`` definition."""
+    chain_hash, hashes = 0, []
+    for start in range(0, len(prompt) - block + 1, block):
+        chain_hash = stable_u64("blk", chain_hash, adapter, *prompt[start : start + block])
+        hashes.append(chain_hash)
+    return tuple(hashes)
+
+
 class BlockAtATimeCore(SimCore):
     """The core as it handled blocks before runs, over the dict manager; the six methods after
-    ``__init__`` are verbatim, and ``_emit`` logs each block's event as a run of one."""
+    ``__init__`` are verbatim but for ``_init_request`` deriving the prompt's block hashes and
+    digests from their ``stable_u64`` definitions, and ``_emit`` logs each block's event as a run of one."""
 
     def __init__(self, config):
         super().__init__(config)
@@ -195,7 +207,7 @@ class BlockAtATimeCore(SimCore):
         block = cfg.block_size_tokens
         req.chains = [_Chain() for _ in range(req.n_completions)]
         chain0 = req.chains[0]
-        req.block_hashes = prompt_block_hashes(req.adapter, block, req.prompt)
+        req.block_hashes = stable_chain(req.adapter, block, req.prompt)
 
         # Prefix-cache walk over full leading blocks of the prompt.  The final
         # prompt token is always computed, never served from cache, so at
@@ -239,7 +251,7 @@ class BlockAtATimeCore(SimCore):
         for c in range(req.n_completions):
             digest = init_digest(cfg.seed, req.request_seed, req.adapter, c)
             if contaminated_span is None:
-                req.digests.append(prompt_digest(digest, req.prompt))
+                req.digests.append(stable_u64("prompt", digest, *req.prompt))
             else:
                 req.digests.append(stable_u64("prompt", digest, *effective))
             req.outputs.append([])

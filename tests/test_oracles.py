@@ -2,13 +2,19 @@
 real execution reports."""
 
 from collections import Counter
+from itertools import chain
+
+from hypothesis import example, given, settings, strategies as st
 
 from tracefuzz import oracles
 from tracefuzz.adapter import EngineEndpoint, EngineKind, ExecutionReport, KvEvent, KvRun, RequestOutcome, execute
+from tracefuzz.hashing import fingerprint
 from tracefuzz.oracles import (
     BaselineStats,
     OracleThresholds,
+    Suspicion,
     SuspicionKind,
+    decade,
     behavioral_check,
     detect_stall,
     extract_group_snapshots,
@@ -186,6 +192,7 @@ def test_kv_leak_within_grace_window_is_quiet():
         span=THRESHOLDS.kv_leak_grace_ms - 100,
     )
     assert behavioral_check(rep, BaselineStats(), THRESHOLDS) == []
+    assert "held_blocks" not in vars(rep.kv_ledger)  # no request past the grace window, so no fold
 
 
 # -- stall ------------------------------------------------------------------------
@@ -210,10 +217,101 @@ def test_stall_requires_covered_quiet_gap():
     )
     assert detect_stall(uncovered, THRESHOLDS.stall_window_ms) is None
 
+    # A request exactly one window long, quiet for exactly one window, stalls.
+    edge = report_of([outcome("edge", total=THRESHOLDS.stall_window_ms, stamps=(THRESHOLDS.stall_window_ms,))])
+    assert detect_stall(edge, THRESHOLDS.stall_window_ms).evidence == {"gap_ms": 10_000, "window": [0, 10_000]}
+
 
 def test_stall_suppressed_when_schedule_degraded():
     rep = report_of([outcome("long", total=13_000, stamps=(12_500,))], degraded=True)
     assert detect_stall(rep, THRESHOLDS.stall_window_ms) is None
+
+
+def full_walk_stall(report, stall_window_ms):
+    """detect_stall as it was before its early return: every checkpoint gap, whatever the intervals' lengths."""
+    if report.schedule_degraded:
+        return None
+    intervals = report.intervals
+    if not intervals:
+        return None
+    progress = sorted(chain.from_iterable(o.token_stamps for o in report.outcomes.values()))
+    span_end = max(end for _, _, end in intervals)
+    checkpoints = [0] + progress + [span_end]
+    worst = None
+    for a, b in zip(checkpoints, checkpoints[1:]):
+        gap = b - a
+        if gap < stall_window_ms:
+            continue
+        covered = any(start <= a and end >= b for start, _, end in intervals)
+        if covered and (worst is None or gap > worst[0]):
+            worst = (gap, a, b)
+    if worst is None:
+        return None
+    gap, a, b = worst
+    return Suspicion.create(SuspicionKind.STALL, report.trace_id, {"gap_decade": decade(gap)},
+                            {"gap_ms": gap, "window": [a, b]})
+
+
+WINDOW = THRESHOLDS.stall_window_ms
+stall_requests = st.lists(
+    st.tuples(
+        st.integers(0, 25_000),  # dispatch
+        st.one_of(st.none(), st.integers(0, 25_000)),  # total
+        st.lists(st.integers(-100, 40_000), max_size=5).map(tuple),  # stamps, anywhere, in any order
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(requests=stall_requests, window=st.one_of(st.just(WINDOW), st.integers(-5, 20_000)))
+@example(requests=[(0, WINDOW, (WINDOW,))], window=WINDOW)  # one window long, over a gap of one window
+@example(requests=[(0, WINDOW - 1, (WINDOW - 1,))], window=WINDOW)
+@example(requests=[(0, WINDOW, (WINDOW - 1,))], window=WINDOW)
+@example(requests=[(5_000, WINDOW + 10, (-50, 30_000)), (20_000, 0, (39_000,))], window=WINDOW)  # stamps outside
+def test_stall_matches_the_full_walk(requests, window):
+    rep = report_of([outcome(f"r{i}", dispatched=d, total=t, stamps=stamps) for i, (d, t, stamps) in enumerate(requests)])
+    assert detect_stall(rep, window) == full_walk_stall(rep, window)
+
+
+# -- fingerprints -------------------------------------------------------------------
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        st.dictionaries(st.integers(-3, 3), inner, max_size=3),  # JSON writes int keys as strings
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(SuspicionKind), signature=st.dictionaries(st.text(max_size=3), json_values, max_size=3))
+@example(kind=SuspicionKind.STALL, signature={"v": True})  # True == 1 == 1.0 in Python, not in JSON
+@example(kind=SuspicionKind.STALL, signature={"v": 1})
+@example(kind=SuspicionKind.STALL, signature={"v": 1.0})
+@example(kind=SuspicionKind.STALL, signature={"v": "1"})
+@example(kind=SuspicionKind.STALL, signature={"v": [1, 2]})  # equal in JSON, not in repr
+@example(kind=SuspicionKind.STALL, signature={"v": (1, 2)})
+@example(kind=SuspicionKind.STALL, signature={"a": 1, "b": 2})
+@example(kind=SuspicionKind.STALL, signature={"b": 2, "a": 1})
+@example(kind=SuspicionKind.STALL, signature={"v": {1: "x"}})
+@example(kind=SuspicionKind.STALL, signature={"v": {"1": "x"}})
+@example(kind=SuspicionKind.HASH_CONFLICT, signature={"block_indexes": [0, [1, {"x": [2, None]}]], "adapters": {"b": {"a": [0.5]}}})
+def test_a_suspicion_fingerprints_its_kind_and_signature(kind, signature):
+    for _ in range(2):  # the second reads the memo
+        assert Suspicion.create(kind, "t~any", signature, {}).fingerprint == fingerprint(kind.value, signature)
+
+
+def test_the_fingerprint_memo_stays_at_its_bound():
+    for gap in range(oracles.FINGERPRINT_MEMO_SIZE + 10):
+        Suspicion.create(SuspicionKind.STALL, "t~any", {"gap_decade": gap}, {})
+    assert len(oracles._fingerprints) == oracles.FINGERPRINT_MEMO_SIZE
+    assert ("stall", repr({"gap_decade": 0})) not in oracles._fingerprints  # the oldest were dropped first
+    assert Suspicion.create(SuspicionKind.STALL, "t", {"gap_decade": 0}, {}).fingerprint == fingerprint("stall", {"gap_decade": 0})
 
 
 # -- lifecycle ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ hashes, tokens that are no exact int, whose encodings differ in length.
 from hypothesis import assume, example, given, settings, strategies as st
 
 from tracefuzz.hashing import stable_u64
-from tracefuzz.simulator.engine import chained_hashes, prompt_block_hashes, prompt_digest
+from tracefuzz.simulator.engine import _PromptMemo, chained_hashes
 from tracefuzz.trace import PromptShape, synthesize_prompt
 
 TABLE = 4096  # ints below this encode from stable_u64's table
@@ -70,7 +70,7 @@ def test_synthesize_prompt_is_its_stable_u64_definition(prefix_len, suffix_len, 
 def test_prompt_block_hashes_are_their_stable_u64_definition(adapter, block_size, prompt):
     count = len(prompt) // block_size
     expected = tuple(reference_chain(0, adapter, block_size, prompt, 0, count))
-    assert prompt_block_hashes.__wrapped__(adapter, block_size, prompt) == expected
+    assert _PromptMemo(prompt).block_hashes(adapter, block_size) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -92,4 +92,4 @@ def test_chained_hashes_are_their_stable_u64_definition(chain_hash, adapter, blo
 @settings(max_examples=100, deadline=None)
 @given(digest=st.integers(0, 2**64 - 1), prompt=prompts)
 def test_prompt_digest_is_its_stable_u64_definition(digest, prompt):
-    assert prompt_digest.__wrapped__(digest, prompt) == stable_u64("prompt", digest, *prompt)
+    assert _PromptMemo(prompt).digest(digest) == stable_u64("prompt", digest, *prompt)

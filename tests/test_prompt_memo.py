@@ -20,7 +20,7 @@ from tracefuzz.hashing import stable_u64
 from tracefuzz.simulator.config import FaultFamily, FaultSpec, SimConfig
 from tracefuzz.simulator.decode import init_digest
 from tracefuzz.simulator import engine
-from tracefuzz.simulator.engine import PROMPT_MEMO_SIZE, SimCore, _Chain, prompt_block_hashes, prompt_digest
+from tracefuzz.simulator.engine import PROMPT_MEMO_SIZE, SimCore, _Chain, _PromptMemo
 
 F1 = (FaultSpec(FaultFamily.STALE_KV_REUSE, occupancy_threshold=0.3),)
 
@@ -257,47 +257,31 @@ def test_memo_is_keyed_by_adapter_and_block_size():
             hashes.append(chain_hash)
         return tuple(hashes)
 
-    chains = {key: prompt_block_hashes(*key, tokens) for key in (("BASE", 8), ("BASE", 16), ("lora_a", 8))}
+    # One memo serves one core, whose block size never changes: it keeps a chain per adapter.
+    chains = {key: _PromptMemo(tokens).block_hashes(*key) for key in (("BASE", 8), ("BASE", 16), ("lora_a", 8))}
     assert len(set(chains.values())) == 3
     for (adapter, block_size), chain in chains.items():
         assert chain == direct(adapter, block_size)
         assert len(chain) == len(tokens) // block_size
-    assert prompt_digest(9, tokens) == stable_u64("prompt", 9, *tokens)
-    assert prompt_digest(10, tokens) != prompt_digest(9, tokens)
+    memo = _PromptMemo(tokens)
+    assert [memo.block_hashes(adapter, 8) for adapter in ("BASE", "lora_a")] == [chains["BASE", 8], chains["lora_a", 8]]
+    assert memo.digest(9) == stable_u64("prompt", 9, *tokens)
+    assert memo.digest(10) != memo.digest(9)
 
 
 def test_memos_stay_within_their_bound():
-    for i in range(PROMPT_MEMO_SIZE + 10):
-        tokens = (i, *prompt(i, 20))
-        prompt_block_hashes("BASE", 8, tokens)
-        prompt_digest(0, tokens)
-    for memo in (prompt_block_hashes, prompt_digest):
-        info = memo.cache_info()
-        assert info.maxsize == PROMPT_MEMO_SIZE
-        assert info.currsize == PROMPT_MEMO_SIZE
-
-
-def test_a_prompt_the_core_has_admitted_reads_no_module_memo():
-    # The module memos key by the whole prompt tuple, so each lookup hashes it;
-    # the core's own memo finds the same prompt object by its id.
-    tokens = tuple(prompt(11, 90))
-
-    def admit(core, rid, n):
-        assert core.submit(rid, tokens, "BASE", 2, n, 4, None, core.clock_ms) is None
-        core.advance_to(core.clock_ms + 50)
-        return core.requests[rid].digests, core.requests[rid].block_hashes
-
-    def lookups():
-        return sum(info.hits + info.misses for info in (prompt_block_hashes.cache_info(), prompt_digest.cache_info()))
+    tokens = tuple(prompt(3, 20))
+    memo = _PromptMemo(tokens)
+    for digest in range(PROMPT_MEMO_SIZE + 10):
+        memo.digest(digest)
+    assert len(memo._digests) == PROMPT_MEMO_SIZE
+    assert list(memo._digests) == list(range(10, PROMPT_MEMO_SIZE + 10))  # the oldest were dropped first
 
     core = SimCore(config_for(64, 64, False))
-    first = admit(core, "a", 3)
-    before = lookups()
-    core.reset()  # the memo is derived from the prompt alone, so a reset keeps it
-    assert admit(core, "b", 3) == first
-    assert lookups() == before
-    assert admit(core, "c", 1)[1] == first[1] and lookups() == before
-    assert admit(DirectCore(config_for(64, 64, False)), "d", 3)[0] == first[0]  # DirectCore hashes directly
+    for i in range(PROMPT_MEMO_SIZE + 10):
+        assert core.submit(f"r{i}", (i, *prompt(i, 20)), "BASE", 1, 1, i, None, core.clock_ms) is None
+        core.advance_to(core.clock_ms + 20)
+    assert len(core._prompt_memo) == PROMPT_MEMO_SIZE
 
 
 def test_an_admission_encodes_its_prompt_once(monkeypatch):
@@ -333,3 +317,10 @@ def test_an_admission_encodes_its_prompt_once(monkeypatch):
     digests = [init_digest(13, 4, "BASE", c) for c in range(8)]
     assert list(map(memo.digest, digests)) == [stable_u64("prompt", digest, *tokens) for digest in digests]
     assert encodings == ["encode_ints"]  # the digests above were read back, not derived again
+
+    core.reset()  # the memo is derived from the prompt alone, so a reset keeps it
+    assert core.submit("b", tokens, "BASE", 2, 8, 4, None, 0) is None
+    core.advance_to(50)
+    assert core._prompt_memo[id(tokens)] is memo
+    assert core.requests["b"].digests == req.digests and core.requests["b"].block_hashes == req.block_hashes
+    assert encodings == ["encode_ints"]
