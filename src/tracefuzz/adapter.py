@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import json
 import logging
-import queue
 import threading
 import time
 from collections import Counter
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice, repeat
 from typing import NamedTuple
+from urllib.parse import urlsplit
 
 from .trace import (DEFAULT_VOCAB_SIZE, EventKind, RequestSpec, TimedTrace, group_key, parse_prompt, prompt_for,
                     render_prompt, token_word, word_token)
@@ -345,8 +346,10 @@ class EngineEndpoint:
     def __post_init__(self) -> None:
         if self.kind is EngineKind.SIMULATOR and self.handle is None:
             raise ValueError("simulator endpoint requires an in-process handle")
-        if self.kind is EngineKind.OPENAI and not self.base_url:
-            raise ValueError("openai endpoint requires a base_url")
+        if self.kind is EngineKind.OPENAI:
+            url = urlsplit(self.base_url or "")  # reading a port that is not a number below 65536 raises ValueError
+            if url.scheme not in ("http", "https") or not url.hostname or url.port == 0:
+                raise ValueError(f"openai endpoint needs an http or https URL naming a host, not {self.base_url!r}")
 
 
 def completion_body(spec: RequestSpec, corpus_seed: int, vocab_size: int) -> dict:
@@ -423,28 +426,25 @@ def reset_server(endpoint: EngineEndpoint) -> None:
     if endpoint.kind is EngineKind.SIMULATOR:
         endpoint.handle.reset()
         return
-    import requests
-
-    resp = requests.post(endpoint.base_url.rstrip("/") + "/control/reset", timeout=10)
-    if resp.status_code == 404:
-        raise UnsupportedOperation("endpoint exposes no reset control")
-    resp.raise_for_status()
+    with _exchange(endpoint, "POST", "/control/reset", timeout=10) as (reply, _):
+        _raise_for_status(reply, "/control/reset")
+        if reply.status == 404:
+            raise UnsupportedOperation("endpoint exposes no reset control")
 
 
 def collect_kv_stream(endpoint: EngineEndpoint, since, epoch_ms) -> tuple[KvRun, ...] | None:
     """The endpoint's KV events from index ``since`` on, each a run of one, restamped from its clock at
     ``epoch_ms``; None when it serves none, when either value is not a non-negative int, or when a line is
     not an event from ``epoch_ms`` on."""
-    import requests
-
     if not all(type(value) is int and value >= 0 for value in (since, epoch_ms)):
         return None
-    resp = requests.get(endpoint.base_url.rstrip("/") + "/kv_events", params={"since": since}, timeout=10)
-    if resp.status_code == 404:
-        return None
-    resp.raise_for_status()
+    with _exchange(endpoint, "GET", f"/kv_events?since={since}", timeout=10) as (reply, _):
+        _raise_for_status(reply, "/kv_events")
+        if reply.status == 404:
+            return None
+        text = reply.read()
     try:
-        events = [KvEvent.from_json_line(line) for line in resp.text.splitlines() if line.strip()]
+        events = [KvEvent.from_json_line(line) for line in text.splitlines() if line.strip()]
     except ValueError:
         return None
     if any(event.ts_ms < epoch_ms for event in events):
@@ -454,32 +454,53 @@ def collect_kv_stream(endpoint: EngineEndpoint, since, epoch_ms) -> tuple[KvRun,
 
 def engine_info(endpoint: EngineEndpoint) -> dict:
     """The endpoint's /control/info object; {} unless a 200 JSON object whose sizes, where given, are positive ints."""
-    import requests
-
-    try:
-        resp = requests.get(endpoint.base_url.rstrip("/") + "/control/info", timeout=5)
-    except requests.RequestException:
-        return {}
-    info = _json_object(resp) if resp.status_code == 200 else {}
+    status, info = _get_json(endpoint, "/control/info")
     sizes = [info.get(key, 1) for key in ("vocab_size", "block_size_tokens")]
-    return info if all(type(size) is int and size > 0 for size in sizes) else {}
+    return info if status == 200 and all(type(size) is int and size > 0 for size in sizes) else {}
 
 
-def check_health(endpoint: EngineEndpoint) -> tuple[bool, dict]:
-    """Whether the endpoint answers /health with a 200, and its /health document ({} unless a JSON object)."""
-    import requests
-
+def _get_json(endpoint: EngineEndpoint, path: str) -> tuple[int | None, dict]:
+    """A GET's reply status, None when no reply came, and its body's JSON object ({} unless one)."""
     try:
-        resp = requests.get(endpoint.base_url.rstrip("/") + "/health", timeout=5)
-    except requests.RequestException:
-        return False, {}
-    return resp.status_code == 200, _json_object(resp)
+        with _exchange(endpoint, "GET", path) as (reply, _):
+            return reply.status, _json_object(reply.read())
+    except EndpointUnavailable:
+        return None, {}
 
 
-def _json_object(resp) -> dict:
-    """A reply's JSON object; {} for a body that is not one."""
+@contextmanager
+def _exchange(endpoint, method, path, doc=None, headers=None, timeout=5.0):
+    """Yield (reply, socket) for one request on a new http.client connection, HTTPS for an https URL, once the
+    reply's headers are read.  The socket is kept from the connect, as getresponse() drops it for a
+    ``Connection: close`` reply.  Any failure to get or read the reply raises EndpointUnavailable."""
+    import http.client
+
+    url = urlsplit(endpoint.base_url)
+    connection = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+    conn = connection(url.hostname, url.port, timeout=timeout)
     try:
-        doc = resp.json()
+        conn.connect()
+        sock = conn.sock
+        body = None if doc is None else json.dumps(doc).encode()
+        conn.request(method, url.path.rstrip("/") + path, body, headers or {})
+        with conn.getresponse() as reply:
+            yield reply, sock
+    except (OSError, http.client.HTTPException) as exc:
+        raise EndpointUnavailable(f"{method} {endpoint.base_url}{path}: {type(exc).__name__}: {exc}") from exc
+    finally:
+        conn.close()
+
+
+def _raise_for_status(reply, path: str) -> None:
+    """EndpointUnavailable for an error reply but a 404, which each caller reads as a route the endpoint lacks."""
+    if reply.status >= 400 and reply.status != 404:
+        raise EndpointUnavailable(f"{path} answered http {reply.status}")
+
+
+def _json_object(body: bytes) -> dict:
+    """A reply body's JSON object; {} for a body that is not one."""
+    try:
+        doc = json.loads(body)
     except ValueError:
         return {}
     return doc if isinstance(doc, dict) else {}
@@ -602,16 +623,14 @@ def _run_virtual(core, trace, corpus_seed, canonical_decode, timeout) -> Executi
 # Wall-clock execution against an OpenAI-style HTTP endpoint.
 
 def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionReport:
-    import requests
+    import socket
 
-    base = endpoint.base_url.rstrip("/")
     info = engine_info(endpoint)
     vocab = info.get("vocab_size", DEFAULT_VOCAB_SIZE)
     # Every execution sets the decode mode, so a pinned replay leaves no pin
     # behind for the next one; an engine without the control cannot be pinned.
-    resp = requests.post(base + "/control/decode_mode", json={"canonical": canonical_decode}, timeout=5)
-    if resp.status_code != 404:
-        resp.raise_for_status()
+    with _exchange(endpoint, "POST", "/control/decode_mode", {"canonical": canonical_decode}) as (reply, _):
+        _raise_for_status(reply, "/control/decode_mode")
     # The stream length and server clock just before the epoch, when the
     # engine gives them: the report holds its own KV events, stamped from that
     # clock plus the time from its reply to the epoch, which the engine's
@@ -619,16 +638,22 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
     # covers every stamp, while dispatch counts from the epoch after it, so
     # the read makes no Send late.
     origin = time.monotonic()
-    healthy, health = check_health(endpoint)
+    status, health = _get_json(endpoint, "/health")
     arrived = time.monotonic()
-    if not healthy:
-        raise EndpointUnavailable(f"no healthy endpoint at {base}")
+    if status != 200:
+        raise EndpointUnavailable(f"no healthy endpoint at {endpoint.base_url}")
     kv_since, kv_epoch_ms = health.get("kv_events", 0), health.get("clock_ms", 0)
 
     seen: dict[str, dict] = {}  # rid -> request_outcome's arguments from what its thread saw, but its control
-    live: dict[str, requests.Response] = {}
+    live: dict[str, socket.socket] = {}  # rid -> the socket its 200 reply streams on, until its thread is done
     lock = threading.Lock()
     late = False  # whether the dispatch loop ran an event later than SCHEDULE_TOLERANCE_MS
+
+    def shut_down(rid: str) -> None:
+        """Under the lock: shut an aborted request's streaming socket down, waking its reader and telling the engine."""
+        if rid in aborted and rid in live:
+            with suppress(OSError):  # the stream ended on its own first
+                live[rid].shutdown(socket.SHUT_RDWR)
 
     def run_request(rid: str, body: dict, gate: threading.Event) -> None:
         gate.wait()
@@ -639,77 +664,63 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
         stamps: list[int] = []
         refusal = end = ended = None  # end stays None past a timeout and past the abort's mark
         try:
-            resp = requests.post(base + "/v1/completions", json=body, headers={"X-Request-Id": rid},
-                                 stream=True, timeout=endpoint.request_timeout_ms / 1000)
-            if resp.status_code != 200:
-                reason = _json_object(resp).get("error")
-                refusal = reason if isinstance(reason, str) else f"http {resp.status_code}"
-            else:
-                with lock:
-                    live[rid] = resp
-                    aborted_early = rid in aborted  # its abort fired before the response arrived
-                if aborted_early:
-                    resp.close()
+            with _exchange(endpoint, "POST", "/v1/completions", body, {"X-Request-Id": rid},
+                           endpoint.request_timeout_ms / 1000) as (reply, sock):
+                if reply.status != 200:
+                    reason = _json_object(reply.read()).get("error")
+                    refusal = reason if isinstance(reason, str) else f"http {reply.status}"
                 else:
-                    # chunk_size=None reads each chunk of the stream as it arrives, not 512 bytes at a time.
-                    for raw in resp.iter_lines(chunk_size=None):
-                        if not raw or not raw.startswith(b"data: "):
-                            continue
-                        payload = raw[len(b"data: ") :]
-                        chunk = None if payload == b"[DONE]" else read_completion_chunk(payload)
-                        now = time.monotonic()
+                    with lock:
+                        live[rid] = sock
+                        shut_down(rid)  # its abort fired before the reply arrived
+                    try:
+                        for raw in reply:  # each line as soon as its chunk arrives
+                            if not raw.startswith(b"data: "):
+                                continue
+                            payload = raw[len(b"data: ") :].rstrip(b"\r\n")
+                            chunk = None if payload == b"[DONE]" else read_completion_chunk(payload)
+                            now = time.monotonic()
+                            with lock:
+                                if rid in aborted:
+                                    break  # the abort's mark ends what we record: the rest was buffered before it
+                                if chunk is None:
+                                    end, ended = ("completed", None), now
+                                    break
+                                index, tokens, records = chunk
+                                streams[index] += tokens
+                                if ladders is not None:
+                                    ladders[index] += records or ()
+                                if index == 0:
+                                    stamps += [dispatched_ms + int((now - started) * 1000)] * len(tokens)
+                        else:
+                            end = ("server_error", "stream ended before [DONE]")
+                    finally:
                         with lock:
-                            if rid in aborted:
-                                break  # the abort's mark ends what we record: the rest was buffered before our close
-                            if chunk is None:
-                                end, ended = ("completed", None), now
-                                break
-                            index, tokens, records = chunk
-                            streams[index] += tokens
-                            if ladders is not None:
-                                ladders[index] += records or ()
-                            if index == 0:
-                                stamps += [dispatched_ms + int((now - started) * 1000)] * len(tokens)
-                    else:
-                        end = ("server_error", "stream ended before [DONE]")
-        except requests.exceptions.Timeout:
-            pass
+                            del live[rid]
         except Exception as exc:  # the thread's boundary: every Send gets one outcome
-            LOG.debug("request %s ended by an error", rid, exc_info=True)
-            end = ("server_error", f"{type(exc).__name__}: {exc}")
+            cause = exc.__cause__ or exc  # what broke the exchange, under its EndpointUnavailable
+            if not isinstance(cause, TimeoutError):  # past a timeout, the client's deadline decides
+                LOG.debug("request %s ended by an error", rid, exc_info=True)
+                end = ("server_error", f"{type(cause).__name__}: {cause}")
         total_ms = int(((ended or time.monotonic()) - started) * 1000)
         with lock:
-            live.pop(rid, None)
             if ended is None and rid in aborted:
-                end = None  # the stream broke after the abort's mark: closed from our side
+                end = None  # the stream broke after the abort's mark: shut down from our side
             seen[rid] = dict(dispatched_ms=dispatched_ms, refusal=refusal, end=end, total_ms=total_ms,
                              output_tokens=tuple(map(tuple, streams)), token_stamps=tuple(stamps),
                              logprob_records=None if ladders is None else tuple(map(tuple, ladders)))
 
-    closing: queue.SimpleQueue = queue.SimpleQueue()
-
-    def closer() -> None:
-        while (resp := closing.get()) is not None:
-            try:
-                resp.close()
-            except Exception:  # the closer's boundary: the request thread reports the abort either way
-                LOG.debug("closing an aborted response failed", exc_info=True)
-
-    # Every thread starts before the epoch, so the dispatch loop only signals
-    # them: Thread.start() waits until the new thread runs, and closing an
-    # aborted response can take milliseconds, so either would make the next
-    # event late.  The closer ends at the None queued after the last event.
+    # Every thread starts before the epoch and an abort only shuts a socket down, so the dispatch loop never
+    # waits: Thread.start() waits until the new thread runs, and a close can take milliseconds.
     aborted: dict[str, tuple[EventKind, int]] = {}  # rid -> its first control and when it was marked, from the epoch
     gates: dict[int, threading.Event] = {}  # per Send, by its index in the trace
     threads: list[threading.Thread] = []
     for index, event in enumerate(trace.events):
         if event.kind is EventKind.SEND:
             gates[index] = threading.Event()
-            body = completion_body(event.spec, corpus_seed, vocab)
-            args = (event.spec.request_id, body, gates[index])
+            args = (event.spec.request_id, completion_body(event.spec, corpus_seed, vocab), gates[index])
             threads.append(threading.Thread(target=run_request, args=args, daemon=True))
-    for t in [threading.Thread(target=closer, daemon=True), *threads]:
-        t.start()
+            threads[-1].start()
     epoch = time.monotonic()
     if "clock_ms" in health and type(kv_epoch_ms) is int:  # the engine's clock at the epoch, estimated from below
         kv_epoch_ms += int((epoch - arrived) * 1000)
@@ -724,10 +735,7 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
         elif event.kind in (EventKind.CANCEL, EventKind.DISCONNECT):
             with lock:
                 aborted.setdefault(event.target, (event.kind, int((time.monotonic() - epoch) * 1000)))
-                resp = live.get(event.target)
-            if resp is not None:
-                closing.put(resp)
-    closing.put(None)
+                shut_down(event.target)
 
     # One deadline for all joins: hung streams share it rather than each waiting a full timeout.
     deadline = time.monotonic() + endpoint.request_timeout_ms / 1000 + 5
@@ -749,6 +757,6 @@ def _execute_wall(trace, endpoint, corpus_seed, canonical_decode) -> ExecutionRe
                                         **answered[rid])
 
     kv_log = collect_kv_stream(endpoint, kv_since, kv_epoch_ms)
-    healthy, health = check_health(endpoint)
-    return ExecutionReport(trace, corpus_seed, outcomes, kv_log, None if healthy else _crash_evidence(health), span,
-                           engine_info=info, schedule_degraded=late)
+    status, health = _get_json(endpoint, "/health")
+    crash = None if status == 200 else _crash_evidence(health)
+    return ExecutionReport(trace, corpus_seed, outcomes, kv_log, crash, span, engine_info=info, schedule_degraded=late)

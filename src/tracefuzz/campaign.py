@@ -403,11 +403,10 @@ def run_campaign(config: CampaignConfig, endpoint, out_dir: Path | str | None = 
             reset_server(endpoint)
             report = execute(trace, endpoint, corpus_seed=config.corpus_seed)
             failures_in_a_row = 0
-        except (EndpointUnavailable, OSError) as exc:
+        except EndpointUnavailable as exc:
             failures_in_a_row += 1
             log.warning("endpoint failure on iteration %d: %s", iteration, exc)
             if failures_in_a_row >= 3:
-                result.aborted = True
                 break
             continue
 
@@ -449,6 +448,8 @@ def run_campaign(config: CampaignConfig, endpoint, out_dir: Path | str | None = 
         if config.stop_on_finding and found_new:
             break
 
+    # Three endpoint failures in a row abort a campaign, and so does one at its end when it executed nothing.
+    result.aborted = failures_in_a_row >= 3 or (failures_in_a_row > 0 and not result.executed_trace_ids)
     if out_dir is not None:
         persist_campaign(result, Path(out_dir))
     return result

@@ -90,7 +90,10 @@ def _make_endpoint(args) -> EngineEndpoint:
         handle = serve(_sim_config(args))
         return EngineEndpoint(kind=EngineKind.SIMULATOR, handle=handle)
     if args.endpoint:
-        return EngineEndpoint(kind=EngineKind.OPENAI, base_url=args.endpoint)
+        try:
+            return EngineEndpoint(kind=EngineKind.OPENAI, base_url=args.endpoint)
+        except ValueError as exc:
+            raise UsageError(f"bad endpoint: {exc}") from exc
     raise UsageError("no endpoint: pass --endpoint URL, --sim, or set TRACEFUZZ_ENDPOINT")
 
 
@@ -234,7 +237,7 @@ def cmd_minimize(args) -> int:
         try:
             reset_server(endpoint)
             report = execute(candidate, endpoint, corpus_seed=args.corpus_seed)
-        except (EndpointUnavailable, OSError):
+        except EndpointUnavailable:
             return False
         if args.predicate == "crash":
             return report.server_crashed

@@ -151,7 +151,7 @@ def _run_isolated(trace, endpoint, corpus_seed):
         try:
             reset_server(endpoint)
             return execute(trace, endpoint, corpus_seed=corpus_seed, canonical_decode=True)
-        except (EndpointUnavailable, OSError) as exc:
+        except EndpointUnavailable as exc:
             last = exc
     raise last
 
@@ -239,7 +239,7 @@ def confirm_suspicion(
         if suspicion.kind in _TIMING_KINDS:
             return _confirm_timing(suspicion, report, endpoint, config, thresholds)
         return _confirm_replay(suspicion, report, endpoint, config, thresholds)
-    except (EndpointUnavailable, OSError) as exc:
+    except EndpointUnavailable as exc:
         LOG.warning("confirmation of %s abandoned: %s", suspicion.fingerprint, exc)
         return _judge(suspicion, False, {"error": str(exc)}, "unconfirmable-endpoint-failure")
 
@@ -398,7 +398,7 @@ def _confirm_timing(suspicion, report, endpoint, config, thresholds):
             recovery_report = execute(probes, endpoint, corpus_seed, canonical_decode=True)
             recovery_p50 = _probe_p50(recovery_report)
             recovered = recovery_p50 is not None and recovery_p50 <= RECOVERY_FACTOR * floor
-        except (EndpointUnavailable, OSError):
+        except EndpointUnavailable:
             pass
     replays += [_run_isolated(replays[0].trace, endpoint, corpus_seed) for _ in range(config.k - 1)]
 

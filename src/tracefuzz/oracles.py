@@ -399,29 +399,30 @@ def structural_forensics(report, prior_snapshots: dict | None = None) -> list[Su
             )
 
     # Matched groups must show identical block-hash sequences, both within a
-    # report and against snapshots recorded by earlier runs.
+    # report and against snapshots recorded by earlier runs.  Divergences
+    # alike in scope, shape, adapter and first differing block share a
+    # fingerprint, so each makes one suspicion naming all their requests.
+    divergent: dict[tuple, tuple] = {}  # alike -> (the first one's signature arguments, their request ids)
     for key, members in sorted(report.snapshot_groups.items()):
         spec = report.request_index[members[0][0]]
         reference_rid, reference = members[0]
-        for rid, hashes in members[1:]:
-            if hashes != reference:
-                suspicions.append(
-                    Suspicion.create(
-                        SuspicionKind.SNAPSHOT_DIVERGENCE,
-                        report.trace_id,
-                        _snapshot_signature("intra", spec, reference, hashes),
-                        {"request_ids": sorted([reference_rid, rid])},
-                    )
-                )
+        against = [(rid, "intra", reference, hashes) for rid, hashes in members[1:] if hashes != reference]
         if prior_snapshots and key in prior_snapshots and reference != prior_snapshots[key]:
-            suspicions.append(
-                Suspicion.create(
-                    SuspicionKind.SNAPSHOT_DIVERGENCE,
-                    report.trace_id,
-                    _snapshot_signature("cross", spec, prior_snapshots[key], reference),
-                    {"request_ids": [reference_rid]},
-                )
+            against.append((reference_rid, "cross", prior_snapshots[key], reference))
+        for rid, scope, expected, got in against:
+            alike = (scope, spec.shape, spec.adapter, first_difference(expected, got))
+            if alike not in divergent:
+                divergent[alike] = ((scope, spec, expected, got), set())
+            divergent[alike][1].update((reference_rid, rid))
+    for signature_args, rids in divergent.values():
+        suspicions.append(
+            Suspicion.create(
+                SuspicionKind.SNAPSHOT_DIVERGENCE,
+                report.trace_id,
+                _snapshot_signature(*signature_args),
+                {"request_ids": sorted(rids)},
             )
+        )
     return _merge(suspicions)
 
 

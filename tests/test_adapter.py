@@ -1,12 +1,13 @@
 """Endpoint adapter over the in-process simulator: event dispatch, outcome
 mapping, and report assembly."""
 
+import json
 import threading
 import time
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
-import requests
 from hypothesis import given, settings, strategies as st
 
 import tracefuzz.adapter as adapter_module
@@ -282,21 +283,33 @@ def test_a_requests_end_follows_one_rule(facts, expected):
 
 
 class _Reply:
-    def __init__(self, status_code, doc=None, lines=()):
-        self.status_code, self._doc, self._lines = status_code, doc, lines
+    """A stub reply, standing in for its socket too: a status, a body (a JSON document unless given as bytes)
+    and, for a completion, the lines of its stream."""
 
-    def json(self):
-        return self._doc
+    def __init__(self, status, doc=None, lines=(), body=None):
+        self.status, self._lines = status, lines
+        self._body = json.dumps(doc).encode() if body is None else body
 
-    def iter_lines(self, chunk_size=512):
+    def read(self):
+        return self._body
+
+    def __iter__(self):
         yield from self._lines
 
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise requests.HTTPError(f"http {self.status_code}")
-
-    def close(self):
+    def shutdown(self, how):
         pass
+
+
+def _serve_stub(monkeypatch, reply_for):
+    """Answer every HTTP exchange of the adapter with ``reply_for(path)``: a _Reply, or EndpointUnavailable
+    raised for an endpoint that gives none."""
+
+    @contextmanager
+    def exchange(endpoint, method, path, doc=None, headers=None, timeout=5.0):
+        reply = reply_for(path)
+        yield reply, reply
+
+    monkeypatch.setattr(adapter_module, "_exchange", exchange)
 
 
 def test_wall_report_is_not_rewritten_by_a_request_that_outlives_its_join(monkeypatch):
@@ -307,15 +320,12 @@ def test_wall_report_is_not_rewritten_by_a_request_that_outlives_its_join(monkey
         yield b'data: {"choices": [{"text": ""}]}'
         yield b"data: [DONE]"
 
-    def post(url, **kwargs):
-        if not url.endswith("/v1/completions"):
-            return _Reply(404)  # no decode-mode control
-        stragglers.append(threading.current_thread())
-        return _Reply(200, lines=slow_stream())
-
-    def get(url, **kwargs):
-        if url.endswith("/kv_events"):
-            return _Reply(404)
+    def reply_for(path):
+        if path == "/v1/completions":
+            stragglers.append(threading.current_thread())
+            return _Reply(200, lines=slow_stream())
+        if path == "/control/decode_mode" or path.startswith("/kv_events"):
+            return _Reply(404)  # no decode-mode control, no KV stream
         return _Reply(200, doc={"vocab_size": 1024})
 
     real_join = threading.Thread.join
@@ -323,8 +333,7 @@ def test_wall_report_is_not_rewritten_by_a_request_that_outlives_its_join(monkey
     def short_join(thread, timeout=None):
         real_join(thread, 0.2)  # gives up on the open stream, as a join past its deadline does
 
-    monkeypatch.setattr(requests, "post", post)
-    monkeypatch.setattr(requests, "get", get)
+    _serve_stub(monkeypatch, reply_for)
     monkeypatch.setattr(threading.Thread, "join", short_join)
     ep = EngineEndpoint(kind=EngineKind.OPENAI, base_url="http://stub")
     report = execute(TimedTrace("t~straggler", (send("slow", 0),)), ep)
@@ -345,8 +354,10 @@ def test_hung_streams_share_one_join_deadline(monkeypatch):
         release.wait(10)
         yield b"data: [DONE]"
 
-    def get(url, **kwargs):
-        if url.endswith("/kv_events"):
+    def reply_for(path):
+        if path == "/v1/completions":
+            return _Reply(200, lines=hung_stream())
+        if path.startswith("/kv_events"):
             return _Reply(404)
         return _Reply(200, doc={"vocab_size": 1024})
 
@@ -357,8 +368,7 @@ def test_hung_streams_share_one_join_deadline(monkeypatch):
         waited[0] += timeout  # the adapter's clock moves on as if the join had waited it out
         real_join(thread, 0.01)
 
-    monkeypatch.setattr(requests, "post", lambda url, **kwargs: _Reply(200, lines=hung_stream()))
-    monkeypatch.setattr(requests, "get", get)
+    _serve_stub(monkeypatch, reply_for)
     monkeypatch.setattr(threading.Thread, "join", timed_out_join)
     monkeypatch.setattr(adapter_module, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + waited[0],
                                                                 sleep=time.sleep))
@@ -370,6 +380,17 @@ def test_hung_streams_share_one_join_deadline(monkeypatch):
     assert len(waits) == 6
     assert sum(waits) <= ep.request_timeout_ms / 1000 + 5
     assert {o.status for o in report.outcomes.values()} == {"timeout"}
+
+
+def _stream_stub(lines):
+    """A stub engine that streams ``lines`` for every completion and serves no KV stream."""
+
+    def reply_for(path):
+        if path == "/v1/completions":
+            return _Reply(200, lines=lines)
+        return _Reply(404 if path.startswith("/kv_events") else 200, {})
+
+    return reply_for
 
 
 @pytest.mark.parametrize(
@@ -387,8 +408,7 @@ def test_hung_streams_share_one_join_deadline(monkeypatch):
 def test_a_stream_nobody_aborted_completes_only_with_done(monkeypatch, lines, status, error):
     uncaught = []
     monkeypatch.setattr(threading, "excepthook", uncaught.append)
-    monkeypatch.setattr(requests, "post", lambda url, **kwargs: _Reply(200, lines=lines))
-    monkeypatch.setattr(requests, "get", lambda url, **kwargs: _Reply(404 if url.endswith("/kv_events") else 200, {}))
+    _serve_stub(monkeypatch, _stream_stub(lines))
     report = execute(TimedTrace("t~framing", (send("s", 0),)), EngineEndpoint(kind=EngineKind.OPENAI, base_url="http://stub"))
     outcome = report.outcomes["s"]
     assert outcome.status == status
@@ -402,20 +422,17 @@ def test_an_engine_without_a_stream_cursor_reports_its_whole_kv_stream(monkeypat
     line = '{"adapter": "BASE", "block_hash": null, "block_id": 3, "kind": "alloc", "owner_request_id": "q", "ts_ms": 9}'
     asked = []
 
-    class PlainText(_Reply):
-        def json(self):
-            raise ValueError("not JSON")
+    def reply_for(path):
+        if path.startswith("/kv_events"):
+            asked.append(path)
+            return _Reply(200, body=line.encode() + b"\n")
+        if path == "/v1/completions":
+            return _Reply(200, lines=[b"data: [DONE]"])
+        return _Reply(200, body=b"not JSON") if path == "/health" else _Reply(200, {"vocab_size": 1024})
 
-    def get(url, **kwargs):
-        if url.endswith("/kv_events"):
-            asked.append(kwargs.get("params"))
-            return SimpleNamespace(status_code=200, text=line + "\n", raise_for_status=lambda: None)
-        return PlainText(200) if url.endswith("/health") else _Reply(200, {"vocab_size": 1024})
-
-    monkeypatch.setattr(requests, "post", lambda url, **kwargs: _Reply(200, lines=[b"data: [DONE]"]))
-    monkeypatch.setattr(requests, "get", get)
+    _serve_stub(monkeypatch, reply_for)
     report = execute(TimedTrace("t~plain", (send("p", 0),)), EngineEndpoint(kind=EngineKind.OPENAI, base_url="http://stub"))
-    assert asked == [{"since": 0}]
+    assert asked == ["/kv_events?since=0"]
     assert report.kv_events == (KvEvent(9, "alloc", 3, None, "q", "BASE"),)
     assert report.outcomes["p"].status == "completed"
     assert not report.server_crashed
@@ -430,15 +447,16 @@ def _execute_on_stub(monkeypatch, info=_Reply(200, {"vocab_size": 1024}), health
     The stub's KV stamps do not move with time, so neither does the adapter's clock: no time passes between
     the /health read and the epoch, and the stream is restamped from the /health clock alone.
     """
-    def get(url, **kwargs):
-        if url.endswith("/kv_events"):
-            return SimpleNamespace(status_code=200, text=kv_text, raise_for_status=lambda: None)
-        if url.endswith("/health"):
+    def reply_for(path):
+        if path.startswith("/kv_events"):
+            return _Reply(200, body=kv_text.encode())
+        if path == "/health":
             return _Reply(200, {"kv_events": 0, "clock_ms": 0} if health is None else health)
-        return info
+        if path == "/v1/completions":
+            return _Reply(200, lines=[b"data: [DONE]"])
+        return info if path == "/control/info" else _Reply(200, {})
 
-    monkeypatch.setattr(requests, "post", lambda url, **kwargs: _Reply(200, lines=[b"data: [DONE]"]))
-    monkeypatch.setattr(requests, "get", get)
+    _serve_stub(monkeypatch, reply_for)
     monkeypatch.setattr(adapter_module, "time", SimpleNamespace(monotonic=lambda: 0.0, sleep=time.sleep))
     report = execute(TimedTrace("t~odd", (send("p", 0),)), EngineEndpoint(kind=EngineKind.OPENAI, base_url="http://stub"))
     assert report.outcomes["p"].status == "completed"
@@ -490,8 +508,7 @@ def test_a_late_request_thread_counts_its_dispatch_from_the_epoch(monkeypatch):
 
     lines = [completion_chunk(0, 0, (5, 6), None).rstrip(b"\n"), b"data: [DONE]"]
     monkeypatch.setattr(threading.Event, "wait", late_wait)
-    monkeypatch.setattr(requests, "post", lambda url, **kwargs: _Reply(200, lines=lines))
-    monkeypatch.setattr(requests, "get", lambda url, **kwargs: _Reply(404 if url.endswith("/kv_events") else 200, {}))
+    _serve_stub(monkeypatch, _stream_stub(lines))
     report = execute(TimedTrace("t~late", (send("s", 0), send("t", 20))), EngineEndpoint(kind=EngineKind.OPENAI, base_url="http://stub"))
     for rid, offset in (("s", 0), ("t", 20)):
         outcome = report.outcomes[rid]
@@ -516,20 +533,21 @@ def test_a_late_request_thread_counts_its_dispatch_from_the_epoch(monkeypatch):
 def test_a_crashed_engine_is_filed_under_its_own_crash_evidence(monkeypatch, doc, evidence):
     healths = []
 
-    def get(url, **kwargs):
-        if url.endswith("/kv_events"):
+    def reply_for(path):
+        if path.startswith("/kv_events") or path == "/control/decode_mode":
             return _Reply(404)
-        if not url.endswith("/health"):
+        if path == "/v1/completions":
+            return _Reply(200, lines=[b"data: [DONE]"])
+        if path != "/health":
             return _Reply(200, {"vocab_size": 1024})
-        healths.append(url)
+        healths.append(path)
         if len(healths) == 1:
             return _Reply(200, {"kv_events": 0, "clock_ms": 0})
         if doc is None:
-            raise requests.ConnectionError("refused")
+            raise EndpointUnavailable("refused")
         return _Reply(503, doc)
 
-    monkeypatch.setattr(requests, "post", lambda url, **kwargs: _Reply(200, lines=[b"data: [DONE]"]))
-    monkeypatch.setattr(requests, "get", get)
+    _serve_stub(monkeypatch, reply_for)
     report = execute(TimedTrace("t~crash", (send("p", 0),)), EngineEndpoint(kind=EngineKind.OPENAI, base_url="http://stub"))
     assert len(healths) == 2
     assert report.crash_evidence == evidence

@@ -254,6 +254,39 @@ def test_run_aborts_after_three_endpoint_failures_in_a_row(monkeypatch, tmp_path
     assert summary["iterations_run"] == 3
 
 
+# Nothing listens on port 1: every connection to it is refused at once.
+DEAD_ENDPOINT = "http://127.0.0.1:1"
+
+
+@pytest.mark.parametrize("budget", ["1", "2"])
+def test_a_run_against_a_dead_endpoint_ends_with_the_endpoint_code(tmp_path, capsys, budget):
+    out = tmp_path / "out"
+    code = main(["run", "--endpoint", DEAD_ENDPOINT, "--budget", budget, "--profiles", "steady", "--out", str(out)])
+    assert code == EXIT_ENDPOINT
+    assert "campaign aborted" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["aborted"] is True and summary["executed_trace_ids"] == []
+
+
+@pytest.mark.parametrize("command", ["confirm", "replay"])
+def test_a_dead_endpoint_ends_confirm_and_replay_with_the_endpoint_code(tmp_path, capsys, command):
+    path = write_trace(tmp_path, TimedTrace("t~dead", (send("a", 0),)))
+    assert main([command, "--trace", str(path), "--endpoint", DEAD_ENDPOINT]) == EXIT_ENDPOINT
+    assert "endpoint failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("url", ["localhost:8008", "ftp://127.0.0.1:9", "http://", "http://127.0.0.1:99999"])
+@pytest.mark.parametrize("through", ["flag", "environment"])
+def test_a_malformed_endpoint_is_a_usage_error(monkeypatch, tmp_path, capsys, url, through):
+    monkeypatch.setenv("TRACEFUZZ_ENDPOINT", url)
+    flag = ["--endpoint", url] if through == "flag" else []
+    path = write_trace(tmp_path, TimedTrace("t~malformed", (send("a", 0),)))
+    assert main(["run", *flag, "--budget", "3", "--profiles", "steady", "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert main(["confirm", "--trace", str(path), *flag]) == EXIT_USAGE
+    assert "bad endpoint" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # -- replay / confirm --------------------------------------------------------------
 
 

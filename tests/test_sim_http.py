@@ -9,9 +9,11 @@ import struct
 import sys
 import threading
 import time
+from contextlib import contextmanager
 
 import requests
 
+import tracefuzz.adapter as adapter_module
 from test_adapter import send
 from tracefuzz.adapter import SCHEDULE_TOLERANCE_MS, EngineEndpoint, EngineKind, execute, reset_server
 from tracefuzz.oracles import lifecycle_check
@@ -228,16 +230,18 @@ def test_client_aborts_map_to_their_statuses_over_http(monkeypatch):
 
 def test_an_abort_before_the_response_arrives_still_aborts(monkeypatch):
     # The responses arrive 300 ms after their Sends, long after the aborts at
-    # 10 ms found nothing to close; each request closes its own response on
+    # 10 ms found no socket to shut down; each request shuts its own down on
     # arrival instead of streaming it to [DONE].
-    real_post = requests.post
+    real_exchange = adapter_module._exchange
 
-    def late_post(*args, **kwargs):
-        resp = real_post(*args, **kwargs)
-        time.sleep(0.3)
-        return resp
+    @contextmanager
+    def late_exchange(endpoint, method, path, *args, **kwargs):
+        with real_exchange(endpoint, method, path, *args, **kwargs) as opened:
+            if path == "/v1/completions":
+                time.sleep(0.3)
+            yield opened
 
-    monkeypatch.setattr(requests, "post", late_post)
+    monkeypatch.setattr(adapter_module, "_exchange", late_exchange)
     server = serve_http(SimConfig(seed=3))
     trace = TimedTrace(
         "t~early-aborts",
@@ -252,31 +256,40 @@ def test_an_abort_before_the_response_arrives_still_aborts(monkeypatch):
 
 
 def test_lines_read_after_an_abort_record_no_tokens(monkeypatch):
-    # Each response yields two tokens, then, once the client's own abort has
-    # closed it, the lines it had buffered before: those must not be recorded
-    # as tokens streamed after the abort.
+    # Each reply yields two tokens, then, once the client's own abort has
+    # shut its socket down, the lines it had buffered before: those must not
+    # be recorded as tokens streamed after the abort.
     def line(text):
-        return b"data: " + json.dumps({"choices": [{"index": 0, "text": text}]}).encode()
+        return b"data: " + json.dumps({"choices": [{"index": 0, "text": text}]}).encode() + b"\n"
 
-    class BufferedResponse:
-        status_code = 200
+    class BufferedReply:
+        status = 200
 
         def __init__(self):
-            self.closed = threading.Event()
+            self.shut = threading.Event()
 
-        def iter_lines(self, chunk_size=512):
+        def __iter__(self):
             yield line(render_prompt([1]))
             yield line(" " + render_prompt([2]))
-            assert self.closed.wait(5)
+            assert self.shut.wait(5)
             yield line(" " + render_prompt([3]))
-            yield b"data: [DONE]"
+            yield b"data: [DONE]\n"
 
-        def close(self):
-            self.closed.set()
+        def shutdown(self, how):  # the reply stands in for its socket too
+            self.shut.set()
 
-    real_post = requests.post  # the control plane is the real server's
-    monkeypatch.setattr(requests, "post", lambda url, **kwargs: BufferedResponse() if url.endswith("/v1/completions")
-                        else real_post(url, **kwargs))
+    real_exchange = adapter_module._exchange  # the control plane is the real server's
+
+    @contextmanager
+    def buffered_exchange(endpoint, method, path, *args, **kwargs):
+        if path != "/v1/completions":
+            with real_exchange(endpoint, method, path, *args, **kwargs) as opened:
+                yield opened
+            return
+        reply = BufferedReply()
+        yield reply, reply
+
+    monkeypatch.setattr(adapter_module, "_exchange", buffered_exchange)
     server = serve_http(SimConfig())
     trace = TimedTrace(
         "t~buffered",

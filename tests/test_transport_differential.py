@@ -13,11 +13,12 @@ are compared on an engine with no tie gap, whose tokens do not depend on
 admission order.  F1-armed traces are not compared yet.
 """
 
+import http.client
+import sys
 import threading
 import time
 
 import pytest
-import requests
 
 from test_adapter import send
 from tracefuzz.adapter import EngineEndpoint, EngineKind, execute, reset_server
@@ -112,17 +113,41 @@ def test_both_transports_report_a_clean_engine_alike(monkeypatch, name):
     assert uncaught == []
 
 
+# The Cancel comes after the crash: an end the client heard from the engine stands.
+CRASH = TimedTrace("t~crash", (send("a", 0, plen=32, mt=200), send("boom", 20), send("late", 40), TraceEvent.cancel(60, "a")))
+
+
 def test_a_crash_has_one_fingerprint_on_both_transports(monkeypatch):
     uncaught = []
     monkeypatch.setattr(threading, "excepthook", uncaught.append)
-    # The Cancel comes after the crash: an end the client heard from the engine stands.
-    trace = TimedTrace("t~crash", (send("a", 0, plen=32, mt=200), send("boom", 20), send("late", 40), TraceEvent.cancel(60, "a")))
-    reports = both_transports(trace, SimConfig(seed=3), lambda endpoint: execute(trace, endpoint), CrashOnSubmitCore)
+    reports = both_transports(CRASH, SimConfig(seed=3), lambda endpoint: execute(CRASH, endpoint), CrashOnSubmitCore)
     for report in reports:
         assert report.crash_evidence["signature"] == "running-adapters-not-subset-loaded"
         assert {rid: outcome.status for rid, outcome in report.outcomes.items()} == dict.fromkeys(("a", "boom", "late"), "server_error")
     expected, got = map(observed, reports)
     assert got == expected
+    assert uncaught == []
+
+
+def test_the_wire_needs_nothing_outside_the_standard_library(monkeypatch):
+    # With requests unimportable, a reset, a Cancel, a Disconnect and a planted crash all cross the wire.
+    monkeypatch.setitem(sys.modules, "requests", None)
+    uncaught = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
+
+    def run(endpoint):
+        reset_server(endpoint)
+        aborts = execute(TRACES["cancel-disconnect"], endpoint)
+        reset_server(endpoint)
+        return aborts, execute(CRASH, endpoint)
+
+    reports = both_transports(CRASH, SimConfig(seed=3), run, CrashOnSubmitCore)
+    for aborts, crashed in reports:
+        assert {rid: outcome.status for rid, outcome in aborts.outcomes.items()} == {"a": "cancelled", "d": "disconnected"}
+        assert {outcome.status for outcome in crashed.outcomes.values()} == {"server_error"}
+    expected, got = [{s.fingerprint for s in full_sweep(crashed, BaselineStats()) if s.kind is SuspicionKind.CRASH}
+                     for _, crashed in reports]
+    assert len(got) == 1 and got == expected
     assert uncaught == []
 
 
@@ -158,16 +183,19 @@ def test_stage2_dismisses_a_near_tie_alike_on_both_transports():
 
 
 def test_a_slow_close_makes_no_control_late(monkeypatch):
-    # Two controls share an offset: closing the first response must not delay the second.
-    uncaught = []
+    # Two controls share an offset: the dispatch loop only shuts the first
+    # stream's socket down, and its request thread closes the connection, so a
+    # slow close must not delay the second.
+    uncaught, closes = [], []
     monkeypatch.setattr(threading, "excepthook", uncaught.append)
-    close = requests.models.Response.close
+    close = http.client.HTTPConnection.close
 
     def slow_close(self):
+        closes.append(threading.current_thread())
         time.sleep(0.02)
         close(self)
 
-    monkeypatch.setattr(requests.models.Response, "close", slow_close)
+    monkeypatch.setattr(http.client.HTTPConnection, "close", slow_close)
     server = serve_http(SimConfig(seed=3))
     try:
         endpoint = EngineEndpoint(kind=EngineKind.OPENAI, base_url=server.base_url)
@@ -177,4 +205,5 @@ def test_a_slow_close_makes_no_control_late(monkeypatch):
         server.stop()
     assert report.schedule_degraded is False
     assert {rid: outcome.status for rid, outcome in report.outcomes.items()} == {"a": "cancelled", "d": "disconnected"}
+    assert any(thread is not threading.main_thread() for thread in closes)  # the request threads closed theirs
     assert uncaught == []
