@@ -2,8 +2,9 @@
 
 Feedback is purely behavioral (outcome statuses, latency buckets, KV event
 shapes, crash signatures); there is no code-coverage instrumentation.  The
-pressure score summarizes how hard a trace leans on the engine and is reported
-for plotting; it never steers selection, only which entries eviction keeps.
+pressure score summarizes how hard a trace leans on the engine and is written
+to ``pressure.csv`` for plotting; it never steers selection, only which
+entries eviction keeps.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from .confirmation import ConfirmationConfig, Finding, confirm_suspicion, replay
 from .oracles import BaselineStats, OracleThresholds, SuspicionKind, first_difference, full_sweep
 from .simulator.config import FaultFamily, FaultSpec, SimConfig
 from .simulator.endpoint import serve
-from .trace import TraceFormatError, deserialize, serialize
+from .trace import TraceFormatError, deserialize, serialize, validate
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -36,9 +36,6 @@ _FAULTS = {
     "f3": FaultFamily.ADAPTER_DRIFT,
     "adapter_drift": FaultFamily.ADAPTER_DRIFT,
 }
-
-# The pressure components `report --plot` stacks, as PressureScore.components() names them.
-PLOT_PARTS = ("burst", "multi_adapter", "kv_pressure", "shape_diversity")
 
 
 class UsageError(Exception):
@@ -98,12 +95,17 @@ def _make_endpoint(args) -> EngineEndpoint:
 
 
 def _load_trace(path: Path):
+    """The trace in the file; a usage error unless it parses and ``validate`` finds no violation."""
     try:
-        return deserialize(Path(path).read_bytes())
+        trace = deserialize(Path(path).read_bytes())
     except OSError as exc:
         raise UsageError(f"cannot read trace file: {exc}") from exc
     except TraceFormatError as exc:
         raise UsageError(f"invalid trace: {exc}") from exc
+    violations = validate(trace).violations
+    if violations:
+        raise UsageError(f"invalid trace: {violations[0].code}: {violations[0].message}")
+    return trace
 
 
 def _campaign_config(args) -> CampaignConfig:
@@ -296,14 +298,6 @@ def cmd_report(args) -> int:
         for row in series
     )
     _require(summary_path, "pressure_series", "a list of objects with numeric s_total and int iteration", rows_hold)
-    if args.plot:
-        plottable = all(
-            _numeric(row.get("best_so_far"))
-            and isinstance(row.get("components"), dict)
-            and all(_numeric(row["components"].get(part)) for part in PLOT_PARTS)
-            for row in series
-        )
-        _require(summary_path, "pressure_series", "plottable: a row lacks numeric best_so_far or components", plottable)
     finding_iterations = summary.get("finding_iterations", {})
     iterations_hold = isinstance(finding_iterations, dict) and all(type(i) is int for i in finding_iterations.values())
     _require(summary_path, "finding_iterations", "an object of int iterations", iterations_hold)
@@ -339,9 +333,6 @@ def cmd_report(args) -> int:
             if finding_iters:
                 flagged = ", ".join(str(i) for i in sorted(finding_iters))
                 print(f"findings first confirmed at iterations: {flagged}")
-
-    if args.plot:
-        _emit_plot(summary, Path(args.plot))
     return EXIT_OK
 
 
@@ -365,32 +356,6 @@ def _require(path: Path, field: str, what: str, holds: bool) -> None:
 
 def _numeric(value) -> bool:
     return type(value) in (int, float)
-
-
-def _emit_plot(summary: dict, out: Path) -> None:
-    series = summary.get("pressure_series", [])
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("matplotlib not installed; skipping plot (series data is in summary.json)", file=sys.stderr)
-        return
-    xs = [row["iteration"] for row in series]
-    stacks = [[row["components"][p] for row in series] for p in PLOT_PARTS]
-    best = [row["best_so_far"] for row in series]
-    fig, ax = plt.subplots(figsize=(8, 4))
-    if xs:
-        ax.stackplot(xs, stacks, labels=PLOT_PARTS, alpha=0.8)
-        ax.plot(xs, best, color="black", linewidth=1.2, label="highest so far")
-    ax.set_xlabel("iteration")
-    ax.set_ylabel("pressure score")
-    ax.legend(loc="upper left", fontsize=8)
-    fig.tight_layout()
-    fig.savefig(out, dpi=120)
-    plt.close(fig)
-    print(f"wrote {out}")
 
 
 # --------------------------------------------------------------------------
@@ -445,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="summarize a campaign directory")
     p.add_argument("--campaign", type=Path, required=True)
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--plot", type=Path, default=None, help="write a pressure stack plot PNG")
     p.set_defaults(fn=cmd_report)
 
     return parser

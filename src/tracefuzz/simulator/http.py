@@ -32,9 +32,10 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import islice
 from urllib.parse import parse_qs, urlsplit
 
-from ..adapter import completion_chunk
+from ..adapter import completion_chunk, kv_events_of
 from ..trace import parse_prompt
 from .config import SimConfig
 from .engine import SimCore
@@ -78,7 +79,7 @@ class SimHttpServer:
                     with server.lock:
                         server._sync()
                         core, ok = server.core, not server.core.crashed
-                        doc = {"status": "ok" if ok else "crashed", "kv_events": len(core.kv_events), "clock_ms": core.clock_ms}
+                        doc = {"status": "ok" if ok else "crashed", "kv_events": sum(map(_expanded_len, core.kv_log)), "clock_ms": core.clock_ms}
                         if not ok:
                             doc["crash_evidence"] = core.crash_evidence
                     self._json(200 if ok else 503, doc)
@@ -91,8 +92,8 @@ class SimHttpServer:
                         return
                     with server.lock:
                         server._sync()
-                        lines = [e.to_json_line() for e in server.core.kv_events[since:]]
-                    self._reply(200, "".join(line + "\n" for line in lines).encode("utf-8"), "application/x-ndjson")
+                        events = _events_from(server.core.kv_log, since)
+                    self._reply(200, "".join(e.to_json_line() + "\n" for e in events).encode("utf-8"), "application/x-ndjson")
                 else:
                     self._json(404, {"error": "no such path"})
 
@@ -235,6 +236,20 @@ class SimHttpServer:
         """
         with self.lock:
             self.core.advance_to(int((time.monotonic() - self._epoch) * 1000))
+
+
+def _expanded_len(run) -> int:
+    """How many per-block events a KV run expands to: one per block, and one per block it evicted."""
+    return len(run.block_ids) + len(run.evicted)
+
+
+def _events_from(log, since: int) -> list:
+    """The per-block events of a KV log from index ``since`` on, expanding only the runs from the one holding it."""
+    for first, run in enumerate(log):
+        if since < _expanded_len(run):
+            return kv_events_of(islice(log, first, None))[since:]
+        since -= _expanded_len(run)
+    return []
 
 
 def _count(text: str) -> int | None:

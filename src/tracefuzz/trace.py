@@ -23,6 +23,7 @@ DEFAULT_ADAPTER = "BASE"
 _CONS = "bdfgklmnprstvzchjw"  # 18
 _VOWS = "aeiouy"  # 6
 _SYLLABLES = [c + v for c in _CONS for v in _VOWS]  # 108
+_SYLLABLE_INDEX = {syllable: index for index, syllable in enumerate(_SYLLABLES)}
 _MAX_RENDERABLE = len(_SYLLABLES) ** 2
 
 
@@ -305,9 +306,8 @@ def word_token(word: str) -> int:
     if len(word) != 4:
         raise ValueError(f"not a token word: {word!r}")
     try:
-        hi = _SYLLABLES.index(word[:2])
-        lo = _SYLLABLES.index(word[2:])
-    except ValueError:
+        hi, lo = _SYLLABLE_INDEX[word[:2]], _SYLLABLE_INDEX[word[2:]]
+    except KeyError:
         raise ValueError(f"not a token word: {word!r}") from None
     return hi * len(_SYLLABLES) + lo
 
@@ -357,12 +357,19 @@ def serialize(trace: TimedTrace) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
-def _expect(doc: dict, key: str, types, path: str):
+_REQUIRED = object()
+
+
+def _expect(doc: dict, key: str, types, path: str, default=_REQUIRED):
+    """``doc[key]`` when it is of ``types``, where a bool is no int or float; ``default``, if given, when absent."""
     if key not in doc:
-        raise TraceFormatError(f"{path}: missing required field {key!r}")
+        if default is _REQUIRED:
+            raise TraceFormatError(f"{path}: missing required field {key!r}")
+        return default
     value = doc[key]
-    if not isinstance(value, types):
-        raise TraceFormatError(f"{path}.{key}: expected {types}, got {type(value).__name__}")
+    if not isinstance(value, types) or type(value) is bool and types is not bool:
+        names = " or ".join(t.__name__ for t in types) if isinstance(types, tuple) else types.__name__
+        raise TraceFormatError(f"{path}.{key}: expected {names}, got {type(value).__name__}")
     return value
 
 
@@ -386,17 +393,17 @@ def _event_from_doc(doc: dict, path: str) -> TraceEvent:
             sampling = SamplingConfig(
                 max_tokens=_expect(sampling_doc, "max_tokens", int, f"{path}.sampling"),
                 temperature=float(_expect(sampling_doc, "temperature", (int, float), f"{path}.sampling")),
-                seed=sampling_doc.get("seed"),
-                logprobs=sampling_doc.get("logprobs"),
-                n_completions=sampling_doc.get("n_completions", 1),
+                seed=_expect(sampling_doc, "seed", int, f"{path}.sampling", None),
+                logprobs=_expect(sampling_doc, "logprobs", int, f"{path}.sampling", None),
+                n_completions=_expect(sampling_doc, "n_completions", int, f"{path}.sampling", 1),
             )
             spec = RequestSpec(
                 request_id=_expect(doc, "request_id", str, path),
                 shape=shape,
                 sampling=sampling,
-                prompt_family_id=doc.get("prompt_family_id"),
-                adapter=doc.get("adapter", DEFAULT_ADAPTER),
-                stream=doc.get("stream", True),
+                prompt_family_id=_expect(doc, "prompt_family_id", str, path, None),
+                adapter=_expect(doc, "adapter", str, path, DEFAULT_ADAPTER),
+                stream=_expect(doc, "stream", bool, path, True),
             )
             return TraceEvent(offset, kind, spec=spec)
         if kind is EventKind.WAIT:

@@ -15,7 +15,7 @@ import pytest
 from tracefuzz import campaign, cli
 from tracefuzz.adapter import EndpointUnavailable, EngineEndpoint, EngineKind, UnsupportedOperation, execute
 from tracefuzz.campaign import PROFILE_STEADY, CampaignConfig, run_campaign
-from tracefuzz.cli import EXIT_ENDPOINT, EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, PLOT_PARTS, main
+from tracefuzz.cli import EXIT_ENDPOINT, EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main
 from tracefuzz.trace import PromptShape, RequestSpec, SamplingConfig, TimedTrace, TraceEvent, deserialize, serialize
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
@@ -75,6 +75,36 @@ def test_unknown_profile(capsys):
 def test_missing_trace_file(tmp_path, capsys):
     assert main(["confirm", "--trace", str(tmp_path / "nope.json"), "--sim"]) == EXIT_USAGE
     assert "cannot read trace file" in capsys.readouterr().err
+
+
+def test_a_mistyped_trace_field_is_a_usage_error(tmp_path, capsys):
+    doc = json.loads(serialize(TimedTrace("t~typed", (send("a", 0),))))
+    doc["events"][0]["sampling"]["n_completions"] = "2"
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(doc))
+    assert main(["replay", "--trace", str(path), "--sim"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: invalid trace: $.events[0].sampling.n_completions: expected int, got str\n"
+
+
+# Traces that parse but that validate() rejects; each would run in-process, and
+# report a Send listed out of order as dispatched at the wrong time, or leave
+# one outcome for two Sends of one id.
+INVALID_TRACES = {
+    "unsorted-events": TimedTrace("t~unsorted", (send("late", 50), send("early", 0))),
+    "duplicate-request-id": TimedTrace("t~twice", (send("a", 0), send("a", 5))),
+    "orphaned-control-event": TimedTrace("t~orphan", (TraceEvent.cancel(0, "a"), send("a", 5))),
+}
+
+
+@pytest.mark.parametrize("command", ["replay", "confirm", "minimize"])
+@pytest.mark.parametrize("violation", sorted(INVALID_TRACES))
+def test_a_trace_that_validate_rejects_is_a_usage_error(tmp_path, capsys, command, violation):
+    path = write_trace(tmp_path, INVALID_TRACES[violation])
+    assert main([command, "--trace", str(path), "--sim"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: invalid trace: {violation}: ") and captured.err.count("\n") == 1
 
 
 def test_bad_predicate(tmp_path, capsys):
@@ -526,38 +556,18 @@ def test_report_reads_a_well_typed_finding(clean_campaign, tmp_path, capsys):
     assert f"{'stall':24} {1:>13}  abc" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize(
-    "row",
-    [
-        {"iteration": 0, "s_total": 1.0, "best_so_far": 1.0},
-        {"iteration": 0, "s_total": 1.0, "best_so_far": 1.0, "components": {"burst": 1.0}},
-        {"iteration": 0, "s_total": 1.0, "components": dict.fromkeys(PLOT_PARTS, 0.25)},
-    ],
-)
-def test_report_plot_on_a_row_it_cannot_plot_is_a_usage_error(clean_campaign, tmp_path, capsys, row):
+def test_report_reads_the_series_rows_it_prints_and_has_no_plot_flag(clean_campaign, tmp_path, capsys):
+    # A row needs only its iteration and s_total; pressure.csv holds the series for an outside plotter.
     copy = tmp_path / "campaign"
     shutil.copytree(clean_campaign[1], copy)
     path = copy / "summary.json"
-    path.write_text(json.dumps({**json.loads(path.read_text()), "pressure_series": [row]}))
-    assert main(["report", "--campaign", str(copy)]) == EXIT_OK  # the table needs neither field
-    capsys.readouterr()
-    assert main(["report", "--campaign", str(copy), "--plot", str(tmp_path / "p.png")]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: unreadable campaign file {path}: pressure_series is not plottable")
-    assert captured.err.count("\n") == 1
-
-
-def test_report_plot(clean_campaign, tmp_path, capsys):
-    _, out = clean_campaign
-    png = tmp_path / "pressure.png"
-    assert main(["report", "--campaign", str(out), "--plot", str(png)]) == EXIT_OK
-    try:
-        import matplotlib  # noqa: F401
-
-        assert png.exists() and png.stat().st_size > 0
-    except ImportError:
-        assert not png.exists()
+    path.write_text(json.dumps({**json.loads(path.read_text()), "pressure_series": [{"iteration": 0, "s_total": 1.0}]}))
+    assert main(["report", "--campaign", str(copy)]) == EXIT_OK
+    assert "pressure: 1 iterations, peak s_total 1.000 at iteration 0" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--campaign", str(copy), "--plot", str(tmp_path / "p.png")])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --plot" in capsys.readouterr().err
 
 
 # -- HTTP round trip ----------------------------------------------------------------

@@ -8,12 +8,13 @@ serves and ``report.kv_events`` builds on first read.
 """
 
 import gc
+import json
 
-import requests
 from hypothesis import example, given, settings, strategies as st
 
 from test_adapter import send
 from test_forensics_reference import ledger_fields, reference_ledger
+from test_sim_http import fetch
 from tracefuzz.adapter import KV_EVENT_KINDS, EngineEndpoint, EngineKind, KvEvent, KvLedger, KvRun, execute, kv_events_of
 from tracefuzz.simulator.config import FaultFamily, FaultSpec, SimConfig
 from tracefuzz.simulator.endpoint import serve
@@ -165,9 +166,8 @@ def test_the_server_serves_the_per_block_expansion():
         report = execute(TimedTrace("t~http", (send("a", 0, plen=100, mt=3), send("b", 0, plen=100, mt=3))), endpoint)
         with server.lock:
             log = list(server.core.kv_log)
-        health = requests.get(base + "/health", timeout=5).json()
-        lines = {since: requests.get(base + "/kv_events", params={"since": since}, timeout=5).text.splitlines()
-                 for since in (0, 3)}
+        health = json.loads(fetch(base, "GET", "/health")[1])
+        lines = {since: fetch(base, "GET", f"/kv_events?since={since}")[1].decode().splitlines() for since in (0, 3)}
     finally:
         server.stop()
     expanded = kv_events_of(log)
@@ -177,3 +177,26 @@ def test_the_server_serves_the_per_block_expansion():
         assert served == [event.to_json_line() for event in expanded[since:]]
     assert all(type(entry) is KvRun for entry in report.kv_log)
     assert report.kv_log == tuple(map(KvRun.of, report.kv_events)) and len(report.kv_events) == len(expanded)
+
+
+def test_the_server_expands_only_the_runs_a_read_reaches(monkeypatch):
+    # /health counts the events without building one; /kv_events builds them from the run holding `since` on.
+    server = serve_http(SimConfig(seed=2))
+    base = server.base_url
+    try:
+        execute(TimedTrace("t~http", (send("a", 0, plen=100, mt=3), send("b", 0, plen=100, mt=3))),
+                EngineEndpoint(kind=EngineKind.OPENAI, base_url=base))
+        with server.lock:
+            log = list(server.core.kv_log)
+        expanded = kv_events_of(log)
+        built = []
+        expand = KvRun.events
+        monkeypatch.setattr(KvRun, "events", lambda run: built.append(run) or expand(run))
+        health = json.loads(fetch(base, "GET", "/health")[1])
+        assert health["kv_events"] == len(expanded) and built == []
+        for since in (len(expanded), len(expanded) + 5):
+            assert fetch(base, "GET", f"/kv_events?since={since}") == (200, b"") and built == []
+        served = fetch(base, "GET", f"/kv_events?since={len(expanded) - 1}")[1].decode().splitlines()
+        assert served == [expanded[-1].to_json_line()] and built == [log[-1]]
+    finally:
+        server.stop()

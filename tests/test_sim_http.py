@@ -11,11 +11,9 @@ import threading
 import time
 from contextlib import contextmanager
 
-import requests
-
 import tracefuzz.adapter as adapter_module
 from test_adapter import send
-from tracefuzz.adapter import SCHEDULE_TOLERANCE_MS, EngineEndpoint, EngineKind, execute, reset_server
+from tracefuzz.adapter import SCHEDULE_TOLERANCE_MS, EngineEndpoint, EngineKind, _exchange, execute, reset_server
 from tracefuzz.oracles import lifecycle_check
 from tracefuzz.simulator.config import SimConfig
 from tracefuzz.simulator.endpoint import serve
@@ -27,18 +25,25 @@ def prompt(n, tag=0):
     return [(tag * 131 + i * 7 + 3) % 1024 for i in range(n)]
 
 
+def fetch(base_url, method, path, doc=None):
+    """One exchange with the server through the wire transport's own helper: the reply's status and body."""
+    with _exchange(EngineEndpoint(kind=EngineKind.OPENAI, base_url=base_url), method, path, doc) as (reply, _):
+        return reply.status, reply.read()
+
+
 def streamed_tokens(base_url, body, rid=None):
-    headers = {"X-Request-Id": rid} if rid else {}
-    resp = requests.post(base_url + "/v1/completions", json=body, headers=headers, stream=True, timeout=10)
-    assert resp.status_code == 200
-    tokens = []
-    for raw in resp.iter_lines():
-        if not raw.startswith(b"data: "):
-            continue
-        payload = raw[len(b"data: "):]
-        if payload == b"[DONE]":
-            return tokens
-        tokens.extend(parse_prompt(json.loads(payload)["choices"][0]["text"]))
+    headers = {"X-Request-Id": rid} if rid else None
+    endpoint = EngineEndpoint(kind=EngineKind.OPENAI, base_url=base_url)
+    with _exchange(endpoint, "POST", "/v1/completions", body, headers, timeout=10) as (reply, _):
+        assert reply.status == 200
+        tokens = []
+        for raw in reply:
+            if not raw.startswith(b"data: "):
+                continue
+            payload = raw[len(b"data: "):].rstrip(b"\r\n")
+            if payload == b"[DONE]":
+                return tokens
+            tokens.extend(parse_prompt(json.loads(payload)["choices"][0]["text"]))
     raise AssertionError("stream ended without [DONE]")
 
 
@@ -58,7 +63,7 @@ def test_an_idle_server_does_not_step():
             server.core.step = step  # an instance attribute: advance's self.step() finds it
         time.sleep(1.0)
         assert steps[0] == 0 and server.core.tick == 0
-        assert requests.get(server.base_url + "/health", timeout=5).status_code == 200
+        assert fetch(server.base_url, "GET", "/health")[0] == 200
     finally:
         server.stop()
     assert steps[0] == 0  # the idle second is a quiet stretch: it passes in one move, stepping no tick
@@ -72,7 +77,7 @@ def test_a_stream_after_an_idle_gap_takes_its_virtual_time():
     server = serve_http(SimConfig(tick_ms=1))
     body = {"prompt": render_prompt(prompt(16)), "max_tokens": 64, "stream": True}
     try:
-        assert requests.get(server.base_url + "/health", timeout=5).status_code == 200
+        assert fetch(server.base_url, "GET", "/health")[0] == 200
         time.sleep(0.6)
         started = time.monotonic()
         assert len(streamed_tokens(server.base_url, body)) == 64
@@ -86,9 +91,9 @@ def test_a_non_streamed_completion_is_refused():
     server = serve_http(SimConfig())
     try:
         body = {"prompt": render_prompt(prompt(16)), "max_tokens": 2, "stream": False}
-        resp = requests.post(server.base_url + "/v1/completions", json=body, timeout=5)
-        assert resp.status_code == 400
-        assert "stream" in resp.json()["error"]
+        status, reply = fetch(server.base_url, "POST", "/v1/completions", body)
+        assert status == 400
+        assert "stream" in json.loads(reply)["error"]
         assert server.core.requests == {}  # refused before it reached the engine
     finally:
         server.stop()
@@ -100,13 +105,13 @@ def test_a_request_too_large_for_the_pool_is_refused():
     server = serve_http(SimConfig(block_size_tokens=4, total_kv_blocks=6, max_batch_tokens=24, chunked_prefill_limit=8))
     try:
         body = {"prompt": render_prompt(prompt(21)), "max_tokens": 4, "stream": True}
-        resp = requests.post(server.base_url + "/v1/completions", json=body, timeout=5)
-        assert resp.status_code == 400
-        assert "KV blocks" in resp.json()["error"]
+        status, reply = fetch(server.base_url, "POST", "/v1/completions", body)
+        assert status == 400
+        assert "KV blocks" in json.loads(reply)["error"]
         body = {"prompt": render_prompt(prompt(8)), "max_tokens": 4, "logprobs": 1025, "stream": True}
-        resp = requests.post(server.base_url + "/v1/completions", json=body, timeout=5)
-        assert resp.status_code == 400
-        assert "logprobs" in resp.json()["error"]
+        status, reply = fetch(server.base_url, "POST", "/v1/completions", body)
+        assert status == 400
+        assert "logprobs" in json.loads(reply)["error"]
         assert server.core.requests == {}
     finally:
         server.stop()
@@ -133,10 +138,10 @@ def test_completion_bodies_the_engine_cannot_take_are_refused():
     ]
     try:
         for body in bodies:
-            resp = requests.post(server.base_url + "/v1/completions", json=body, timeout=5)
-            assert resp.status_code == 400, body
-            assert resp.json()["error"]
-        assert requests.get(server.base_url + "/health", timeout=5).status_code == 200
+            status, reply = fetch(server.base_url, "POST", "/v1/completions", body)
+            assert status == 400, body
+            assert json.loads(reply)["error"]
+        assert fetch(server.base_url, "GET", "/health")[0] == 200
         assert server.core.requests == {}
     finally:
         server.stop()
@@ -150,13 +155,13 @@ def test_requests_the_server_cannot_read_are_refused_and_it_keeps_serving():
     host, port = server.httpd.server_address[:2]
     try:
         for since in ("abc", "-1", "1.5"):
-            resp = requests.get(base + "/kv_events", params={"since": since}, timeout=5)
-            assert resp.status_code == 400, since
-            assert "since" in resp.json()["error"]
+            status, reply = fetch(base, "GET", f"/kv_events?since={since}")
+            assert status == 400, since
+            assert "since" in json.loads(reply)["error"]
         for doc in ({"canonical": "false"}, {"canonical": 1}, {"canonical": None}, {}):
-            resp = requests.post(base + "/control/decode_mode", json=doc, timeout=5)
-            assert resp.status_code == 400, doc
-            assert "canonical" in resp.json()["error"]
+            status, reply = fetch(base, "POST", "/control/decode_mode", doc)
+            assert status == 400, doc
+            assert "canonical" in json.loads(reply)["error"]
         assert not server.core.canonical_decode
         for length in ("abc", "-1"):
             conn = http.client.HTTPConnection(host, port, timeout=5)
@@ -169,7 +174,7 @@ def test_requests_the_server_cannot_read_are_refused_and_it_keeps_serving():
                 assert "Content-Length" in json.loads(resp.read())["error"]
             finally:
                 conn.close()
-        assert requests.get(base + "/health", timeout=5).status_code == 200
+        assert fetch(base, "GET", "/health")[0] == 200
     finally:
         server.stop()
     assert errors == []
@@ -183,9 +188,9 @@ def test_decode_mode_set_over_http_survives_a_reset():
         salted = [streamed_tokens(base, body) for _ in range(2)]
         assert salted[0] != salted[1], "admission ordinal salt should flip some position"
 
-        resp = requests.post(base + "/control/decode_mode", json={"canonical": True}, timeout=5)
-        assert resp.json() == {"canonical": True}
-        assert requests.post(base + "/control/reset", timeout=5).status_code == 200
+        status, reply = fetch(base, "POST", "/control/decode_mode", {"canonical": True})
+        assert json.loads(reply) == {"canonical": True}
+        assert fetch(base, "POST", "/control/reset")[0] == 200
         assert server.core.canonical_decode
         pinned = [streamed_tokens(base, body) for _ in range(2)]
         assert pinned[0] == pinned[1]

@@ -1,10 +1,12 @@
 """Simulator core: deterministic decode, paged-cache accounting, and the
 three injectable fault families."""
 
+import json
+
 import pytest
-import requests
 
 from drift_schedules import play_schedule, run_schedule
+from test_sim_http import fetch
 from tracefuzz.simulator.config import FaultFamily, FaultSpec, SimConfig
 from tracefuzz.simulator.endpoint import serve
 from tracefuzz.simulator.engine import ALL_CONDITIONS, COND_LOAD_BURST, SimRequest
@@ -332,7 +334,7 @@ def test_engine_info_reports_static_config():
     assert info["engine"] == "tracefuzz-sim"
     server = serve_http(cfg)
     try:
-        assert requests.get(server.base_url + "/control/info", timeout=5).json() == info
+        assert json.loads(fetch(server.base_url, "GET", "/control/info")[1]) == info
     finally:
         server.stop()
 

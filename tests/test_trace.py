@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracefuzz.trace import (
+    _MAX_RENDERABLE,
     EventKind,
     PromptShape,
     RequestSpec,
@@ -160,6 +161,13 @@ def test_render_parse_round_trip():
         parse_prompt("not a synthesized word stream !!")
 
 
+def test_every_renderable_token_id_round_trips():
+    assert [word_token(token_word(t)) for t in range(_MAX_RENDERABLE)] == list(range(_MAX_RENDERABLE))
+    for word in ("", "bab", "babab", "xaba", "baxa", "BABA", "ba b"):
+        with pytest.raises(ValueError, match="not a token word"):
+            word_token(word)
+
+
 # -- wire format -------------------------------------------------------------
 
 
@@ -203,6 +211,31 @@ def test_deserialize_rejects_malformed_documents():
             deserialize(json.dumps(doc))
     with pytest.raises(TraceFormatError):
         deserialize(b"{not json")
+
+
+@pytest.mark.parametrize(
+    "part, key, value",
+    [
+        ("event", "offset_ms", True),
+        ("event", "adapter", 3),
+        ("event", "prompt_family_id", 7),
+        ("event", "stream", "yes"),
+        ("shape", "prompt_len", True),
+        ("sampling", "max_tokens", True),
+        ("sampling", "temperature", False),
+        ("sampling", "seed", "x"),
+        ("sampling", "logprobs", True),
+        ("sampling", "n_completions", "2"),
+        ("sampling", "n_completions", True),
+    ],
+)
+def test_deserialize_refuses_a_mistyped_field(part, key, value):
+    # A bool is no int or float here: the HTTP server refuses it, so the trace is refused before it runs.
+    doc = json.loads(serialize(TimedTrace("t~x", (send("a", 0, seed=3, logprobs=5),))))
+    event = doc["events"][0]
+    {"event": event, "shape": event["shape"], "sampling": event["sampling"]}[part][key] = value
+    with pytest.raises(TraceFormatError, match=rf"\.{key}: expected (int|str|bool|int or float), got {type(value).__name__}"):
+        deserialize(json.dumps(doc))
 
 
 # -- property tests ----------------------------------------------------------
